@@ -403,7 +403,7 @@ def generate_potential_chains(
         want_category = by_id[f].category
         next_needs = covering_attacks(t, nxt) if nxt is not None else []
         out = []
-        for record in sorted(doc.attacks, key=lambda a: a.id):
+        for record in graph.sorted_attacks:
             if by_id[record.object].category != want_category:
                 continue
             if next_needs:

@@ -86,7 +86,7 @@ def _load(args):
     overrides = {}
     if getattr(args, "semantics", None):
         overrides["semantics"] = args.semantics
-    if getattr(args, "max_len", None):
+    if getattr(args, "max_len", None) is not None:
         overrides["max_len"] = args.max_len
     if overrides:
         config = replace(config, **overrides).check()

@@ -35,10 +35,16 @@ class EngineConfig:
             raise ConfigError(f"threat_agg must be one of {THREAT_AGGREGATIONS}, got {self.threat_agg!r}")
         if self.budget_objective not in BUDGET_OBJECTIVES:
             raise ConfigError(f"budget_objective must be one of {BUDGET_OBJECTIVES}, got {self.budget_objective!r}")
-        if not isinstance(self.max_len, int) or self.max_len < 1:
+        for name in ("max_len", "exact_defense_limit", "exact_chain_limit", "survivor_sample"):
+            value = getattr(self, name)
+            # bool is an int subclass; reject it explicitly.
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.max_len < 1:
             raise ConfigError(f"max_len must be a positive integer, got {self.max_len!r}")
-        if not 0.0 <= float(self.derived_detect_prob) <= 1.0:
-            raise ConfigError(f"derived_detect_prob must lie in [0,1], got {self.derived_detect_prob!r}")
+        prob = self.derived_detect_prob
+        if isinstance(prob, bool) or not isinstance(prob, (int, float)) or not 0.0 <= prob <= 1.0:
+            raise ConfigError(f"derived_detect_prob must lie in [0,1], got {prob!r}")
         if self.exact_defense_limit < 0 or self.exact_chain_limit < 0 or self.survivor_sample < 0:
             raise ConfigError("limits must be non-negative")
         return self

@@ -10,6 +10,7 @@ itself by re-enumerating after selection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .chains import AttackChain, enumerate_chains
@@ -50,20 +51,19 @@ class DefensePlan:
         }
 
 
-def applicable_defenses(doc: ScenarioDoc, attack_id: str) -> tuple[DefenseRecord, ...]:
+def applicable_defenses(graph: AttackGraph, attack_id: str) -> tuple[DefenseRecord, ...]:
     """Defenses that neutralize the attack, cheapest first (ties by id)."""
-    if attack_id not in doc.attack_by_id():
+    if attack_id not in graph.attacks:
         raise UnknownIdError(f"unknown attack {attack_id!r}")
-    hits = [d for d in doc.defenses if attack_id in d.d_results]
+    hits = [d for d in graph.defenses.values() if attack_id in d.d_results]
     hits.sort(key=lambda d: (d.cost, d.id))
     return tuple(hits)
 
 
-def neutralized_attacks(doc: ScenarioDoc, chosen) -> frozenset[str]:
-    by_id = doc.defense_by_id()
+def neutralized_attacks(graph: AttackGraph, chosen) -> frozenset[str]:
     out: set[str] = set()
     for did in chosen:
-        out.update(by_id[did].d_results)
+        out.update(graph.defenses[did].d_results)
     return frozenset(out)
 
 
@@ -79,14 +79,13 @@ def _survivors(graph, chains, blocked: frozenset[str]):
     return [c for c in chains if not (chain_attacks(graph, c) & blocked)]
 
 
-def _finish_plan(doc, graph, chosen, reference_chains, config, optimal, uncovered=()) -> DefensePlan:
+def _finish_plan(graph, chosen, reference_chains, config, optimal, uncovered=()) -> DefensePlan:
     chosen = tuple(sorted(chosen))
-    by_id = doc.defense_by_id()
-    blocked = neutralized_attacks(doc, chosen)
+    blocked = neutralized_attacks(graph, chosen)
     survivors = _survivors(graph, reference_chains, blocked)
     return DefensePlan(
         chosen=chosen,
-        total_cost=sum(by_id[d].cost for d in chosen),
+        total_cost=sum(graph.defenses[d].cost for d in chosen),
         neutralized_edges=_neutralized_edges(graph, blocked),
         surviving_count=len(survivors),
         surviving_sample=tuple(survivors[: config.survivor_sample]),
@@ -110,12 +109,12 @@ def plan_coverage(
     chosen: set[str] = set()
     uncovered: list[str] = []
     for attack_id in sorted(chain_attacks(graph, chain)):
-        options = applicable_defenses(doc, attack_id)
+        options = applicable_defenses(graph, attack_id)
         if options:
             chosen.add(options[0].id)
         else:
             uncovered.append(attack_id)
-    return _finish_plan(doc, graph, chosen, [chain], config, optimal=True, uncovered=uncovered)
+    return _finish_plan(graph, chosen, [chain], config, optimal=True, uncovered=uncovered)
 
 
 def _break_masks(doc, graph, chains) -> list[int]:
@@ -146,8 +145,8 @@ def plan_budgeted(
     config.exact_defense_limit defenses, greedy by gain/cost beyond. Exact
     ties resolve toward (max value, min cost, lexicographic id tuple).
     """
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
+    if not math.isfinite(budget) or budget < 0:
+        raise ValueError(f"budget must be a finite non-negative number, got {budget!r}")
     chains = list(chains)
     masks = _break_masks(doc, graph, chains)
     if config.budget_objective == "count":
@@ -182,7 +181,7 @@ def plan_budgeted(
             walk(k + 1, chosen, cost, mask)
 
         walk(0, (), 0.0, 0)
-        return _finish_plan(doc, graph, best[2], chains, config, optimal=True)
+        return _finish_plan(graph, best[2], chains, config, optimal=True)
 
     # Greedy: best broken-value gain per unit cost, ties by (cost, id).
     chosen: list[str] = []
@@ -209,7 +208,7 @@ def plan_budgeted(
         chosen.append(did)
         spent += d.cost
         mask |= m
-    return _finish_plan(doc, graph, chosen, chains, config, optimal=False)
+    return _finish_plan(graph, chosen, chains, config, optimal=False)
 
 
 def plan_cut(
@@ -222,10 +221,10 @@ def plan_cut(
     """Cheapest defense set that severs every valid chain to the targets.
 
     Solved as a minimum-cost hitting set over the enumerated chains: exact
-    branch-and-bound within config limits, escalating greedy beyond. The
-    result is always re-verified by re-enumeration; a chain whose attacks
-    admit no defense at all makes the cut infeasible. entry_grants/targets
-    default to the scenario's own.
+    branch-and-bound within config limits, greedy beyond. The result is
+    always re-verified by re-enumeration; a chain whose attacks admit no
+    defense at all makes the cut infeasible. entry_grants/targets default
+    to the scenario's own.
     """
     targets = tuple(targets) if targets is not None else doc.targets
     if not targets:
@@ -238,9 +237,8 @@ def plan_cut(
 
     chains = list(chains_to_targets(frozenset()))
     if not chains:
-        return _finish_plan(doc, graph, (), chains, config, optimal=True)
+        return _finish_plan(graph, (), chains, config, optimal=True)
 
-    by_id = doc.defense_by_id()
     option_sets: list[frozenset[str]] = []
     for c in chains:
         attacks = chain_attacks(graph, c)
@@ -254,25 +252,16 @@ def plan_cut(
 
     exact = len(chains) <= config.exact_chain_limit and len(doc.defenses) <= config.exact_defense_limit
     if exact:
-        chosen = _hitting_set_exact(option_sets, by_id)
+        chosen = _hitting_set_exact(option_sets, graph.defenses)
     else:
-        chosen = _hitting_set_greedy(option_sets, by_id)
+        chosen = _hitting_set_greedy(option_sets, graph.defenses)
 
-    plan = _finish_plan(doc, graph, chosen, chains, config, optimal=exact)
-    # Hitting every enumerated chain leaves no survivors (monotonicity), but
-    # if that ever breaks, escalate instead of returning a bad plan.
-    while plan.surviving_count and len(plan.chosen) < len(doc.defenses):
-        surviving = _survivors(graph, chains, neutralized_attacks(doc, plan.chosen))
-        extra = _hitting_set_greedy(
-            [frozenset(d.id for d in doc.defenses if chain_attacks(graph, c) & frozenset(d.d_results)) for c in surviving],
-            by_id,
-            already=set(plan.chosen),
-        )
-        if not extra:
-            break
-        plan = _finish_plan(doc, graph, set(plan.chosen) | set(extra), chains, config, optimal=False)
-    remaining = chains_to_targets(neutralized_attacks(doc, plan.chosen))
-    assert not remaining, "cut verification failed: chains survive after neutralization"
+    plan = _finish_plan(graph, chosen, chains, config, optimal=exact)
+    # A hitting set of the enumerated chains leaves none of them, and edge
+    # removal never creates chains; re-enumerating checks both claims.
+    remaining = chains_to_targets(neutralized_attacks(graph, plan.chosen))
+    if remaining:
+        raise RuntimeError(f"cut verification failed: {len(remaining)} chains survive after neutralization")
     return plan
 
 
@@ -303,14 +292,14 @@ def _hitting_set_exact(option_sets, by_id) -> tuple[str, ...]:
             walk(chosen + (option,), cost + by_id[option].cost, still)
 
     walk((), 0.0, frozenset(range(len(option_sets))))
-    assert best is not None
+    if best is None:
+        raise RuntimeError("hitting-set search found no cover although every chain has an option")
     return best[2]
 
 
-def _hitting_set_greedy(option_sets, by_id, already: set | None = None) -> tuple[str, ...]:
+def _hitting_set_greedy(option_sets, by_id) -> tuple[str, ...]:
     """Cover chains by repeatedly taking the best hits-per-cost defense."""
-    chosen = set(already or ())
-    uncovered = [s for s in option_sets if not (s & chosen)]
+    uncovered = list(option_sets)
     picked: list[str] = []
     while uncovered:
         counts: dict[str, int] = {}
@@ -322,7 +311,6 @@ def _hitting_set_greedy(option_sets, by_id, already: set | None = None) -> tuple
             key=lambda o: (-(counts[o] / by_id[o].cost) if by_id[o].cost > 0 else float("-inf"), by_id[o].cost, o),
         )
         picked.append(best_opt)
-        chosen.add(best_opt)
         uncovered = [s for s in uncovered if best_opt not in s]
     return tuple(picked)
 

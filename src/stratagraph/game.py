@@ -13,6 +13,7 @@ alone.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 
@@ -48,8 +49,10 @@ class GameConfig:
             raise ConfigError(f"attacker_policy must be one of {ATTACKER_POLICIES}")
         if self.defender_policy not in DEFENDER_POLICIES:
             raise ConfigError(f"defender_policy must be one of {DEFENDER_POLICIES}")
-        if self.defender_budget_per_turn < 0:
-            raise ConfigError("defender_budget_per_turn must be non-negative")
+        if not math.isfinite(self.defender_budget_per_turn) or self.defender_budget_per_turn < 0:
+            raise ConfigError(
+                f"defender_budget_per_turn must be a finite non-negative number, got {self.defender_budget_per_turn!r}"
+            )
         if self.semantics not in ("accumulated", "strict"):
             raise ConfigError(f"semantics must be accumulated or strict, got {self.semantics!r}")
         return self
@@ -144,7 +147,7 @@ def run_game(
     outcome = OUTCOME_TURN_LIMIT
     for turn in range(1, game.max_turns + 1):
         candidates = []
-        for record in sorted(doc.attacks, key=lambda a: a.id):
+        for record in graph.sorted_attacks:
             if record.id in fired or record.id in neutralized:
                 continue
             if record.entry_only and fired:
@@ -187,8 +190,8 @@ def run_game(
             new_defenses = tuple(d for d in plan.chosen if d not in applied_defenses)
             if new_defenses:
                 applied_defenses.update(new_defenses)
-                defender_cost += sum(doc.defense_by_id()[d].cost for d in new_defenses)
-                neutralized = neutralized_attacks(doc, applied_defenses)
+                defender_cost += sum(graph.defenses[d].cost for d in new_defenses)
+                neutralized = neutralized_attacks(graph, applied_defenses)
 
         turns.append(TurnRecord(turn, pick.id, detected, new_defenses, tuple(sorted(grants))))
 

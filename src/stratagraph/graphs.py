@@ -9,10 +9,10 @@ affected object, so a record with k results contributes exactly k edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import canon
-from .model import AttackRecord, RelationshipEdge, ScenarioDoc, UnknownIdError
+from .model import AttackRecord, DefenseRecord, RelationshipEdge, ScenarioDoc, UnknownIdError
 from .scenario import require_valid
 
 
@@ -23,6 +23,11 @@ class HierarchicalGraph:
     layers: dict[str, str]  # object id -> layer
     intra_edges: tuple[RelationshipEdge, ...]
     vertical_edges: tuple[RelationshipEdge, ...]
+    # object id -> sorted ids one relationship edge away, honoring direction
+    adjacency: dict[str, tuple[str, ...]]
+    # The validated scenario this graph was built from; build_attack_graph
+    # skips re-validating exactly this object.
+    doc: ScenarioDoc = field(compare=False, repr=False)
 
     def nodes(self) -> tuple[str, ...]:
         return tuple(sorted(self.layers))
@@ -31,16 +36,10 @@ class HierarchicalGraph:
         """Objects reachable over one relationship edge, honoring direction."""
         if object_id not in self.layers:
             raise UnknownIdError(f"unknown object {object_id!r}")
-        out = set()
-        for edge in self.intra_edges + self.vertical_edges:
-            if edge.from_id == object_id:
-                out.add(edge.to_id)
-            elif not edge.directed and edge.to_id == object_id:
-                out.add(edge.from_id)
-        return tuple(sorted(out))
+        return self.adjacency.get(object_id, ())
 
     def connects(self, a: str, b: str) -> bool:
-        return any(e.touches(a, b) for e in self.intra_edges + self.vertical_edges)
+        return b in self.adjacency.get(a, ())
 
 
 @dataclass(frozen=True)
@@ -75,6 +74,8 @@ class AttackGraph:
     by_from: dict[str, tuple[AttackEdge, ...]]
     by_attack: dict[str, tuple[AttackEdge, ...]]
     attacks: dict[str, AttackRecord]
+    sorted_attacks: tuple[AttackRecord, ...]  # by id
+    defenses: dict[str, DefenseRecord]
 
     def edge(self, edge_id: str) -> AttackEdge:
         found = self.by_id.get(edge_id)
@@ -88,11 +89,23 @@ def build_base_graph(doc: ScenarioDoc) -> HierarchicalGraph:
     layers = {o.id: o.layer for o in doc.objects}
     intra = tuple(e for e in doc.relationships if layers[e.from_id] == layers[e.to_id])
     vertical = tuple(e for e in doc.relationships if layers[e.from_id] != layers[e.to_id])
-    return HierarchicalGraph(layers=layers, intra_edges=intra, vertical_edges=vertical)
+    adjacency: dict[str, set[str]] = {}
+    for e in doc.relationships:
+        adjacency.setdefault(e.from_id, set()).add(e.to_id)
+        if not e.directed:
+            adjacency.setdefault(e.to_id, set()).add(e.from_id)
+    return HierarchicalGraph(
+        layers=layers,
+        intra_edges=intra,
+        vertical_edges=vertical,
+        adjacency={k: tuple(sorted(v)) for k, v in adjacency.items()},
+        doc=doc,
+    )
 
 
 def build_attack_graph(doc: ScenarioDoc, base: HierarchicalGraph) -> AttackGraph:
-    require_valid(doc)
+    if base.doc is not doc:
+        require_valid(doc)
     edges = []
     for record in doc.attacks:
         for i, result in enumerate(record.a_results):
@@ -121,6 +134,8 @@ def build_attack_graph(doc: ScenarioDoc, base: HierarchicalGraph) -> AttackGraph
         by_from={k: tuple(v) for k, v in by_from.items()},
         by_attack={k: tuple(v) for k, v in by_attack.items()},
         attacks=doc.attack_by_id(),
+        sorted_attacks=tuple(sorted(doc.attacks, key=lambda a: a.id)),
+        defenses=doc.defense_by_id(),
     )
 
 

@@ -9,6 +9,7 @@ validate_scenario, which reports violations as data instead of raising.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from . import canon
@@ -273,6 +274,16 @@ def _check_token(problems, record_class: str, record_id: str, token: str, what: 
         problems.append(Violation("error", record_class, record_id, f"{what}: {msg}"))
 
 
+def _check_number(problems, record_class: str, record_id: str, name: str, value: float, upper: float | None = None):
+    """Report a NaN or infinite value, else one below 0 (or outside [0, upper])."""
+    if not math.isfinite(value):
+        problems.append(Violation("error", record_class, record_id, f"{name} {value} is not a finite number"))
+    elif upper is not None and not 0.0 <= value <= upper:
+        problems.append(Violation("error", record_class, record_id, f"{name} {value} outside [0, {upper:g}]"))
+    elif value < 0:
+        problems.append(Violation("error", record_class, record_id, f"{name} {value} is negative"))
+
+
 def validate_scenario(doc: ScenarioDoc) -> tuple[Violation, ...]:
     """Return every invariant violation, sorted by (record class, id).
 
@@ -313,6 +324,13 @@ def validate_scenario(doc: ScenarioDoc) -> tuple[Violation, ...]:
                 )
             )
 
+    # Both orientations of every relationship: touches(a, b) or touches(b, a)
+    # holds exactly when some relationship joins a and b, directed or not.
+    linked = set()
+    for r in doc.relationships:
+        linked.add((r.from_id, r.to_id))
+        linked.add((r.to_id, r.from_id))
+
     seen = set()
     derived_ids = {f"drv:{v.id}:{o.id}" for v in doc.vulnerabilities for o in doc.objects if o.category == v.affects_category}
     for a in doc.attacks:
@@ -333,17 +351,14 @@ def validate_scenario(doc: ScenarioDoc) -> tuple[Violation, ...]:
             if g.object not in ids:
                 out.append(Violation("error", "attack", a.id, f"condition object {g.object!r} does not exist"))
             _check_token(out, "attack", a.id, g.permission, f"condition on {g.object!r}")
-        if a.cost < 0:
-            out.append(Violation("error", "attack", a.id, f"cost {a.cost} is negative"))
-        if a.severity < 0:
-            out.append(Violation("error", "attack", a.id, f"severity {a.severity} is negative"))
-        if not 0.0 <= a.detect_prob <= 1.0:
-            out.append(Violation("error", "attack", a.id, f"detect_prob {a.detect_prob} outside [0, 1]"))
+        _check_number(out, "attack", a.id, "cost", a.cost)
+        _check_number(out, "attack", a.id, "severity", a.severity)
+        _check_number(out, "attack", a.id, "detect_prob", a.detect_prob, upper=1.0)
         # Warn when an attack edge jumps between objects no relationship
         # connects; self-loop effects are always plausible.
         for g in a.a_results:
             if g.object in ids and a.object in ids and g.object != a.object:
-                if not any(r.touches(a.object, g.object) or r.touches(g.object, a.object) for r in doc.relationships):
+                if (a.object, g.object) not in linked:
                     out.append(
                         Violation(
                             "warning",
@@ -364,8 +379,7 @@ def validate_scenario(doc: ScenarioDoc) -> tuple[Violation, ...]:
         for aid in d.d_results:
             if aid not in attack_ids:
                 out.append(Violation("error", "defense", d.id, f"d_result attack {aid!r} does not exist"))
-        if d.cost < 0:
-            out.append(Violation("error", "defense", d.id, f"cost {d.cost} is negative"))
+        _check_number(out, "defense", d.id, "cost", d.cost)
 
     seen = set()
     for v in doc.vulnerabilities:
@@ -375,10 +389,8 @@ def validate_scenario(doc: ScenarioDoc) -> tuple[Violation, ...]:
         if v.affects_category not in categories:
             out.append(Violation("error", "vulnerability", v.id, f"unknown category {v.affects_category!r}"))
         _check_token(out, "vulnerability", v.id, v.yields_permission, "yields_permission")
-        if v.exploit_cost < 0:
-            out.append(Violation("error", "vulnerability", v.id, f"exploit_cost {v.exploit_cost} is negative"))
-        if v.severity < 0:
-            out.append(Violation("error", "vulnerability", v.id, f"severity {v.severity} is negative"))
+        _check_number(out, "vulnerability", v.id, "exploit_cost", v.exploit_cost)
+        _check_number(out, "vulnerability", v.id, "severity", v.severity)
 
     for g in doc.entry_grants:
         if g.object not in ids:

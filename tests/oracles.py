@@ -179,3 +179,26 @@ def brute_cut(doc, chains):
     if best is None:
         return None
     return best[0], best[2]
+
+
+def counterpart_warnings(doc) -> list[tuple[str, str]]:
+    """(attack id, message) of every effect no relationship backs, sorted.
+
+    The quadratic definition: for each effect from the attacked object to a
+    different existing object, scan every relationship for one that links
+    the pair in either direction, honoring each edge's directedness.
+    """
+
+    def touches(r, a, b):
+        if r.from_id == a and r.to_id == b:
+            return True
+        return not r.directed and r.from_id == b and r.to_id == a
+
+    ids = {o.id for o in doc.objects}
+    out = []
+    for a in doc.attacks:
+        for g in a.a_results:
+            if g.object in ids and a.object in ids and g.object != a.object:
+                if not any(touches(r, a.object, g.object) or touches(r, g.object, a.object) for r in doc.relationships):
+                    out.append((a.id, f"edge {a.object}->{g.object} has no relationship counterpart in the base graph"))
+    return sorted(out)

@@ -138,7 +138,7 @@ def test_criterion_4_cut_soundness_and_optimality(hitting_trio):
         assert abs(plan.total_cost - want[0]) < EPS, f"seed={seed}"
         assert plan.chosen == want[1], f"seed={seed}"
         survivors = enumerate_chains(
-            doc, graph, targets=doc.targets, config=cfg, blocked_attacks=neutralized_attacks(doc, plan.chosen)
+            doc, graph, targets=doc.targets, config=cfg, blocked_attacks=neutralized_attacks(graph, plan.chosen)
         )
         assert survivors == (), f"seed={seed}: chains survive the cut"
         cut_count += 1
@@ -164,14 +164,14 @@ def test_criterion_5_budget_optimality():
             broken = sum(
                 c.total_threat
                 for c in engine_chains
-                if chain_attacks(graph, c) & neutralized_attacks(doc, plan.chosen)
+                if chain_attacks(graph, c) & neutralized_attacks(graph, plan.chosen)
             )
             assert abs(broken - value) < EPS, f"seed={seed} budget={budget}"
         zero = plan_budgeted(doc, graph, engine_chains, 0.0, config=cfg)
         assert zero.chosen == ()
         full = plan_budgeted(doc, graph, engine_chains, total, config=cfg)
         breakable = [c for c in engine_chains if any(set(d.d_results) & chain_attacks(graph, c) for d in doc.defenses)]
-        blocked = neutralized_attacks(doc, full.chosen)
+        blocked = neutralized_attacks(graph, full.chosen)
         assert all(chain_attacks(graph, c) & blocked for c in breakable), f"seed={seed}: unlimited budget left breakable chains"
     assert scenarios >= 30
     print(f"criterion 5 PASS: budget plans match brute force on {scenarios} scenarios x 3 budgets")
@@ -209,10 +209,10 @@ def test_criterion_6_monotonicity_suite():
         if doc.defenses and doc.targets:
             target_chains = enumerate_chains(doc, graph, targets=doc.targets, config=CFG4)
             plan = plan_budgeted(doc, graph, target_chains, 1.0, config=CFG4)
-            blocked = neutralized_attacks(doc, plan.chosen)
+            blocked = neutralized_attacks(graph, plan.chosen)
             before = sum(1 for c in target_chains if not (chain_attacks(graph, c) & blocked))
             for extra in doc.defenses:
-                with_extra = neutralized_attacks(doc, tuple(plan.chosen) + (extra.id,))
+                with_extra = neutralized_attacks(graph, tuple(plan.chosen) + (extra.id,))
                 after = sum(1 for c in target_chains if not (chain_attacks(graph, c) & with_extra))
                 assert after <= before
                 defense_cases += 1

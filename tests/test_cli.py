@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from stratagraph.cli import main
 
 
@@ -236,3 +238,105 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "stratagraph" in proc.stdout
+
+
+ANALYSIS_COMMANDS = [
+    ("graph",),
+    ("graph", "--dot"),
+    ("chains",),
+    ("chains", "--objective", "min_cost"),
+    ("potential", "--from", "BS1", "--to", "APP1"),
+    ("defend", "--mode", "cut"),
+    ("defend", "--mode", "budget", "--budget", "3"),
+    ("defend", "--mode", "coverage"),
+    ("risk",),
+    ("simulate", "--defender", "reactive_cut", "--budget-per-turn", "2.5", "--runs", "2"),
+]
+
+
+@pytest.mark.parametrize("argv", [("validate",), *ANALYSIS_COMMANDS], ids=" ".join)
+def test_each_command_validates_once(capsys, monkeypatch, fixtures_dir, argv):
+    import stratagraph.cli
+    import stratagraph.scenario
+
+    calls = []
+    real = stratagraph.scenario.validate_scenario
+
+    def counting(doc):
+        calls.append(doc)
+        return real(doc)
+
+    monkeypatch.setattr(stratagraph.scenario, "validate_scenario", counting)
+    monkeypatch.setattr(stratagraph.cli, "validate_scenario", counting)
+    code, _, _ = run_cli(capsys, argv[0], "--scenario", scen(fixtures_dir, "toy5g"), *argv[1:])
+    assert code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("attacks", "cost"),
+        ("attacks", "severity"),
+        ("attacks", "detect_prob"),
+        ("defenses", "cost"),
+        ("vulnerabilities", "exploit_cost"),
+        ("vulnerabilities", "severity"),
+    ],
+)
+def test_non_finite_scenario_number_exits_2_everywhere(capsys, fixtures_dir, tmp_path, section, key):
+    data = json.loads((fixtures_dir / "toy5g.scenario").read_text())
+    data[section][0][key] = float("nan")
+    path = tmp_path / "nan.scenario"
+    path.write_text(json.dumps(data))
+    for argv in [("validate",), *ANALYSIS_COMMANDS]:
+        code, _, err = run_cli(capsys, argv[0], "--scenario", str(path), *argv[1:])
+        assert code == 2, argv
+        if argv[0] != "validate":
+            assert "not a finite number" in err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        '{"exact_defense_limit": "x"}',
+        '{"max_len": true}',
+        '{"max_len": 2.5}',
+        '{"exact_chain_limit": false}',
+        '{"survivor_sample": "3"}',
+        '{"derived_detect_prob": "0.5"}',
+        '{"derived_detect_prob": NaN}',
+    ],
+)
+def test_config_types_checked(capsys, fixtures_dir, tmp_path, config):
+    cfg = tmp_path / "engine.json"
+    cfg.write_text(config)
+    code, _, err = run_cli(capsys, "chains", "--scenario", scen(fixtures_dir, "toy5g"), "--config", str(cfg))
+    assert code == 1
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "infinity", "lots"])
+def test_non_finite_budget_flags_rejected(capsys, fixtures_dir, value):
+    toy = scen(fixtures_dir, "toy5g")
+    code, out, _ = run_cli(capsys, "defend", "--scenario", toy, "--mode", "budget", f"--budget={value}")
+    assert code == 1 and out == ""
+    code, out, _ = run_cli(capsys, "simulate", "--scenario", toy, f"--budget-per-turn={value}")
+    assert code == 1 and out == ""
+
+
+def test_non_finite_budgets_rejected_by_library(toy5g):
+    from stratagraph import GameConfig, plan_budgeted
+    from stratagraph.model import ConfigError
+
+    doc, _, graph = toy5g
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            plan_budgeted(doc, graph, (), value)
+        with pytest.raises(ConfigError):
+            GameConfig(defender_budget_per_turn=value).check()
+
+
+def test_max_len_zero_flag_rejected(capsys, fixtures_dir):
+    code, out, _ = run_cli(capsys, "chains", "--scenario", scen(fixtures_dir, "toy5g"), "--max-len", "0")
+    assert code == 1 and out == ""

@@ -33,15 +33,16 @@ def test_applicable_sorted_by_cost_then_id():
         ' "defenses": [{"id": "dear", "cost": 2.0, "d_results": ["a"]},'
         ' {"id": "cheap", "cost": 1.0, "d_results": ["a"]}]}'
     )
-    assert [d.id for d in applicable_defenses(doc, "a")] == ["cheap", "dear"]
+    graph = build_attack_graph(doc, build_base_graph(doc))
+    assert [d.id for d in applicable_defenses(graph, "a")] == ["cheap", "dear"]
 
 
 def test_applicable_empty_and_shared(toy5g):
-    doc, _, _ = toy5g
-    assert [d.id for d in applicable_defenses(doc, "A1")] == ["D1"]
-    assert [d.id for d in applicable_defenses(doc, "A2")] == ["D1"]  # shared defense in both lists
+    _, _, graph = toy5g
+    assert [d.id for d in applicable_defenses(graph, "A1")] == ["D1"]
+    assert [d.id for d in applicable_defenses(graph, "A2")] == ["D1"]  # shared defense in both lists
     with pytest.raises(UnknownIdError):
-        applicable_defenses(doc, "A99")
+        applicable_defenses(graph, "A99")
 
 
 def test_coverage_one_defense_per_attack():
@@ -106,7 +107,7 @@ def test_budget_matches_brute_force(toy5g):
     for budget in (0.0, 2.0, 3.0, 5.0, 8.0):
         plan = plan_budgeted(doc, graph, chains, budget)
         value, cost, ids = oracles.brute_budget(doc, oracle_chains, budget)
-        broken = sum(c.total_threat for c in chains if chain_attacks(graph, c) & neutralized_attacks(doc, plan.chosen))
+        broken = sum(c.total_threat for c in chains if chain_attacks(graph, c) & neutralized_attacks(graph, plan.chosen))
         assert abs(broken - value) < 1e-9, f"budget {budget}"
         assert plan.chosen == ids
 
@@ -140,7 +141,7 @@ def test_cut_toy5g(toy5g):
     doc, _, graph = toy5g
     plan = plan_cut(doc, graph)
     assert plan.chosen == ("D1",) and plan.total_cost == 5.0
-    survivors = enumerate_chains(doc, graph, targets=doc.targets, blocked_attacks=neutralized_attacks(doc, plan.chosen))
+    survivors = enumerate_chains(doc, graph, targets=doc.targets, blocked_attacks=neutralized_attacks(graph, plan.chosen))
     assert survivors == ()
 
 
@@ -170,7 +171,7 @@ def test_cut_greedy_still_cuts(toy5g, hitting_trio):
         plan = plan_cut(doc, graph, config=GREEDY_ONLY)
         assert not plan.optimal
         assert plan.surviving_count == 0
-        blocked = neutralized_attacks(doc, plan.chosen)
+        blocked = neutralized_attacks(graph, plan.chosen)
         assert enumerate_chains(doc, graph, targets=doc.targets, blocked_attacks=blocked, config=GREEDY_ONLY) == ()
 
 
@@ -191,11 +192,11 @@ def test_coverage_never_cheaper_than_cut_on_single_chain():
         chains = enumerate_chains(doc, graph, max_len=4)
         for chain in chains[:3]:
             attacks = chain_attacks(graph, chain)
-            if any(not applicable_defenses(doc, a) for a in attacks):
+            if any(not applicable_defenses(graph, a) for a in attacks):
                 continue  # cut of that chain would be infeasible
             coverage = plan_coverage(doc, graph, chain)
             cheapest_hit = min(
-                min(d.cost for d in applicable_defenses(doc, a)) for a in attacks
+                min(d.cost for d in applicable_defenses(graph, a)) for a in attacks
             )
             assert coverage.total_cost >= cheapest_hit - 1e-9
 
@@ -208,7 +209,7 @@ def test_adding_defense_never_increases_survivors(toy5g):
         for extra in doc.defenses:
             if extra.id in plan.chosen:
                 continue
-            blocked = neutralized_attacks(doc, plan.chosen + (extra.id,))
+            blocked = neutralized_attacks(graph, plan.chosen + (extra.id,))
             survivors = [c for c in chains if not (chain_attacks(graph, c) & blocked)]
             assert len(survivors) <= plan.surviving_count
 

@@ -2,13 +2,16 @@ from dataclasses import replace
 
 import pytest
 
+import stratagraph.scenario
 from stratagraph import (
+    InvalidScenarioError,
     UnknownIdError,
     build_attack_graph,
     build_base_graph,
     graphs_to_dot,
     graphs_to_json,
     neighbors,
+    load_scenario,
     parse_scenario,
 )
 
@@ -125,3 +128,45 @@ def test_dot_renders_layer_clusters(toy5g):
         assert f"subgraph cluster_{layer}" in dot
     assert '"CH1" -> "BS1"' in dot
     assert "A1#0 read" in dot
+
+
+def test_adjacency_matches_relationship_scan(fixtures_dir):
+    docs = [load_scenario(path) for path in sorted(fixtures_dir.glob("*.scenario"))]
+    docs += [random_scenario(seed) for seed in range(60)]
+    for doc in docs:
+        base = build_base_graph(doc)
+        for a in base.nodes():
+            expected = sorted(
+                {e.to_id for e in doc.relationships if e.from_id == a}
+                | {e.from_id for e in doc.relationships if not e.directed and e.to_id == a}
+            )
+            assert list(base.neighbors(a)) == expected
+            for b in base.nodes():
+                assert base.connects(a, b) == any(e.touches(a, b) for e in doc.relationships)
+
+
+def test_builders_reject_invalid_doc(toy5g):
+    doc, base, _ = toy5g
+    invalid = replace(doc, targets=("GHOST",))
+    with pytest.raises(InvalidScenarioError):
+        build_base_graph(invalid)
+    with pytest.raises(InvalidScenarioError):
+        build_attack_graph(invalid, base)
+
+
+def test_attack_graph_revalidates_only_other_docs(toy5g, monkeypatch):
+    doc, _, _ = toy5g
+    calls = []
+    real = stratagraph.scenario.validate_scenario
+
+    def counting(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(stratagraph.scenario, "validate_scenario", counting)
+    base = build_base_graph(doc)
+    build_attack_graph(doc, base)
+    assert calls == [doc]
+    twin = replace(doc)
+    build_attack_graph(twin, base)
+    assert len(calls) == 2 and calls[1] is twin

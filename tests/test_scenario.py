@@ -14,6 +14,7 @@ from stratagraph import (
 )
 from stratagraph.config import EngineConfig
 
+import oracles
 from genscen import random_scenario
 
 
@@ -110,6 +111,70 @@ def test_attack_edge_without_relationship_warns():
         ' "a_results": [{"object": "x", "permission": "read"}]}]}'
     )
     assert validate_scenario(doc2) == ()
+
+
+def test_counterpart_warnings_match_quadratic_oracle(fixtures_dir):
+    # Directed edges both ways between x and w, one directed edge z->y, one
+    # undirected x-y; effects run along, against and outside those edges.
+    directed = parse_scenario(
+        '{"objects": [' + ",".join(
+            '{"id": "%s", "layer": "physical", "category": "os"}' % o for o in "wxyz"
+        ) + '],'
+        ' "relationships": [{"from": "x", "to": "w", "kind": "connectivity", "directed": true},'
+        ' {"from": "w", "to": "x", "kind": "connectivity", "directed": true},'
+        ' {"from": "z", "to": "y", "kind": "connectivity", "directed": true},'
+        ' {"from": "x", "to": "y", "kind": "connectivity"}],'
+        ' "attacks": ['
+        '{"id": "along", "object": "z", "a_results": [{"object": "y", "permission": "read"}]},'
+        '{"id": "against", "object": "y", "a_results": [{"object": "z", "permission": "read"},'
+        ' {"object": "x", "permission": "read"}]},'
+        '{"id": "both", "object": "w", "a_results": [{"object": "x", "permission": "read"}]},'
+        '{"id": "none", "object": "w", "a_results": [{"object": "z", "permission": "read"},'
+        ' {"object": "y", "permission": "read"}, {"object": "w", "permission": "read"}]}]}'
+    )
+    assert oracles.counterpart_warnings(directed) == [
+        ("none", "edge w->y has no relationship counterpart in the base graph"),
+        ("none", "edge w->z has no relationship counterpart in the base graph"),
+    ]
+    docs = [directed]
+    docs += [load_scenario(path) for path in sorted(fixtures_dir.glob("*.scenario"))]
+    docs += [random_scenario(seed) for seed in range(300)]
+    warned = 0
+    for doc in docs:
+        got = sorted(
+            (v.record_id, v.message)
+            for v in validate_scenario(doc)
+            if v.severity == "warning" and v.record_class == "attack"
+        )
+        assert got == oracles.counterpart_warnings(doc)
+        warned += bool(got)
+    assert 0 < warned < len(docs)
+
+
+NON_FINITE_FIELDS = [
+    ("attacks", "cost"),
+    ("attacks", "severity"),
+    ("attacks", "detect_prob"),
+    ("defenses", "cost"),
+    ("vulnerabilities", "exploit_cost"),
+    ("vulnerabilities", "severity"),
+]
+
+
+@pytest.mark.parametrize("section, key", NON_FINITE_FIELDS)
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_numbers_are_errors(fixtures_dir, section, key, literal):
+    import json
+
+    data = json.loads((fixtures_dir / "toy5g.scenario").read_text())
+    data[section][0][key] = float(literal)
+    text = json.dumps(data)
+    assert literal in text
+    report = validate_scenario(parse_scenario(text))
+    errors = [v for v in report if v.severity == "error"]
+    assert len(errors) == 1
+    assert errors[0].record_id == data[section][0]["id"]
+    assert errors[0].message.startswith(f"{key} ") and errors[0].message.endswith("is not a finite number")
 
 
 def test_category_extensions_allowed():
