@@ -50,6 +50,9 @@ def _render(value, indent: int, level: int, parts: list[str]) -> None:
             parts.append(",\n" if i + 1 < len(keys) else "\n")
         parts.append(close_pad + "}")
     elif isinstance(value, (list, tuple)):
+        if hasattr(value, "_fields"):
+            # A named tuple (such as a Grant) is a record; render its as_dict().
+            raise TypeError(f"cannot render {type(value).__name__} canonically")
         if not value:
             parts.append("[]")
             return

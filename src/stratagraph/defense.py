@@ -6,6 +6,14 @@ neutralized; cutting means no valid chain reaches any target afterwards.
 Edge removal is monotone (removing edges never creates chains), so
 hitting every currently valid chain is sound, and the cut planner verifies
 itself by re-enumerating after selection.
+
+The planners see a chain only through its signature: the bitmask of the
+defenses that break it, the OR of its attacks' masks in the attack graph's
+per-attack defense index (bit k is the k-th defense by id). The budget
+planner searches a kernel of (signature, weight) rows, one per distinct
+signature, instead of the chains themselves (the minimum critical attack
+set view of Jha, Sheyner & Wing, CSFW 2002); the cut planner takes its
+per-chain option sets from the same signatures.
 """
 
 from __future__ import annotations
@@ -51,20 +59,24 @@ class DefensePlan:
         }
 
 
+def _members(graph: AttackGraph, mask: int) -> list[DefenseRecord]:
+    """The defenses of a mask, in id order."""
+    return [d for k, d in enumerate(graph.sorted_defenses) if mask >> k & 1]
+
+
 def applicable_defenses(graph: AttackGraph, attack_id: str) -> tuple[DefenseRecord, ...]:
     """Defenses that neutralize the attack, cheapest first (ties by id)."""
-    if attack_id not in graph.attacks:
+    mask = graph.attack_defenses.get(attack_id)
+    if mask is None:
         raise UnknownIdError(f"unknown attack {attack_id!r}")
-    hits = [d for d in graph.defenses.values() if attack_id in d.d_results]
+    hits = _members(graph, mask)
     hits.sort(key=lambda d: (d.cost, d.id))
     return tuple(hits)
 
 
 def neutralized_attacks(graph: AttackGraph, chosen) -> frozenset[str]:
-    out: set[str] = set()
-    for did in chosen:
-        out.update(graph.defenses[did].d_results)
-    return frozenset(out)
+    mask = graph.defense_mask(chosen)
+    return frozenset(a for a, m in graph.attack_defenses.items() if m & mask)
 
 
 def _neutralized_edges(graph: AttackGraph, attacks: frozenset[str]) -> tuple[str, ...]:
@@ -75,14 +87,20 @@ def chain_attacks(graph: AttackGraph, chain: AttackChain) -> frozenset[str]:
     return frozenset(graph.edge(eid).attack_id for eid in chain.edges)
 
 
-def _survivors(graph, chains, blocked: frozenset[str]):
-    return [c for c in chains if not (chain_attacks(graph, c) & blocked)]
+def chain_signature(graph: AttackGraph, chain: AttackChain) -> int:
+    """Mask of the defenses that break the chain."""
+    sig = 0
+    for eid in chain.edges:
+        sig |= graph.attack_defenses[graph.edge(eid).attack_id]
+    return sig
 
 
-def _finish_plan(graph, chosen, reference_chains, config, optimal, uncovered=()) -> DefensePlan:
+def _finish_plan(graph, chosen, chains, signatures, config, optimal, uncovered=()) -> DefensePlan:
+    """The plan for a chosen set, judged on chains (signatures: one per chain)."""
     chosen = tuple(sorted(chosen))
     blocked = neutralized_attacks(graph, chosen)
-    survivors = _survivors(graph, reference_chains, blocked)
+    mask = graph.defense_mask(chosen)
+    survivors = [c for c, sig in zip(chains, signatures) if not sig & mask]
     return DefensePlan(
         chosen=chosen,
         total_cost=sum(graph.defenses[d].cost for d in chosen),
@@ -114,21 +132,23 @@ def plan_coverage(
             chosen.add(options[0].id)
         else:
             uncovered.append(attack_id)
-    return _finish_plan(graph, chosen, [chain], config, optimal=True, uncovered=uncovered)
+    return _finish_plan(
+        graph, chosen, [chain], [chain_signature(graph, chain)], config, optimal=True, uncovered=uncovered
+    )
 
 
-def _break_masks(doc, graph, chains) -> list[int]:
-    """For each defense (doc order), a bitmask of the chains it breaks."""
-    masks = []
-    chain_sets = [chain_attacks(graph, c) for c in chains]
-    for d in doc.defenses:
-        covered = frozenset(d.d_results)
-        mask = 0
-        for i, attacks in enumerate(chain_sets):
-            if attacks & covered:
-                mask |= 1 << i
-        masks.append(mask)
-    return masks
+def _kernel(chains, signatures, objective: str) -> list[tuple[int, float]]:
+    """(signature, weight) rows: the chains grouped by the defenses that break them.
+
+    A row's weight sums its chains' weights (total_threat, or 1.0 under the
+    "count" objective) in chain order; rows keep the order of their first
+    chain. Chains with the empty signature are dropped: no plan breaks them.
+    """
+    rows: dict[int, float] = {}
+    for c, sig in zip(chains, signatures):
+        if sig:
+            rows[sig] = rows.get(sig, 0.0) + (1.0 if objective == "count" else c.total_threat)
+    return list(rows.items())
 
 
 def plan_budgeted(
@@ -144,71 +164,72 @@ def plan_budgeted(
     config.budget_objective is "count"). Exact search up to
     config.exact_defense_limit defenses, greedy by gain/cost beyond. Exact
     ties resolve toward (max value, min cost, lexicographic id tuple).
+
+    Both searches run over the signature kernel. The exact search walks the
+    defenses in id order, carries the broken value (each chosen defense adds
+    the rows it newly breaks, in row order) and bounds a subtree by that
+    value plus the weight of the live rows a later defense can still break.
+    Weights are summed in chain order within a row and in row order across
+    rows, so when they are not exactly representable a tie may break
+    differently in the last bit than a per-chain sum would; the broken
+    value never differs by more than EPS.
     """
     if not math.isfinite(budget) or budget < 0:
         raise ValueError(f"budget must be a finite non-negative number, got {budget!r}")
     chains = list(chains)
-    masks = _break_masks(doc, graph, chains)
-    if config.budget_objective == "count":
-        weights = [1.0 for _ in chains]
-    else:
-        weights = [c.total_threat for c in chains]
-    defenses = list(doc.defenses)
+    signatures = [chain_signature(graph, c) for c in chains]
+    rows = _kernel(chains, signatures, config.budget_objective)
+    defenses = graph.sorted_defenses
+    n = len(defenses)
 
-    def broken_value(mask: int) -> float:
-        return sum(w for i, w in enumerate(weights) if mask >> i & 1)
-
-    if len(defenses) <= config.exact_defense_limit:
-        order = sorted(range(len(defenses)), key=lambda i: defenses[i].id)
-        suffix = [0] * (len(order) + 1)
-        for k in reversed(range(len(order))):
-            suffix[k] = suffix[k + 1] | masks[order[k]]
+    if n <= config.exact_defense_limit:
         best: tuple | None = None
 
-        def walk(k: int, chosen: tuple[str, ...], cost: float, mask: int):
+        def walk(k: int, chosen: tuple[str, ...], cost: float, value: float, live):
+            # live: the unbroken rows that still have a defense at or after k
             nonlocal best
-            key = (-broken_value(mask), cost, chosen)
+            key = (-value, cost, chosen)
             if best is None or key < best:
                 best = key
-            if k == len(order):
+            if k == n:
                 return
-            # Even breaking every remaining chain cannot beat the incumbent.
-            if broken_value(mask | suffix[k]) < -best[0]:
+            # Even breaking every live row cannot beat the incumbent.
+            if value + sum(w for _, w in live) < -best[0]:
                 return
-            d = defenses[order[k]]
+            d = defenses[k]
             if cost + d.cost <= budget + EPS:
-                walk(k + 1, chosen + (d.id,), cost + d.cost, mask | masks[order[k]])
-            walk(k + 1, chosen, cost, mask)
+                gain = sum(w for sig, w in live if sig >> k & 1)
+                rest = [r for r in live if not r[0] >> k & 1]
+                walk(k + 1, chosen + (d.id,), cost + d.cost, value + gain, rest)
+            walk(k + 1, chosen, cost, value, [r for r in live if r[0] >> (k + 1)])
 
-        walk(0, (), 0.0, 0)
-        return _finish_plan(graph, best[2], chains, config, optimal=True)
+        walk(0, (), 0.0, 0.0, rows)
+        return _finish_plan(graph, best[2], chains, signatures, config, optimal=True)
 
-    # Greedy: best broken-value gain per unit cost, ties by (cost, id).
+    # Greedy: best broken-value gain per unit cost, ties by (cost, id). A
+    # chosen defense breaks no live row again, so its gain drops to 0.
     chosen: list[str] = []
-    mask = 0
     spent = 0.0
-    available = {d.id: (d, m) for d, m in zip(defenses, masks)}
+    live = rows
     while True:
         best_pick = None
-        for did in sorted(available):
-            d, m = available[did]
+        for k, d in enumerate(defenses):
             if spent + d.cost > budget + EPS:
                 continue
-            gain = broken_value(mask | m) - broken_value(mask)
+            gain = sum(w for sig, w in live if sig >> k & 1)
             if gain <= 0:
                 continue
             ratio = gain / d.cost if d.cost > 0 else float("inf")
-            key = (-ratio, d.cost, did)
+            key = (-ratio, d.cost, d.id)
             if best_pick is None or key < best_pick[0]:
-                best_pick = (key, did)
+                best_pick = (key, k)
         if best_pick is None:
             break
-        did = best_pick[1]
-        d, m = available.pop(did)
-        chosen.append(did)
-        spent += d.cost
-        mask |= m
-    return _finish_plan(graph, chosen, chains, config, optimal=False)
+        k = best_pick[1]
+        chosen.append(defenses[k].id)
+        spent += defenses[k].cost
+        live = [r for r in live if not r[0] >> k & 1]
+    return _finish_plan(graph, chosen, chains, signatures, config, optimal=False)
 
 
 def plan_cut(
@@ -237,18 +258,20 @@ def plan_cut(
 
     chains = list(chains_to_targets(frozenset()))
     if not chains:
-        return _finish_plan(graph, (), chains, config, optimal=True)
+        return _finish_plan(graph, (), chains, [], config, optimal=True)
 
+    signatures = [chain_signature(graph, c) for c in chains]
     option_sets: list[frozenset[str]] = []
-    for c in chains:
-        attacks = chain_attacks(graph, c)
-        options = frozenset(d.id for d in doc.defenses if attacks & frozenset(d.d_results))
-        if not options:
+    by_signature: dict[int, frozenset[str]] = {}
+    for c, sig in zip(chains, signatures):
+        if not sig:
             raise InfeasibleCutError(
                 f"chain {list(c.edges)} contains no defensible attack; cut impossible",
                 uncut_chains=(c,),
             )
-        option_sets.append(options)
+        if sig not in by_signature:
+            by_signature[sig] = frozenset(d.id for d in _members(graph, sig))
+        option_sets.append(by_signature[sig])
 
     exact = len(chains) <= config.exact_chain_limit and len(doc.defenses) <= config.exact_defense_limit
     if exact:
@@ -256,7 +279,7 @@ def plan_cut(
     else:
         chosen = _hitting_set_greedy(option_sets, graph.defenses)
 
-    plan = _finish_plan(graph, chosen, chains, config, optimal=exact)
+    plan = _finish_plan(graph, chosen, chains, signatures, config, optimal=exact)
     # A hitting set of the enumerated chains leaves none of them, and edge
     # removal never creates chains; re-enumerating checks both claims.
     remaining = chains_to_targets(neutralized_attacks(graph, plan.chosen))

@@ -76,12 +76,22 @@ class AttackGraph:
     attacks: dict[str, AttackRecord]
     sorted_attacks: tuple[AttackRecord, ...]  # by id
     defenses: dict[str, DefenseRecord]
+    # Defense sets are bitmasks over sorted_defenses: bit k is sorted_defenses[k].
+    sorted_defenses: tuple[DefenseRecord, ...]  # by id
+    defense_bits: dict[str, int]  # defense id -> its single bit
+    attack_defenses: dict[str, int]  # attack id -> mask of the defenses neutralizing it
 
     def edge(self, edge_id: str) -> AttackEdge:
         found = self.by_id.get(edge_id)
         if found is None:
             raise UnknownIdError(f"unknown attack edge {edge_id!r}")
         return found
+
+    def defense_mask(self, defense_ids) -> int:
+        mask = 0
+        for did in defense_ids:
+            mask |= self.defense_bits[did]
+        return mask
 
 
 def build_base_graph(doc: ScenarioDoc) -> HierarchicalGraph:
@@ -127,6 +137,12 @@ def build_attack_graph(doc: ScenarioDoc, base: HierarchicalGraph) -> AttackGraph
     for e in edges:
         by_from.setdefault(e.from_id, []).append(e)
         by_attack.setdefault(e.attack_id, []).append(e)
+    sorted_defenses = tuple(sorted(doc.defenses, key=lambda d: d.id))
+    defense_bits = {d.id: 1 << k for k, d in enumerate(sorted_defenses)}
+    attack_defenses = {a.id: 0 for a in doc.attacks}
+    for d in sorted_defenses:
+        for aid in d.d_results:
+            attack_defenses[aid] |= defense_bits[d.id]
     return AttackGraph(
         base=base,
         edges=tuple(edges),
@@ -136,6 +152,9 @@ def build_attack_graph(doc: ScenarioDoc, base: HierarchicalGraph) -> AttackGraph
         attacks=doc.attack_by_id(),
         sorted_attacks=tuple(sorted(doc.attacks, key=lambda a: a.id)),
         defenses=doc.defense_by_id(),
+        sorted_defenses=sorted_defenses,
+        defense_bits=defense_bits,
+        attack_defenses=attack_defenses,
     )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
+from stratagraph.defense import DefensePlan
 from stratagraph.model import Grant
 
 EPS = 1e-9
@@ -154,6 +155,90 @@ def brute_budget(doc, chains, budget, objective="threat"):
             if best is None or key < best:
                 best = key
     return (-best[0], best[1], best[2])
+
+
+def reference_plan_budgeted(doc, chains, budget, objective="threat", exact_limit=20, sample=5):
+    """The budget planner searched per chain instead of per signature.
+
+    The same search contract as the engine's plan_budgeted: exact
+    branch-and-bound over the defenses in id order up to exact_limit
+    defenses, keyed (-value, cost, id tuple), else greedy by gain per cost,
+    ties by (cost, id). Each defense carries a bitmask of the chains it
+    breaks, and every node re-sums the weight of every broken chain.
+    Returns the whole DefensePlan, built here from the scenario records.
+    """
+    edges = oracle_edges(doc)
+    attack_sets = [frozenset(edges[eid][0].id for eid in c.edges) for c in chains]
+    weights = [1.0 if objective == "count" else c.total_threat for c in chains]
+    defenses = sorted(doc.defenses, key=lambda d: d.id)
+    masks = []
+    for d in defenses:
+        covered = frozenset(d.d_results)
+        masks.append(sum(1 << i for i, s in enumerate(attack_sets) if s & covered))
+
+    def broken_value(mask):
+        return sum(w for i, w in enumerate(weights) if mask >> i & 1)
+
+    if len(defenses) <= exact_limit:
+        suffix = [0] * (len(defenses) + 1)
+        for k in reversed(range(len(defenses))):
+            suffix[k] = suffix[k + 1] | masks[k]
+        best = None
+
+        def walk(k, chosen, cost, mask):
+            nonlocal best
+            key = (-broken_value(mask), cost, chosen)
+            if best is None or key < best:
+                best = key
+            if k == len(defenses):
+                return
+            if broken_value(mask | suffix[k]) < -best[0]:
+                return
+            d = defenses[k]
+            if cost + d.cost <= budget + EPS:
+                walk(k + 1, chosen + (d.id,), cost + d.cost, mask | masks[k])
+            walk(k + 1, chosen, cost, mask)
+
+        walk(0, (), 0.0, 0)
+        chosen, optimal = best[2], True
+    else:
+        picked, mask, spent = [], 0, 0.0
+        available = dict(zip((d.id for d in defenses), zip(defenses, masks)))
+        while True:
+            best = None
+            for did in sorted(available):
+                d, m = available[did]
+                if spent + d.cost > budget + EPS:
+                    continue
+                gain = broken_value(mask | m) - broken_value(mask)
+                if gain <= 0:
+                    continue
+                ratio = gain / d.cost if d.cost > 0 else float("inf")
+                key = (-ratio, d.cost, did)
+                if best is None or key < best[0]:
+                    best = (key, did)
+            if best is None:
+                break
+            d, m = available.pop(best[1])
+            picked.append(d.id)
+            spent += d.cost
+            mask |= m
+        chosen, optimal = picked, False
+
+    chosen = tuple(sorted(chosen))
+    by_id = {d.id: d for d in defenses}
+    blocked = set()
+    for did in chosen:
+        blocked.update(by_id[did].d_results)
+    survivors = [c for c, s in zip(chains, attack_sets) if not s & blocked]
+    return DefensePlan(
+        chosen=chosen,
+        total_cost=sum(by_id[did].cost for did in chosen),
+        neutralized_edges=tuple(sorted(eid for eid, e in edges.items() if e[0].id in blocked)),
+        surviving_count=len(survivors),
+        surviving_sample=tuple(survivors[:sample]),
+        optimal=optimal,
+    )
 
 
 def brute_cut(doc, chains):

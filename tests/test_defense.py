@@ -1,6 +1,9 @@
+import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stratagraph import (
     ChainObjective,
@@ -119,6 +122,53 @@ def test_budget_count_objective(toy5g):
     plan = plan_budgeted(doc, graph, chains, 2.5, config=cfg)
     value, _, ids = oracles.brute_budget(doc, oracles.brute_chains(doc, 8, targets=doc.targets), 2.5, "count")
     assert plan.chosen == ids
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 10**6),
+    objective=st.sampled_from(("threat", "count")),
+    limit=st.sampled_from((20, 0)),
+    data=st.data(),
+)
+def test_budget_kernel_matches_per_chain_reference(seed, objective, limit, data):
+    # The signature kernel must give the very plan of the per-chain search,
+    # on the exact path (limit 20) and on the greedy path (limit 0).
+    doc = random_scenario(seed, max_objects=6, max_edges=24, max_defenses=10)
+    graph = build_attack_graph(doc, build_base_graph(doc))
+    chains = enumerate_chains(doc, graph, max_len=4)
+    total = sum(d.cost for d in doc.defenses)
+    budget = data.draw(
+        st.one_of(st.integers(0, int(2 * total)).map(lambda h: h / 2), st.floats(0.0, total)), label="budget"
+    )
+    cfg = EngineConfig(budget_objective=objective, exact_defense_limit=limit)
+    plan = plan_budgeted(doc, graph, chains, budget, config=cfg)
+    assert plan == oracles.reference_plan_budgeted(doc, chains, budget, objective, exact_limit=limit)
+
+
+def test_budget_non_dyadic_weights_within_eps():
+    # Severities 0.1, 0.2 and 0.7 are not exact binary fractions, so row sums
+    # may round differently from per-chain sums; the value may not drift.
+    checked = 0
+    for seed in range(40):
+        doc = random_scenario(seed, max_edges=8)
+        if not doc.defenses:
+            continue
+        rng = random.Random(seed)
+        doc = replace(doc, attacks=tuple(replace(a, severity=rng.choice((0.1, 0.2, 0.7))) for a in doc.attacks))
+        graph = build_attack_graph(doc, build_base_graph(doc))
+        chains = enumerate_chains(doc, graph, max_len=4)
+        oracle_chains = oracles.brute_chains(doc, 4)
+        total = sum(d.cost for d in doc.defenses)
+        for budget in (0.5, 1.5, total / 2, total):
+            plan = plan_budgeted(doc, graph, chains, budget)
+            value, _, _ = oracles.brute_budget(doc, oracle_chains, budget)
+            blocked = neutralized_attacks(graph, plan.chosen)
+            broken = sum(c.total_threat for c in chains if chain_attacks(graph, c) & blocked)
+            assert abs(broken - value) < oracles.EPS, f"seed={seed} budget={budget}"
+            assert plan.total_cost <= budget + oracles.EPS
+            checked += 1
+    assert checked >= 80
 
 
 def test_cut_hitting_trio_is_two(hitting_trio):

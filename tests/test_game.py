@@ -8,12 +8,15 @@ from stratagraph import (
     GameConfig,
     build_attack_graph,
     build_base_graph,
+    enumerate_chains,
+    is_valid_chain,
     plan_cut,
     run_batch,
     run_game,
     summarize,
 )
 from stratagraph import canon
+from stratagraph.model import Grant
 
 from genscen import random_scenario
 
@@ -164,3 +167,27 @@ def test_summarize_identical_and_mixed(minichain):
 
     with pytest.raises(ValueError):
         summarize([])
+
+
+def test_grants_stay_grants_and_canon_refuses_them(toy5g):
+    # Grant is a named tuple and equals the plain tuple of its fields: every
+    # grant the engines hand out must still be a Grant, and canonical JSON
+    # must not quietly render one as a list.
+    doc, _, graph = toy5g
+    chains = enumerate_chains(doc, graph)
+    grants = [g for c in chains for g in c.final_grants]
+    grants += [g for s in is_valid_chain(doc, graph, chains[-1].edges).states for g in s.grants]
+    trace = run_game(doc, graph, GameConfig(defender_policy="reactive_cut", defender_budget_per_turn=2.0))
+    grants += [g for t in trace.turns for g in t.grants]
+    grants += [g for a in doc.attacks for g in a.condition + a.a_results] + list(doc.entry_grants)
+    assert grants and all(type(g) is Grant for g in grants)
+    assert sorted([Grant("b", "read"), Grant("a", "write"), Grant("a", "execute")]) == [
+        Grant("a", "execute"),
+        Grant("a", "write"),
+        Grant("b", "read"),
+    ]
+    with pytest.raises(TypeError):
+        canon.dumps(Grant("x", "read"))
+    with pytest.raises(TypeError):
+        canon.dumps({"grants": [Grant("x", "read")]})
+    assert canon.dumps(Grant("x", "read").as_dict()) == canon.dumps({"object": "x", "permission": "read"})

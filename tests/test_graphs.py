@@ -170,3 +170,21 @@ def test_attack_graph_revalidates_only_other_docs(toy5g, monkeypatch):
     twin = replace(doc)
     build_attack_graph(twin, base)
     assert len(calls) == 2 and calls[1] is twin
+
+
+def test_attack_defense_index_matches_d_results(toy5g, hitting_trio):
+    # The per-attack defense masks must name exactly the defenses whose
+    # d_results list the attack, over the id-sorted defenses.
+    bundles = [toy5g[::2], hitting_trio[::2]]
+    for seed in range(100):
+        doc = random_scenario(seed)
+        doc = replace(doc, defenses=doc.defenses[::-1])  # doc order is not id order
+        bundles.append((doc, build_attack_graph(doc, build_base_graph(doc))))
+    for doc, graph in bundles:
+        assert [d.id for d in graph.sorted_defenses] == sorted(d.id for d in doc.defenses)
+        for a in doc.attacks:
+            names = {d.id for d in doc.defenses if a.id in d.d_results}
+            assert graph.attack_defenses[a.id] == graph.defense_mask(names)
+            bits = graph.attack_defenses[a.id]
+            assert {d.id for k, d in enumerate(graph.sorted_defenses) if bits >> k & 1} == names
+        assert set(graph.attack_defenses) == {a.id for a in doc.attacks}
