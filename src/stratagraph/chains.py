@@ -13,6 +13,12 @@ against every grant collected so far (an attacker keeps footholds).
 immediately preceding edge, the literal adjacent-edge rule. A chain's cost
 and threat count each distinct attack once, even when several of its edges
 appear on the chain.
+
+Every rule lives in one successor step, `_successors`, which returns the
+valid one-edge extensions of a chain prefix. Enumeration walks it depth
+first, min-cost search pops prefixes from a heap, and the validity check
+feeds it one candidate edge at a time, asking for rejection reasons. Each
+prefix carries its cost and threat, so a finished chain is never re-summed.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import heapq
 from dataclasses import dataclass
 
 from .config import DEFAULT_CONFIG, EngineConfig
-from .graphs import AttackEdge, AttackGraph, HierarchicalGraph
+from .graphs import AttackGraph, HierarchicalGraph
 from .model import (
     AttackRecord,
     EmptyEntryGrantsError,
@@ -64,12 +70,7 @@ class AttackChain:
 @dataclass(frozen=True)
 class ChainObjective:
     kind: str  # "min_cost" | "max_threat"
-    max_len: int = 8
     target: str | None = None  # None = any scenario target
-
-    def __post_init__(self):
-        if self.max_len < 1:
-            raise ValueError("max_len must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -98,39 +99,114 @@ class PotentialChain:
         }
 
 
-def _satisfied(condition, grants, entry, last_edge, semantics: str) -> Grant | None:
-    """Return the first unsatisfied requirement, or None when all hold."""
-    if semantics == "strict":
-        allowed = set(entry)
-        if last_edge is not None:
-            allowed.add(Grant(last_edge.to_id, last_edge.permission))
-        pool = allowed
+def _entry_grants(doc: ScenarioDoc, entry_grants) -> frozenset[Grant]:
+    """The attacker's foothold: entry_grants when given, else the scenario's."""
+    entry = tuple(entry_grants) if entry_grants is not None else doc.entry_grants
+    if not entry:
+        raise EmptyEntryGrantsError("scenario declares no entry grants")
+    return frozenset(entry)
+
+
+def _root(entry: frozenset[Grant], config: EngineConfig) -> tuple:
+    """The empty chain prefix.
+
+    A prefix is a plain tuple (edges, grants, fired, affected, last, cost,
+    threat): edge ids, grants held (frozenset), attack ids in firing order,
+    affected object ids, the last AttackEdge (None before the first step),
+    and the chain's cost and threat so far. An empty chain reports int 0
+    cost and threat, or 0.0 threat under threat_agg "max".
+    """
+    return ((), entry, (), (), None, 0, 0.0 if config.threat_agg == "max" else 0)
+
+
+def _next_edges(graph: AttackGraph, last):
+    """Every edge when the chain is empty, else the edges leaving last's object."""
+    return graph.edges if last is None else graph.by_from.get(last.to_id, ())
+
+
+def _successors(graph: AttackGraph, prefix, candidates, entry, config: EngineConfig, blocked, why=None) -> list:
+    """The valid one-edge extensions of prefix: the one place chain rules live.
+
+    candidates=None tries every edge adjacent to the prefix's end (every
+    edge for the empty prefix). When why is a list, the reason each
+    rejected candidate fails is appended to it. Cost and threat grow by each
+    newly fired attack in firing order, as a sum over fired attacks would
+    (or a max of severities under threat_agg "max").
+    """
+    edges, grants, fired, affected, last, cost, threat = prefix
+    if last is None:
+        start = None
+        pool = entry if config.semantics == "strict" else grants
     else:
-        pool = grants
-    for need in condition:
-        if need not in pool:
-            return need
-    return None
+        start = last.to_id
+        pool = entry | {Grant(start, last.permission)} if config.semantics == "strict" else grants
+    if candidates is None:
+        candidates = _next_edges(graph, last)
+    use_max = config.threat_agg == "max"
+    attacks = graph.attacks
+    out = []
+    need = None
+    for edge in candidates:
+        record = attacks[edge.attack_id]
+        if start is not None and edge.from_id != start:
+            fault = "not adjacent: previous edge ends at {start}, this one starts at {edge.from_id}"
+        elif edge.to_id in affected:
+            fault = "object {edge.to_id} already affected (chain must stay simple)"
+        elif record.entry_only and start is not None:
+            fault = "attack {record.id} is entry-only and cannot fire mid-chain"
+        elif record.id in blocked:
+            fault = "attack {record.id} is blocked"
+        else:
+            for need in record.condition:
+                if need not in pool:
+                    fault = "unsatisfied <{need.object}, {need.permission}>"
+                    break
+            else:
+                step = edges + (edge.edge_id,)
+                if record.id in fired:
+                    out.append((step, grants, fired, affected + (edge.to_id,), edge, cost, threat))
+                    continue
+                severity = record.severity
+                if use_max:
+                    new_threat = severity if not fired or severity > threat else threat
+                else:
+                    new_threat = threat + severity
+                out.append(
+                    (
+                        step,
+                        grants.union(record.a_results),
+                        fired + (record.id,),
+                        affected + (edge.to_id,),
+                        edge,
+                        cost + record.cost,
+                        new_threat,
+                    )
+                )
+                continue
+        if why is not None:
+            why.append(fault.format(start=start, edge=edge, record=record, need=need))
+    return out
 
 
-def _aggregate(graph: AttackGraph, fired: tuple[str, ...], config: EngineConfig) -> tuple[float, float]:
-    records = [graph.attacks[a] for a in fired]
-    cost = sum(r.cost for r in records)
-    if config.threat_agg == "max":
-        threat = max((r.severity for r in records), default=0.0)
-    else:
-        threat = sum(r.severity for r in records)
-    return cost, threat
+def _chain(prefix) -> AttackChain:
+    edges, grants, _, _, _, cost, threat = prefix
+    return AttackChain(edges=edges, total_cost=cost, total_threat=threat, final_grants=tuple(sorted(grants)))
 
 
-def _make_chain(graph, fired, grants, edge_ids, config) -> AttackChain:
-    cost, threat = _aggregate(graph, fired, config)
-    return AttackChain(
-        edges=tuple(edge_ids),
-        total_cost=cost,
-        total_threat=threat,
-        final_grants=tuple(sorted(grants)),
-    )
+def _replay(doc, graph, edge_ids, config, entry_grants) -> tuple[ChainCheck, tuple]:
+    """Feed edge_ids through the successor step one at a time: (check, last prefix)."""
+    entry = _entry_grants(doc, entry_grants)
+    edges = [graph.edge(eid) for eid in edge_ids]
+    prefix = _root(entry, config)
+    states = [AttackerState(tuple(sorted(entry)), ())]
+    for i, edge in enumerate(edges):
+        why: list[str] = []
+        step = _successors(graph, prefix, (edge,), entry, config, frozenset(), why)
+        if not step:
+            return ChainCheck(False, tuple(states), failed_index=i, reason=why[0]), prefix
+        prefix = step[0]
+        states.append(AttackerState(tuple(sorted(prefix[1])), prefix[2]))
+    return ChainCheck(True, tuple(states)), prefix
 
 
 def is_valid_chain(
@@ -147,41 +223,7 @@ def is_valid_chain(
     entry_grants overrides the scenario's foothold (the simulation replays
     from the attacker's current grants).
     """
-    entry_grants = tuple(entry_grants) if entry_grants is not None else doc.entry_grants
-    if not entry_grants:
-        raise EmptyEntryGrantsError("scenario declares no entry grants")
-    edges = [graph.edge(eid) for eid in edge_ids]
-
-    grants: set[Grant] = set(entry_grants)
-    fired: list[str] = []
-    fired_set: set[str] = set()
-    affected: set[str] = set()
-    states = [AttackerState(tuple(sorted(grants)), ())]
-    last: AttackEdge | None = None
-
-    def fail(i: int, reason: str) -> ChainCheck:
-        return ChainCheck(False, tuple(states), failed_index=i, reason=reason)
-
-    for i, edge in enumerate(edges):
-        record: AttackRecord = graph.attacks[edge.attack_id]
-        if last is not None and last.to_id != edge.from_id:
-            return fail(i, f"not adjacent: previous edge ends at {last.to_id}, this one starts at {edge.from_id}")
-        if edge.to_id in affected:
-            return fail(i, f"object {edge.to_id} already affected (chain must stay simple)")
-        if record.entry_only and i > 0:
-            return fail(i, f"attack {record.id} is entry-only and cannot fire mid-chain")
-        missing = _satisfied(record.condition, grants, entry_grants, last, config.semantics)
-        if missing is not None:
-            return fail(i, f"unsatisfied <{missing.object}, {missing.permission}>")
-        if record.id not in fired_set:
-            fired.append(record.id)
-            fired_set.add(record.id)
-        grants.update(record.a_results)
-        affected.add(edge.to_id)
-        last = edge
-        states.append(AttackerState(tuple(sorted(grants)), tuple(fired)))
-
-    return ChainCheck(True, tuple(states))
+    return _replay(doc, graph, edge_ids, config, entry_grants)[0]
 
 
 def chain_from_edges(
@@ -192,11 +234,10 @@ def chain_from_edges(
     entry_grants=None,
 ) -> AttackChain:
     """Validate an explicit edge sequence and package it as an AttackChain."""
-    check = is_valid_chain(doc, graph, edge_ids, config=config, entry_grants=entry_grants)
+    check, prefix = _replay(doc, graph, edge_ids, config, entry_grants)
     if not check.valid:
         raise ValueError(f"not a valid chain at index {check.failed_index}: {check.reason}")
-    final = check.states[-1]
-    return _make_chain(graph, final.fired, final.grants, tuple(edge_ids), config)
+    return _chain(prefix)
 
 
 def _resolve_targets(doc: ScenarioDoc, target: str | None, default_to_scenario: bool) -> frozenset[str] | None:
@@ -212,14 +253,13 @@ def _resolve_targets(doc: ScenarioDoc, target: str | None, default_to_scenario: 
 def enumerate_chains(
     doc: ScenarioDoc,
     graph: AttackGraph,
-    max_len: int | None = None,
     target: str | None = None,
     targets=None,
     config: EngineConfig = DEFAULT_CONFIG,
     blocked_attacks: frozenset[str] = frozenset(),
     entry_grants=None,
 ) -> tuple[AttackChain, ...]:
-    """Every valid simple chain, depth-first, returned in canonical order.
+    """Every valid simple chain up to config.max_len edges, in canonical order.
 
     target picks one goal object; targets (an iterable) filters on a set;
     with neither, all valid chains are returned. blocked_attacks removes
@@ -227,39 +267,25 @@ def enumerate_chains(
     verification and the simulation), and entry_grants overrides the
     scenario foothold. Ordering: (length, edge-id tuple).
     """
-    entry_grants = tuple(entry_grants) if entry_grants is not None else doc.entry_grants
-    if not entry_grants:
-        raise EmptyEntryGrantsError("scenario declares no entry grants")
-    if max_len is None:
-        max_len = config.max_len
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
+    entry = _entry_grants(doc, entry_grants)
     goal = _resolve_targets(doc, target, False)
     if goal is None and targets is not None:
         goal = frozenset(targets)
-    semantics = config.semantics
-    entry = frozenset(entry_grants)
+    max_len = config.max_len
     results: list[AttackChain] = []
 
-    def extend(prefix, grants, fired, fired_set, affected, last):
-        candidates = graph.edges if last is None else graph.by_from.get(last.to_id, ())
-        for edge in candidates:
-            if edge.attack_id in blocked_attacks or edge.to_id in affected:
-                continue
-            record = graph.attacks[edge.attack_id]
-            if record.entry_only and last is not None:
-                continue
-            if _satisfied(record.condition, grants, entry, last, semantics) is not None:
-                continue
-            new_fired = fired if record.id in fired_set else fired + (record.id,)
-            new_grants = grants | frozenset(record.a_results)
-            edge_ids = prefix + (edge.edge_id,)
-            if goal is None or edge.to_id in goal:
-                results.append(_make_chain(graph, new_fired, new_grants, edge_ids, config))
-            if len(edge_ids) < max_len:
-                extend(edge_ids, new_grants, new_fired, fired_set | {record.id}, affected | {edge.to_id}, edge)
-
-    extend((), entry, (), frozenset(), frozenset(), None)
+    stack = [_root(entry, config)]
+    while stack:
+        prefix = stack.pop()
+        candidates = None
+        if goal is not None and len(prefix[0]) == max_len - 1:
+            # A last step counts only when it lands on a goal.
+            candidates = [e for e in _next_edges(graph, prefix[4]) if e.to_id in goal]
+        for step in _successors(graph, prefix, candidates, entry, config, blocked_attacks):
+            if goal is None or step[4].to_id in goal:
+                results.append(_chain(step))
+            if len(step[0]) < max_len:
+                stack.append(step)
     results.sort(key=AttackChain.sort_key)
     return tuple(results)
 
@@ -272,32 +298,23 @@ def search_chain(
     blocked_attacks: frozenset[str] = frozenset(),
     entry_grants=None,
 ) -> AttackChain | None:
-    """Best chain to the objective's target, or None when no chain exists.
+    """Best chain of at most config.max_len edges to the objective's target.
 
-    min_cost runs uniform-cost search over (position, grants) states;
-    grant monotonicity keeps the space finite. Prefixes pop in
-    (cost, length, edge-ids) order, so the first goal hit is also the
-    canonical tie-break winner. max_threat is exhaustive within max_len.
-    Ties break by (length, lexicographic edge ids) in both modes.
+    Returns None when no chain exists. min_cost runs uniform-cost search
+    over (position, grants) states; grant monotonicity keeps the space
+    finite. Prefixes pop in (cost, length, edge-ids) order, so the first
+    goal hit is also the canonical tie-break winner. max_threat is
+    exhaustive. Ties break by (length, lexicographic edge ids) in both modes.
     """
-    entry_grants = tuple(entry_grants) if entry_grants is not None else doc.entry_grants
-    if not entry_grants:
-        raise EmptyEntryGrantsError("scenario declares no entry grants")
+    entry = _entry_grants(doc, entry_grants)
     goal = _resolve_targets(doc, objective.target, True)
     if not goal:
         return None
-    max_len = objective.max_len
 
     if objective.kind == "max_threat":
         best = None
         for chain in enumerate_chains(
-            doc,
-            graph,
-            max_len=max_len,
-            targets=goal,
-            config=config,
-            blocked_attacks=blocked_attacks,
-            entry_grants=entry_grants,
+            doc, graph, targets=goal, config=config, blocked_attacks=blocked_attacks, entry_grants=entry
         ):
             if best is None or (-chain.total_threat, chain.sort_key()) < (-best.total_threat, best.sort_key()):
                 best = chain
@@ -305,49 +322,25 @@ def search_chain(
     if objective.kind != "min_cost":
         raise ValueError(f"unknown objective kind {objective.kind!r}")
 
-    semantics = config.semantics
-    entry = frozenset(entry_grants)
-    heap: list = []
-
-    def push(edge_ids, grants, fired, fired_set, affected, edge):
-        cost, _ = _aggregate(graph, fired, config)
-        heapq.heappush(heap, (cost, len(edge_ids), edge_ids, grants, fired, fired_set, affected, edge))
-
-    def expand(edge_ids, grants, fired, fired_set, affected, last):
-        candidates = graph.edges if last is None else graph.by_from.get(last.to_id, ())
-        for edge in candidates:
-            if edge.attack_id in blocked_attacks or edge.to_id in affected:
-                continue
-            record = graph.attacks[edge.attack_id]
-            if record.entry_only and last is not None:
-                continue
-            if _satisfied(record.condition, grants, entry, last, semantics) is not None:
-                continue
-            new_fired = fired if record.id in fired_set else fired + (record.id,)
-            push(
-                edge_ids + (edge.edge_id,),
-                grants | frozenset(record.a_results),
-                new_fired,
-                fired_set | {record.id},
-                affected | {edge.to_id},
-                edge,
-            )
-
-    expand((), entry, (), frozenset(), frozenset(), None)
+    max_len = config.max_len
+    heap: list = [(0, 0, (), _root(entry, config))]
     seen: set = set()
     while heap:
-        cost, length, edge_ids, grants, fired, fired_set, affected, edge = heapq.heappop(heap)
-        if edge.to_id in goal:
-            return _make_chain(graph, fired, grants, edge_ids, config)
-        # Two prefixes landing on the same (position, pair, fired, affected)
-        # state have identical continuations; the first pop dominates in the
-        # full (cost, length, lexicographic) order.
-        key = (edge.to_id, edge.permission, fired_set, affected)
-        if key in seen:
-            continue
-        seen.add(key)
+        _, length, _, prefix = heapq.heappop(heap)
+        last = prefix[4]
+        if last is not None:
+            if last.to_id in goal:
+                return _chain(prefix)
+            # Two prefixes landing on the same (position, pair, fired,
+            # affected) state have identical continuations; the first pop
+            # dominates in the full (cost, length, lexicographic) order.
+            key = (last.to_id, last.permission, frozenset(prefix[2]), frozenset(prefix[3]))
+            if key in seen:
+                continue
+            seen.add(key)
         if length < max_len:
-            expand(edge_ids, grants, fired, fired_set, affected, edge)
+            for step in _successors(graph, prefix, None, entry, config, blocked_attacks):
+                heapq.heappush(heap, (step[5], length + 1, step[0], step))
     return None
 
 
@@ -378,10 +371,9 @@ def generate_potential_chains(
     graph: AttackGraph,
     from_id: str,
     to_id: str,
-    max_len: int | None = None,
     config: EngineConfig = DEFAULT_CONFIG,
 ) -> tuple[PotentialChain, ...]:
-    """Base-graph paths from source to destination the catalog cannot cover yet.
+    """Base-graph paths of at most config.max_len hops the catalog cannot cover yet.
 
     A hop is covered when some attack edge runs along it. Paths with no gap
     are ordinary chain material and are excluded. For each missing hop the
@@ -392,8 +384,6 @@ def generate_potential_chains(
     for oid in (from_id, to_id):
         if oid not in base.layers:
             raise UnknownIdError(f"unknown object {oid!r}")
-    if max_len is None:
-        max_len = config.max_len
     by_id = doc.object_by_id()
 
     def covering_attacks(f: str, t: str) -> list[AttackRecord]:
@@ -416,7 +406,7 @@ def generate_potential_chains(
         return tuple(out)
 
     results = []
-    for path in _base_paths(base, from_id, to_id, max_len):
+    for path in _base_paths(base, from_id, to_id, config.max_len):
         hops = list(zip(path, path[1:]))
         missing = [(i, f, t) for i, (f, t) in enumerate(hops) if not covering_attacks(f, t)]
         if not missing:

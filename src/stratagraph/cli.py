@@ -89,7 +89,7 @@ def _load(args):
     if getattr(args, "max_len", None) is not None:
         overrides["max_len"] = args.max_len
     if overrides:
-        config = replace(config, **overrides).check()
+        config = replace(config, **overrides)
     return doc, config
 
 
@@ -156,7 +156,7 @@ def cmd_chains(args) -> int:
         else:
             found = enumerate_chains(doc, graph, targets=doc.targets or None, config=config)
     else:
-        objective = ChainObjective(kind=args.objective, max_len=config.max_len, target=target)
+        objective = ChainObjective(kind=args.objective, target=target)
         best = search_chain(doc, graph, objective, config=config)
         found = (best,) if best else ()
     payload = {"count": len(found), "chains": [c.as_dict() for c in found]}
@@ -187,7 +187,7 @@ def cmd_defend(args) -> int:
         if args.chain:
             chain = chain_from_edges(doc, graph, tuple(args.chain.split(",")), config=config)
         else:
-            chain = search_chain(doc, graph, ChainObjective("min_cost", max_len=config.max_len), config=config)
+            chain = search_chain(doc, graph, ChainObjective("min_cost"), config=config)
             if chain is None:
                 raise ValueError("no valid chain reaches the targets; pass --chain to cover an explicit chain")
         plan = plan_coverage(doc, graph, chain, config=config)
@@ -234,13 +234,12 @@ def cmd_simulate(args) -> int:
         defender_policy=args.defender,
         defender_budget_per_turn=args.budget_per_turn,
         rng_seed=args.seed,
-        semantics=args.semantics or config.semantics,
         compromise_permissions=tuple(args.compromise_permission) if args.compromise_permission else None,
     )
     traces = run_batch(doc, graph, game, args.runs, config=config)
     summary = summarize(traces)
     payload = {
-        "config": game.as_dict(),
+        "config": {**game.as_dict(), "semantics": config.semantics},
         "summary": summary.as_dict(),
         "traces": [t.as_dict() for t in traces],
     }

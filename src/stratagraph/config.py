@@ -28,6 +28,9 @@ class EngineConfig:
     derived_detect_prob: float = 1.0
     survivor_sample: int = 5
 
+    def __post_init__(self):
+        self.check()
+
     def check(self) -> "EngineConfig":
         if self.semantics not in SEMANTICS_MODES:
             raise ConfigError(f"semantics must be one of {SEMANTICS_MODES}, got {self.semantics!r}")
@@ -61,11 +64,7 @@ def config_from_dict(data: dict) -> EngineConfig:
     unknown = sorted(set(data) - _FIELDS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    try:
-        cfg = replace(DEFAULT_CONFIG, **data)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg.check()
+    return replace(DEFAULT_CONFIG, **data)
 
 
 def load_config(path: str | Path) -> EngineConfig:

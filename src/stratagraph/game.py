@@ -38,7 +38,6 @@ class GameConfig:
     defender_policy: str = "none"
     defender_budget_per_turn: float = 0.0
     rng_seed: int = 1
-    semantics: str = "accumulated"
     # None = any permission on a target ends the game.
     compromise_permissions: tuple[str, ...] | None = None
 
@@ -53,8 +52,6 @@ class GameConfig:
             raise ConfigError(
                 f"defender_budget_per_turn must be a finite non-negative number, got {self.defender_budget_per_turn!r}"
             )
-        if self.semantics not in ("accumulated", "strict"):
-            raise ConfigError(f"semantics must be accumulated or strict, got {self.semantics!r}")
         return self
 
     def as_dict(self) -> dict:
@@ -64,7 +61,6 @@ class GameConfig:
             "defender_policy": self.defender_policy,
             "defender_budget_per_turn": self.defender_budget_per_turn,
             "rng_seed": self.rng_seed,
-            "semantics": self.semantics,
             "compromise_permissions": list(self.compromise_permissions)
             if self.compromise_permissions is not None
             else None,
@@ -127,7 +123,6 @@ def run_game(
         raise EmptyEntryGrantsError("scenario declares no entry grants")
     if not doc.targets:
         raise ConfigError("simulation requires at least one target")
-    engine = replace(config, semantics=game.semantics)
     rng = random.Random(game.rng_seed)
     targets = frozenset(doc.targets)
     permissions = frozenset(game.compromise_permissions) if game.compromise_permissions is not None else None
@@ -181,12 +176,12 @@ def run_game(
             predicted = enumerate_chains(
                 doc,
                 graph,
-                config=engine,
+                config=config,
                 targets=targets,
                 blocked_attacks=neutralized,
                 entry_grants=tuple(sorted(grants)),
             )
-            plan = plan_budgeted(doc, graph, predicted, game.defender_budget_per_turn, config=engine)
+            plan = plan_budgeted(doc, graph, predicted, game.defender_budget_per_turn, config=config)
             new_defenses = tuple(d for d in plan.chosen if d not in applied_defenses)
             if new_defenses:
                 applied_defenses.update(new_defenses)

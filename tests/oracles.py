@@ -71,13 +71,14 @@ def chain_threat(doc, fired, agg="sum") -> float:
     return max(sevs, default=0.0) if agg == "max" else sum(sevs)
 
 
-def brute_chains(doc, max_len, semantics="accumulated", targets=None, entry=None):
+def brute_chains(doc, max_len, semantics="accumulated", targets=None, entry=None, agg="sum"):
     """All valid chains as (edge tuple, cost, threat, final grants) records.
 
     Scans every k-permutation of the edge-id set for k = 1..max_len. A
     sequence repeating an edge repeats that edge's affected object and is
     invalid by the simple-chain rule, so distinct-edge permutations cover
     the full sequence space (brute_chains_product proves that on demand).
+    agg ("sum" or "max") aggregates each chain's threat.
     """
     edges = oracle_edges(doc)
     ids = sorted(edges)
@@ -91,7 +92,7 @@ def brute_chains(doc, max_len, semantics="accumulated", targets=None, entry=None
             if target_set is not None and edges[seq[-1]][2] not in target_set:
                 continue
             grants, fired = result
-            found.append((seq, chain_cost(doc, fired), chain_threat(doc, fired), grants))
+            found.append((seq, chain_cost(doc, fired), chain_threat(doc, fired, agg), grants))
     found.sort(key=lambda f: (len(f[0]), f[0]))
     return found
 

@@ -54,11 +54,11 @@ def bundle(seed, max_edges=10):
     return _graph_cache[key]
 
 
-def brute(seed, max_edges, max_len, semantics):
-    key = (seed, max_edges, max_len, semantics)
+def brute(seed, max_edges, max_len, semantics, agg="sum"):
+    key = (seed, max_edges, max_len, semantics, agg)
     if key not in _brute_cache:
         doc, _ = bundle(seed, max_edges)
-        _brute_cache[key] = oracles.brute_chains(doc, max_len, semantics)
+        _brute_cache[key] = oracles.brute_chains(doc, max_len, semantics, agg=agg)
     return _brute_cache[key]
 
 
@@ -89,6 +89,12 @@ def test_criterion_2_enumeration_matches_brute_force():
             ]
             want = [(seq, cost, threat) for seq, cost, threat, _ in brute(seed, max_edges, max_len, semantics)]
             assert got == want, f"mismatch seed={seed} semantics={semantics}"
+            to_targets = [
+                (c.edges, c.total_cost, c.total_threat)
+                for c in enumerate_chains(doc, graph, targets=doc.targets, config=config)
+            ]
+            ends = oracles.oracle_edges(doc)
+            assert to_targets == [w for w in want if ends[w[0][-1]][2] in doc.targets], f"seed={seed} {semantics}"
     assert scenarios >= 50
     print(f"criterion 2 PASS: enumeration equals brute force on {scenarios} scenarios x 2 semantics")
 
@@ -102,17 +108,28 @@ def test_criterion_3_search_optimality():
             config = replace(cfg, semantics=semantics)
             chains = brute(seed, max_edges, max_len, semantics)
             reachable = [c for c in chains if oracles.oracle_edges(doc)[c[0][-1]][2] in doc.targets]
-            cheapest = search_chain(doc, graph, ChainObjective("min_cost", max_len=max_len), config=config)
-            nastiest = search_chain(doc, graph, ChainObjective("max_threat", max_len=max_len), config=config)
+            cheapest = search_chain(doc, graph, ChainObjective("min_cost"), config=config)
             if not reachable:
-                assert cheapest is None and nastiest is None
-                continue
-            want_cost = min(c[1] for c in reachable)
-            want_threat = max(c[2] for c in reachable)
-            assert abs(cheapest.total_cost - want_cost) < EPS, f"seed={seed} {semantics}"
-            assert abs(nastiest.total_threat - want_threat) < EPS, f"seed={seed} {semantics}"
+                assert cheapest is None
+            else:
+                want_cost = min(c[1] for c in reachable)
+                assert abs(cheapest.total_cost - want_cost) < EPS, f"seed={seed} {semantics}"
+            for agg in ("sum", "max"):
+                chains = brute(seed, max_edges, max_len, semantics, agg)
+                reachable = [c for c in chains if oracles.oracle_edges(doc)[c[0][-1]][2] in doc.targets]
+                nastiest = search_chain(
+                    doc, graph, ChainObjective("max_threat"), config=replace(config, threat_agg=agg)
+                )
+                if not reachable:
+                    assert nastiest is None
+                    continue
+                want_threat = max(c[2] for c in reachable)
+                assert abs(nastiest.total_threat - want_threat) < EPS, f"seed={seed} {semantics} {agg}"
     assert scenarios >= 50
-    print(f"criterion 3 PASS: min-cost and max-threat search optimal on {scenarios} scenarios x 2 semantics")
+    print(
+        f"criterion 3 PASS: min-cost and max-threat (sum and max) search optimal "
+        f"on {scenarios} scenarios x 2 semantics"
+    )
 
 
 def test_criterion_4_cut_soundness_and_optimality(hitting_trio):
@@ -251,7 +268,7 @@ def test_criterion_7_simulation_determinism_and_consistency(toy5g):
         graph = build_attack_graph(doc, build_base_graph(doc))
         turns = len(doc.attacks) + 1
         trace = run_game(doc, graph, GameConfig(max_turns=turns, rng_seed=1))
-        chains = enumerate_chains(doc, graph, targets=doc.targets, max_len=len(doc.objects))
+        chains = enumerate_chains(doc, graph, targets=doc.targets, config=EngineConfig(max_len=len(doc.objects)))
         assert (trace.outcome == "target_compromised") == bool(chains), f"seed={seed}"
         checked += 1
         compromised += trace.outcome == "target_compromised"

@@ -153,6 +153,18 @@ def test_search_single_chain_wins_both_objectives(minichain):
     assert a.edges == b.edges == ("B1#0", "B2#0")
 
 
+def test_search_honours_engine_max_len(minichain):
+    # The only chain to the target has two edges; EngineConfig.max_len alone
+    # bounds both search modes.
+    doc, _, graph = minichain
+    short = EngineConfig(max_len=1)
+    assert search_chain(doc, graph, ChainObjective("min_cost"), config=short) is None
+    assert search_chain(doc, graph, ChainObjective("max_threat"), config=short) is None
+    assert enumerate_chains(doc, graph, targets=doc.targets, config=short) == ()
+    two = EngineConfig(max_len=2)
+    assert search_chain(doc, graph, ChainObjective("min_cost"), config=two).edges == ("B1#0", "B2#0")
+
+
 def test_search_none_when_unreachable(toy5g):
     doc, _, graph = toy5g
     assert search_chain(doc, graph, ChainObjective("min_cost", target="SL1")) is None
@@ -195,10 +207,11 @@ def test_enumeration_matches_oracle_small_batch():
         doc = random_scenario(seed, max_objects=6, max_edges=6)
         graph = build_attack_graph(doc, build_base_graph(doc))
         for semantics in ("accumulated", "strict"):
-            cfg = EngineConfig(semantics=semantics)
-            got = [(c.edges, c.total_cost, c.total_threat) for c in enumerate_chains(doc, graph, max_len=4, config=cfg)]
-            want = [(seq, cost, threat) for seq, cost, threat, _ in oracles.brute_chains(doc, 4, semantics)]
-            assert got == want, f"seed {seed} {semantics}"
+            for agg in ("sum", "max"):
+                cfg = EngineConfig(semantics=semantics, max_len=4, threat_agg=agg)
+                got = [(c.edges, c.total_cost, c.total_threat) for c in enumerate_chains(doc, graph, config=cfg)]
+                want = [(seq, cost, threat) for seq, cost, threat, _ in oracles.brute_chains(doc, 4, semantics, agg=agg)]
+                assert got == want, f"seed {seed} {semantics} {agg}"
 
 
 def test_oracle_permutations_equal_product():
@@ -213,7 +226,7 @@ def test_grants_monotone_along_chains():
     for seed in range(10):
         doc = random_scenario(seed)
         graph = build_attack_graph(doc, build_base_graph(doc))
-        for chain in enumerate_chains(doc, graph, max_len=5):
+        for chain in enumerate_chains(doc, graph, config=EngineConfig(max_len=5)):
             states = is_valid_chain(doc, graph, chain.edges).states
             for a, b in zip(states, states[1:]):
                 assert set(a.grants) <= set(b.grants)
@@ -221,7 +234,7 @@ def test_grants_monotone_along_chains():
 
 def test_potential_chain_single_gap(potential_gap):
     doc, base, graph = potential_gap
-    found = generate_potential_chains(doc, base, graph, "PB", "PV", max_len=4)
+    found = generate_potential_chains(doc, base, graph, "PB", "PV", config=EngineConfig(max_len=4))
     assert len(found) == 1
     p = found[0]
     assert p.path == ("PB", "PH", "PV")
@@ -231,13 +244,13 @@ def test_potential_chain_single_gap(potential_gap):
 
 def test_fully_attackable_path_excluded(potential_gap):
     doc, base, graph = potential_gap
-    assert generate_potential_chains(doc, base, graph, "PB", "PH", max_len=4) == ()
+    assert generate_potential_chains(doc, base, graph, "PB", "PH", config=EngineConfig(max_len=4)) == ()
 
 
 def test_no_base_path_gives_nothing(potential_gap):
     doc, base, graph = potential_gap
     # PX sits three hops away (PB-PH-PV-PX), beyond this length bound
-    assert generate_potential_chains(doc, base, graph, "PB", "PX", max_len=2) == ()
+    assert generate_potential_chains(doc, base, graph, "PB", "PX", config=EngineConfig(max_len=2)) == ()
     with pytest.raises(UnknownIdError):
         generate_potential_chains(doc, base, graph, "PB", "NOPE")
 
@@ -246,7 +259,7 @@ def test_potential_suggestion_respects_next_condition(toy5g):
     doc, base, graph = toy5g
     # Path CH1 -> UE1 -> APP1: hop CH1->UE1 has no attack edge; the next hop
     # UE1->APP1 is covered by A4/A5 whose conditions need read on UE1.
-    found = generate_potential_chains(doc, base, graph, "CH1", "APP1", max_len=3)
+    found = generate_potential_chains(doc, base, graph, "CH1", "APP1", config=EngineConfig(max_len=3))
     gap = [p for p in found if p.path == ("CH1", "UE1", "APP1")]
     assert len(gap) == 1
     # A1 attacks the only channel-category object but grants no read on UE1;
@@ -262,7 +275,7 @@ def test_removing_attack_never_adds_chains():
     for seed in range(10):
         doc = random_scenario(seed, max_edges=6)
         graph = build_attack_graph(doc, build_base_graph(doc))
-        full = {c.edges for c in enumerate_chains(doc, graph, max_len=4)}
+        full = {c.edges for c in enumerate_chains(doc, graph, config=EngineConfig(max_len=4))}
         for drop in doc.attacks:
             smaller = replace(
                 doc,
@@ -274,5 +287,5 @@ def test_removing_attack_never_adds_chains():
                 ),
             )
             g2 = build_attack_graph(smaller, build_base_graph(smaller))
-            for c in enumerate_chains(smaller, g2, max_len=4):
+            for c in enumerate_chains(smaller, g2, config=EngineConfig(max_len=4)):
                 assert c.edges in full

@@ -136,7 +136,7 @@ def test_budget_kernel_matches_per_chain_reference(seed, objective, limit, data)
     # on the exact path (limit 20) and on the greedy path (limit 0).
     doc = random_scenario(seed, max_objects=6, max_edges=24, max_defenses=10)
     graph = build_attack_graph(doc, build_base_graph(doc))
-    chains = enumerate_chains(doc, graph, max_len=4)
+    chains = enumerate_chains(doc, graph, config=EngineConfig(max_len=4))
     total = sum(d.cost for d in doc.defenses)
     budget = data.draw(
         st.one_of(st.integers(0, int(2 * total)).map(lambda h: h / 2), st.floats(0.0, total)), label="budget"
@@ -157,7 +157,7 @@ def test_budget_non_dyadic_weights_within_eps():
         rng = random.Random(seed)
         doc = replace(doc, attacks=tuple(replace(a, severity=rng.choice((0.1, 0.2, 0.7))) for a in doc.attacks))
         graph = build_attack_graph(doc, build_base_graph(doc))
-        chains = enumerate_chains(doc, graph, max_len=4)
+        chains = enumerate_chains(doc, graph, config=EngineConfig(max_len=4))
         oracle_chains = oracles.brute_chains(doc, 4)
         total = sum(d.cost for d in doc.defenses)
         for budget in (0.5, 1.5, total / 2, total):
@@ -239,7 +239,7 @@ def test_coverage_never_cheaper_than_cut_on_single_chain():
     for seed in range(20):
         doc = random_scenario(seed, max_edges=6)
         graph = build_attack_graph(doc, build_base_graph(doc))
-        chains = enumerate_chains(doc, graph, max_len=4)
+        chains = enumerate_chains(doc, graph, config=EngineConfig(max_len=4))
         for chain in chains[:3]:
             attacks = chain_attacks(graph, chain)
             if any(not applicable_defenses(graph, a) for a in attacks):
@@ -308,8 +308,8 @@ def test_wide_topology_stays_fast_and_consistent():
     assert len(graph.edges) == (tiers - 1) * width * fan
 
     start = time.monotonic()
-    chains = enumerate_chains(doc, graph, targets=doc.targets, max_len=tiers - 1)
-    best = search_chain(doc, graph, ChainObjective("min_cost", max_len=tiers - 1))
+    chains = enumerate_chains(doc, graph, targets=doc.targets, config=EngineConfig(max_len=tiers - 1))
+    best = search_chain(doc, graph, ChainObjective("min_cost"), config=EngineConfig(max_len=tiers - 1))
     plan = plan_cut(doc, graph)  # > 64 chains forces the greedy path
     elapsed = time.monotonic() - start
     assert len(chains) > 64

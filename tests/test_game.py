@@ -191,3 +191,23 @@ def test_grants_stay_grants_and_canon_refuses_them(toy5g):
     with pytest.raises(TypeError):
         canon.dumps({"grants": [Grant("x", "read")]})
     assert canon.dumps(Grant("x", "read").as_dict()) == canon.dumps({"object": "x", "permission": "read"})
+
+
+def test_reactive_defender_enumerates_under_engine_semantics(toy5g, monkeypatch):
+    # The engine config alone owns semantics: a strict config must reach
+    # the defender's chain prediction, not be replaced by a game default.
+    import stratagraph.game as game_module
+    from stratagraph.config import EngineConfig
+
+    seen = []
+    real = game_module.enumerate_chains
+
+    def spy(doc, graph, **kwargs):
+        seen.append(kwargs["config"].semantics)
+        return real(doc, graph, **kwargs)
+
+    monkeypatch.setattr(game_module, "enumerate_chains", spy)
+    doc, _, graph = toy5g
+    game = GameConfig(defender_policy="reactive_cut", defender_budget_per_turn=2.0)
+    run_game(doc, graph, game, config=EngineConfig(semantics="strict"))
+    assert seen and set(seen) == {"strict"}
