@@ -19,6 +19,18 @@ valid one-edge extensions of a chain prefix. Enumeration walks it depth
 first, min-cost search pops prefixes from a heap, and the validity check
 feeds it one candidate edge at a time, asking for rejection reasons. Each
 prefix carries its cost and threat, so a finished chain is never re-summed.
+
+Enumeration restricted to goal objects prunes by backward reachability.
+One reverse breadth-first search from the goals over the unblocked attack
+edges gives each object the fewest edges it needs to reach a goal. A
+prefix is only offered the edges that land on a goal or end within the
+length left of one, and a step is only extended when its end can still
+reach a goal in time. The prune is sound under both semantics: the search
+ignores conditions, entry_only and the simple-path guard, and each of
+these only removes chains (grants only grow along a chain, Ammann,
+Wijesekera & Kaushik, CCS 2002), so the distance never exceeds what any
+valid chain needs, and the prune drops no chain. Unrestricted enumeration
+skips it.
 """
 
 from __future__ import annotations
@@ -250,6 +262,30 @@ def _resolve_targets(doc: ScenarioDoc, target: str | None, default_to_scenario: 
     return None
 
 
+def _goal_distance(graph: AttackGraph, goal: frozenset[str], blocked) -> dict[str, int]:
+    """Object id -> the fewest unblocked attack edges (at least one) to any goal.
+
+    A multi-source breadth-first search backwards from the goals over
+    graph.by_to. A goal gets a distance only when it can reach a goal
+    again; an object missing from the map reaches none. Conditions,
+    entry_only and the simple-path guard are ignored: each only removes
+    chains, so the distance never exceeds the edges a valid chain needs.
+    """
+    dist: dict[str, int] = {}
+    frontier = list(goal)
+    level = 0
+    while frontier:
+        level += 1
+        reached = []
+        for obj in frontier:
+            for edge in graph.by_to.get(obj, ()):
+                if edge.from_id not in dist and edge.attack_id not in blocked:
+                    dist[edge.from_id] = level
+                    reached.append(edge.from_id)
+        frontier = reached
+    return dist
+
+
 def enumerate_chains(
     doc: ScenarioDoc,
     graph: AttackGraph,
@@ -265,7 +301,9 @@ def enumerate_chains(
     with neither, all valid chains are returned. blocked_attacks removes
     every edge of the named attacks before searching (used by defense
     verification and the simulation), and entry_grants overrides the
-    scenario foothold. Ordering: (length, edge-id tuple).
+    scenario foothold. With a goal set, prefixes that cannot reach a goal
+    within the length left are never expanded (see the module docstring).
+    Ordering: (length, edge-id tuple).
     """
     entry = _entry_grants(doc, entry_grants)
     goal = _resolve_targets(doc, target, False)
@@ -275,17 +313,36 @@ def enumerate_chains(
     results: list[AttackChain] = []
 
     stack = [_root(entry, config)]
-    while stack:
-        prefix = stack.pop()
-        candidates = None
-        if goal is not None and len(prefix[0]) == max_len - 1:
-            # A last step counts only when it lands on a goal.
-            candidates = [e for e in _next_edges(graph, prefix[4]) if e.to_id in goal]
-        for step in _successors(graph, prefix, candidates, entry, config, blocked_attacks):
-            if goal is None or step[4].to_id in goal:
+    if goal is None:
+        while stack:
+            prefix = stack.pop()
+            for step in _successors(graph, prefix, None, entry, config, blocked_attacks):
                 results.append(_chain(step))
-            if len(step[0]) < max_len:
-                stack.append(step)
+                if len(step[0]) < max_len:
+                    stack.append(step)
+    else:
+        # An object without a distance reaches no goal; the default max_len
+        # exceeds every room, so such an end is never extended.
+        dist = _goal_distance(graph, goal, blocked_attacks)
+        # (object, room) -> the edges leaving object worth trying when room
+        # edges are left after them; None stands for the empty chain's end.
+        memo: dict = {}
+        while stack:
+            prefix = stack.pop()
+            last = prefix[4]
+            room = max_len - len(prefix[0]) - 1  # edges left after the next step
+            key = (None if last is None else last.to_id, room)
+            candidates = memo.get(key)
+            if candidates is None:
+                candidates = memo[key] = [
+                    e for e in _next_edges(graph, last) if e.to_id in goal or dist.get(e.to_id, max_len) <= room
+                ]
+            for step in _successors(graph, prefix, candidates, entry, config, blocked_attacks):
+                end = step[4].to_id
+                if end in goal:
+                    results.append(_chain(step))
+                if dist.get(end, max_len) <= room:
+                    stack.append(step)
     results.sort(key=AttackChain.sort_key)
     return tuple(results)
 

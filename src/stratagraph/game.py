@@ -41,17 +41,32 @@ class GameConfig:
     # None = any permission on a target ends the game.
     compromise_permissions: tuple[str, ...] | None = None
 
+    def __post_init__(self):
+        self.check()
+
     def check(self) -> "GameConfig":
+        for name in ("max_turns", "rng_seed"):
+            value = getattr(self, name)
+            # bool is an int subclass; reject it explicitly.
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.max_turns < 1:
             raise ConfigError(f"max_turns must be >= 1, got {self.max_turns}")
         if self.attacker_policy not in ATTACKER_POLICIES:
             raise ConfigError(f"attacker_policy must be one of {ATTACKER_POLICIES}")
         if self.defender_policy not in DEFENDER_POLICIES:
             raise ConfigError(f"defender_policy must be one of {DEFENDER_POLICIES}")
-        if not math.isfinite(self.defender_budget_per_turn) or self.defender_budget_per_turn < 0:
-            raise ConfigError(
-                f"defender_budget_per_turn must be a finite non-negative number, got {self.defender_budget_per_turn!r}"
-            )
+        budget = self.defender_budget_per_turn
+        if (
+            isinstance(budget, bool)
+            or not isinstance(budget, (int, float))
+            or not math.isfinite(budget)
+            or budget < 0
+        ):
+            raise ConfigError(f"defender_budget_per_turn must be a finite non-negative number, got {budget!r}")
+        perms = self.compromise_permissions
+        if perms is not None and not (isinstance(perms, tuple) and all(isinstance(p, str) for p in perms)):
+            raise ConfigError(f"compromise_permissions must be None or a tuple of strings, got {perms!r}")
         return self
 
     def as_dict(self) -> dict:
@@ -118,7 +133,6 @@ def run_game(
     game: GameConfig,
     config: EngineConfig = DEFAULT_CONFIG,
 ) -> GameTrace:
-    game = game.check()
     if not doc.entry_grants:
         raise EmptyEntryGrantsError("scenario declares no entry grants")
     if not doc.targets:

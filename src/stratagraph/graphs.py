@@ -72,6 +72,7 @@ class AttackGraph:
     edges: tuple[AttackEdge, ...]  # sorted by edge_id
     by_id: dict[str, AttackEdge]
     by_from: dict[str, tuple[AttackEdge, ...]]
+    by_to: dict[str, tuple[AttackEdge, ...]]  # the edges entering each object
     by_attack: dict[str, tuple[AttackEdge, ...]]
     attacks: dict[str, AttackRecord]
     sorted_attacks: tuple[AttackRecord, ...]  # by id
@@ -133,9 +134,11 @@ def build_attack_graph(doc: ScenarioDoc, base: HierarchicalGraph) -> AttackGraph
             )
     edges.sort(key=lambda e: e.edge_id)
     by_from: dict[str, list[AttackEdge]] = {}
+    by_to: dict[str, list[AttackEdge]] = {}
     by_attack: dict[str, list[AttackEdge]] = {}
     for e in edges:
         by_from.setdefault(e.from_id, []).append(e)
+        by_to.setdefault(e.to_id, []).append(e)
         by_attack.setdefault(e.attack_id, []).append(e)
     sorted_defenses = tuple(sorted(doc.defenses, key=lambda d: d.id))
     defense_bits = {d.id: 1 << k for k, d in enumerate(sorted_defenses)}
@@ -148,6 +151,7 @@ def build_attack_graph(doc: ScenarioDoc, base: HierarchicalGraph) -> AttackGraph
         edges=tuple(edges),
         by_id={e.edge_id: e for e in edges},
         by_from={k: tuple(v) for k, v in by_from.items()},
+        by_to={k: tuple(v) for k, v in by_to.items()},
         by_attack={k: tuple(v) for k, v in by_attack.items()},
         attacks=doc.attack_by_id(),
         sorted_attacks=tuple(sorted(doc.attacks, key=lambda a: a.id)),

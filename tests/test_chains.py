@@ -1,4 +1,10 @@
+import json
+import random
+from dataclasses import replace
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stratagraph import (
     ChainObjective,
@@ -13,10 +19,12 @@ from stratagraph import (
     parse_scenario,
     search_chain,
 )
+from stratagraph import chains as chains_module
 from stratagraph.config import EngineConfig
+from stratagraph.model import Grant
 
 import oracles
-from genscen import random_scenario
+from genscen import PERMS, random_scenario
 
 STRICT = EngineConfig(semantics="strict")
 
@@ -289,3 +297,132 @@ def test_removing_attack_never_adds_chains():
             g2 = build_attack_graph(smaller, build_base_graph(smaller))
             for c in enumerate_chains(smaller, g2, config=EngineConfig(max_len=4)):
                 assert c.edges in full
+
+
+# --- target-bound enumeration: the backward-reachability prune -------------
+
+def through_target_doc():
+    # Each attack needs read on its own object and grants read on the next.
+    # k1 lands on target T1; k2 goes on to target T2, and k3, k4 reach T2
+    # by a detour. k5 leaves T2 for a dead end no chain to a target uses.
+    hops = [("k1", "O1", "T1"), ("k2", "T1", "T2"), ("k3", "T1", "O3"), ("k4", "O3", "T2"), ("k5", "T2", "O4")]
+    return parse_scenario(
+        json.dumps(
+            {
+                "objects": [{"id": o, "layer": "physical", "category": "os"} for o in ("O1", "O3", "O4", "T1", "T2")],
+                "attacks": [
+                    {
+                        "id": a,
+                        "object": f,
+                        "condition": [{"object": f, "permission": "read"}],
+                        "a_results": [{"object": t, "permission": "read"}],
+                    }
+                    for a, f, t in hops
+                ],
+                "entry_grants": [{"object": "O1", "permission": "read"}],
+                "targets": ["T1", "T2"],
+            }
+        )
+    )
+
+
+def test_chains_continue_past_a_target():
+    doc = through_target_doc()
+    graph = build_attack_graph(doc, build_base_graph(doc))
+    for max_len, want in (
+        (1, [("k1#0",)]),
+        (2, [("k1#0",), ("k1#0", "k2#0")]),
+        (3, [("k1#0",), ("k1#0", "k2#0"), ("k1#0", "k3#0", "k4#0")]),
+        (5, [("k1#0",), ("k1#0", "k2#0"), ("k1#0", "k3#0", "k4#0")]),
+    ):
+        got = [c.edges for c in enumerate_chains(doc, graph, targets=doc.targets, config=EngineConfig(max_len=max_len))]
+        assert got == want, max_len
+        assert got == [seq for seq, *_ in oracles.brute_chains(doc, max_len, targets=doc.targets)]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 10**6),
+    semantics=st.sampled_from(("accumulated", "strict")),
+    agg=st.sampled_from(("sum", "max")),
+    max_len=st.integers(1, 5),
+    data=st.data(),
+)
+def test_target_enumeration_matches_oracle_on_game_path(seed, semantics, agg, max_len, data):
+    # The reactive defender's call: targets, blocked attacks and the
+    # attacker's current grants. The oracle sees the blocked attacks removed.
+    doc = random_scenario(seed, max_objects=6, max_edges=8)
+    graph = build_attack_graph(doc, build_base_graph(doc))
+    objects = [o.id for o in doc.objects]
+    affected = sorted({g.object for a in doc.attacks for g in a.a_results})
+    targets = data.draw(
+        st.lists(st.sampled_from(affected) | st.sampled_from(objects), min_size=1, max_size=2, unique=True),
+        label="targets",
+    )
+    blocked = data.draw(
+        st.frozensets(st.sampled_from([a.id for a in doc.attacks]), max_size=len(doc.attacks) // 2), label="blocked"
+    )
+    # Footholds like the game's: entry grants and effects of fired attacks,
+    # now and then a grant nothing produces.
+    held = sorted({*doc.entry_grants, *(g for a in doc.attacks for g in a.a_results)})
+    grant = st.one_of(st.sampled_from(held), st.builds(Grant, st.sampled_from(objects), st.sampled_from(PERMS)))
+    entry = data.draw(st.frozensets(grant, min_size=1, max_size=4), label="entry")
+    cfg = EngineConfig(semantics=semantics, max_len=max_len, threat_agg=agg)
+    found = enumerate_chains(
+        doc, graph, targets=targets, config=cfg, blocked_attacks=blocked, entry_grants=tuple(sorted(entry))
+    )
+    got = [(c.edges, c.total_cost, c.total_threat, frozenset(c.final_grants)) for c in found]
+    open_doc = replace(doc, attacks=tuple(a for a in doc.attacks if a.id not in blocked))
+    assert got == oracles.brute_chains(open_doc, max_len, semantics, targets=targets, entry=entry, agg=agg)
+
+
+def steps_to_goal(doc, start, goal, blocked):
+    """Fewest unblocked attack edges (at least one) from start to a goal, or None."""
+    hops = [(src, dst) for record, src, dst, _ in oracles.oracle_edges(doc).values() if record.id not in blocked]
+    frontier, seen, steps = {start}, set(), 0
+    while frontier:
+        steps += 1
+        reached = {dst for src, dst in hops if src in frontier}
+        if reached & goal:
+            return steps
+        frontier = reached - seen
+        seen |= reached
+    return None
+
+
+def test_prune_expands_only_prefixes_that_can_reach_a_goal(monkeypatch):
+    # Every prefix handed to the successor step must still be able to reach
+    # a goal within the edges it has left; the same check on unrestricted
+    # enumeration shows the scenarios do have prefixes worth pruning.
+    prefixes = []
+    step = chains_module._successors
+
+    def spy(graph, prefix, *args, **kwargs):
+        prefixes.append(prefix[0])
+        return step(graph, prefix, *args, **kwargs)
+
+    monkeypatch.setattr(chains_module, "_successors", spy)
+    checked = dead_unrestricted = 0
+    for seed in range(60):
+        doc = random_scenario(seed, max_objects=7, max_edges=12)
+        graph = build_attack_graph(doc, build_base_graph(doc))
+        rng = random.Random(seed)
+        blocked = frozenset(a.id for a in doc.attacks if rng.random() < 0.3)
+        goal = frozenset(doc.targets)
+        for max_len in range(1, 6):
+            for semantics in ("accumulated", "strict"):
+                cfg = EngineConfig(semantics=semantics, max_len=max_len)
+                for targets in (doc.targets, None):
+                    prefixes.clear()
+                    enumerate_chains(doc, graph, targets=targets, config=cfg, blocked_attacks=blocked)
+                    for edges in prefixes:
+                        if not edges:
+                            continue
+                        steps = steps_to_goal(doc, graph.edge(edges[-1]).to_id, goal, blocked)
+                        can_reach = steps is not None and steps <= max_len - len(edges)
+                        if targets is None:
+                            dead_unrestricted += not can_reach
+                        else:
+                            assert can_reach, (seed, max_len, semantics, edges)
+                            checked += 1
+    assert checked > 500 and dead_unrestricted > 500, (checked, dead_unrestricted)

@@ -30,6 +30,34 @@ def zero_detect(doc):
     return replace(doc, attacks=tuple(replace(a, detect_prob=0.0) for a in doc.attacks))
 
 
+BAD_GAME_FIELDS = [
+    {"max_turns": 2.5},
+    {"max_turns": True},
+    {"max_turns": "3"},
+    {"max_turns": 0},
+    {"rng_seed": 1.5},
+    {"rng_seed": True},
+    {"rng_seed": None},
+    {"defender_budget_per_turn": "1"},
+    {"defender_budget_per_turn": True},
+    {"defender_budget_per_turn": -1.0},
+    {"defender_budget_per_turn": float("nan")},
+    {"compromise_permissions": "read"},
+    {"compromise_permissions": ["read"]},
+    {"compromise_permissions": ("read", 1)},
+    {"attacker_policy": "psychic"},
+    {"defender_policy": "always"},
+]
+
+
+@pytest.mark.parametrize("fields", BAD_GAME_FIELDS, ids=lambda f: f"{next(iter(f))}={next(iter(f.values()))!r}")
+def test_bad_game_config_rejected_at_construction_and_replace(fields):
+    with pytest.raises(ConfigError):
+        GameConfig(**fields)
+    with pytest.raises(ConfigError):
+        replace(GameConfig(), **fields)
+
+
 def test_undefended_two_step_compromise(minichain):
     doc, _, graph = minichain
     trace = run_game(doc, graph, GameConfig(max_turns=12))
