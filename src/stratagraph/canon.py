@@ -1,14 +1,30 @@
 """Canonical JSON rendering.
 
 Every tool output that may land in a golden file or a diff goes through
-dumps(): keys sorted, floats at 6 significant digits, pure-ASCII strings.
-Identical values always render to identical bytes on any platform.
+dumps(), and identical values always render to identical bytes on any
+platform. The contract:
+
+- dict keys are sorted, and every key must be a str (else TypeError);
+- containers open on their own line, items indented by `indent` spaces per
+  level, with no trailing whitespace;
+- strings are pure ASCII: anything else is \\u-escaped as json.dumps does;
+- floats use 6 significant digits, and -0.0 is folded to 0.0;
+- non-finite floats are refused with ValueError;
+- named tuples (such as a Grant) are refused with TypeError: render a
+  record through its as_dict(). So is any other value that is not None, a
+  bool, an int, a float, a str, a dict, a list or a tuple.
+
+One dumps() call memoises the JSON form of each distinct string it meets,
+keys and values alike, and builds each level's padding once: chain sets
+repeat the same ids, permissions and keys hundreds of thousands of times.
+Values of the exact built-in types take that fast path; subclasses (a str
+or int subclass, a dict subclass) render as their base type without it.
 """
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii as _encode_str  # what json.dumps(s) returns for a str
 
 
 def format_float(x: float) -> str:
@@ -19,54 +35,99 @@ def format_float(x: float) -> str:
     return format(x, ".6g")
 
 
-def _render(value, indent: int, level: int, parts: list[str]) -> None:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
-    if value is None:
-        parts.append("null")
-    elif value is True:
-        parts.append("true")
-    elif value is False:
-        parts.append("false")
-    elif isinstance(value, str):
-        parts.append(json.dumps(value, ensure_ascii=True))
-    elif isinstance(value, int):
-        parts.append(str(value))
-    elif isinstance(value, float):
-        parts.append(format_float(value))
-    elif isinstance(value, dict):
-        if not value:
-            parts.append("{}")
+def dumps(value, indent: int = 2, end: str = "") -> str:
+    """The canonical JSON text of value, followed by end."""
+    parts: list[str] = []
+    append = parts.append
+    strings: dict[str, str] = {}  # exact str -> its JSON form
+    keys: dict[str, str] = {}  # exact str key -> its JSON form and ": "
+    # depth -> (item separator, "[" opener, "]" closer, "{" opener, "}" closer)
+    levels: list[tuple[str, str, str, str, str]] = []
+
+    def add_level() -> None:
+        k = len(levels)
+        pad = " " * (indent * (k + 1))
+        close = "\n" + " " * (indent * k)
+        levels.append((",\n" + pad, "[\n" + pad, close + "]", "{\n" + pad, close + "}"))
+
+    def string(s: str) -> str:
+        out = strings.get(s)
+        if out is None:
+            out = strings[s] = _encode_str(s)
+        return out
+
+    def render(value, level: int) -> None:
+        kind = type(value)
+        if kind is str:
+            append(string(value))
+        elif kind is dict or kind is list or kind is tuple:
+            render_container(value, level)
+        elif kind is float:
+            append(format_float(value))
+        elif kind is int:
+            append(int.__repr__(value))
+        elif value is None:
+            append("null")
+        elif value is True:
+            append("true")
+        elif value is False:
+            append("false")
+        elif isinstance(value, str):
+            append(_encode_str(value))
+        elif isinstance(value, int):
+            append(str(value))
+        elif isinstance(value, float):
+            append(format_float(value))
+        elif isinstance(value, (dict, list, tuple)):
+            render_container(value, level)
+        else:
+            raise TypeError(f"cannot render {type(value).__name__} canonically")
+
+    def render_container(value, level: int) -> None:
+        if level == len(levels):
+            add_level()
+        sep, open_list, close_list, open_dict, close_dict = levels[level]
+        if isinstance(value, dict):
+            if not value:
+                append("{}")
+                return
+            append(open_dict)
+            for i, key in enumerate(sorted(value)):
+                if i:
+                    append(sep)
+                if type(key) is str:
+                    head = keys.get(key)
+                    if head is None:
+                        head = keys[key] = _encode_str(key) + ": "
+                elif isinstance(key, str):
+                    head = _encode_str(key) + ": "
+                else:
+                    raise TypeError(f"canonical JSON requires string keys, got {key!r}")
+                append(head)
+                item = value[key]
+                if type(item) is str:  # the common leaf, without a render call
+                    append(string(item))
+                else:
+                    render(item, level + 1)
+            append(close_dict)
             return
-        parts.append("{\n")
-        keys = sorted(value)
-        for i, key in enumerate(keys):
-            if not isinstance(key, str):
-                raise TypeError(f"canonical JSON requires string keys, got {key!r}")
-            parts.append(pad)
-            parts.append(json.dumps(key, ensure_ascii=True))
-            parts.append(": ")
-            _render(value[key], indent, level + 1, parts)
-            parts.append(",\n" if i + 1 < len(keys) else "\n")
-        parts.append(close_pad + "}")
-    elif isinstance(value, (list, tuple)):
         if hasattr(value, "_fields"):
             # A named tuple (such as a Grant) is a record; render its as_dict().
             raise TypeError(f"cannot render {type(value).__name__} canonically")
         if not value:
-            parts.append("[]")
+            append("[]")
             return
-        parts.append("[\n")
+        append(open_list)
         for i, item in enumerate(value):
-            parts.append(pad)
-            _render(item, indent, level + 1, parts)
-            parts.append(",\n" if i + 1 < len(value) else "\n")
-        parts.append(close_pad + "]")
-    else:
-        raise TypeError(f"cannot render {type(value).__name__} canonically")
+            if i:
+                append(sep)
+            if type(item) is str:
+                append(string(item))
+            else:
+                render(item, level + 1)
+        append(close_list)
 
-
-def dumps(value, indent: int = 2) -> str:
-    parts: list[str] = []
-    _render(value, indent, 0, parts)
+    add_level()  # a non-int indent fails here, whatever the value
+    render(value, 0)
+    append(end)
     return "".join(parts)

@@ -73,11 +73,16 @@ def _table(headers, rows) -> str:
     return "\n".join(lines)
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    if args.format == "json":
-        sys.stdout.write(canon.dumps(payload) + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+def _emit(args, payload, text) -> None:
+    """Write the output in the chosen format; only that format is built.
+
+    payload and text are zero-argument callables returning the JSON value
+    and the human text. The output is rendered completely before anything
+    is written, so a failing command leaves stdout empty.
+    """
+    out = canon.dumps(payload()) if args.format == "json" else text()
+    sys.stdout.write(out)
+    sys.stdout.write("\n")
 
 
 def _load(args):
@@ -108,15 +113,16 @@ def cmd_validate(args) -> int:
     doc = load_scenario(args.scenario)
     report = validate_scenario(doc)
     errors = [v for v in report if v.severity == "error"]
-    payload = {"valid": not errors, "violations": [v.as_dict() for v in report]}
-    if not report:
-        text = "valid"
-    else:
+
+    def text():
+        if not report:
+            return "valid"
         head = "valid" if not errors else "invalid"
         lines = [f"{head} ({len(errors)} errors, {len(report) - len(errors)} warnings)"]
         lines += [f"  {v.severity.upper()} {v.record_class} {v.record_id}: {v.message}" for v in report]
-        text = "\n".join(lines)
-    _emit(args, payload, text)
+        return "\n".join(lines)
+
+    _emit(args, lambda: {"valid": not errors, "violations": [v.as_dict() for v in report]}, text)
     return EXIT_OK if not errors else EXIT_INVALID
 
 
@@ -126,21 +132,23 @@ def cmd_graph(args) -> int:
     if args.dot:
         sys.stdout.write(graphs_to_dot(doc, base, graph))
         return EXIT_OK
-    payload = graphs_to_dict(doc, base, graph)
-    text = "\n".join(
-        [
-            f"objects: {len(doc.objects)}",
-            f"intra edges: {len(base.intra_edges)}",
-            f"vertical edges: {len(base.vertical_edges)}",
-            f"attack edges: {len(graph.edges)}",
-            "",
-            _table(
-                ["edge", "from", "to", "permission", "cost", "severity"],
-                [[e.edge_id, e.from_id, e.to_id, e.permission, e.cost, e.severity] for e in graph.edges],
-            ),
-        ]
-    )
-    _emit(args, payload, text)
+
+    def text():
+        return "\n".join(
+            [
+                f"objects: {len(doc.objects)}",
+                f"intra edges: {len(base.intra_edges)}",
+                f"vertical edges: {len(base.vertical_edges)}",
+                f"attack edges: {len(graph.edges)}",
+                "",
+                _table(
+                    ["edge", "from", "to", "permission", "cost", "severity"],
+                    [[e.edge_id, e.from_id, e.to_id, e.permission, e.cost, e.severity] for e in graph.edges],
+                ),
+            ]
+        )
+
+    _emit(args, lambda: graphs_to_dict(doc, base, graph), text)
     return EXIT_OK
 
 
@@ -159,9 +167,11 @@ def cmd_chains(args) -> int:
         objective = ChainObjective(kind=args.objective, target=target)
         best = search_chain(doc, graph, objective, config=config)
         found = (best,) if best else ()
-    payload = {"count": len(found), "chains": [c.as_dict() for c in found]}
-    text = _table(["edges", "cost", "threat"], _chain_rows(found)) if found else "no chains"
-    _emit(args, payload, text)
+    _emit(
+        args,
+        lambda: {"count": len(found), "chains": [c.as_dict() for c in found]},
+        lambda: _table(["edges", "cost", "threat"], _chain_rows(found)) if found else "no chains",
+    )
     return EXIT_OK
 
 
@@ -169,14 +179,18 @@ def cmd_potential(args) -> int:
     doc, config = _load(args)
     base, graph = _graphs(doc)
     found = generate_potential_chains(doc, base, graph, args.from_id, args.to_id, config=config)
-    payload = {"count": len(found), "potential_chains": [p.as_dict() for p in found]}
-    rows = []
-    for p in found:
-        gaps = "; ".join(f"{f}->{t}" for f, t in p.missing_hops)
-        sugg = "; ".join(",".join(s) if s else "-" for s in p.suggestions)
-        rows.append(["->".join(p.path), gaps, sugg])
-    text = _table(["path", "missing hops", "suggestions"], rows) if found else "no potential chains"
-    _emit(args, payload, text)
+
+    def text():
+        if not found:
+            return "no potential chains"
+        rows = []
+        for p in found:
+            gaps = "; ".join(f"{f}->{t}" for f, t in p.missing_hops)
+            sugg = "; ".join(",".join(s) if s else "-" for s in p.suggestions)
+            rows.append(["->".join(p.path), gaps, sugg])
+        return _table(["path", "missing hops", "suggestions"], rows)
+
+    _emit(args, lambda: {"count": len(found), "potential_chains": [p.as_dict() for p in found]}, text)
     return EXIT_OK
 
 
@@ -198,17 +212,20 @@ def cmd_defend(args) -> int:
         plan = plan_budgeted(doc, graph, chains, args.budget, config=config)
     else:
         plan = plan_cut(doc, graph, config=config)
-    payload = plan.as_dict()
-    lines = [
-        f"chosen: {', '.join(plan.chosen) if plan.chosen else '(none)'}",
-        f"total cost: {canon.format_float(plan.total_cost)}",
-        f"neutralized edges: {len(plan.neutralized_edges)}",
-        f"surviving chains: {plan.surviving_count}",
-        f"optimal: {'yes' if plan.optimal else 'no'}",
-    ]
-    if plan.uncovered_attacks:
-        lines.append(f"uncovered attacks: {', '.join(plan.uncovered_attacks)}")
-    _emit(args, payload, "\n".join(lines))
+
+    def text():
+        lines = [
+            f"chosen: {', '.join(plan.chosen) if plan.chosen else '(none)'}",
+            f"total cost: {canon.format_float(plan.total_cost)}",
+            f"neutralized edges: {len(plan.neutralized_edges)}",
+            f"surviving chains: {plan.surviving_count}",
+            f"optimal: {'yes' if plan.optimal else 'no'}",
+        ]
+        if plan.uncovered_attacks:
+            lines.append(f"uncovered attacks: {', '.join(plan.uncovered_attacks)}")
+        return "\n".join(lines)
+
+    _emit(args, plan.as_dict, text)
     return EXIT_OK
 
 
@@ -216,12 +233,14 @@ def cmd_risk(args) -> int:
     doc, config = _load(args)
     _, graph = _graphs(doc)
     rows = risk_assess(doc, graph, config=config)
-    payload = {"rows": [r.as_dict() for r in rows]}
-    text = _table(
-        ["object", "chains", "max threat", "min cost"],
-        [[r.object, r.chain_count, r.max_chain_threat, r.min_chain_cost] for r in rows],
+    _emit(
+        args,
+        lambda: {"rows": [r.as_dict() for r in rows]},
+        lambda: _table(
+            ["object", "chains", "max threat", "min cost"],
+            [[r.object, r.chain_count, r.max_chain_threat, r.min_chain_cost] for r in rows],
+        ),
     )
-    _emit(args, payload, text)
     return EXIT_OK
 
 
@@ -238,25 +257,30 @@ def cmd_simulate(args) -> int:
     )
     traces = run_batch(doc, graph, game, args.runs, config=config)
     summary = summarize(traces)
-    payload = {
-        "config": {**game.as_dict(), "semantics": config.semantics},
-        "summary": summary.as_dict(),
-        "traces": [t.as_dict() for t in traces],
-    }
-    rows = [
-        [game.rng_seed + i, t.outcome, t.turns_elapsed, t.attacker_cost, t.defender_cost]
-        for i, t in enumerate(traces)
-    ]
-    text = "\n".join(
-        [
-            _table(["seed", "outcome", "turns", "attacker cost", "defender cost"], rows),
-            "",
-            "outcomes: " + ", ".join(f"{k}={v}" for k, v in sorted(summary.outcomes.items())),
-            f"mean turns: {canon.format_float(summary.mean_turns)}",
-            f"mean attacker cost: {canon.format_float(summary.mean_attacker_cost)}",
-            f"mean defender cost: {canon.format_float(summary.mean_defender_cost)}",
+
+    def payload():
+        return {
+            "config": {**game.as_dict(), "semantics": config.semantics},
+            "summary": summary.as_dict(),
+            "traces": [t.as_dict() for t in traces],
+        }
+
+    def text():
+        rows = [
+            [game.rng_seed + i, t.outcome, t.turns_elapsed, t.attacker_cost, t.defender_cost]
+            for i, t in enumerate(traces)
         ]
-    )
+        return "\n".join(
+            [
+                _table(["seed", "outcome", "turns", "attacker cost", "defender cost"], rows),
+                "",
+                "outcomes: " + ", ".join(f"{k}={v}" for k, v in sorted(summary.outcomes.items())),
+                f"mean turns: {canon.format_float(summary.mean_turns)}",
+                f"mean attacker cost: {canon.format_float(summary.mean_attacker_cost)}",
+                f"mean defender cost: {canon.format_float(summary.mean_defender_cost)}",
+            ]
+        )
+
     _emit(args, payload, text)
     return EXIT_OK
 

@@ -90,8 +90,12 @@ def chain_attacks(graph: AttackGraph, chain: AttackChain) -> frozenset[str]:
 def chain_signature(graph: AttackGraph, chain: AttackChain) -> int:
     """Mask of the defenses that break the chain."""
     sig = 0
+    edge_defenses = graph.edge_defenses
     for eid in chain.edges:
-        sig |= graph.attack_defenses[graph.edge(eid).attack_id]
+        mask = edge_defenses.get(eid)
+        if mask is None:
+            raise UnknownIdError(f"unknown attack edge {eid!r}")
+        sig |= mask
     return sig
 
 

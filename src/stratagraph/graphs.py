@@ -81,6 +81,7 @@ class AttackGraph:
     sorted_defenses: tuple[DefenseRecord, ...]  # by id
     defense_bits: dict[str, int]  # defense id -> its single bit
     attack_defenses: dict[str, int]  # attack id -> mask of the defenses neutralizing it
+    edge_defenses: dict[str, int]  # edge id -> its attack's mask in attack_defenses
 
     def edge(self, edge_id: str) -> AttackEdge:
         found = self.by_id.get(edge_id)
@@ -159,6 +160,7 @@ def build_attack_graph(doc: ScenarioDoc, base: HierarchicalGraph) -> AttackGraph
         sorted_defenses=sorted_defenses,
         defense_bits=defense_bits,
         attack_defenses=attack_defenses,
+        edge_defenses={e.edge_id: attack_defenses[e.attack_id] for e in edges},
     )
 
 
@@ -191,7 +193,7 @@ def graphs_to_dict(doc: ScenarioDoc, base: HierarchicalGraph, graph: AttackGraph
 
 
 def graphs_to_json(doc: ScenarioDoc, base: HierarchicalGraph, graph: AttackGraph) -> str:
-    return canon.dumps(graphs_to_dict(doc, base, graph)) + "\n"
+    return canon.dumps(graphs_to_dict(doc, base, graph), end="\n")
 
 
 def _dot_quote(s: str) -> str:

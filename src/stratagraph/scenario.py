@@ -263,7 +263,7 @@ def scenario_to_dict(doc: ScenarioDoc) -> dict:
 
 def serialize_scenario(doc: ScenarioDoc) -> str:
     """Render a scenario back to canonical JSON text (unknown keys dropped)."""
-    return canon.dumps(scenario_to_dict(doc)) + "\n"
+    return canon.dumps(scenario_to_dict(doc), end="\n")
 
 
 # --- validation --------------------------------------------------------------

@@ -8,6 +8,8 @@ of it shares code with the engine modules beyond the plain data types.
 
 from __future__ import annotations
 
+import json
+import math
 from itertools import combinations, permutations
 
 from stratagraph.defense import DefensePlan
@@ -288,3 +290,69 @@ def counterpart_warnings(doc) -> list[tuple[str, str]]:
                 if not any(touches(r, a.object, g.object) or touches(r, g.object, a.object) for r in doc.relationships):
                     out.append((a.id, f"edge {a.object}->{g.object} has no relationship counterpart in the base graph"))
     return sorted(out)
+
+
+def _reference_format_float(x: float) -> str:
+    if math.isnan(x) or math.isinf(x):
+        raise ValueError(f"non-finite float {x!r} cannot be rendered canonically")
+    if x == 0.0:
+        x = 0.0  # fold -0.0
+    return format(x, ".6g")
+
+
+def _reference_render(value, indent: int, level: int, parts: list[str]) -> None:
+    pad = " " * (indent * (level + 1))
+    close_pad = " " * (indent * level)
+    if value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, str):
+        parts.append(json.dumps(value, ensure_ascii=True))
+    elif isinstance(value, int):
+        parts.append(str(value))
+    elif isinstance(value, float):
+        parts.append(_reference_format_float(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        parts.append("{\n")
+        keys = sorted(value)
+        for i, key in enumerate(keys):
+            if not isinstance(key, str):
+                raise TypeError(f"canonical JSON requires string keys, got {key!r}")
+            parts.append(pad)
+            parts.append(json.dumps(key, ensure_ascii=True))
+            parts.append(": ")
+            _reference_render(value[key], indent, level + 1, parts)
+            parts.append(",\n" if i + 1 < len(keys) else "\n")
+        parts.append(close_pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if hasattr(value, "_fields"):
+            # A named tuple (such as a Grant) is a record; render its as_dict().
+            raise TypeError(f"cannot render {type(value).__name__} canonically")
+        if not value:
+            parts.append("[]")
+            return
+        parts.append("[\n")
+        for i, item in enumerate(value):
+            parts.append(pad)
+            _reference_render(item, indent, level + 1, parts)
+            parts.append(",\n" if i + 1 < len(value) else "\n")
+        parts.append(close_pad + "]")
+    else:
+        raise TypeError(f"cannot render {type(value).__name__} canonically")
+
+
+def reference_dumps(value, indent: int = 2) -> str:
+    """Canonical JSON by the original one-value-at-a-time renderer.
+
+    One recursive call and one json.dumps per value, no memo: the referee
+    for the engine's canon.dumps, which must match it byte for byte.
+    """
+    parts: list[str] = []
+    _reference_render(value, indent, 0, parts)
+    return "".join(parts)

@@ -273,6 +273,26 @@ def test_each_command_validates_once(capsys, monkeypatch, fixtures_dir, argv):
     assert len(calls) == 1
 
 
+def test_json_output_never_builds_a_text_table(capsys, monkeypatch, fixtures_dir):
+    import stratagraph.cli
+
+    tables = []
+    real = stratagraph.cli._table
+
+    def spy(headers, rows):
+        tables.append(headers)
+        return real(headers, rows)
+
+    monkeypatch.setattr(stratagraph.cli, "_table", spy)
+    toy = scen(fixtures_dir, "toy5g")
+    for argv in [("validate",), *ANALYSIS_COMMANDS]:
+        code, out, _ = run_cli(capsys, argv[0], "--scenario", toy, "--format", "json", *argv[1:])
+        assert code == 0 and out, argv
+    assert tables == []
+    run_cli(capsys, "chains", "--scenario", toy, "--format", "text")
+    assert tables == [["edges", "cost", "threat"]]  # the spy does see text mode
+
+
 @pytest.mark.parametrize(
     "section, key",
     [

@@ -4,16 +4,20 @@ import pytest
 
 import stratagraph.scenario
 from stratagraph import (
+    AttackChain,
+    EngineConfig,
     InvalidScenarioError,
     UnknownIdError,
     build_attack_graph,
     build_base_graph,
+    enumerate_chains,
     graphs_to_dot,
     graphs_to_json,
     neighbors,
     load_scenario,
     parse_scenario,
 )
+from stratagraph.defense import chain_signature
 
 from genscen import random_scenario
 
@@ -188,3 +192,13 @@ def test_attack_defense_index_matches_d_results(toy5g, hitting_trio):
             bits = graph.attack_defenses[a.id]
             assert {d.id for k, d in enumerate(graph.sorted_defenses) if bits >> k & 1} == names
         assert set(graph.attack_defenses) == {a.id for a in doc.attacks}
+        # Each edge carries its attack's mask, and a chain's signature is their OR.
+        assert graph.edge_defenses == {e.edge_id: graph.attack_defenses[e.attack_id] for e in graph.edges}
+        for c in enumerate_chains(doc, graph, config=EngineConfig(max_len=3)) if doc.entry_grants else ():
+            expected = graph.defense_mask(
+                {d.id for d in doc.defenses for eid in c.edges if graph.by_id[eid].attack_id in d.d_results}
+            )
+            assert chain_signature(graph, c) == expected
+    doc, graph = toy5g[::2]
+    with pytest.raises(UnknownIdError):
+        chain_signature(graph, AttackChain(edges=("A1#0", "NOPE#0"), total_cost=0.0, total_threat=0.0, final_grants=()))

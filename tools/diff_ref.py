@@ -1,0 +1,202 @@
+"""Differential check of the `stratagraph` CLI against another git revision.
+
+Run from anywhere inside a checkout:
+
+    python3 tools/diff_ref.py --ref HEAD~1
+
+REF's `src/` is exported with `git archive` into a temporary directory (no
+worktree, no network). One list of CLI commands then runs twice, as
+`python -m stratagraph.cli` subprocesses: once on this checkout's `src/`
+(uncommitted edits included) and once on REF's. Both runs read the same
+scenario files from the same directory, so paths in messages match. For
+each command the tool compares stdout, stderr and the exit code.
+
+The first command that differs is printed with both outputs and the tool
+exits 1; exit 0 means every command agreed byte for byte.
+
+Inputs, all generated from this checkout:
+- the three bench workloads (`bench/gen.py`) at seeds 1 and 2: the eight
+  bench commands in JSON and in text, plus `graph --dot`, `min_cost`,
+  `max_threat`, `--unrestricted`, strict, coverage and `threat_agg max`
+  variants;
+- `tests/genscen.py` scenarios, random and coherent, under both semantics.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("topology-L", "chains-M", "reactive-sim-M")
+BENCH_SEEDS = (1, 2)
+GENSCEN_SEEDS = 8  # per family (random, coherent), each run under both semantics
+JOBS = 2  # commands run at once; each waits on a subprocess
+UNRESTRICTED_MAX_LEN = 6  # chains to every object at a workload's own max_len run to tens of MB
+COMMAND_TIMEOUT_S = 600
+CONTEXT_LINES = 3
+
+
+def export_ref(ref: str, dest: Path) -> Path:
+    """Unpack REF's src/ under dest and return that src directory."""
+    try:
+        done = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", "--format=tar", ref, "src"], capture_output=True, check=True
+        )
+    except subprocess.CalledProcessError as exc:
+        raise SystemExit(f"error: git archive {ref}: {exc.stderr.decode(errors='replace').strip()}") from None
+    with tarfile.open(fileobj=io.BytesIO(done.stdout)) as archive:
+        for member in archive.getmembers():
+            parts = Path(member.name).parts
+            if parts[:1] != ("src",) or ".." in parts:
+                raise SystemExit(f"error: unexpected path {member.name!r} in the archive of {ref}")
+            if member.isfile() or member.isdir():
+                archive.extract(member, dest)
+    src = dest / "src"
+    if not (src / "stratagraph" / "cli.py").exists():
+        raise SystemExit(f"error: {ref} has no src/stratagraph/cli.py")
+    return src
+
+
+def bench_commands(inputs: Path) -> list[list[str]]:
+    import gen
+
+    commands = []
+    for workload in WORKLOADS:
+        for seed in BENCH_SEEDS:
+            scenario = gen.generate(workload, seed)
+            stem = inputs / f"{workload}-seed{seed}"
+            path, config, agg_max = (Path(f"{stem}{suffix}") for suffix in (".scenario", ".config", ".max.config"))
+            path.write_text(scenario.text, encoding="utf-8")
+            config.write_text(scenario.config_text, encoding="utf-8")
+            agg_max.write_text(
+                json.dumps({**json.loads(scenario.config_text), "threat_agg": "max"}) + "\n", encoding="utf-8"
+            )
+            bench = [argv for _, _, argv in scenario.commands(str(path), str(config))]
+            commands += bench
+            commands += [[*argv, "--format", "text"] for argv in bench]  # the last --format wins
+            common = ["--scenario", str(path), "--config", str(config), "--format", "json"]
+            commands += [
+                ["graph", *common, "--dot"],
+                ["chains", *common, "--objective", "min_cost"],
+                ["chains", *common, "--objective", "max_threat"],
+                ["chains", *common, "--unrestricted", "--max-len", str(UNRESTRICTED_MAX_LEN)],
+                ["chains", *common, "--semantics", "strict"],
+                ["defend", *common, "--mode", "budget", "--budget", str(scenario.shape.budget), "--semantics", "strict"],
+                ["risk", *common, "--semantics", "strict"],
+                ["defend", *common, "--mode", "coverage"],
+            ]
+            agg = ["--scenario", str(path), "--config", str(agg_max), "--format", "json"]
+            commands += [
+                ["chains", *agg],
+                ["chains", *agg, "--objective", "max_threat"],
+                ["risk", *agg],
+            ]
+    return commands
+
+
+def genscen_commands(inputs: Path) -> list[list[str]]:
+    from genscen import coherent_scenario, random_scenario
+
+    from stratagraph.scenario import serialize_scenario
+
+    commands = []
+    for semantics in ("accumulated", "strict"):
+        config = inputs / f"genscen-{semantics}.config"
+        config.write_text(json.dumps({"semantics": semantics, "max_len": 4}) + "\n", encoding="utf-8")
+        for family, make in (("random", random_scenario), ("coherent", coherent_scenario)):
+            for seed in range(GENSCEN_SEEDS):
+                doc = make(seed)
+                path = inputs / f"genscen-{family}-{seed}.scenario"
+                if not path.exists():
+                    path.write_text(serialize_scenario(doc), encoding="utf-8")
+                first, last = doc.objects[0].id, doc.objects[-1].id
+                common = ["--scenario", str(path), "--config", str(config), "--format", "json"]
+                commands += [
+                    ["validate", "--scenario", str(path), "--format", "json"],
+                    ["graph", *common],
+                    ["chains", *common],
+                    ["chains", *common, "--format", "text"],
+                    ["chains", *common, "--objective", "min_cost"],
+                    ["chains", *common, "--objective", "max_threat"],
+                    ["chains", *common, "--unrestricted"],
+                    ["potential", *common, "--from", first, "--to", last],
+                    ["defend", *common, "--mode", "cut"],
+                    ["defend", *common, "--mode", "budget", "--budget", "3"],
+                    ["defend", *common, "--mode", "coverage"],
+                    ["risk", *common],
+                    ["simulate", *common, "--defender", "reactive_cut", "--budget-per-turn", "2", "--runs", "2"],
+                ]
+    return commands
+
+
+def run(src: Path, argv: list[str], cwd: Path) -> tuple[int, str, str]:
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "stratagraph.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, timeout=COMMAND_TIMEOUT_S,
+    )
+    return done.returncode, done.stdout.decode("utf-8", "replace"), done.stderr.decode("utf-8", "replace")
+
+
+def first_difference(name: str, ours: str, theirs: str, ref: str) -> str:
+    """Both sides of the first differing line of an output, with a little context."""
+    a, b = ours.splitlines(), theirs.splitlines()
+    i = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    lo = max(0, i - CONTEXT_LINES)
+
+    def window(lines):
+        return "\n".join(f"    {k + 1:>7} | {line}" for k, line in enumerate(lines[lo : i + CONTEXT_LINES + 1], lo))
+
+    return (
+        f"  {name} first differs at line {i + 1}"
+        f" (this tree: {len(ours)} chars, {len(a)} lines; {ref}: {len(theirs)} chars, {len(b)} lines)\n"
+        f"  this tree:\n{window(a)}\n  {ref}:\n{window(b)}"
+    )
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--ref", required=True, help="git revision to compare against, such as HEAD~1")
+    args = parser.parse_args(argv)
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
+
+    with tempfile.TemporaryDirectory(prefix="diff_ref-") as tmp:
+        tmp = Path(tmp)
+        ref_src = export_ref(args.ref, tmp / "ref")
+        inputs = tmp / "inputs"
+        inputs.mkdir()
+        commands = bench_commands(inputs) + genscen_commands(inputs)
+
+        def both(argv):
+            return run(ROOT / "src", argv, inputs), run(ref_src, argv, inputs)
+
+        exits = Counter()
+        with ThreadPoolExecutor(max_workers=JOBS) as pool:
+            for argv, (ours, theirs) in zip(commands, pool.map(both, commands)):
+                if ours == theirs:
+                    exits[ours[0]] += 1
+                    continue
+                pool.shutdown(wait=False, cancel_futures=True)
+                print(f"DIFFERS: stratagraph {' '.join(argv)}")
+                print(f"  exit code: this tree {ours[0]}, {args.ref} {theirs[0]}")
+                for name, k in (("stderr", 2), ("stdout", 1)):
+                    if ours[k] != theirs[k]:
+                        print(first_difference(name, ours[k], theirs[k], args.ref))
+                return 1
+    codes = ", ".join(f"{n} exit {code}" for code, n in sorted(exits.items()))
+    print(f"identical: {len(commands)} commands ({codes}), same stdout, stderr and exit code as {args.ref}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
