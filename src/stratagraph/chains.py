@@ -15,10 +15,20 @@ and threat count each distinct attack once, even when several of its edges
 appear on the chain.
 
 Every rule lives in one successor step, `_successors`, which returns the
-valid one-edge extensions of a chain prefix. Enumeration walks it depth
-first, min-cost search pops prefixes from a heap, and the validity check
-feeds it one candidate edge at a time, asking for rejection reasons. Each
+valid one-edge extensions of a chain prefix. One depth-first walk over it,
+`_walk`, yields every chain enumeration emits as a bare prefix tuple;
+min-cost search pops prefixes from a heap, and the validity check feeds
+the step one candidate edge at a time, asking for rejection reasons. Each
 prefix carries its cost and threat, so a finished chain is never re-summed.
+
+The walk has three readers, and only the first builds AttackChains:
+- `enumerate_chains` packages each prefix as a chain and sorts them into
+  canonical (length, edge ids) order;
+- `defense.risk_assess` keeps each end object's chain count, maximum
+  threat and minimum cost, resolving ties in canonical order;
+- the reactive defender in `game.run_game` keeps each target-ending
+  prefix's defense signature and weight, and sums them into the budget
+  planner's rows in canonical order.
 
 Enumeration restricted to goal objects prunes by backward reachability.
 One reverse breadth-first search from the goals over the unblocked attack
@@ -286,6 +296,48 @@ def _goal_distance(graph: AttackGraph, goal: frozenset[str], blocked) -> dict[st
     return dist
 
 
+def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfig, blocked):
+    """Yield every chain prefix enumeration emits, depth first, not in canonical order.
+
+    With goal None every valid prefix of at most config.max_len edges is
+    yielded; with a goal set only the prefixes ending on a goal, and
+    prefixes that cannot reach a goal within the length left are never
+    expanded (see the module docstring).
+    """
+    max_len = config.max_len
+    stack = [_root(entry, config)]
+    if goal is None:
+        while stack:
+            prefix = stack.pop()
+            for step in _successors(graph, prefix, None, entry, config, blocked):
+                yield step
+                if len(step[0]) < max_len:
+                    stack.append(step)
+        return
+    # An object without a distance reaches no goal; the default max_len
+    # exceeds every room, so such an end is never extended.
+    dist = _goal_distance(graph, goal, blocked)
+    # (object, room) -> the edges leaving object worth trying when room
+    # edges are left after them; None stands for the empty chain's end.
+    memo: dict = {}
+    while stack:
+        prefix = stack.pop()
+        last = prefix[4]
+        room = max_len - len(prefix[0]) - 1  # edges left after the next step
+        key = (None if last is None else last.to_id, room)
+        candidates = memo.get(key)
+        if candidates is None:
+            candidates = memo[key] = [
+                e for e in _next_edges(graph, last) if e.to_id in goal or dist.get(e.to_id, max_len) <= room
+            ]
+        for step in _successors(graph, prefix, candidates, entry, config, blocked):
+            end = step[4].to_id
+            if end in goal:
+                yield step
+            if dist.get(end, max_len) <= room:
+                stack.append(step)
+
+
 def enumerate_chains(
     doc: ScenarioDoc,
     graph: AttackGraph,
@@ -309,40 +361,7 @@ def enumerate_chains(
     goal = _resolve_targets(doc, target, False)
     if goal is None and targets is not None:
         goal = frozenset(targets)
-    max_len = config.max_len
-    results: list[AttackChain] = []
-
-    stack = [_root(entry, config)]
-    if goal is None:
-        while stack:
-            prefix = stack.pop()
-            for step in _successors(graph, prefix, None, entry, config, blocked_attacks):
-                results.append(_chain(step))
-                if len(step[0]) < max_len:
-                    stack.append(step)
-    else:
-        # An object without a distance reaches no goal; the default max_len
-        # exceeds every room, so such an end is never extended.
-        dist = _goal_distance(graph, goal, blocked_attacks)
-        # (object, room) -> the edges leaving object worth trying when room
-        # edges are left after them; None stands for the empty chain's end.
-        memo: dict = {}
-        while stack:
-            prefix = stack.pop()
-            last = prefix[4]
-            room = max_len - len(prefix[0]) - 1  # edges left after the next step
-            key = (None if last is None else last.to_id, room)
-            candidates = memo.get(key)
-            if candidates is None:
-                candidates = memo[key] = [
-                    e for e in _next_edges(graph, last) if e.to_id in goal or dist.get(e.to_id, max_len) <= room
-                ]
-            for step in _successors(graph, prefix, candidates, entry, config, blocked_attacks):
-                end = step[4].to_id
-                if end in goal:
-                    results.append(_chain(step))
-                if dist.get(end, max_len) <= room:
-                    stack.append(step)
+    results = [_chain(step) for step in _walk(graph, entry, goal, config, blocked_attacks)]
     results.sort(key=AttackChain.sort_key)
     return tuple(results)
 

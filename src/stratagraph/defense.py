@@ -13,7 +13,16 @@ per-attack defense index (bit k is the k-th defense by id). The budget
 planner searches a kernel of (signature, weight) rows, one per distinct
 signature, instead of the chains themselves (the minimum critical attack
 set view of Jha, Sheyner & Wing, CSFW 2002); the cut planner takes its
-per-chain option sets from the same signatures.
+per-chain option sets from the same signatures. plan_budgeted is
+signatures -> _kernel -> _choose -> _finish_plan; the reactive defender
+builds its kernel rows straight from the chain walk and calls _choose
+itself, since it reads only the chosen defenses.
+
+risk_assess reads the chain walk too: each emitted prefix updates its end
+object's count, maximum threat and minimum cost, and no chain is built.
+This follows the attack-graph tools that aggregate over all paths without
+listing them (Ingols, Lippmann & Piwowarski, ACSAC 2006; Ou, Boyer &
+McQueary, CCS 2006).
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .chains import AttackChain, enumerate_chains
+from .chains import AttackChain, _walk, enumerate_chains
 from .config import DEFAULT_CONFIG, EngineConfig
 from .graphs import AttackGraph
 from .model import (
@@ -141,17 +150,19 @@ def plan_coverage(
     )
 
 
-def _kernel(chains, signatures, objective: str) -> list[tuple[int, float]]:
-    """(signature, weight) rows: the chains grouped by the defenses that break them.
+def _kernel(pairs) -> list[tuple[int, float]]:
+    """(signature, weight) rows: chains grouped by the defenses that break them.
 
-    A row's weight sums its chains' weights (total_threat, or 1.0 under the
-    "count" objective) in chain order; rows keep the order of their first
-    chain. Chains with the empty signature are dropped: no plan breaks them.
+    pairs holds one (signature, weight) per chain, in canonical chain order;
+    the weight is the chain's total_threat, or 1.0 under the "count"
+    objective. A row's weight sums its chains' weights in that order; rows
+    keep the order of their first chain. Chains with the empty signature
+    are dropped: no plan breaks them.
     """
     rows: dict[int, float] = {}
-    for c, sig in zip(chains, signatures):
+    for sig, weight in pairs:
         if sig:
-            rows[sig] = rows.get(sig, 0.0) + (1.0 if objective == "count" else c.total_threat)
+            rows[sig] = rows.get(sig, 0.0) + weight
     return list(rows.items())
 
 
@@ -169,20 +180,31 @@ def plan_budgeted(
     config.exact_defense_limit defenses, greedy by gain/cost beyond. Exact
     ties resolve toward (max value, min cost, lexicographic id tuple).
 
-    Both searches run over the signature kernel. The exact search walks the
-    defenses in id order, carries the broken value (each chosen defense adds
-    the rows it newly breaks, in row order) and bounds a subtree by that
-    value plus the weight of the live rows a later defense can still break.
-    Weights are summed in chain order within a row and in row order across
-    rows, so when they are not exactly representable a tie may break
-    differently in the last bit than a per-chain sum would; the broken
-    value never differs by more than EPS.
+    Both searches run over the signature kernel (see _choose). Weights are
+    summed in chain order within a row and in row order across rows, so
+    when they are not exactly representable a tie may break differently in
+    the last bit than a per-chain sum would; the broken value never differs
+    by more than EPS.
     """
     if not math.isfinite(budget) or budget < 0:
         raise ValueError(f"budget must be a finite non-negative number, got {budget!r}")
     chains = list(chains)
     signatures = [chain_signature(graph, c) for c in chains]
-    rows = _kernel(chains, signatures, config.budget_objective)
+    count = config.budget_objective == "count"
+    rows = _kernel(zip(signatures, (1.0 if count else c.total_threat for c in chains)))
+    chosen, optimal = _choose(graph, rows, budget, config)
+    return _finish_plan(graph, chosen, chains, signatures, config, optimal)
+
+
+def _choose(graph: AttackGraph, rows, budget: float, config: EngineConfig) -> tuple[tuple[str, ...], bool]:
+    """The defenses plan_budgeted picks from kernel rows: (sorted ids, optimal).
+
+    The exact search walks the defenses in id order, carries the broken
+    value (each chosen defense adds the rows it newly breaks, in row order)
+    and bounds a subtree by that value plus the weight of the live rows a
+    later defense can still break. Beyond config.exact_defense_limit
+    defenses it picks greedily instead, and the choice is not optimal.
+    """
     defenses = graph.sorted_defenses
     n = len(defenses)
 
@@ -208,7 +230,7 @@ def plan_budgeted(
             walk(k + 1, chosen, cost, value, [r for r in live if r[0] >> (k + 1)])
 
         walk(0, (), 0.0, 0.0, rows)
-        return _finish_plan(graph, best[2], chains, signatures, config, optimal=True)
+        return best[2], True
 
     # Greedy: best broken-value gain per unit cost, ties by (cost, id). A
     # chosen defense breaks no live row again, so its gain drops to 0.
@@ -233,7 +255,7 @@ def plan_budgeted(
         chosen.append(defenses[k].id)
         spent += defenses[k].cost
         live = [r for r in live if not r[0] >> k & 1]
-    return _finish_plan(graph, chosen, chains, signatures, config, optimal=False)
+    return tuple(sorted(chosen)), False
 
 
 def plan_cut(
@@ -370,22 +392,32 @@ def risk_assess(
     Objects no chain reaches report zero count (a scenario with no entry
     grants trivially yields the all-zero table). Rows sort by descending
     threat, then object id.
+
+    The chains are never built: each prefix the chain walk emits updates
+    its end object's count, maximum threat and minimum cost. Of tied
+    values the first chain in canonical (length, edge ids) order wins, as
+    max and min over the enumerated chains would pick it; the winner's
+    type (int or float) is what gets printed.
     """
-    chains = enumerate_chains(doc, graph, config=config) if doc.entry_grants else ()
-    stats: dict[str, list[AttackChain]] = {}
-    for c in chains:
-        final_to = graph.edge(c.edges[-1]).to_id
-        stats.setdefault(final_to, []).append(c)
+    # object id -> [count, max threat, its edges, min cost, its edges]
+    stats: dict[str, list] = {}
+    if doc.entry_grants:
+        walk = _walk(graph, frozenset(doc.entry_grants), None, config, frozenset())
+        for edges, _, _, _, last, cost, threat in walk:
+            s = stats.get(last.to_id)
+            if s is None:
+                stats[last.to_id] = [1, threat, edges, cost, edges]
+                continue
+            s[0] += 1
+            if threat > s[1] or threat == s[1] and (len(edges), edges) < (len(s[2]), s[2]):
+                s[1] = threat
+                s[2] = edges
+            if cost < s[3] or cost == s[3] and (len(edges), edges) < (len(s[4]), s[4]):
+                s[3] = cost
+                s[4] = edges
     rows = []
     for o in doc.objects:
-        ending = stats.get(o.id, [])
-        rows.append(
-            RiskRow(
-                object=o.id,
-                chain_count=len(ending),
-                max_chain_threat=max((c.total_threat for c in ending), default=0.0),
-                min_chain_cost=min((c.total_cost for c in ending), default=None) if ending else None,
-            )
-        )
+        s = stats.get(o.id)
+        rows.append(RiskRow(o.id, 0, 0.0, None) if s is None else RiskRow(o.id, s[0], s[1], s[3]))
     rows.sort(key=lambda r: (-r.max_chain_threat, r.object))
     return tuple(rows)

@@ -17,9 +17,9 @@ import math
 import random
 from dataclasses import dataclass, replace
 
-from .chains import enumerate_chains
+from .chains import _walk
 from .config import DEFAULT_CONFIG, EngineConfig
-from .defense import neutralized_attacks, plan_budgeted
+from .defense import _choose, _kernel, neutralized_attacks
 from .graphs import AttackGraph
 from .model import ConfigError, EmptyEntryGrantsError, Grant, ScenarioDoc
 
@@ -127,6 +127,26 @@ def _compromised(grants, targets, permissions) -> bool:
     return False
 
 
+def _defender_rows(graph: AttackGraph, grants: frozenset[Grant], targets, blocked, config: EngineConfig):
+    """The budget planner's kernel rows for the chains from grants to targets.
+
+    What plan_budgeted would search for the enumerated chains, taken from
+    the chain walk without building a chain: each target-ending prefix
+    gives its signature (the OR of its fired attacks' defense masks) and
+    weight, and the rows are summed in canonical chain order.
+    """
+    masks = graph.attack_defenses
+    count = config.budget_objective == "count"
+    found = []
+    for edges, _, fired, _, _, _, threat in _walk(graph, grants, targets, config, blocked):
+        sig = 0
+        for attack_id in fired:
+            sig |= masks[attack_id]
+        found.append((len(edges), edges, sig, 1.0 if count else threat))
+    found.sort()
+    return _kernel((sig, weight) for _, _, sig, weight in found)
+
+
 def run_game(
     doc: ScenarioDoc,
     graph: AttackGraph,
@@ -187,16 +207,9 @@ def run_game(
 
         new_defenses: tuple[str, ...] = ()
         if game.defender_policy == "reactive_cut" and detected_any:
-            predicted = enumerate_chains(
-                doc,
-                graph,
-                config=config,
-                targets=targets,
-                blocked_attacks=neutralized,
-                entry_grants=tuple(sorted(grants)),
-            )
-            plan = plan_budgeted(doc, graph, predicted, game.defender_budget_per_turn, config=config)
-            new_defenses = tuple(d for d in plan.chosen if d not in applied_defenses)
+            rows = _defender_rows(graph, frozenset(grants), targets, neutralized, config)
+            chosen, _ = _choose(graph, rows, game.defender_budget_per_turn, config)
+            new_defenses = tuple(d for d in chosen if d not in applied_defenses)
             if new_defenses:
                 applied_defenses.update(new_defenses)
                 defender_cost += sum(graph.defenses[d].cost for d in new_defenses)
@@ -259,6 +272,18 @@ def summarize(traces) -> GameSummary:
         runs=n,
         outcomes=outcomes,
         mean_turns=sum(t.turns_elapsed for t in traces) / n,
-        mean_attacker_cost=sum(t.attacker_cost for t in traces) / n,
-        mean_defender_cost=sum(t.defender_cost for t in traces) / n,
+        mean_attacker_cost=_mean([t.attacker_cost for t in traces]),
+        mean_defender_cost=_mean([t.defender_cost for t in traces]),
     )
+
+
+def _mean(values: list[float]) -> float:
+    """sum(values) / len(values), scaled first when the plain sum overflows.
+
+    A validated scenario keeps each run's cost below half the largest float
+    (scenario.TOTAL_LIMIT), but the costs of several runs can still add up
+    past it; dividing each by the run count first keeps the mean finite.
+    """
+    n = len(values)
+    total = sum(values)
+    return total / n if math.isfinite(total) else sum(v / n for v in values)

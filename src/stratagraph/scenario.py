@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 from . import canon
@@ -32,6 +33,11 @@ from .model import (
 )
 
 SCHEMA_VERSION = 1
+# Every chain and plan total sums a subset of the attack costs, the attack
+# severities or the defense costs, all non-negative. Keeping each whole sum
+# below half the largest float leaves room for rounding in any summation
+# order, so no total can overflow to infinity.
+TOTAL_LIMIT = sys.float_info.max / 2
 
 
 # --- parsing -----------------------------------------------------------------
@@ -284,6 +290,25 @@ def _check_number(problems, record_class: str, record_id: str, name: str, value:
         problems.append(Violation("error", record_class, record_id, f"{name} {value} is negative"))
 
 
+def _check_total(problems, record_id: str, what: str, values) -> None:
+    """Report a scenario whose finite values sum (exactly) to TOTAL_LIMIT or more."""
+    try:
+        total = math.fsum(v for v in values if math.isfinite(v))
+    except OverflowError:
+        total = math.inf  # the exact sum is beyond the largest float
+    if total >= TOTAL_LIMIT:
+        shown = f"{total:.6g}" if math.isfinite(total) else "more than the largest float"
+        problems.append(
+            Violation(
+                "error",
+                "scenario",
+                record_id,
+                f"{what} sum to {shown}; they must stay below {TOTAL_LIMIT:.6g}, half the largest float,"
+                " so that no chain or plan total overflows",
+            )
+        )
+
+
 def validate_scenario(doc: ScenarioDoc) -> tuple[Violation, ...]:
     """Return every invariant violation, sorted by (record class, id).
 
@@ -380,6 +405,10 @@ def validate_scenario(doc: ScenarioDoc) -> tuple[Violation, ...]:
             if aid not in attack_ids:
                 out.append(Violation("error", "defense", d.id, f"d_result attack {aid!r} does not exist"))
         _check_number(out, "defense", d.id, "cost", d.cost)
+
+    _check_total(out, "attacks", "attack costs", (a.cost for a in doc.attacks))
+    _check_total(out, "attacks", "attack severities", (a.severity for a in doc.attacks))
+    _check_total(out, "defenses", "defense costs", (d.cost for d in doc.defenses))
 
     seen = set()
     for v in doc.vulnerabilities:

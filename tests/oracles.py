@@ -12,7 +12,7 @@ import json
 import math
 from itertools import combinations, permutations
 
-from stratagraph.defense import DefensePlan
+from stratagraph.defense import DefensePlan, RiskRow
 from stratagraph.model import Grant
 
 EPS = 1e-9
@@ -132,6 +132,34 @@ def brute_max_threat(doc, max_len, semantics="accumulated", targets=None):
         return None
     best = min(chains, key=lambda f: (-f[2], len(f[0]), f[0]))
     return best[0], best[2]
+
+
+def reference_risk(doc, max_len, semantics="accumulated", agg="sum"):
+    """Per-object exposure over the brute-force chains, as RiskRows.
+
+    The engine's original risk_assess: group the chains by the object
+    their last edge affects, then take max threat and min cost over each
+    group in canonical chain order, so of tied values the first chain's
+    (int or float) wins. Rows sort by descending threat, then object id.
+    """
+    chains = brute_chains(doc, max_len, semantics, agg=agg) if doc.entry_grants else []
+    edges = oracle_edges(doc)
+    ending: dict[str, list] = {}
+    for seq, cost, threat, _ in chains:
+        ending.setdefault(edges[seq[-1]][2], []).append((cost, threat))
+    rows = []
+    for o in doc.objects:
+        found = ending.get(o.id, [])
+        rows.append(
+            RiskRow(
+                object=o.id,
+                chain_count=len(found),
+                max_chain_threat=max((t for _, t in found), default=0.0),
+                min_chain_cost=min((c for c, _ in found), default=None),
+            )
+        )
+    rows.sort(key=lambda r: (-r.max_chain_threat, r.object))
+    return tuple(rows)
 
 
 def _chain_attack_sets(doc, chains):

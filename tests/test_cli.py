@@ -317,6 +317,50 @@ def test_non_finite_scenario_number_exits_2_everywhere(capsys, fixtures_dir, tmp
 
 
 @pytest.mark.parametrize(
+    "section, values",
+    [
+        ("attacks", {"cost": 1.5e308, "severity": 1.7e308}),
+        ("attacks", {"cost": 1e308}),
+        ("attacks", {"severity": 1e308}),
+        ("defenses", {"cost": 1e308}),
+    ],
+)
+def test_overflowing_totals_exit_2_everywhere(capsys, fixtures_dir, tmp_path, section, values):
+    # Finite numbers whose sum could overflow a chain or plan total to
+    # infinity are rejected at validation, before any total is computed.
+    data = json.loads((fixtures_dir / "toy5g.scenario").read_text())
+    for record in data[section]:
+        record.update(values)
+    path = tmp_path / "huge.scenario"
+    path.write_text(json.dumps(data))
+    commands = [("validate",), *ANALYSIS_COMMANDS, ("defend", "--mode", "budget", "--budget", "1e308")]
+    for argv in commands:
+        for fmt in ("json", "text"):
+            code, _, err = run_cli(capsys, argv[0], "--scenario", str(path), "--format", fmt, *argv[1:])
+            assert code == 2, (argv, fmt)
+            if argv[0] != "validate":
+                assert "so that no chain or plan total overflows" in err
+
+
+def test_costs_just_below_the_total_limit_still_simulate(capsys, fixtures_dir, tmp_path):
+    # Each run's attacker cost stays finite, and so must the mean over runs
+    # whose plain sum would overflow.
+    from stratagraph.scenario import TOTAL_LIMIT
+
+    data = json.loads((fixtures_dir / "toy5g.scenario").read_text())
+    share = TOTAL_LIMIT * 0.99 / len(data["attacks"])
+    for record in data["attacks"]:
+        record.update(cost=share, severity=share)
+    path = tmp_path / "big.scenario"
+    path.write_text(json.dumps(data))
+    for argv in [("validate",), *ANALYSIS_COMMANDS, ("simulate", "--runs", "5")]:
+        code, out, err = run_cli(capsys, argv[0], "--scenario", str(path), "--format", "json", *argv[1:])
+        assert code == 0, (argv, err)
+    summary = json.loads(out)["summary"]
+    assert 0 < summary["mean_attacker_cost"] < TOTAL_LIMIT
+
+
+@pytest.mark.parametrize(
     "config",
     [
         '{"exact_defense_limit": "x"}',

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stratagraph import (
+    AttackRecord,
     ChainObjective,
     InfeasibleCutError,
     UnknownIdError,
@@ -21,6 +22,7 @@ from stratagraph import (
     search_chain,
 )
 from stratagraph.config import EngineConfig
+from stratagraph.model import Grant, ObjectRecord, ScenarioDoc
 from stratagraph.defense import chain_attacks, neutralized_attacks
 
 import oracles
@@ -337,3 +339,86 @@ def test_risk_empty_entry_is_all_zero(toy5g):
     bare = replace(doc, entry_grants=())
     rows = risk_assess(bare, graph)
     assert all(r.chain_count == 0 and r.min_chain_cost is None for r in rows)
+
+
+def typed(rows):
+    """Risk rows with the type of each number, which canon prints differently from 1e6 up."""
+    return [
+        (r.object, r.chain_count, r.max_chain_threat, type(r.max_chain_threat), r.min_chain_cost, type(r.min_chain_cost))
+        for r in rows
+    ]
+
+
+def millions(doc, rng, mix):
+    """doc with costs and severities of one or two million, as int, float or either.
+
+    Two values make equal chain totals, and so ties between an int and a
+    float, common.
+    """
+
+    def scale(_):
+        whole = rng.choice((1, 2)) * 10**6
+        as_int = mix == "int" or mix == "mixed" and rng.random() < 0.5
+        return whole if as_int else float(whole)
+
+    return replace(
+        doc, attacks=tuple(replace(a, cost=scale(a.cost), severity=scale(a.severity)) for a in doc.attacks)
+    )
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 10**6),
+    semantics=st.sampled_from(("accumulated", "strict")),
+    agg=st.sampled_from(("sum", "max")),
+    mix=st.sampled_from(("float", "int", "mixed")),
+)
+def test_risk_matches_reference_row_for_row(seed, semantics, agg, mix):
+    # Counts, values and their int or float types must match the original
+    # risk computed over every brute-force chain, ties included.
+    doc = millions(random_scenario(seed, max_objects=5, max_edges=8), random.Random(seed), mix)
+    graph = build_attack_graph(doc, build_base_graph(doc))
+    config = EngineConfig(max_len=3, semantics=semantics, threat_agg=agg)
+    assert typed(risk_assess(doc, graph, config)) == typed(oracles.reference_risk(doc, 3, semantics, agg))
+
+
+def tie_scenario():
+    """Chains tie at 1000000 on c, d and e, and at 0 on b, between an int and a float.
+
+    On c a 1-edge chain of int values ties with a 2-edge chain of floats;
+    on d it is the other way round. On e two 2-edge chains tie, and the
+    walk reaches the int one (through atk5) before the canonically first
+    float one (through atk1). On b two 1-edge chains tie at 0.0 and 0.
+    """
+    objects = tuple(ObjectRecord(o, "service", "application-software", "") for o in "abcde")
+
+    def attack(aid, obj, need, result, value):
+        return AttackRecord(aid, obj, (Grant(*need),), "", (Grant(*result),), cost=value, severity=value)
+
+    attacks = (
+        attack("atk0", "a", ("a", "read"), ("c", "read"), 1000000),
+        attack("atk1", "a", ("a", "read"), ("b", "read"), 0.0),
+        attack("atk2", "b", ("b", "read"), ("c", "write"), 1000000.0),
+        attack("atk3", "a", ("a", "read"), ("d", "read"), 1000000.0),
+        attack("atk4", "b", ("b", "execute"), ("d", "write"), 1000000),
+        attack("atk5", "a", ("a", "read"), ("b", "execute"), 0),
+        attack("atk6", "b", ("b", "read"), ("e", "read"), 1000000.0),
+        attack("atk7", "b", ("b", "execute"), ("e", "write"), 1000000),
+    )
+    return ScenarioDoc(objects, (), attacks, (), (), (Grant("a", "read"),), ("c",))
+
+
+@pytest.mark.parametrize("agg", ["sum", "max"])
+@pytest.mark.parametrize("semantics", ["accumulated", "strict"])
+def test_risk_ties_keep_the_first_chain_in_canonical_order(semantics, agg):
+    doc = tie_scenario()
+    graph = build_attack_graph(doc, build_base_graph(doc))
+    rows = typed(risk_assess(doc, graph, EngineConfig(semantics=semantics, threat_agg=agg)))
+    assert rows == [
+        ("c", 2, 1000000, int, 1000000, int),
+        ("d", 2, 1000000.0, float, 1000000.0, float),
+        ("e", 2, 1000000.0, float, 1000000.0, float),
+        ("a", 0, 0.0, float, None, type(None)),
+        ("b", 2, 0.0, float, 0.0, float),
+    ]
+    assert rows == typed(oracles.reference_risk(doc, 8, semantics, agg))

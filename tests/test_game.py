@@ -1,6 +1,9 @@
+import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stratagraph import (
     ConfigError,
@@ -10,12 +13,18 @@ from stratagraph import (
     build_base_graph,
     enumerate_chains,
     is_valid_chain,
+    plan_budgeted,
     plan_cut,
+    risk_assess,
     run_batch,
     run_game,
     summarize,
 )
 from stratagraph import canon
+from stratagraph.chains import AttackChain
+from stratagraph.config import EngineConfig
+from stratagraph.defense import _choose, _kernel, chain_signature
+from stratagraph.game import _defender_rows
 from stratagraph.model import Grant
 
 from genscen import random_scenario
@@ -228,14 +237,76 @@ def test_reactive_defender_enumerates_under_engine_semantics(toy5g, monkeypatch)
     from stratagraph.config import EngineConfig
 
     seen = []
-    real = game_module.enumerate_chains
+    real = game_module._walk
 
-    def spy(doc, graph, **kwargs):
-        seen.append(kwargs["config"].semantics)
-        return real(doc, graph, **kwargs)
+    def spy(graph, entry, goal, config, blocked):
+        seen.append(config.semantics)
+        return real(graph, entry, goal, config, blocked)
 
-    monkeypatch.setattr(game_module, "enumerate_chains", spy)
+    monkeypatch.setattr(game_module, "_walk", spy)
     doc, _, graph = toy5g
     game = GameConfig(defender_policy="reactive_cut", defender_budget_per_turn=2.0)
     run_game(doc, graph, game, config=EngineConfig(semantics="strict"))
     assert seen and set(seen) == {"strict"}
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 10**6),
+    objective=st.sampled_from(("threat", "count")),
+    limit=st.sampled_from((20, 0)),
+    non_dyadic=st.booleans(),
+    data=st.data(),
+)
+def test_defender_rows_plan_like_plan_budgeted(seed, objective, limit, non_dyadic, data):
+    # The reactive defender plans from rows taken off the chain walk; it must
+    # choose what plan_budgeted chooses over the enumerated chains, for any
+    # foothold and blocked set, on the exact and on the greedy path.
+    doc = random_scenario(seed, max_objects=6, max_edges=16, max_defenses=8)
+    rng = random.Random(seed)
+    if non_dyadic:
+        doc = replace(doc, attacks=tuple(replace(a, severity=rng.choice((0.1, 0.2, 0.7))) for a in doc.attacks))
+    graph = rebuild(doc)
+    producible = sorted({g for a in doc.attacks for g in a.a_results} - set(doc.entry_grants))
+    extra = data.draw(st.lists(st.sampled_from(producible), max_size=4) if producible else st.just([]), label="extra")
+    foothold = frozenset(doc.entry_grants) | frozenset(extra)
+    blocked = frozenset(data.draw(st.sets(st.sampled_from(sorted(graph.attacks))), label="blocked"))
+    total = sum(d.cost for d in doc.defenses)
+    budget = data.draw(st.integers(0, int(2 * total)).map(lambda h: h / 2), label="budget")
+    config = EngineConfig(max_len=4, budget_objective=objective, exact_defense_limit=limit)
+    chains = enumerate_chains(
+        doc, graph, targets=doc.targets, config=config, blocked_attacks=blocked, entry_grants=foothold
+    )
+    rows = _defender_rows(graph, foothold, frozenset(doc.targets), blocked, config)
+    weights = [1.0 if objective == "count" else c.total_threat for c in chains]
+    assert rows == _kernel(zip((chain_signature(graph, c) for c in chains), weights))
+    plan = plan_budgeted(doc, graph, chains, budget, config=config)
+    assert _choose(graph, rows, budget, config) == (plan.chosen, plan.optimal)
+
+
+def test_risk_and_reactive_defender_build_no_chains(toy5g, monkeypatch):
+    # risk and the reactive defender read only counts, totals and
+    # signatures, so neither may package a chain it does not print.
+    import stratagraph.chains as chains_module
+
+    built = []
+    real_chain, real_init = chains_module._chain, AttackChain.__init__
+
+    def spy_chain(prefix):
+        built.append(prefix[0])
+        return real_chain(prefix)
+
+    def spy_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(chains_module, "_chain", spy_chain)
+    monkeypatch.setattr(AttackChain, "__init__", spy_init)
+    doc, _, graph = toy5g
+    game = GameConfig(defender_policy="reactive_cut", defender_budget_per_turn=10.0)
+    rows = risk_assess(doc, graph)
+    trace = run_game(doc, graph, game)
+    assert built == []
+    assert any(r.chain_count for r in rows) and any(t.defenses for t in trace.turns)
+    enumerate_chains(doc, graph)
+    assert built  # the spies see chains where they are built

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import pytest
@@ -175,6 +176,30 @@ def test_non_finite_numbers_are_errors(fixtures_dir, section, key, literal):
     assert len(errors) == 1
     assert errors[0].record_id == data[section][0]["id"]
     assert errors[0].message.startswith(f"{key} ") and errors[0].message.endswith("is not a finite number")
+
+
+def test_summed_numbers_reaching_the_total_limit_are_errors(toy5g):
+    # The exact sum decides: two halves of the limit reach it, one ulp less
+    # does not, and a sum beyond the largest float is caught, not raised.
+    from stratagraph.scenario import TOTAL_LIMIT
+
+    doc, _, _ = toy5g
+    half = TOTAL_LIMIT / 2
+    below = math.nextafter(half, 0.0)
+
+    def errors(attacks=None, defenses=None):
+        changed = replace(doc, attacks=attacks or doc.attacks, defenses=defenses or doc.defenses)
+        return [(v.record_id, v.message.split(" sum")[0]) for v in validate_scenario(changed) if v.severity == "error"]
+
+    pair = [replace(a, cost=half if i < 2 else 0.0) for i, a in enumerate(doc.attacks)]
+    assert errors(attacks=pair) == [("attacks", "attack costs")]
+    pair = [replace(a, cost=half if i == 0 else below if i == 1 else 0.0) for i, a in enumerate(doc.attacks)]
+    assert errors(attacks=pair) == []
+    huge = [replace(a, severity=1.7e308) for a in doc.attacks]
+    assert errors(attacks=huge) == [("attacks", "attack severities")]
+    assert "more than the largest float" in validate_scenario(replace(doc, attacks=tuple(huge)))[0].message
+    dear = [replace(d, cost=TOTAL_LIMIT) for d in doc.defenses]
+    assert errors(defenses=dear) == [("defenses", "defense costs")]
 
 
 def test_category_extensions_allowed():

@@ -19,7 +19,12 @@ Inputs, all generated from this checkout:
   bench commands in JSON and in text, plus `graph --dot`, `min_cost`,
   `max_threat`, `--unrestricted`, strict, coverage and `threat_agg max`
   variants;
-- `tests/genscen.py` scenarios, random and coherent, under both semantics.
+- `tests/genscen.py` scenarios, random and coherent, under both semantics;
+- the same scenarios with every cost and severity one or two million,
+  written as a JSON int or float at random (`large_number_commands`).
+  canon prints an int and an equal float alike below 1e6 (`5` and `5.0`
+  both as `5`) but not from there up (`1000000` against `1e+06`), so
+  only numbers this large show a drift in a printed value's type.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import argparse
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tarfile
@@ -40,6 +46,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("topology-L", "chains-M", "reactive-sim-M")
 BENCH_SEEDS = (1, 2)
 GENSCEN_SEEDS = 8  # per family (random, coherent), each run under both semantics
+LARGE_SEEDS = 4  # per family, each run under both threat aggregations
 JOBS = 2  # commands run at once; each waits on a subprocess
 UNRESTRICTED_MAX_LEN = 6  # chains to every object at a workload's own max_len run to tens of MB
 COMMAND_TIMEOUT_S = 600
@@ -139,6 +146,42 @@ def genscen_commands(inputs: Path) -> list[list[str]]:
     return commands
 
 
+def large_number_commands(inputs: Path) -> list[list[str]]:
+    from genscen import coherent_scenario, random_scenario
+
+    from stratagraph.scenario import scenario_to_dict
+
+    commands = []
+    for agg in ("sum", "max"):
+        config = inputs / f"large-{agg}.config"
+        config.write_text(json.dumps({"max_len": 4, "threat_agg": agg}) + "\n", encoding="utf-8")
+        for family, make in (("random", random_scenario), ("coherent", coherent_scenario)):
+            for seed in range(LARGE_SEEDS):
+                path = inputs / f"large-{family}-{seed}.scenario"
+                if not path.exists():
+                    rng = random.Random(f"large-{family}-{seed}")
+                    data = scenario_to_dict(make(seed))
+                    for record, keys in [(a, ("cost", "severity")) for a in data["attacks"]] + [
+                        (d, ("cost",)) for d in data["defenses"]
+                    ]:
+                        for key in keys:
+                            whole = rng.choice((1, 2)) * 10**6
+                            record[key] = whole if rng.random() < 0.5 else float(whole)
+                    path.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
+                common = ["--scenario", str(path), "--config", str(config), "--format", "json"]
+                commands += [
+                    ["chains", *common],
+                    ["chains", *common, "--unrestricted"],
+                    ["chains", *common, "--objective", "min_cost"],
+                    ["chains", *common, "--objective", "max_threat"],
+                    ["risk", *common],
+                    ["risk", *common, "--format", "text"],
+                    ["defend", *common, "--mode", "budget", "--budget", "3000000"],
+                    ["simulate", *common, "--defender", "reactive_cut", "--budget-per-turn", "2000000", "--runs", "2"],
+                ]
+    return commands
+
+
 def run(src: Path, argv: list[str], cwd: Path) -> tuple[int, str, str]:
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run(
@@ -175,7 +218,7 @@ def main(argv=None) -> int:
         ref_src = export_ref(args.ref, tmp / "ref")
         inputs = tmp / "inputs"
         inputs.mkdir()
-        commands = bench_commands(inputs) + genscen_commands(inputs)
+        commands = bench_commands(inputs) + genscen_commands(inputs) + large_number_commands(inputs)
 
         def both(argv):
             return run(ROOT / "src", argv, inputs), run(ref_src, argv, inputs)
