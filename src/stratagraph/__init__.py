@@ -1,121 +1,87 @@
 """Layered attack-graph modeling, chain analysis, defense planning, and
-turn-based red/blue simulation for 5G-style networks."""
+turn-based red/blue simulation for 5G-style networks.
 
-from .chains import (
-    AttackChain,
-    AttackerState,
-    ChainCheck,
-    ChainObjective,
-    PotentialChain,
-    chain_from_edges,
-    enumerate_chains,
-    generate_potential_chains,
-    is_valid_chain,
-    search_chain,
-)
-from .config import DEFAULT_CONFIG, EngineConfig, load_config
-from .defense import (
-    DefensePlan,
-    RiskRow,
-    applicable_defenses,
-    plan_budgeted,
-    plan_coverage,
-    plan_cut,
-    risk_assess,
-)
-from .game import GameConfig, GameSummary, GameTrace, run_batch, run_game, summarize
-from .graphs import (
-    AttackEdge,
-    AttackGraph,
-    HierarchicalGraph,
-    build_attack_graph,
-    build_base_graph,
-    graphs_to_dot,
-    graphs_to_json,
-    neighbors,
-)
-from .model import (
-    AttackRecord,
-    ConfigError,
-    DefenseRecord,
-    EmptyEntryGrantsError,
-    Grant,
-    InfeasibleCutError,
-    InvalidScenarioError,
-    ObjectRecord,
-    ParseError,
-    RelationshipEdge,
-    ScenarioDoc,
-    ScenarioError,
-    UnknownIdError,
-    Violation,
-    VulnerabilityRecord,
-)
-from .scenario import (
-    SCHEMA_VERSION,
-    derive_attacks,
-    load_scenario,
-    parse_scenario,
-    serialize_scenario,
-    validate_scenario,
-)
+Each public name is imported from its submodule on first access (PEP 562),
+so `import stratagraph` loads no engine module until a name is used.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttackChain",
-    "AttackEdge",
-    "AttackGraph",
-    "AttackRecord",
-    "AttackerState",
-    "ChainCheck",
-    "ChainObjective",
-    "ConfigError",
-    "DEFAULT_CONFIG",
-    "DefensePlan",
-    "DefenseRecord",
-    "EmptyEntryGrantsError",
-    "EngineConfig",
-    "GameConfig",
-    "GameSummary",
-    "GameTrace",
-    "Grant",
-    "HierarchicalGraph",
-    "InfeasibleCutError",
-    "InvalidScenarioError",
-    "ObjectRecord",
-    "ParseError",
-    "PotentialChain",
-    "RelationshipEdge",
-    "RiskRow",
-    "SCHEMA_VERSION",
-    "ScenarioDoc",
-    "ScenarioError",
-    "UnknownIdError",
-    "Violation",
-    "VulnerabilityRecord",
-    "applicable_defenses",
-    "build_attack_graph",
-    "build_base_graph",
-    "chain_from_edges",
-    "derive_attacks",
-    "enumerate_chains",
-    "generate_potential_chains",
-    "graphs_to_dot",
-    "graphs_to_json",
-    "is_valid_chain",
-    "load_config",
-    "load_scenario",
-    "neighbors",
-    "parse_scenario",
-    "plan_budgeted",
-    "plan_coverage",
-    "plan_cut",
-    "risk_assess",
-    "run_batch",
-    "run_game",
-    "search_chain",
-    "serialize_scenario",
-    "summarize",
-    "validate_scenario",
-]
+_EXPORTS = {
+    "chains": (
+        "AttackChain",
+        "AttackerState",
+        "ChainCheck",
+        "ChainObjective",
+        "PotentialChain",
+        "chain_from_edges",
+        "enumerate_chains",
+        "generate_potential_chains",
+        "is_valid_chain",
+        "search_chain",
+    ),
+    "config": ("DEFAULT_CONFIG", "EngineConfig", "load_config"),
+    "defense": (
+        "DefensePlan",
+        "RiskRow",
+        "applicable_defenses",
+        "plan_budgeted",
+        "plan_coverage",
+        "plan_cut",
+        "risk_assess",
+    ),
+    "game": ("GameConfig", "GameSummary", "GameTrace", "run_batch", "run_game", "summarize"),
+    "graphs": (
+        "AttackEdge",
+        "AttackGraph",
+        "HierarchicalGraph",
+        "build_attack_graph",
+        "build_base_graph",
+        "graphs_to_dot",
+        "graphs_to_json",
+        "neighbors",
+    ),
+    "model": (
+        "AttackRecord",
+        "ConfigError",
+        "DefenseRecord",
+        "EmptyEntryGrantsError",
+        "Grant",
+        "InfeasibleCutError",
+        "InvalidScenarioError",
+        "ObjectRecord",
+        "ParseError",
+        "RelationshipEdge",
+        "ScenarioDoc",
+        "ScenarioError",
+        "UnknownIdError",
+        "Violation",
+        "VulnerabilityRecord",
+    ),
+    "scenario": (
+        "SCHEMA_VERSION",
+        "derive_attacks",
+        "load_scenario",
+        "parse_scenario",
+        "serialize_scenario",
+        "validate_scenario",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups find it without calling __getattr__
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

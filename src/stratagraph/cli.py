@@ -16,18 +16,8 @@ import argparse
 import sys
 from dataclasses import replace
 
-from . import canon
-from .chains import (
-    ChainObjective,
-    chain_from_edges,
-    enumerate_chains,
-    generate_potential_chains,
-    search_chain,
-)
+from . import __version__, canon
 from .config import DEFAULT_CONFIG, load_config
-from .defense import plan_budgeted, plan_coverage, plan_cut, risk_assess
-from .game import GameConfig, run_batch, summarize
-from .graphs import build_attack_graph, build_base_graph, graphs_to_dict, graphs_to_dot
 from .model import (
     ConfigError,
     EmptyEntryGrantsError,
@@ -39,7 +29,8 @@ from .model import (
 )
 from .scenario import SCHEMA_VERSION, load_scenario, validate_scenario
 
-__version__ = "0.1.0"
+# The engine modules (graphs, chains, defense, game) are imported inside the
+# commands that run them, so a command starts without loading the others.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -99,6 +90,8 @@ def _load(args):
 
 
 def _graphs(doc):
+    from .graphs import build_attack_graph, build_base_graph
+
     base = build_base_graph(doc)
     return base, build_attack_graph(doc, base)
 
@@ -110,7 +103,7 @@ def _chain_rows(chains):
 # --- subcommands ---------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    doc = load_scenario(args.scenario)
+    doc, _ = _load(args)
     report = validate_scenario(doc)
     errors = [v for v in report if v.severity == "error"]
 
@@ -127,6 +120,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    from .graphs import graphs_to_dict, graphs_to_dot
+
     doc, _ = _load(args)
     base, graph = _graphs(doc)
     if args.dot:
@@ -153,6 +148,12 @@ def cmd_graph(args) -> int:
 
 
 def cmd_chains(args) -> int:
+    from .chains import ChainObjective, enumerate_chains, search_chain
+
+    if args.unrestricted and args.target:
+        raise ConfigError("--unrestricted lists chains to every object; it cannot be combined with --target")
+    if args.unrestricted and args.objective != "enumerate":
+        raise ConfigError(f"--unrestricted applies only to --objective enumerate, not {args.objective}")
     doc, config = _load(args)
     _, graph = _graphs(doc)
     target = args.target
@@ -176,6 +177,8 @@ def cmd_chains(args) -> int:
 
 
 def cmd_potential(args) -> int:
+    from .chains import generate_potential_chains
+
     doc, config = _load(args)
     base, graph = _graphs(doc)
     found = generate_potential_chains(doc, base, graph, args.from_id, args.to_id, config=config)
@@ -195,6 +198,11 @@ def cmd_potential(args) -> int:
 
 
 def cmd_defend(args) -> int:
+    from .chains import ChainObjective, chain_from_edges, enumerate_chains, search_chain
+    from .defense import plan_budgeted, plan_coverage, plan_cut
+
+    if args.chain and args.mode != "coverage":
+        raise ConfigError(f"--chain applies only to --mode coverage, not {args.mode}")
     doc, config = _load(args)
     _, graph = _graphs(doc)
     if args.mode == "coverage":
@@ -230,6 +238,8 @@ def cmd_defend(args) -> int:
 
 
 def cmd_risk(args) -> int:
+    from .defense import risk_assess
+
     doc, config = _load(args)
     _, graph = _graphs(doc)
     rows = risk_assess(doc, graph, config=config)
@@ -245,6 +255,8 @@ def cmd_risk(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .game import GameConfig, run_batch, summarize
+
     doc, config = _load(args)
     _, graph = _graphs(doc)
     game = GameConfig(

@@ -404,3 +404,33 @@ def test_non_finite_budgets_rejected_by_library(toy5g):
 def test_max_len_zero_flag_rejected(capsys, fixtures_dir):
     code, out, _ = run_cli(capsys, "chains", "--scenario", scen(fixtures_dir, "toy5g"), "--max-len", "0")
     assert code == 1 and out == ""
+
+
+@pytest.mark.parametrize("config", [None, '{"max_len": "x"}', "{not json"], ids=["missing", "bad type", "not json"])
+def test_validate_reads_config_like_every_command(capsys, fixtures_dir, tmp_path, config):
+    path = tmp_path / "engine.json"
+    if config is not None:
+        path.write_text(config)
+    toy = scen(fixtures_dir, "toy5g")
+    validate = run_cli(capsys, "validate", "--scenario", toy, "--config", str(path))
+    assert validate == run_cli(capsys, "graph", "--scenario", toy, "--config", str(path))
+    code, out, err = validate
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("chains", "--unrestricted", "--target", "ran1"),
+        ("chains", "--unrestricted", "--target", "HV1"),
+        ("chains", "--objective", "min_cost", "--unrestricted"),
+        ("chains", "--objective", "max_threat", "--unrestricted"),
+        ("defend", "--mode", "cut", "--chain", "NOPE#9"),
+        ("defend", "--mode", "budget", "--budget", "3", "--chain", "A1#0,A2#1,A5#0"),
+    ],
+    ids=" ".join,
+)
+def test_flags_a_command_would_ignore_are_rejected(capsys, fixtures_dir, argv):
+    code, out, err = run_cli(capsys, argv[0], "--scenario", scen(fixtures_dir, "toy5g"), *argv[1:])
+    assert code == 1 and out == ""
+    assert err.startswith("error: --")

@@ -1,0 +1,69 @@
+"""The package's lazy exports and what each CLI command imports."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import stratagraph
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+ENGINE = {"stratagraph.graphs", "stratagraph.chains", "stratagraph.defense", "stratagraph.game"}
+CORE = {"stratagraph.canon", "stratagraph.cli", "stratagraph.config", "stratagraph.model", "stratagraph.scenario"}
+CHAINS = CORE | {"stratagraph.graphs", "stratagraph.chains"}
+
+# The stratagraph.* modules loaded in a fresh interpreter after one command.
+LOADS = """
+import contextlib, io, sys
+from stratagraph.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("stratagraph.")))
+"""
+
+
+def fresh_python(*argv):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, check=True)
+    return done.stdout.split()
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (("validate",), CORE),
+        (("graph",), CORE | {"stratagraph.graphs"}),
+        (("chains",), CHAINS),
+        (("potential", "--from", "BS1", "--to", "APP1"), CHAINS),
+        (("defend",), CHAINS | {"stratagraph.defense"}),
+        (("risk",), CHAINS | {"stratagraph.defense"}),
+        (("simulate",), CORE | ENGINE),
+    ],
+    ids=["validate", "graph", "chains", "potential", "defend", "risk", "simulate"],
+)
+def test_each_command_imports_only_its_layers(fixtures_dir, argv, modules):
+    code, *loaded = fresh_python("-c", LOADS, argv[0], "--scenario", str(fixtures_dir / "toy5g.scenario"), *argv[1:])
+    assert code == "0"
+    assert set(loaded) == modules
+
+
+def test_exports_load_from_their_home_modules_on_first_use():
+    loaded = fresh_python("-c", "import sys, stratagraph; print(*sorted(sys.modules))")
+    assert "stratagraph" in loaded
+    assert not [m for m in loaded if m.startswith("stratagraph.")]
+
+    for name in stratagraph.__all__:
+        home = importlib.import_module(f"stratagraph.{stratagraph._HOME[name]}")
+        assert getattr(stratagraph, name) is getattr(home, name), name
+    assert set(stratagraph.__all__) <= set(dir(stratagraph))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        stratagraph.no_such_name  # noqa: B018
+    assert not hasattr(stratagraph, "_walk")
+    namespace = {}
+    exec("from stratagraph import *", namespace)
+    assert {name: namespace[name] for name in stratagraph.__all__} == {
+        name: getattr(stratagraph, name) for name in stratagraph.__all__
+    }

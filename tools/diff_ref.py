@@ -24,7 +24,11 @@ Inputs, all generated from this checkout:
   written as a JSON int or float at random (`large_number_commands`).
   canon prints an int and an equal float alike below 1e6 (`5` and `5.0`
   both as `5`) but not from there up (`1000000` against `1e+06`), so
-  only numbers this large show a drift in a printed value's type.
+  only numbers this large show a drift in a printed value's type;
+- error paths (`error_commands`): `--version`, `--help` of the tool and of
+  each subcommand, an unknown or missing subcommand, a missing or malformed
+  scenario file, a missing `--config`, an infeasible cut, unknown ids and
+  out-of-range flag values.
 """
 
 from __future__ import annotations
@@ -182,6 +186,42 @@ def large_number_commands(inputs: Path) -> list[list[str]]:
     return commands
 
 
+def error_commands(inputs: Path) -> list[list[str]]:
+    """Help, usage and error paths: moving an import can change these and no success output."""
+    fixtures = ROOT / "tests" / "fixtures"
+    toy = str(fixtures / "toy5g.scenario")
+    missing = str(inputs / "missing.scenario")
+    malformed = inputs / "malformed.scenario"
+    malformed.write_text("{not json\n", encoding="utf-8")
+    no_config = ["--config", str(inputs / "missing.config")]
+    analysis = [
+        ["graph"],
+        ["chains"],
+        ["potential", "--from", "BS1", "--to", "APP1"],
+        ["defend", "--mode", "cut"],
+        ["defend", "--mode", "budget", "--budget", "3"],
+        ["defend", "--mode", "coverage"],
+        ["risk"],
+        ["simulate"],
+    ]
+    commands = [["--version"], ["--help"], ["frobnicate"], []]
+    commands += [[name, "--help"] for name in ("validate", "graph", "chains", "potential", "defend", "risk", "simulate")]
+    for argv in [["validate"], *analysis]:
+        commands += [[*argv, "--scenario", missing], [*argv, "--scenario", str(malformed)]]
+    commands += [[*argv, "--scenario", toy, *no_config] for argv in analysis]
+    commands += [
+        ["validate"],
+        ["defend", "--mode", "cut", "--scenario", str(fixtures / "infeasible.scenario")],
+        ["chains", "--scenario", toy, "--target", "NOPE"],
+        ["potential", "--scenario", toy, "--from", "NOPE", "--to", "APP1"],
+        ["chains", "--scenario", toy, "--max-len", "0"],
+        ["defend", "--scenario", toy, "--mode", "budget", "--budget", "nan"],
+        ["defend", "--scenario", toy, "--mode", "budget"],
+        ["simulate", "--scenario", toy, "--runs", "0"],
+    ]
+    return commands
+
+
 def run(src: Path, argv: list[str], cwd: Path) -> tuple[int, str, str]:
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run(
@@ -218,7 +258,9 @@ def main(argv=None) -> int:
         ref_src = export_ref(args.ref, tmp / "ref")
         inputs = tmp / "inputs"
         inputs.mkdir()
-        commands = bench_commands(inputs) + genscen_commands(inputs) + large_number_commands(inputs)
+        commands = (
+            bench_commands(inputs) + genscen_commands(inputs) + large_number_commands(inputs) + error_commands(inputs)
+        )
 
         def both(argv):
             return run(ROOT / "src", argv, inputs), run(ref_src, argv, inputs)
