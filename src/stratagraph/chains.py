@@ -50,13 +50,7 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_CONFIG, EngineConfig
 from .graphs import AttackGraph, HierarchicalGraph
-from .model import (
-    AttackRecord,
-    EmptyEntryGrantsError,
-    Grant,
-    ScenarioDoc,
-    UnknownIdError,
-)
+from .model import AttackRecord, EmptyEntryGrantsError, Grant, UnknownIdError
 
 
 @dataclass(frozen=True)
@@ -121,9 +115,9 @@ class PotentialChain:
         }
 
 
-def _entry_grants(doc: ScenarioDoc, entry_grants) -> frozenset[Grant]:
+def _entry_grants(graph: AttackGraph, entry_grants) -> frozenset[Grant]:
     """The attacker's foothold: entry_grants when given, else the scenario's."""
-    entry = tuple(entry_grants) if entry_grants is not None else doc.entry_grants
+    entry = tuple(entry_grants) if entry_grants is not None else graph.doc.entry_grants
     if not entry:
         raise EmptyEntryGrantsError("scenario declares no entry grants")
     return frozenset(entry)
@@ -215,9 +209,9 @@ def _chain(prefix) -> AttackChain:
     return AttackChain(edges=edges, total_cost=cost, total_threat=threat, final_grants=tuple(sorted(grants)))
 
 
-def _replay(doc, graph, edge_ids, config, entry_grants) -> tuple[ChainCheck, tuple]:
+def _replay(graph, edge_ids, config, entry_grants) -> tuple[ChainCheck, tuple]:
     """Feed edge_ids through the successor step one at a time: (check, last prefix)."""
-    entry = _entry_grants(doc, entry_grants)
+    entry = _entry_grants(graph, entry_grants)
     edges = [graph.edge(eid) for eid in edge_ids]
     prefix = _root(entry, config)
     states = [AttackerState(tuple(sorted(entry)), ())]
@@ -232,7 +226,6 @@ def _replay(doc, graph, edge_ids, config, entry_grants) -> tuple[ChainCheck, tup
 
 
 def is_valid_chain(
-    doc: ScenarioDoc,
     graph: AttackGraph,
     edge_ids,
     config: EngineConfig = DEFAULT_CONFIG,
@@ -245,31 +238,31 @@ def is_valid_chain(
     entry_grants overrides the scenario's foothold (the simulation replays
     from the attacker's current grants).
     """
-    return _replay(doc, graph, edge_ids, config, entry_grants)[0]
+    return _replay(graph, edge_ids, config, entry_grants)[0]
 
 
 def chain_from_edges(
-    doc: ScenarioDoc,
     graph: AttackGraph,
     edge_ids,
     config: EngineConfig = DEFAULT_CONFIG,
     entry_grants=None,
 ) -> AttackChain:
     """Validate an explicit edge sequence and package it as an AttackChain."""
-    check, prefix = _replay(doc, graph, edge_ids, config, entry_grants)
+    check, prefix = _replay(graph, edge_ids, config, entry_grants)
     if not check.valid:
         raise ValueError(f"not a valid chain at index {check.failed_index}: {check.reason}")
     return _chain(prefix)
 
 
-def _resolve_targets(doc: ScenarioDoc, target: str | None, default_to_scenario: bool) -> frozenset[str] | None:
-    if target is not None:
-        if target not in doc.object_ids():
+def _resolve_targets(graph: AttackGraph, targets, default_to_scenario: bool) -> frozenset[str] | None:
+    """The goal set: targets checked against the graph's objects, else the scenario's or None."""
+    if targets is None:
+        return frozenset(graph.doc.targets) if default_to_scenario else None
+    goal = frozenset(targets)
+    for target in sorted(goal):
+        if target not in graph.base.layers:
             raise UnknownIdError(f"unknown target {target!r}")
-        return frozenset((target,))
-    if default_to_scenario:
-        return frozenset(doc.targets)
-    return None
+    return goal
 
 
 def _goal_distance(graph: AttackGraph, goal: frozenset[str], blocked) -> dict[str, int]:
@@ -339,9 +332,7 @@ def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfi
 
 
 def enumerate_chains(
-    doc: ScenarioDoc,
     graph: AttackGraph,
-    target: str | None = None,
     targets=None,
     config: EngineConfig = DEFAULT_CONFIG,
     blocked_attacks: frozenset[str] = frozenset(),
@@ -349,25 +340,22 @@ def enumerate_chains(
 ) -> tuple[AttackChain, ...]:
     """Every valid simple chain up to config.max_len edges, in canonical order.
 
-    target picks one goal object; targets (an iterable) filters on a set;
-    with neither, all valid chains are returned. blocked_attacks removes
-    every edge of the named attacks before searching (used by defense
-    verification and the simulation), and entry_grants overrides the
-    scenario foothold. With a goal set, prefixes that cannot reach a goal
-    within the length left are never expanded (see the module docstring).
+    targets (object ids, each checked) picks the goal objects; without it
+    all valid chains are returned. blocked_attacks removes every edge of
+    the named attacks before searching (used by defense verification and
+    the simulation), and entry_grants overrides the scenario foothold. With
+    a goal set, prefixes that cannot reach a goal within the length left
+    are never expanded (see the module docstring).
     Ordering: (length, edge-id tuple).
     """
-    entry = _entry_grants(doc, entry_grants)
-    goal = _resolve_targets(doc, target, False)
-    if goal is None and targets is not None:
-        goal = frozenset(targets)
+    entry = _entry_grants(graph, entry_grants)
+    goal = _resolve_targets(graph, targets, False)
     results = [_chain(step) for step in _walk(graph, entry, goal, config, blocked_attacks)]
     results.sort(key=AttackChain.sort_key)
     return tuple(results)
 
 
 def search_chain(
-    doc: ScenarioDoc,
     graph: AttackGraph,
     objective: ChainObjective,
     config: EngineConfig = DEFAULT_CONFIG,
@@ -382,15 +370,16 @@ def search_chain(
     goal hit is also the canonical tie-break winner. max_threat is
     exhaustive. Ties break by (length, lexicographic edge ids) in both modes.
     """
-    entry = _entry_grants(doc, entry_grants)
-    goal = _resolve_targets(doc, objective.target, True)
+    entry = _entry_grants(graph, entry_grants)
+    target = objective.target
+    goal = _resolve_targets(graph, None if target is None else (target,), True)
     if not goal:
         return None
 
     if objective.kind == "max_threat":
         best = None
         for chain in enumerate_chains(
-            doc, graph, targets=goal, config=config, blocked_attacks=blocked_attacks, entry_grants=entry
+            graph, targets=goal, config=config, blocked_attacks=blocked_attacks, entry_grants=entry
         ):
             if best is None or (-chain.total_threat, chain.sort_key()) < (-best.total_threat, best.sort_key()):
                 best = chain
@@ -442,8 +431,6 @@ def _base_paths(base: HierarchicalGraph, src: str, dst: str, max_len: int):
 
 
 def generate_potential_chains(
-    doc: ScenarioDoc,
-    base: HierarchicalGraph,
     graph: AttackGraph,
     from_id: str,
     to_id: str,
@@ -457,10 +444,11 @@ def generate_potential_chains(
     from-category; when the following hop is covered, records must also be
     able to grant what that next attack requires on the hop's to-object.
     """
+    base = graph.base
     for oid in (from_id, to_id):
         if oid not in base.layers:
             raise UnknownIdError(f"unknown object {oid!r}")
-    by_id = doc.object_by_id()
+    by_id = graph.doc.object_by_id()
 
     def covering_attacks(f: str, t: str) -> list[AttackRecord]:
         return [graph.attacks[e.attack_id] for e in graph.by_from.get(f, ()) if e.to_id == t]

@@ -89,11 +89,10 @@ def _load(args):
     return doc, config
 
 
-def _graphs(doc):
+def _graph(doc):
     from .graphs import build_attack_graph, build_base_graph
 
-    base = build_base_graph(doc)
-    return base, build_attack_graph(doc, base)
+    return build_attack_graph(doc, build_base_graph(doc))
 
 
 def _chain_rows(chains):
@@ -123,17 +122,17 @@ def cmd_graph(args) -> int:
     from .graphs import graphs_to_dict, graphs_to_dot
 
     doc, _ = _load(args)
-    base, graph = _graphs(doc)
+    graph = _graph(doc)
     if args.dot:
-        sys.stdout.write(graphs_to_dot(doc, base, graph))
+        sys.stdout.write(graphs_to_dot(graph))
         return EXIT_OK
 
     def text():
         return "\n".join(
             [
                 f"objects: {len(doc.objects)}",
-                f"intra edges: {len(base.intra_edges)}",
-                f"vertical edges: {len(base.vertical_edges)}",
+                f"intra edges: {len(graph.base.intra_edges)}",
+                f"vertical edges: {len(graph.base.vertical_edges)}",
                 f"attack edges: {len(graph.edges)}",
                 "",
                 _table(
@@ -143,7 +142,7 @@ def cmd_graph(args) -> int:
             ]
         )
 
-    _emit(args, lambda: graphs_to_dict(doc, base, graph), text)
+    _emit(args, lambda: graphs_to_dict(graph), text)
     return EXIT_OK
 
 
@@ -155,18 +154,19 @@ def cmd_chains(args) -> int:
     if args.unrestricted and args.objective != "enumerate":
         raise ConfigError(f"--unrestricted applies only to --objective enumerate, not {args.objective}")
     doc, config = _load(args)
-    _, graph = _graphs(doc)
+    graph = _graph(doc)
     target = args.target
     if args.objective == "enumerate":
         if args.unrestricted:
-            found = enumerate_chains(doc, graph, config=config)
+            targets = None
         elif target:
-            found = enumerate_chains(doc, graph, target=target, config=config)
+            targets = (target,)
         else:
-            found = enumerate_chains(doc, graph, targets=doc.targets or None, config=config)
+            targets = doc.targets or None
+        found = enumerate_chains(graph, targets=targets, config=config)
     else:
         objective = ChainObjective(kind=args.objective, target=target)
-        best = search_chain(doc, graph, objective, config=config)
+        best = search_chain(graph, objective, config=config)
         found = (best,) if best else ()
     _emit(
         args,
@@ -180,8 +180,7 @@ def cmd_potential(args) -> int:
     from .chains import generate_potential_chains
 
     doc, config = _load(args)
-    base, graph = _graphs(doc)
-    found = generate_potential_chains(doc, base, graph, args.from_id, args.to_id, config=config)
+    found = generate_potential_chains(_graph(doc), args.from_id, args.to_id, config=config)
 
     def text():
         if not found:
@@ -201,25 +200,27 @@ def cmd_defend(args) -> int:
     from .chains import ChainObjective, chain_from_edges, enumerate_chains, search_chain
     from .defense import plan_budgeted, plan_coverage, plan_cut
 
-    if args.chain and args.mode != "coverage":
+    if args.chain is not None and args.mode != "coverage":
         raise ConfigError(f"--chain applies only to --mode coverage, not {args.mode}")
+    if args.budget is not None and args.mode != "budget":
+        raise ConfigError(f"--budget applies only to --mode budget, not {args.mode}")
     doc, config = _load(args)
-    _, graph = _graphs(doc)
+    graph = _graph(doc)
     if args.mode == "coverage":
-        if args.chain:
-            chain = chain_from_edges(doc, graph, tuple(args.chain.split(",")), config=config)
+        if args.chain is not None:
+            chain = chain_from_edges(graph, tuple(args.chain.split(",")), config=config)
         else:
-            chain = search_chain(doc, graph, ChainObjective("min_cost"), config=config)
+            chain = search_chain(graph, ChainObjective("min_cost"), config=config)
             if chain is None:
                 raise ValueError("no valid chain reaches the targets; pass --chain to cover an explicit chain")
-        plan = plan_coverage(doc, graph, chain, config=config)
+        plan = plan_coverage(graph, chain, config=config)
     elif args.mode == "budget":
         if args.budget is None:
             raise ConfigError("--mode budget requires --budget")
-        chains = enumerate_chains(doc, graph, targets=doc.targets or None, config=config)
-        plan = plan_budgeted(doc, graph, chains, args.budget, config=config)
+        chains = enumerate_chains(graph, targets=doc.targets or None, config=config)
+        plan = plan_budgeted(graph, chains, args.budget, config=config)
     else:
-        plan = plan_cut(doc, graph, config=config)
+        plan = plan_cut(graph, config=config)
 
     def text():
         lines = [
@@ -241,8 +242,7 @@ def cmd_risk(args) -> int:
     from .defense import risk_assess
 
     doc, config = _load(args)
-    _, graph = _graphs(doc)
-    rows = risk_assess(doc, graph, config=config)
+    rows = risk_assess(_graph(doc), config=config)
     _emit(
         args,
         lambda: {"rows": [r.as_dict() for r in rows]},
@@ -257,17 +257,19 @@ def cmd_risk(args) -> int:
 def cmd_simulate(args) -> int:
     from .game import GameConfig, run_batch, summarize
 
+    if args.budget_per_turn is not None and args.defender == "none":
+        raise ConfigError("--budget-per-turn applies only to --defender reactive_cut, not none")
     doc, config = _load(args)
-    _, graph = _graphs(doc)
+    graph = _graph(doc)
     game = GameConfig(
         max_turns=args.max_turns,
         attacker_policy=args.attacker,
         defender_policy=args.defender,
-        defender_budget_per_turn=args.budget_per_turn,
+        defender_budget_per_turn=args.budget_per_turn if args.budget_per_turn is not None else 0.0,
         rng_seed=args.seed,
         compromise_permissions=tuple(args.compromise_permission) if args.compromise_permission else None,
     )
-    traces = run_batch(doc, graph, game, args.runs, config=config)
+    traces = run_batch(graph, game, args.runs, config=config)
     summary = summarize(traces)
 
     def payload():
@@ -356,7 +358,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-turns", dest="max_turns", type=int, default=12)
     p.add_argument("--attacker", choices=("greedy_cheapest", "max_threat", "random"), default="greedy_cheapest")
     p.add_argument("--defender", choices=("none", "reactive_cut"), default="none")
-    p.add_argument("--budget-per-turn", dest="budget_per_turn", type=float, default=0.0)
+    p.add_argument("--budget-per-turn", dest="budget_per_turn", type=float, default=None)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--runs", type=int, default=1)
     p.add_argument("--semantics", choices=("accumulated", "strict"), default=None)

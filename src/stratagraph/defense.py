@@ -30,15 +30,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .chains import AttackChain, _walk, enumerate_chains
+from .chains import AttackChain, _resolve_targets, _walk, enumerate_chains
 from .config import DEFAULT_CONFIG, EngineConfig
 from .graphs import AttackGraph
-from .model import (
-    DefenseRecord,
-    InfeasibleCutError,
-    ScenarioDoc,
-    UnknownIdError,
-)
+from .model import DefenseRecord, InfeasibleCutError, UnknownIdError
 
 # Budget feasibility allows this much float slop on summed costs.
 EPS = 1e-9
@@ -126,7 +121,6 @@ def _finish_plan(graph, chosen, chains, signatures, config, optimal, uncovered=(
 
 
 def plan_coverage(
-    doc: ScenarioDoc,
     graph: AttackGraph,
     chain: AttackChain,
     config: EngineConfig = DEFAULT_CONFIG,
@@ -167,7 +161,6 @@ def _kernel(pairs) -> list[tuple[int, float]]:
 
 
 def plan_budgeted(
-    doc: ScenarioDoc,
     graph: AttackGraph,
     chains,
     budget: float,
@@ -259,7 +252,6 @@ def _choose(graph: AttackGraph, rows, budget: float, config: EngineConfig) -> tu
 
 
 def plan_cut(
-    doc: ScenarioDoc,
     graph: AttackGraph,
     entry_grants=None,
     targets=None,
@@ -271,15 +263,15 @@ def plan_cut(
     branch-and-bound within config limits, greedy beyond. The result is
     always re-verified by re-enumeration; a chain whose attacks admit no
     defense at all makes the cut infeasible. entry_grants/targets default
-    to the scenario's own.
+    to the scenario's own; an unknown target raises UnknownIdError.
     """
-    targets = tuple(targets) if targets is not None else doc.targets
+    targets = _resolve_targets(graph, targets, True)
     if not targets:
         raise ValueError("plan_cut requires at least one target")
 
     def chains_to_targets(blocked: frozenset[str]):
         return enumerate_chains(
-            doc, graph, targets=targets, config=config, blocked_attacks=blocked, entry_grants=entry_grants
+            graph, targets=targets, config=config, blocked_attacks=blocked, entry_grants=entry_grants
         )
 
     chains = list(chains_to_targets(frozenset()))
@@ -299,7 +291,7 @@ def plan_cut(
             by_signature[sig] = frozenset(d.id for d in _members(graph, sig))
         option_sets.append(by_signature[sig])
 
-    exact = len(chains) <= config.exact_chain_limit and len(doc.defenses) <= config.exact_defense_limit
+    exact = len(chains) <= config.exact_chain_limit and len(graph.sorted_defenses) <= config.exact_defense_limit
     if exact:
         chosen = _hitting_set_exact(option_sets, graph.defenses)
     else:
@@ -383,7 +375,6 @@ class RiskRow:
 
 
 def risk_assess(
-    doc: ScenarioDoc,
     graph: AttackGraph,
     config: EngineConfig = DEFAULT_CONFIG,
 ) -> tuple[RiskRow, ...]:
@@ -401,6 +392,7 @@ def risk_assess(
     """
     # object id -> [count, max threat, its edges, min cost, its edges]
     stats: dict[str, list] = {}
+    doc = graph.doc
     if doc.entry_grants:
         walk = _walk(graph, frozenset(doc.entry_grants), None, config, frozenset())
         for edges, _, _, _, last, cost, threat in walk:

@@ -21,7 +21,7 @@ from .chains import _walk
 from .config import DEFAULT_CONFIG, EngineConfig
 from .defense import _choose, _kernel, neutralized_attacks
 from .graphs import AttackGraph
-from .model import ConfigError, EmptyEntryGrantsError, Grant, ScenarioDoc
+from .model import ConfigError, EmptyEntryGrantsError, Grant
 
 ATTACKER_POLICIES = ("greedy_cheapest", "max_threat", "random")
 DEFENDER_POLICIES = ("none", "reactive_cut")
@@ -148,11 +148,11 @@ def _defender_rows(graph: AttackGraph, grants: frozenset[Grant], targets, blocke
 
 
 def run_game(
-    doc: ScenarioDoc,
     graph: AttackGraph,
     game: GameConfig,
     config: EngineConfig = DEFAULT_CONFIG,
 ) -> GameTrace:
+    doc = graph.doc
     if not doc.entry_grants:
         raise EmptyEntryGrantsError("scenario declares no entry grants")
     if not doc.targets:
@@ -228,7 +228,6 @@ def run_game(
 
 
 def run_batch(
-    doc: ScenarioDoc,
     graph: AttackGraph,
     game: GameConfig,
     runs: int,
@@ -238,7 +237,7 @@ def run_batch(
     if runs < 1:
         raise ConfigError("runs must be >= 1")
     return tuple(
-        run_game(doc, graph, replace(game, rng_seed=game.rng_seed + i), config=config) for i in range(runs)
+        run_game(graph, replace(game, rng_seed=game.rng_seed + i), config=config) for i in range(runs)
     )
 
 

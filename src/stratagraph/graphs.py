@@ -25,8 +25,8 @@ class HierarchicalGraph:
     vertical_edges: tuple[RelationshipEdge, ...]
     # object id -> sorted ids one relationship edge away, honoring direction
     adjacency: dict[str, tuple[str, ...]]
-    # The validated scenario this graph was built from; build_attack_graph
-    # skips re-validating exactly this object.
+    # The validated scenario this graph was built from, the one owner of the
+    # doc: the attack graph built on this base reads it as AttackGraph.doc.
     doc: ScenarioDoc = field(compare=False, repr=False)
 
     def nodes(self) -> tuple[str, ...]:
@@ -83,6 +83,11 @@ class AttackGraph:
     attack_defenses: dict[str, int]  # attack id -> mask of the defenses neutralizing it
     edge_defenses: dict[str, int]  # edge id -> its attack's mask in attack_defenses
 
+    @property
+    def doc(self) -> ScenarioDoc:
+        """The validated scenario both graphs were built from."""
+        return self.base.doc
+
     def edge(self, edge_id: str) -> AttackEdge:
         found = self.by_id.get(edge_id)
         if found is None:
@@ -116,8 +121,9 @@ def build_base_graph(doc: ScenarioDoc) -> HierarchicalGraph:
 
 
 def build_attack_graph(doc: ScenarioDoc, base: HierarchicalGraph) -> AttackGraph:
+    """The attack graph of doc on its base graph, which build_base_graph(doc) validated."""
     if base.doc is not doc:
-        require_valid(doc)
+        raise ValueError("the base graph was built from another scenario document")
     edges = []
     for record in doc.attacks:
         for i, result in enumerate(record.a_results):
@@ -173,7 +179,9 @@ def neighbors(graph: AttackGraph, object_id: str) -> tuple[AttackEdge, ...]:
 
 # --- exports -----------------------------------------------------------------
 
-def graphs_to_dict(doc: ScenarioDoc, base: HierarchicalGraph, graph: AttackGraph) -> dict:
+def graphs_to_dict(graph: AttackGraph) -> dict:
+    doc, base = graph.doc, graph.base
+
     def rel_list(edges):
         return [e.as_dict() for e in sorted(edges, key=lambda e: (e.from_id, e.to_id, e.kind))]
 
@@ -192,15 +200,15 @@ def graphs_to_dict(doc: ScenarioDoc, base: HierarchicalGraph, graph: AttackGraph
     }
 
 
-def graphs_to_json(doc: ScenarioDoc, base: HierarchicalGraph, graph: AttackGraph) -> str:
-    return canon.dumps(graphs_to_dict(doc, base, graph), end="\n")
+def graphs_to_json(graph: AttackGraph) -> str:
+    return canon.dumps(graphs_to_dict(graph), end="\n")
 
 
 def _dot_quote(s: str) -> str:
     return '"' + s.replace('"', '\\"') + '"'
 
 
-def graphs_to_dot(doc: ScenarioDoc, base: HierarchicalGraph, graph: AttackGraph) -> str:
+def graphs_to_dot(graph: AttackGraph) -> str:
     """Render both graphs as one DOT digraph, layers drawn as clusters.
 
     Output is byte-stable for a fixed scenario: clusters, nodes, and edges
@@ -208,7 +216,7 @@ def graphs_to_dot(doc: ScenarioDoc, base: HierarchicalGraph, graph: AttackGraph)
     """
     lines = ["digraph scenario {", "  rankdir=TB;", "  node [shape=box];"]
     layer_order = ("application", "service", "virtual", "physical")
-    objects = sorted(doc.objects, key=lambda o: o.id)
+    objects = sorted(graph.doc.objects, key=lambda o: o.id)
     for layer in layer_order:
         members = [o for o in objects if o.layer == layer]
         if not members:
@@ -219,6 +227,7 @@ def graphs_to_dot(doc: ScenarioDoc, base: HierarchicalGraph, graph: AttackGraph)
             label = f"{o.id}\\n{o.label}" if o.label else o.id
             lines.append(f"    {_dot_quote(o.id)} [label={_dot_quote(label)}];")
         lines.append("  }")
+    base = graph.base
     rels = sorted(base.intra_edges + base.vertical_edges, key=lambda e: (e.from_id, e.to_id, e.kind))
     for e in rels:
         attrs = [f"label={_dot_quote(e.kind)}", "color=gray50", "fontcolor=gray50"]

@@ -68,11 +68,11 @@ def batches():
 
 
 def test_criterion_1_worked_example_two_edges(multiedge, golden_check):
-    doc, base, graph = multiedge
+    _, _, graph = multiedge
     edges = [(e.from_id, e.to_id, e.permission) for e in graph.edges]
     assert edges == [("O1", "O2", "read"), ("O1", "O3", "execute")]
     assert len(graph.edges) == 2
-    golden_check("multiedge_graph.json", graphs_to_json(doc, base, graph))
+    golden_check("multiedge_graph.json", graphs_to_json(graph))
     print("criterion 1 PASS: worked example yields exactly the two expected edges, golden stable")
 
 
@@ -85,13 +85,13 @@ def test_criterion_2_enumeration_matches_brute_force():
             config = replace(cfg, semantics=semantics)
             got = [
                 (c.edges, c.total_cost, c.total_threat)
-                for c in enumerate_chains(doc, graph, config=config)
+                for c in enumerate_chains(graph, config=config)
             ]
             want = [(seq, cost, threat) for seq, cost, threat, _ in brute(seed, max_edges, max_len, semantics)]
             assert got == want, f"mismatch seed={seed} semantics={semantics}"
             to_targets = [
                 (c.edges, c.total_cost, c.total_threat)
-                for c in enumerate_chains(doc, graph, targets=doc.targets, config=config)
+                for c in enumerate_chains(graph, targets=doc.targets, config=config)
             ]
             ends = oracles.oracle_edges(doc)
             assert to_targets == [w for w in want if ends[w[0][-1]][2] in doc.targets], f"seed={seed} {semantics}"
@@ -108,7 +108,7 @@ def test_criterion_3_search_optimality():
             config = replace(cfg, semantics=semantics)
             chains = brute(seed, max_edges, max_len, semantics)
             reachable = [c for c in chains if oracles.oracle_edges(doc)[c[0][-1]][2] in doc.targets]
-            cheapest = search_chain(doc, graph, ChainObjective("min_cost"), config=config)
+            cheapest = search_chain(graph, ChainObjective("min_cost"), config=config)
             if not reachable:
                 assert cheapest is None
             else:
@@ -118,7 +118,7 @@ def test_criterion_3_search_optimality():
                 chains = brute(seed, max_edges, max_len, semantics, agg)
                 reachable = [c for c in chains if oracles.oracle_edges(doc)[c[0][-1]][2] in doc.targets]
                 nastiest = search_chain(
-                    doc, graph, ChainObjective("max_threat"), config=replace(config, threat_agg=agg)
+                    graph, ChainObjective("max_threat"), config=replace(config, threat_agg=agg)
                 )
                 if not reachable:
                     assert nastiest is None
@@ -134,7 +134,7 @@ def test_criterion_3_search_optimality():
 
 def test_criterion_4_cut_soundness_and_optimality(hitting_trio):
     doc, _, graph = hitting_trio
-    plan = plan_cut(doc, graph)
+    plan = plan_cut(graph)
     assert plan.total_cost == 2.0
 
     scenarios = 0
@@ -147,15 +147,15 @@ def test_criterion_4_cut_soundness_and_optimality(hitting_trio):
         want = oracles.brute_cut(doc, reachable)
         if want is None:
             try:
-                plan_cut(doc, graph, config=cfg)
+                plan_cut(graph, config=cfg)
             except InfeasibleCutError:
                 continue
             raise AssertionError(f"seed={seed}: engine cut a scenario brute force says is uncuttable")
-        plan = plan_cut(doc, graph, config=cfg)
+        plan = plan_cut(graph, config=cfg)
         assert abs(plan.total_cost - want[0]) < EPS, f"seed={seed}"
         assert plan.chosen == want[1], f"seed={seed}"
         survivors = enumerate_chains(
-            doc, graph, targets=doc.targets, config=cfg, blocked_attacks=neutralized_attacks(graph, plan.chosen)
+            graph, targets=doc.targets, config=cfg, blocked_attacks=neutralized_attacks(graph, plan.chosen)
         )
         assert survivors == (), f"seed={seed}: chains survive the cut"
         cut_count += 1
@@ -172,10 +172,10 @@ def test_criterion_5_budget_optimality():
         scenarios += 1
         oracle_chains = brute(seed, max_edges, max_len, "accumulated")
         reachable = [c for c in oracle_chains if oracles.oracle_edges(doc)[c[0][-1]][2] in doc.targets]
-        engine_chains = enumerate_chains(doc, graph, targets=doc.targets, config=cfg)
+        engine_chains = enumerate_chains(graph, targets=doc.targets, config=cfg)
         total = sum(d.cost for d in doc.defenses)
         for budget in (0.0, 1.5, total):
-            plan = plan_budgeted(doc, graph, engine_chains, budget, config=cfg)
+            plan = plan_budgeted(graph, engine_chains, budget, config=cfg)
             value, cost, ids = oracles.brute_budget(doc, reachable, budget)
             assert plan.chosen == ids, f"seed={seed} budget={budget}"
             broken = sum(
@@ -184,9 +184,9 @@ def test_criterion_5_budget_optimality():
                 if chain_attacks(graph, c) & neutralized_attacks(graph, plan.chosen)
             )
             assert abs(broken - value) < EPS, f"seed={seed} budget={budget}"
-        zero = plan_budgeted(doc, graph, engine_chains, 0.0, config=cfg)
+        zero = plan_budgeted(graph, engine_chains, 0.0, config=cfg)
         assert zero.chosen == ()
-        full = plan_budgeted(doc, graph, engine_chains, total, config=cfg)
+        full = plan_budgeted(graph, engine_chains, total, config=cfg)
         breakable = [c for c in engine_chains if any(set(d.d_results) & chain_attacks(graph, c) for d in doc.defenses)]
         blocked = neutralized_attacks(graph, full.chosen)
         assert all(chain_attacks(graph, c) & blocked for c in breakable), f"seed={seed}: unlimited budget left breakable chains"
@@ -199,14 +199,14 @@ def test_criterion_6_monotonicity_suite():
 
     for seed in range(90):
         doc, graph = bundle(seed, 10)
-        chains = enumerate_chains(doc, graph, config=CFG4)
+        chains = enumerate_chains(graph, config=CFG4)
         for chain in chains:
-            states = is_valid_chain(doc, graph, chain.edges, config=CFG4).states
+            states = is_valid_chain(graph, chain.edges, config=CFG4).states
             for a, b in zip(states, states[1:]):
                 assert set(a.grants) <= set(b.grants)
             grants_cases += 1
             for k in range(1, len(chain.edges) + 1):
-                assert is_valid_chain(doc, graph, chain.edges[:k], config=CFG4).valid
+                assert is_valid_chain(graph, chain.edges[:k], config=CFG4).valid
             prefix_cases += 1
 
         full_set = {c.edges for c in chains}
@@ -219,13 +219,13 @@ def test_criterion_6_monotonicity_suite():
             )
             smaller = replace(doc, attacks=kept, defenses=defenses)
             g2 = build_attack_graph(smaller, build_base_graph(smaller))
-            for c in enumerate_chains(smaller, g2, config=CFG4):
+            for c in enumerate_chains(g2, config=CFG4):
                 assert c.edges in full_set, f"seed={seed}: removing {drop.id} created chain {c.edges}"
             removal_cases += 1
 
         if doc.defenses and doc.targets:
-            target_chains = enumerate_chains(doc, graph, targets=doc.targets, config=CFG4)
-            plan = plan_budgeted(doc, graph, target_chains, 1.0, config=CFG4)
+            target_chains = enumerate_chains(graph, targets=doc.targets, config=CFG4)
+            plan = plan_budgeted(graph, target_chains, 1.0, config=CFG4)
             blocked = neutralized_attacks(graph, plan.chosen)
             before = sum(1 for c in target_chains if not (chain_attacks(graph, c) & blocked))
             for extra in doc.defenses:
@@ -253,8 +253,8 @@ def test_criterion_7_simulation_determinism_and_consistency(toy5g):
                          defender_policy="reactive_cut", defender_budget_per_turn=2.0)
         if not doc.targets:
             continue
-        one = run_game(doc, graph, cfg)
-        two = run_game(doc, graph, cfg)
+        one = run_game(graph, cfg)
+        two = run_game(graph, cfg)
         assert canon.dumps(one.as_dict()) == canon.dumps(two.as_dict())
 
     # Reachability equivalence needs scenarios where closure reachability
@@ -267,8 +267,8 @@ def test_criterion_7_simulation_determinism_and_consistency(toy5g):
             continue
         graph = build_attack_graph(doc, build_base_graph(doc))
         turns = len(doc.attacks) + 1
-        trace = run_game(doc, graph, GameConfig(max_turns=turns, rng_seed=1))
-        chains = enumerate_chains(doc, graph, targets=doc.targets, config=EngineConfig(max_len=len(doc.objects)))
+        trace = run_game(graph, GameConfig(max_turns=turns, rng_seed=1))
+        chains = enumerate_chains(graph, targets=doc.targets, config=EngineConfig(max_len=len(doc.objects)))
         assert (trace.outcome == "target_compromised") == bool(chains), f"seed={seed}"
         checked += 1
         compromised += trace.outcome == "target_compromised"
@@ -276,9 +276,9 @@ def test_criterion_7_simulation_determinism_and_consistency(toy5g):
     # Full detection plus a full-cut budget starves the attacker.
     doc, _, graph = toy5g
     assert all(a.detect_prob == 1.0 for a in doc.attacks)
-    cut_cost = plan_cut(doc, graph).total_cost
+    cut_cost = plan_cut(graph).total_cost
     trace = run_game(
-        doc, graph, GameConfig(max_turns=16, defender_policy="reactive_cut", defender_budget_per_turn=cut_cost)
+        graph, GameConfig(max_turns=16, defender_policy="reactive_cut", defender_budget_per_turn=cut_cost)
     )
     assert trace.outcome == "attacker_exhausted"
     print(

@@ -58,7 +58,7 @@ def two_step_doc(second_condition):
 def test_valid_when_condition_granted():
     doc = two_step_doc('{"object": "O2", "permission": "read"}')
     graph = build_attack_graph(doc, build_base_graph(doc))
-    check = is_valid_chain(doc, graph, ["e1#0", "e2#0"])
+    check = is_valid_chain(graph, ["e1#0", "e2#0"])
     assert check.valid
     assert check.failed_index is None
     assert len(check.states) == 3
@@ -67,7 +67,7 @@ def test_valid_when_condition_granted():
 def test_invalid_reports_index_and_requirement():
     doc = two_step_doc('{"object": "O2", "permission": "write"}')
     graph = build_attack_graph(doc, build_base_graph(doc))
-    check = is_valid_chain(doc, graph, ["e1#0", "e2#0"])
+    check = is_valid_chain(graph, ["e1#0", "e2#0"])
     assert not check.valid
     assert check.failed_index == 1
     assert check.reason == "unsatisfied <O2, write>"
@@ -76,32 +76,32 @@ def test_invalid_reports_index_and_requirement():
 def test_adjacency_required():
     doc = two_step_doc('{"object": "O2", "permission": "read"}')
     graph = build_attack_graph(doc, build_base_graph(doc))
-    check = is_valid_chain(doc, graph, ["e2#0"])
+    check = is_valid_chain(graph, ["e2#0"])
     assert not check.valid and check.failed_index == 0
-    check2 = is_valid_chain(doc, graph, ["e1#0", "e1#0"])
+    check2 = is_valid_chain(graph, ["e1#0", "e1#0"])
     assert not check2.valid  # repeated affected object
 
 
 def test_unknown_edge_raises(toy5g):
-    doc, _, graph = toy5g
+    _, _, graph = toy5g
     with pytest.raises(UnknownIdError):
-        is_valid_chain(doc, graph, ["ZZ#9"])
+        is_valid_chain(graph, ["ZZ#9"])
 
 
 def test_empty_entry_grants_raise(toy5g):
     from dataclasses import replace
 
-    doc, _, graph = toy5g
+    doc, _, _ = toy5g
     bare = replace(doc, entry_grants=())
     with pytest.raises(EmptyEntryGrantsError):
-        enumerate_chains(bare, graph)
+        enumerate_chains(build_attack_graph(bare, build_base_graph(bare)))
 
 
 def test_accumulated_vs_strict_on_sibling_grant(strictmode):
-    doc, _, graph = strictmode
+    _, _, graph = strictmode
     seq = ["S1#0", "S2#0"]
-    assert is_valid_chain(doc, graph, seq).valid
-    strict = is_valid_chain(doc, graph, seq, config=STRICT)
+    assert is_valid_chain(graph, seq).valid
+    strict = is_valid_chain(graph, seq, config=STRICT)
     assert not strict.valid
     assert strict.failed_index == 1
     assert strict.reason == "unsatisfied <O3, execute>"
@@ -114,50 +114,59 @@ def test_entry_only_attack_must_open_the_chain():
     attacks = tuple(replace(a, entry_only=True) if a.id == "e2" else a for a in doc.attacks)
     doc = replace(doc, attacks=attacks)
     graph = build_attack_graph(doc, build_base_graph(doc))
-    check = is_valid_chain(doc, graph, ["e1#0", "e2#0"])
+    check = is_valid_chain(graph, ["e1#0", "e2#0"])
     assert not check.valid and "entry-only" in check.reason
-    assert enumerate_chains(doc, graph, targets=["O3"]) == ()
+    assert enumerate_chains(graph, targets=["O3"]) == ()
 
 
 def test_toy5g_enumeration_matches_frozen_oracle(toy5g):
     doc, _, graph = toy5g
-    got = [(c.edges, c.total_cost, c.total_threat) for c in enumerate_chains(doc, graph, targets=doc.targets)]
+    got = [(c.edges, c.total_cost, c.total_threat) for c in enumerate_chains(graph, targets=doc.targets)]
     assert got == TOY5G_TARGET_CHAINS
 
 
+def test_unknown_targets_raise(toy5g):
+    _, _, graph = toy5g
+    with pytest.raises(UnknownIdError, match="^unknown target 'GHOST'$"):
+        enumerate_chains(graph, targets=["GHOST"])
+    # Every id is checked; the first unknown one in sorted order is named.
+    with pytest.raises(UnknownIdError, match="^unknown target 'BOO'$"):
+        enumerate_chains(graph, targets=["APP1", "GHOST", "BOO"])
+
+
 def test_enumeration_empty_cases(toy5g):
-    doc, _, graph = toy5g
+    _, _, graph = toy5g
     no_attacks = parse_scenario(
         '{"objects": [{"id": "a", "layer": "physical", "category": "os"}],'
         ' "entry_grants": [{"object": "a", "permission": "read"}], "targets": ["a"]}'
     )
     g2 = build_attack_graph(no_attacks, build_base_graph(no_attacks))
-    assert enumerate_chains(no_attacks, g2) == ()
+    assert enumerate_chains(g2) == ()
     # SL1 is never affected by any attack in toy5g
-    assert enumerate_chains(doc, graph, target="SL1") == ()
+    assert enumerate_chains(graph, targets=["SL1"]) == ()
 
 
 def test_prefix_closure_accumulated(toy5g):
-    doc, _, graph = toy5g
-    for chain in enumerate_chains(doc, graph):
+    _, _, graph = toy5g
+    for chain in enumerate_chains(graph):
         for k in range(1, len(chain.edges)):
-            assert is_valid_chain(doc, graph, chain.edges[:k]).valid
+            assert is_valid_chain(graph, chain.edges[:k]).valid
 
 
 def test_search_min_cost_and_max_threat(toy5g):
-    doc, _, graph = toy5g
-    cheapest = search_chain(doc, graph, ChainObjective("min_cost"))
+    _, _, graph = toy5g
+    cheapest = search_chain(graph, ChainObjective("min_cost"))
     assert cheapest.edges == ("A1#0", "A2#1", "A4#0")
     assert cheapest.total_cost == 6.5
-    nastiest = search_chain(doc, graph, ChainObjective("max_threat"))
+    nastiest = search_chain(graph, ChainObjective("max_threat"))
     assert nastiest.edges == ("A1#0", "A2#1", "A5#0")
     assert nastiest.total_threat == 11.0
 
 
 def test_search_single_chain_wins_both_objectives(minichain):
-    doc, _, graph = minichain
-    a = search_chain(doc, graph, ChainObjective("min_cost"))
-    b = search_chain(doc, graph, ChainObjective("max_threat"))
+    _, _, graph = minichain
+    a = search_chain(graph, ChainObjective("min_cost"))
+    b = search_chain(graph, ChainObjective("max_threat"))
     assert a.edges == b.edges == ("B1#0", "B2#0")
 
 
@@ -166,18 +175,18 @@ def test_search_honours_engine_max_len(minichain):
     # bounds both search modes.
     doc, _, graph = minichain
     short = EngineConfig(max_len=1)
-    assert search_chain(doc, graph, ChainObjective("min_cost"), config=short) is None
-    assert search_chain(doc, graph, ChainObjective("max_threat"), config=short) is None
-    assert enumerate_chains(doc, graph, targets=doc.targets, config=short) == ()
+    assert search_chain(graph, ChainObjective("min_cost"), config=short) is None
+    assert search_chain(graph, ChainObjective("max_threat"), config=short) is None
+    assert enumerate_chains(graph, targets=doc.targets, config=short) == ()
     two = EngineConfig(max_len=2)
-    assert search_chain(doc, graph, ChainObjective("min_cost"), config=two).edges == ("B1#0", "B2#0")
+    assert search_chain(graph, ChainObjective("min_cost"), config=two).edges == ("B1#0", "B2#0")
 
 
 def test_search_none_when_unreachable(toy5g):
-    doc, _, graph = toy5g
-    assert search_chain(doc, graph, ChainObjective("min_cost", target="SL1")) is None
+    _, _, graph = toy5g
+    assert search_chain(graph, ChainObjective("min_cost", target="SL1")) is None
     with pytest.raises(UnknownIdError):
-        search_chain(doc, graph, ChainObjective("min_cost", target="NOPE"))
+        search_chain(graph, ChainObjective("min_cost", target="NOPE"))
 
 
 def test_equal_cost_tie_breaks_lexicographically():
@@ -191,23 +200,23 @@ def test_equal_cost_tie_breaks_lexicographically():
         ' "entry_grants": [{"object": "a", "permission": "read"}], "targets": ["t"]}'
     )
     graph = build_attack_graph(doc, build_base_graph(doc))
-    best = search_chain(doc, graph, ChainObjective("min_cost"))
+    best = search_chain(graph, ChainObjective("min_cost"))
     assert best.edges == ("p1#0",)
 
 
 def test_threat_aggregation_max_mode(toy5g):
     doc, _, graph = toy5g
-    chains = enumerate_chains(doc, graph, targets=doc.targets, config=EngineConfig(threat_agg="max"))
+    chains = enumerate_chains(graph, targets=doc.targets, config=EngineConfig(threat_agg="max"))
     assert chains[1].edges == ("A1#0", "A2#1", "A5#0")
     assert chains[1].total_threat == 6.0  # max severity, not the sum
 
 
 def test_chain_from_edges_round_trip(toy5g):
-    doc, _, graph = toy5g
-    chain = chain_from_edges(doc, graph, ("A1#0", "A2#1", "A4#0"))
+    _, _, graph = toy5g
+    chain = chain_from_edges(graph, ("A1#0", "A2#1", "A4#0"))
     assert chain.total_cost == 6.5
     with pytest.raises(ValueError):
-        chain_from_edges(doc, graph, ("A2#1",))
+        chain_from_edges(graph, ("A2#1",))
 
 
 def test_enumeration_matches_oracle_small_batch():
@@ -217,7 +226,7 @@ def test_enumeration_matches_oracle_small_batch():
         for semantics in ("accumulated", "strict"):
             for agg in ("sum", "max"):
                 cfg = EngineConfig(semantics=semantics, max_len=4, threat_agg=agg)
-                got = [(c.edges, c.total_cost, c.total_threat) for c in enumerate_chains(doc, graph, config=cfg)]
+                got = [(c.edges, c.total_cost, c.total_threat) for c in enumerate_chains(graph, config=cfg)]
                 want = [(seq, cost, threat) for seq, cost, threat, _ in oracles.brute_chains(doc, 4, semantics, agg=agg)]
                 assert got == want, f"seed {seed} {semantics} {agg}"
 
@@ -234,15 +243,15 @@ def test_grants_monotone_along_chains():
     for seed in range(10):
         doc = random_scenario(seed)
         graph = build_attack_graph(doc, build_base_graph(doc))
-        for chain in enumerate_chains(doc, graph, config=EngineConfig(max_len=5)):
-            states = is_valid_chain(doc, graph, chain.edges).states
+        for chain in enumerate_chains(graph, config=EngineConfig(max_len=5)):
+            states = is_valid_chain(graph, chain.edges).states
             for a, b in zip(states, states[1:]):
                 assert set(a.grants) <= set(b.grants)
 
 
 def test_potential_chain_single_gap(potential_gap):
-    doc, base, graph = potential_gap
-    found = generate_potential_chains(doc, base, graph, "PB", "PV", config=EngineConfig(max_len=4))
+    _, _, graph = potential_gap
+    found = generate_potential_chains(graph, "PB", "PV", config=EngineConfig(max_len=4))
     assert len(found) == 1
     p = found[0]
     assert p.path == ("PB", "PH", "PV")
@@ -251,23 +260,23 @@ def test_potential_chain_single_gap(potential_gap):
 
 
 def test_fully_attackable_path_excluded(potential_gap):
-    doc, base, graph = potential_gap
-    assert generate_potential_chains(doc, base, graph, "PB", "PH", config=EngineConfig(max_len=4)) == ()
+    _, _, graph = potential_gap
+    assert generate_potential_chains(graph, "PB", "PH", config=EngineConfig(max_len=4)) == ()
 
 
 def test_no_base_path_gives_nothing(potential_gap):
-    doc, base, graph = potential_gap
+    _, _, graph = potential_gap
     # PX sits three hops away (PB-PH-PV-PX), beyond this length bound
-    assert generate_potential_chains(doc, base, graph, "PB", "PX", config=EngineConfig(max_len=2)) == ()
+    assert generate_potential_chains(graph, "PB", "PX", config=EngineConfig(max_len=2)) == ()
     with pytest.raises(UnknownIdError):
-        generate_potential_chains(doc, base, graph, "PB", "NOPE")
+        generate_potential_chains(graph, "PB", "NOPE")
 
 
 def test_potential_suggestion_respects_next_condition(toy5g):
-    doc, base, graph = toy5g
+    _, _, graph = toy5g
     # Path CH1 -> UE1 -> APP1: hop CH1->UE1 has no attack edge; the next hop
     # UE1->APP1 is covered by A4/A5 whose conditions need read on UE1.
-    found = generate_potential_chains(doc, base, graph, "CH1", "APP1", config=EngineConfig(max_len=3))
+    found = generate_potential_chains(graph, "CH1", "APP1", config=EngineConfig(max_len=3))
     gap = [p for p in found if p.path == ("CH1", "UE1", "APP1")]
     assert len(gap) == 1
     # A1 attacks the only channel-category object but grants no read on UE1;
@@ -283,7 +292,7 @@ def test_removing_attack_never_adds_chains():
     for seed in range(10):
         doc = random_scenario(seed, max_edges=6)
         graph = build_attack_graph(doc, build_base_graph(doc))
-        full = {c.edges for c in enumerate_chains(doc, graph, config=EngineConfig(max_len=4))}
+        full = {c.edges for c in enumerate_chains(graph, config=EngineConfig(max_len=4))}
         for drop in doc.attacks:
             smaller = replace(
                 doc,
@@ -295,7 +304,7 @@ def test_removing_attack_never_adds_chains():
                 ),
             )
             g2 = build_attack_graph(smaller, build_base_graph(smaller))
-            for c in enumerate_chains(smaller, g2, config=EngineConfig(max_len=4)):
+            for c in enumerate_chains(g2, config=EngineConfig(max_len=4)):
                 assert c.edges in full
 
 
@@ -335,7 +344,7 @@ def test_chains_continue_past_a_target():
         (3, [("k1#0",), ("k1#0", "k2#0"), ("k1#0", "k3#0", "k4#0")]),
         (5, [("k1#0",), ("k1#0", "k2#0"), ("k1#0", "k3#0", "k4#0")]),
     ):
-        got = [c.edges for c in enumerate_chains(doc, graph, targets=doc.targets, config=EngineConfig(max_len=max_len))]
+        got = [c.edges for c in enumerate_chains(graph, targets=doc.targets, config=EngineConfig(max_len=max_len))]
         assert got == want, max_len
         assert got == [seq for seq, *_ in oracles.brute_chains(doc, max_len, targets=doc.targets)]
 
@@ -369,7 +378,7 @@ def test_target_enumeration_matches_oracle_on_game_path(seed, semantics, agg, ma
     entry = data.draw(st.frozensets(grant, min_size=1, max_size=4), label="entry")
     cfg = EngineConfig(semantics=semantics, max_len=max_len, threat_agg=agg)
     found = enumerate_chains(
-        doc, graph, targets=targets, config=cfg, blocked_attacks=blocked, entry_grants=tuple(sorted(entry))
+        graph, targets=targets, config=cfg, blocked_attacks=blocked, entry_grants=tuple(sorted(entry))
     )
     got = [(c.edges, c.total_cost, c.total_threat, frozenset(c.final_grants)) for c in found]
     open_doc = replace(doc, attacks=tuple(a for a in doc.attacks if a.id not in blocked))
@@ -414,7 +423,7 @@ def test_prune_expands_only_prefixes_that_can_reach_a_goal(monkeypatch):
                 cfg = EngineConfig(semantics=semantics, max_len=max_len)
                 for targets in (doc.targets, None):
                     prefixes.clear()
-                    enumerate_chains(doc, graph, targets=targets, config=cfg, blocked_attacks=blocked)
+                    enumerate_chains(graph, targets=targets, config=cfg, blocked_attacks=blocked)
                     for edges in prefixes:
                         if not edges:
                             continue

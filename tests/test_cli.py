@@ -393,10 +393,10 @@ def test_non_finite_budgets_rejected_by_library(toy5g):
     from stratagraph import GameConfig, plan_budgeted
     from stratagraph.model import ConfigError
 
-    doc, _, graph = toy5g
+    _, _, graph = toy5g
     for value in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            plan_budgeted(doc, graph, (), value)
+            plan_budgeted(graph, (), value)
         with pytest.raises(ConfigError):
             GameConfig(defender_budget_per_turn=value).check()
 
@@ -427,10 +427,31 @@ def test_validate_reads_config_like_every_command(capsys, fixtures_dir, tmp_path
         ("chains", "--objective", "max_threat", "--unrestricted"),
         ("defend", "--mode", "cut", "--chain", "NOPE#9"),
         ("defend", "--mode", "budget", "--budget", "3", "--chain", "A1#0,A2#1,A5#0"),
+        ("defend", "--mode", "cut", "--chain", ""),
+        ("defend", "--mode", "cut", "--budget", "3"),
+        ("defend", "--mode", "coverage", "--budget", "3"),
+        ("simulate", "--budget-per-turn", "2"),
+        ("simulate", "--defender", "none", "--budget-per-turn", "0"),
     ],
-    ids=" ".join,
+    ids=lambda argv: " ".join(a or '""' for a in argv),
 )
 def test_flags_a_command_would_ignore_are_rejected(capsys, fixtures_dir, argv):
     code, out, err = run_cli(capsys, argv[0], "--scenario", scen(fixtures_dir, "toy5g"), *argv[1:])
     assert code == 1 and out == ""
     assert err.startswith("error: --")
+
+
+def test_empty_chain_is_an_unknown_edge_not_a_missing_chain(capsys, fixtures_dir):
+    argv = ("defend", "--scenario", scen(fixtures_dir, "toy5g"), "--mode", "coverage", "--chain", "")
+    assert run_cli(capsys, *argv) == (1, "", "error: unknown attack edge ''\n")
+
+
+def test_simulate_without_budget_per_turn_gives_the_game_zero(capsys, fixtures_dir):
+    toy = scen(fixtures_dir, "toy5g")
+    code, out, _ = run_cli(capsys, "simulate", "--scenario", toy, "--defender", "reactive_cut", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["config"]["defender_budget_per_turn"] == 0.0
+    explicit = run_cli(
+        capsys, "simulate", "--scenario", toy, "--defender", "reactive_cut", "--budget-per-turn", "0", "--format", "json"
+    )
+    assert explicit == (0, out, "")

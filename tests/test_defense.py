@@ -72,8 +72,8 @@ def test_coverage_one_defense_per_attack():
         ' "entry_grants": [{"object": "x", "permission": "read"}], "targets": ["w"]}'
     )
     graph = build_attack_graph(doc, build_base_graph(doc))
-    chain = enumerate_chains(doc, graph, targets=doc.targets)[0]
-    plan = plan_coverage(doc, graph, chain)
+    chain = enumerate_chains(graph, targets=doc.targets)[0]
+    plan = plan_coverage(graph, chain)
     assert plan.chosen == ("da", "db", "dc")
     assert plan.total_cost == 3.0
     assert plan.optimal and not plan.uncovered_attacks
@@ -81,36 +81,36 @@ def test_coverage_one_defense_per_attack():
 
 
 def test_coverage_shared_defense_counted_once(toy5g):
-    doc, _, graph = toy5g
-    chain = search_chain(doc, graph, ChainObjective("min_cost"))
-    plan = plan_coverage(doc, graph, chain)
+    _, _, graph = toy5g
+    chain = search_chain(graph, ChainObjective("min_cost"))
+    plan = plan_coverage(graph, chain)
     assert plan.chosen == ("D1", "D3")  # D1 covers both A1 and A2
     assert plan.total_cost == 7.5
 
 
 def test_coverage_reports_uncovered(undefendable):
     doc, _, graph = undefendable
-    chain = enumerate_chains(doc, graph, targets=doc.targets)[0]
-    plan = plan_coverage(doc, graph, chain)
+    chain = enumerate_chains(graph, targets=doc.targets)[0]
+    plan = plan_coverage(graph, chain)
     assert plan.uncovered_attacks == ("U1",)
     assert plan.chosen == ("DU2",)
 
 
 def test_budget_zero_and_saturation(toy5g):
     doc, _, graph = toy5g
-    chains = enumerate_chains(doc, graph, targets=doc.targets)
-    empty = plan_budgeted(doc, graph, chains, 0.0)
+    chains = enumerate_chains(graph, targets=doc.targets)
+    empty = plan_budgeted(graph, chains, 0.0)
     assert empty.chosen == () and empty.surviving_count == len(chains)
-    everything = plan_budgeted(doc, graph, chains, sum(d.cost for d in doc.defenses))
+    everything = plan_budgeted(graph, chains, sum(d.cost for d in doc.defenses))
     assert everything.surviving_count == 0
 
 
 def test_budget_matches_brute_force(toy5g):
     doc, _, graph = toy5g
-    chains = enumerate_chains(doc, graph, targets=doc.targets)
+    chains = enumerate_chains(graph, targets=doc.targets)
     oracle_chains = oracles.brute_chains(doc, 8, targets=doc.targets)
     for budget in (0.0, 2.0, 3.0, 5.0, 8.0):
-        plan = plan_budgeted(doc, graph, chains, budget)
+        plan = plan_budgeted(graph, chains, budget)
         value, cost, ids = oracles.brute_budget(doc, oracle_chains, budget)
         broken = sum(c.total_threat for c in chains if chain_attacks(graph, c) & neutralized_attacks(graph, plan.chosen))
         assert abs(broken - value) < 1e-9, f"budget {budget}"
@@ -119,9 +119,9 @@ def test_budget_matches_brute_force(toy5g):
 
 def test_budget_count_objective(toy5g):
     doc, _, graph = toy5g
-    chains = enumerate_chains(doc, graph, targets=doc.targets)
+    chains = enumerate_chains(graph, targets=doc.targets)
     cfg = EngineConfig(budget_objective="count")
-    plan = plan_budgeted(doc, graph, chains, 2.5, config=cfg)
+    plan = plan_budgeted(graph, chains, 2.5, config=cfg)
     value, _, ids = oracles.brute_budget(doc, oracles.brute_chains(doc, 8, targets=doc.targets), 2.5, "count")
     assert plan.chosen == ids
 
@@ -138,13 +138,13 @@ def test_budget_kernel_matches_per_chain_reference(seed, objective, limit, data)
     # on the exact path (limit 20) and on the greedy path (limit 0).
     doc = random_scenario(seed, max_objects=6, max_edges=24, max_defenses=10)
     graph = build_attack_graph(doc, build_base_graph(doc))
-    chains = enumerate_chains(doc, graph, config=EngineConfig(max_len=4))
+    chains = enumerate_chains(graph, config=EngineConfig(max_len=4))
     total = sum(d.cost for d in doc.defenses)
     budget = data.draw(
         st.one_of(st.integers(0, int(2 * total)).map(lambda h: h / 2), st.floats(0.0, total)), label="budget"
     )
     cfg = EngineConfig(budget_objective=objective, exact_defense_limit=limit)
-    plan = plan_budgeted(doc, graph, chains, budget, config=cfg)
+    plan = plan_budgeted(graph, chains, budget, config=cfg)
     assert plan == oracles.reference_plan_budgeted(doc, chains, budget, objective, exact_limit=limit)
 
 
@@ -159,11 +159,11 @@ def test_budget_non_dyadic_weights_within_eps():
         rng = random.Random(seed)
         doc = replace(doc, attacks=tuple(replace(a, severity=rng.choice((0.1, 0.2, 0.7))) for a in doc.attacks))
         graph = build_attack_graph(doc, build_base_graph(doc))
-        chains = enumerate_chains(doc, graph, config=EngineConfig(max_len=4))
+        chains = enumerate_chains(graph, config=EngineConfig(max_len=4))
         oracle_chains = oracles.brute_chains(doc, 4)
         total = sum(d.cost for d in doc.defenses)
         for budget in (0.5, 1.5, total / 2, total):
-            plan = plan_budgeted(doc, graph, chains, budget)
+            plan = plan_budgeted(graph, chains, budget)
             value, _, _ = oracles.brute_budget(doc, oracle_chains, budget)
             blocked = neutralized_attacks(graph, plan.chosen)
             broken = sum(c.total_threat for c in chains if chain_attacks(graph, c) & blocked)
@@ -174,8 +174,8 @@ def test_budget_non_dyadic_weights_within_eps():
 
 
 def test_cut_hitting_trio_is_two(hitting_trio):
-    doc, _, graph = hitting_trio
-    plan = plan_cut(doc, graph)
+    _, _, graph = hitting_trio
+    plan = plan_cut(graph)
     assert plan.total_cost == 2.0
     assert plan.chosen == ("d1", "d2")
     assert plan.optimal
@@ -183,29 +183,29 @@ def test_cut_hitting_trio_is_two(hitting_trio):
 
 
 def test_cut_single_chain_picks_cheapest(minichain):
-    doc, _, graph = minichain
-    plan = plan_cut(doc, graph)
+    _, _, graph = minichain
+    plan = plan_cut(graph)
     assert plan.chosen == ("DB1",)
     assert plan.total_cost == 1.0
 
 
 def test_cut_toy5g(toy5g):
     doc, _, graph = toy5g
-    plan = plan_cut(doc, graph)
+    plan = plan_cut(graph)
     assert plan.chosen == ("D1",) and plan.total_cost == 5.0
-    survivors = enumerate_chains(doc, graph, targets=doc.targets, blocked_attacks=neutralized_attacks(graph, plan.chosen))
+    survivors = enumerate_chains(graph, targets=doc.targets, blocked_attacks=neutralized_attacks(graph, plan.chosen))
     assert survivors == ()
 
 
 def test_cut_skips_undefendable_attack_when_another_works(undefendable):
-    doc, _, graph = undefendable
-    plan = plan_cut(doc, graph)
+    _, _, graph = undefendable
+    plan = plan_cut(graph)
     assert plan.chosen == ("DU2",)
 
 
 def test_cut_trivial_when_targets_unreachable(toy5g):
-    doc, _, graph = toy5g
-    plan = plan_cut(doc, graph, targets=("SL1",))
+    _, _, graph = toy5g
+    plan = plan_cut(graph, targets=("SL1",))
     assert plan.chosen == () and plan.total_cost == 0.0 and plan.optimal
 
 
@@ -215,23 +215,32 @@ def test_cut_infeasible_raises(fixtures_dir):
     doc = load_scenario(fixtures_dir / "infeasible.scenario")
     graph = build_attack_graph(doc, build_base_graph(doc))
     with pytest.raises(InfeasibleCutError):
-        plan_cut(doc, graph)
+        plan_cut(graph)
 
 
 def test_cut_greedy_still_cuts(toy5g, hitting_trio):
     for doc, _, graph in (toy5g, hitting_trio):
-        plan = plan_cut(doc, graph, config=GREEDY_ONLY)
+        plan = plan_cut(graph, config=GREEDY_ONLY)
         assert not plan.optimal
         assert plan.surviving_count == 0
         blocked = neutralized_attacks(graph, plan.chosen)
-        assert enumerate_chains(doc, graph, targets=doc.targets, blocked_attacks=blocked, config=GREEDY_ONLY) == ()
+        assert enumerate_chains(graph, targets=doc.targets, blocked_attacks=blocked, config=GREEDY_ONLY) == ()
+
+
+def test_cut_rejects_unknown_targets(toy5g):
+    _, _, graph = toy5g
+    # An unknown target used to give an empty plan marked optimal.
+    with pytest.raises(UnknownIdError, match="^unknown target 'GHOST'$"):
+        plan_cut(graph, targets=["GHOST"])
+    with pytest.raises(UnknownIdError, match="^unknown target 'GHOST'$"):
+        plan_cut(graph, targets=["APP1", "GHOST"])
 
 
 def test_cut_with_custom_entry_and_targets(toy5g):
-    doc, _, graph = toy5g
+    _, _, graph = toy5g
     from stratagraph.model import Grant
 
-    plan = plan_cut(doc, graph, entry_grants=(Grant("UE1", "read"),), targets=("APP1",))
+    plan = plan_cut(graph, entry_grants=(Grant("UE1", "read"),), targets=("APP1",))
     # From a UE1 foothold only A4/A5 chains exist; cutting them is cheaper.
     assert plan.chosen == ("D3", "D4")
     assert plan.total_cost == 5.5
@@ -241,12 +250,12 @@ def test_coverage_never_cheaper_than_cut_on_single_chain():
     for seed in range(20):
         doc = random_scenario(seed, max_edges=6)
         graph = build_attack_graph(doc, build_base_graph(doc))
-        chains = enumerate_chains(doc, graph, config=EngineConfig(max_len=4))
+        chains = enumerate_chains(graph, config=EngineConfig(max_len=4))
         for chain in chains[:3]:
             attacks = chain_attacks(graph, chain)
             if any(not applicable_defenses(graph, a) for a in attacks):
                 continue  # cut of that chain would be infeasible
-            coverage = plan_coverage(doc, graph, chain)
+            coverage = plan_coverage(graph, chain)
             cheapest_hit = min(
                 min(d.cost for d in applicable_defenses(graph, a)) for a in attacks
             )
@@ -255,9 +264,9 @@ def test_coverage_never_cheaper_than_cut_on_single_chain():
 
 def test_adding_defense_never_increases_survivors(toy5g):
     doc, _, graph = toy5g
-    chains = enumerate_chains(doc, graph, targets=doc.targets)
+    chains = enumerate_chains(graph, targets=doc.targets)
     for budget in (0.0, 2.5, 5.0):
-        plan = plan_budgeted(doc, graph, chains, budget)
+        plan = plan_budgeted(graph, chains, budget)
         for extra in doc.defenses:
             if extra.id in plan.chosen:
                 continue
@@ -310,9 +319,9 @@ def test_wide_topology_stays_fast_and_consistent():
     assert len(graph.edges) == (tiers - 1) * width * fan
 
     start = time.monotonic()
-    chains = enumerate_chains(doc, graph, targets=doc.targets, config=EngineConfig(max_len=tiers - 1))
-    best = search_chain(doc, graph, ChainObjective("min_cost"), config=EngineConfig(max_len=tiers - 1))
-    plan = plan_cut(doc, graph)  # > 64 chains forces the greedy path
+    chains = enumerate_chains(graph, targets=doc.targets, config=EngineConfig(max_len=tiers - 1))
+    best = search_chain(graph, ChainObjective("min_cost"), config=EngineConfig(max_len=tiers - 1))
+    plan = plan_cut(graph)  # > 64 chains forces the greedy path
     elapsed = time.monotonic() - start
     assert len(chains) > 64
     assert best.total_cost == min(c.total_cost for c in chains)
@@ -322,8 +331,8 @@ def test_wide_topology_stays_fast_and_consistent():
 
 
 def test_risk_toy5g_table(toy5g):
-    doc, _, graph = toy5g
-    rows = [(r.object, r.chain_count, r.max_chain_threat, r.min_chain_cost) for r in risk_assess(doc, graph)]
+    _, _, graph = toy5g
+    rows = [(r.object, r.chain_count, r.max_chain_threat, r.min_chain_cost) for r in risk_assess(graph)]
     assert rows == [
         ("APP1", 4, 11.0, 6.5),
         ("HV1", 2, 5.0, 5.0),
@@ -335,9 +344,9 @@ def test_risk_toy5g_table(toy5g):
 
 
 def test_risk_empty_entry_is_all_zero(toy5g):
-    doc, _, graph = toy5g
+    doc, _, _ = toy5g
     bare = replace(doc, entry_grants=())
-    rows = risk_assess(bare, graph)
+    rows = risk_assess(build_attack_graph(bare, build_base_graph(bare)))
     assert all(r.chain_count == 0 and r.min_chain_cost is None for r in rows)
 
 
@@ -379,7 +388,7 @@ def test_risk_matches_reference_row_for_row(seed, semantics, agg, mix):
     doc = millions(random_scenario(seed, max_objects=5, max_edges=8), random.Random(seed), mix)
     graph = build_attack_graph(doc, build_base_graph(doc))
     config = EngineConfig(max_len=3, semantics=semantics, threat_agg=agg)
-    assert typed(risk_assess(doc, graph, config)) == typed(oracles.reference_risk(doc, 3, semantics, agg))
+    assert typed(risk_assess(graph, config)) == typed(oracles.reference_risk(doc, 3, semantics, agg))
 
 
 def tie_scenario():
@@ -413,7 +422,7 @@ def tie_scenario():
 def test_risk_ties_keep_the_first_chain_in_canonical_order(semantics, agg):
     doc = tie_scenario()
     graph = build_attack_graph(doc, build_base_graph(doc))
-    rows = typed(risk_assess(doc, graph, EngineConfig(semantics=semantics, threat_agg=agg)))
+    rows = typed(risk_assess(graph, EngineConfig(semantics=semantics, threat_agg=agg)))
     assert rows == [
         ("c", 2, 1000000, int, 1000000, int),
         ("d", 2, 1000000.0, float, 1000000.0, float),

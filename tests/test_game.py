@@ -68,8 +68,8 @@ def test_bad_game_config_rejected_at_construction_and_replace(fields):
 
 
 def test_undefended_two_step_compromise(minichain):
-    doc, _, graph = minichain
-    trace = run_game(doc, graph, GameConfig(max_turns=12))
+    _, _, graph = minichain
+    trace = run_game(graph, GameConfig(max_turns=12))
     assert trace.outcome == "target_compromised"
     assert trace.fired == ("B1", "B2")
     assert trace.turns_elapsed == 2
@@ -78,17 +78,17 @@ def test_undefended_two_step_compromise(minichain):
 
 
 def test_turn_limit(minichain):
-    doc, _, graph = minichain
-    trace = run_game(doc, graph, GameConfig(max_turns=1))
+    _, _, graph = minichain
+    trace = run_game(graph, GameConfig(max_turns=1))
     assert trace.outcome == "turn_limit"
     assert trace.turns_elapsed == 1
 
 
 def test_full_budget_reactive_defender_starves_attacker(toy5g):
-    doc, _, graph = toy5g
-    cut_cost = plan_cut(doc, graph).total_cost
+    _, _, graph = toy5g
+    cut_cost = plan_cut(graph).total_cost
     trace = run_game(
-        doc, graph, GameConfig(max_turns=12, defender_policy="reactive_cut", defender_budget_per_turn=cut_cost)
+        graph, GameConfig(max_turns=12, defender_policy="reactive_cut", defender_budget_per_turn=cut_cost)
     )
     assert trace.outcome == "attacker_exhausted"
     assert trace.fired == ("A1",)
@@ -100,25 +100,25 @@ def test_per_turn_budget_respected(toy5g):
     by_id = doc.defense_by_id()
     for budget in (0.0, 2.5, 3.0, 5.0):
         trace = run_game(
-            doc, graph, GameConfig(max_turns=12, defender_policy="reactive_cut", defender_budget_per_turn=budget)
+            graph, GameConfig(max_turns=12, defender_policy="reactive_cut", defender_budget_per_turn=budget)
         )
         for turn in trace.turns:
             assert sum(by_id[d].cost for d in turn.defenses) <= budget + 1e-9
 
 
 def test_grants_snapshots_monotone(toy5g):
-    doc, _, graph = toy5g
-    trace = run_game(doc, graph, GameConfig(max_turns=12, attacker_policy="random", rng_seed=9))
+    _, _, graph = toy5g
+    trace = run_game(graph, GameConfig(max_turns=12, attacker_policy="random", rng_seed=9))
     for a, b in zip(trace.turns, trace.turns[1:]):
         assert set(a.grants) <= set(b.grants)
 
 
 def test_reproducible_byte_identical(toy5g):
-    doc, _, graph = toy5g
+    _, _, graph = toy5g
     cfg = GameConfig(max_turns=10, attacker_policy="random", rng_seed=77, defender_policy="reactive_cut",
                      defender_budget_per_turn=2.5)
-    one = run_game(doc, graph, cfg)
-    two = run_game(doc, graph, cfg)
+    one = run_game(graph, cfg)
+    two = run_game(graph, cfg)
     assert canon.dumps(one.as_dict()) == canon.dumps(two.as_dict())
 
 
@@ -129,23 +129,23 @@ def test_zero_detect_reactive_equals_none():
             continue
         graph = rebuild(doc)
         base_cfg = GameConfig(max_turns=10, attacker_policy="random", rng_seed=5)
-        quiet = run_game(doc, graph, replace(base_cfg, defender_policy="reactive_cut", defender_budget_per_turn=99.0))
-        off = run_game(doc, graph, base_cfg)
+        quiet = run_game(graph, replace(base_cfg, defender_policy="reactive_cut", defender_budget_per_turn=99.0))
+        off = run_game(graph, base_cfg)
         assert canon.dumps(quiet.as_dict()) == canon.dumps(off.as_dict())
 
 
 def test_policies_differ_on_toy5g(toy5g):
-    doc, _, graph = toy5g
-    cheap = run_game(doc, graph, GameConfig(max_turns=12, attacker_policy="greedy_cheapest"))
-    nasty = run_game(doc, graph, GameConfig(max_turns=12, attacker_policy="max_threat"))
+    _, _, graph = toy5g
+    cheap = run_game(graph, GameConfig(max_turns=12, attacker_policy="greedy_cheapest"))
+    nasty = run_game(graph, GameConfig(max_turns=12, attacker_policy="max_threat"))
     assert cheap.fired[0] == nasty.fired[0] == "A1"  # only satisfiable opener
     assert cheap.fired != nasty.fired  # A3 (severity 5) jumps the queue for max_threat
     assert nasty.outcome == cheap.outcome == "target_compromised"
 
 
 def test_compromise_permission_filter(minichain):
-    doc, _, graph = minichain
-    trace = run_game(doc, graph, GameConfig(max_turns=6, compromise_permissions=("read",)))
+    _, _, graph = minichain
+    trace = run_game(graph, GameConfig(max_turns=6, compromise_permissions=("read",)))
     # B2 grants write on the target, which no longer counts as compromise.
     assert trace.outcome == "attacker_exhausted"
     assert trace.fired == ("B1", "B2")
@@ -158,46 +158,46 @@ def test_entry_only_attack_fires_first_or_never(minichain):
         attacks=tuple(replace(a, entry_only=True) if a.id == "B2" else a for a in doc.attacks),
     )
     graph2 = rebuild(flagged)
-    trace = run_game(flagged, graph2, GameConfig(max_turns=6))
+    trace = run_game(graph2, GameConfig(max_turns=6))
     # B2 is not satisfiable on turn one and entry-only afterwards.
     assert trace.outcome == "attacker_exhausted"
     assert trace.fired == ("B1",)
 
 
 def test_bad_config_rejected(minichain):
-    doc, _, graph = minichain
+    _, _, graph = minichain
     with pytest.raises(ConfigError):
-        run_game(doc, graph, GameConfig(max_turns=0))
+        run_game(graph, GameConfig(max_turns=0))
     with pytest.raises(ConfigError):
-        run_game(doc, graph, GameConfig(attacker_policy="psychic"))
+        run_game(graph, GameConfig(attacker_policy="psychic"))
     with pytest.raises(ConfigError):
-        run_game(doc, graph, GameConfig(defender_budget_per_turn=-1.0))
+        run_game(graph, GameConfig(defender_budget_per_turn=-1.0))
 
 
 def test_missing_entry_or_targets_rejected(minichain):
-    doc, _, graph = minichain
+    doc, _, _ = minichain
     with pytest.raises(EmptyEntryGrantsError):
-        run_game(replace(doc, entry_grants=()), graph, GameConfig())
+        run_game(rebuild(replace(doc, entry_grants=())), GameConfig())
     with pytest.raises(ConfigError):
-        run_game(replace(doc, targets=()), graph, GameConfig())
+        run_game(rebuild(replace(doc, targets=())), GameConfig())
 
 
 def test_batch_seeds_are_consecutive(minichain):
-    doc, _, graph = minichain
-    traces = run_batch(doc, graph, GameConfig(rng_seed=10, max_turns=6), 5)
-    singles = [run_game(doc, graph, GameConfig(rng_seed=10 + i, max_turns=6)) for i in range(5)]
+    _, _, graph = minichain
+    traces = run_batch(graph, GameConfig(rng_seed=10, max_turns=6), 5)
+    singles = [run_game(graph, GameConfig(rng_seed=10 + i, max_turns=6)) for i in range(5)]
     assert [canon.dumps(t.as_dict()) for t in traces] == [canon.dumps(t.as_dict()) for t in singles]
 
 
 def test_summarize_identical_and_mixed(minichain):
-    doc, _, graph = minichain
-    traces = run_batch(doc, graph, GameConfig(max_turns=6), 10)
+    _, _, graph = minichain
+    traces = run_batch(graph, GameConfig(max_turns=6), 10)
     report = summarize(traces)
     assert report.outcomes == {"target_compromised": 10}
     assert report.mean_turns == 2.0
     assert report.mean_attacker_cost == 3.0
 
-    limited = run_batch(doc, graph, GameConfig(max_turns=1), 3)
+    limited = run_batch(graph, GameConfig(max_turns=1), 3)
     mixed = summarize(list(traces[:7]) + list(limited))
     assert mixed.outcomes == {"target_compromised": 7, "turn_limit": 3}
     assert mixed.runs == 10
@@ -211,10 +211,10 @@ def test_grants_stay_grants_and_canon_refuses_them(toy5g):
     # grant the engines hand out must still be a Grant, and canonical JSON
     # must not quietly render one as a list.
     doc, _, graph = toy5g
-    chains = enumerate_chains(doc, graph)
+    chains = enumerate_chains(graph)
     grants = [g for c in chains for g in c.final_grants]
-    grants += [g for s in is_valid_chain(doc, graph, chains[-1].edges).states for g in s.grants]
-    trace = run_game(doc, graph, GameConfig(defender_policy="reactive_cut", defender_budget_per_turn=2.0))
+    grants += [g for s in is_valid_chain(graph, chains[-1].edges).states for g in s.grants]
+    trace = run_game(graph, GameConfig(defender_policy="reactive_cut", defender_budget_per_turn=2.0))
     grants += [g for t in trace.turns for g in t.grants]
     grants += [g for a in doc.attacks for g in a.condition + a.a_results] + list(doc.entry_grants)
     assert grants and all(type(g) is Grant for g in grants)
@@ -244,9 +244,9 @@ def test_reactive_defender_enumerates_under_engine_semantics(toy5g, monkeypatch)
         return real(graph, entry, goal, config, blocked)
 
     monkeypatch.setattr(game_module, "_walk", spy)
-    doc, _, graph = toy5g
+    _, _, graph = toy5g
     game = GameConfig(defender_policy="reactive_cut", defender_budget_per_turn=2.0)
-    run_game(doc, graph, game, config=EngineConfig(semantics="strict"))
+    run_game(graph, game, config=EngineConfig(semantics="strict"))
     assert seen and set(seen) == {"strict"}
 
 
@@ -275,12 +275,12 @@ def test_defender_rows_plan_like_plan_budgeted(seed, objective, limit, non_dyadi
     budget = data.draw(st.integers(0, int(2 * total)).map(lambda h: h / 2), label="budget")
     config = EngineConfig(max_len=4, budget_objective=objective, exact_defense_limit=limit)
     chains = enumerate_chains(
-        doc, graph, targets=doc.targets, config=config, blocked_attacks=blocked, entry_grants=foothold
+        graph, targets=doc.targets, config=config, blocked_attacks=blocked, entry_grants=foothold
     )
     rows = _defender_rows(graph, foothold, frozenset(doc.targets), blocked, config)
     weights = [1.0 if objective == "count" else c.total_threat for c in chains]
     assert rows == _kernel(zip((chain_signature(graph, c) for c in chains), weights))
-    plan = plan_budgeted(doc, graph, chains, budget, config=config)
+    plan = plan_budgeted(graph, chains, budget, config=config)
     assert _choose(graph, rows, budget, config) == (plan.chosen, plan.optimal)
 
 
@@ -302,11 +302,11 @@ def test_risk_and_reactive_defender_build_no_chains(toy5g, monkeypatch):
 
     monkeypatch.setattr(chains_module, "_chain", spy_chain)
     monkeypatch.setattr(AttackChain, "__init__", spy_init)
-    doc, _, graph = toy5g
+    _, _, graph = toy5g
     game = GameConfig(defender_policy="reactive_cut", defender_budget_per_turn=10.0)
-    rows = risk_assess(doc, graph)
-    trace = run_game(doc, graph, game)
+    rows = risk_assess(graph)
+    trace = run_game(graph, game)
     assert built == []
     assert any(r.chain_count for r in rows) and any(t.defenses for t in trace.turns)
-    enumerate_chains(doc, graph)
+    enumerate_chains(graph)
     assert built  # the spies see chains where they are built

@@ -23,7 +23,7 @@ from genscen import random_scenario
 
 
 def test_toy5g_edge_partition(toy5g):
-    doc, base, _ = toy5g
+    _, base, _ = toy5g
     assert len(base.intra_edges) == 3
     assert len(base.vertical_edges) == 2
     for e in base.vertical_edges:
@@ -50,7 +50,7 @@ def test_single_object_graph():
 
 
 def test_worked_example_two_edges(multiedge):
-    doc, _, graph = multiedge
+    _, _, graph = multiedge
     got = [(e.edge_id, e.from_id, e.to_id, e.permission) for e in graph.edges]
     assert got == [("A1#0", "O1", "O2", "read"), ("A1#1", "O1", "O3", "execute")]
 
@@ -93,14 +93,14 @@ def test_neighbors_unknown_object(toy5g):
 
 
 def test_builds_are_deterministic(toy5g, fixtures_dir):
-    doc, base, graph = toy5g
+    _, _, graph = toy5g
     from stratagraph import load_scenario
 
     doc2 = load_scenario(fixtures_dir / "toy5g.scenario")
     base2 = build_base_graph(doc2)
     graph2 = build_attack_graph(doc2, base2)
-    assert graphs_to_json(doc, base, graph) == graphs_to_json(doc2, base2, graph2)
-    assert graphs_to_dot(doc, base, graph) == graphs_to_dot(doc2, base2, graph2)
+    assert graphs_to_json(graph) == graphs_to_json(graph2)
+    assert graphs_to_dot(graph) == graphs_to_dot(graph2)
 
 
 def test_no_edge_survives_record_removal(toy5g):
@@ -125,8 +125,8 @@ def test_attack_graph_independent_of_relationships(toy5g):
 
 
 def test_dot_renders_layer_clusters(toy5g):
-    doc, base, graph = toy5g
-    dot = graphs_to_dot(doc, base, graph)
+    _, _, graph = toy5g
+    dot = graphs_to_dot(graph)
     assert dot.startswith("digraph scenario {")
     for layer in ("physical", "virtual", "service", "application"):
         assert f"subgraph cluster_{layer}" in dot
@@ -154,7 +154,9 @@ def test_builders_reject_invalid_doc(toy5g):
     invalid = replace(doc, targets=("GHOST",))
     with pytest.raises(InvalidScenarioError):
         build_base_graph(invalid)
-    with pytest.raises(InvalidScenarioError):
+    # An invalid doc gets no base graph, so it can only reach the attack
+    # graph builder on another doc's base, which is refused.
+    with pytest.raises(ValueError, match="another scenario document"):
         build_attack_graph(invalid, base)
 
 
@@ -172,8 +174,21 @@ def test_attack_graph_revalidates_only_other_docs(toy5g, monkeypatch):
     build_attack_graph(doc, base)
     assert calls == [doc]
     twin = replace(doc)
-    build_attack_graph(twin, base)
-    assert len(calls) == 2 and calls[1] is twin
+    with pytest.raises(ValueError, match="another scenario document"):
+        build_attack_graph(twin, base)
+    assert calls == [doc]
+
+
+def test_attack_graph_needs_the_doc_of_its_base(toy5g, minichain):
+    doc, base, graph = toy5g
+    assert graph.doc is doc and graph.base.doc is doc
+    with pytest.raises(AttributeError):
+        graph.doc = minichain[0]
+    # Another scenario, or an equal copy of this one, is not the doc the base
+    # graph validated, so the pair is refused rather than mixed.
+    for other in (minichain[0], replace(doc)):
+        with pytest.raises(ValueError, match="^the base graph was built from another scenario document$"):
+            build_attack_graph(other, base)
 
 
 def test_attack_defense_index_matches_d_results(toy5g, hitting_trio):
@@ -194,7 +209,7 @@ def test_attack_defense_index_matches_d_results(toy5g, hitting_trio):
         assert set(graph.attack_defenses) == {a.id for a in doc.attacks}
         # Each edge carries its attack's mask, and a chain's signature is their OR.
         assert graph.edge_defenses == {e.edge_id: graph.attack_defenses[e.attack_id] for e in graph.edges}
-        for c in enumerate_chains(doc, graph, config=EngineConfig(max_len=3)) if doc.entry_grants else ():
+        for c in enumerate_chains(graph, config=EngineConfig(max_len=3)) if doc.entry_grants else ():
             expected = graph.defense_mask(
                 {d.id for d in doc.defenses for eid in c.edges if graph.by_id[eid].attack_id in d.d_results}
             )

@@ -1,7 +1,9 @@
 """The package's lazy exports and what each CLI command imports."""
 
 import importlib
+import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,8 @@ import pytest
 
 import stratagraph
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 ENGINE = {"stratagraph.graphs", "stratagraph.chains", "stratagraph.defense", "stratagraph.game"}
 CORE = {"stratagraph.canon", "stratagraph.cli", "stratagraph.config", "stratagraph.model", "stratagraph.scenario"}
 CHAINS = CORE | {"stratagraph.graphs", "stratagraph.chains"}
@@ -67,3 +70,38 @@ def test_exports_load_from_their_home_modules_on_first_use():
     assert {name: namespace[name] for name in stratagraph.__all__} == {
         name: getattr(stratagraph, name) for name in stratagraph.__all__
     }
+
+
+@pytest.mark.parametrize("name", ["chains", "defense", "game", "graphs"])
+def test_engines_take_the_attack_graph_alone(name):
+    # The attack graph carries its base graph and the doc both were built
+    # from, so no engine takes either beside it. Only the builders do.
+    module = importlib.import_module(f"stratagraph.{name}")
+    callables = []
+    for attr, value in vars(module).items():
+        if attr.startswith("_") or getattr(value, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(value):
+            callables.append((attr, value))
+        elif inspect.isclass(value):
+            callables += [
+                (f"{attr}.{m}", f) for m, f in vars(value).items() if not m.startswith("_") and inspect.isfunction(f)
+            ]
+    assert callables
+    takers = [
+        attr
+        for attr, fn in callables
+        if attr not in ("build_base_graph", "build_attack_graph")
+        and {"doc", "base"} & set(inspect.signature(fn).parameters)
+    ]
+    assert takers == []
+
+
+def test_readme_library_example_runs(fixtures_dir):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme[readme.index("\n## Library\n") :]
+    code = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    assert '"net.scenario"' in code
+    namespace = {}
+    exec(code.replace('"net.scenario"', repr(str(fixtures_dir / "toy5g.scenario"))), namespace)
+    assert namespace["graph"].doc is namespace["doc"]
