@@ -412,21 +412,23 @@ def search_chain(
 # --- potential chains --------------------------------------------------------
 
 def _base_paths(base: HierarchicalGraph, src: str, dst: str, max_len: int):
-    """Simple node paths src..dst over relationship edges, at most max_len hops."""
-    out: list[tuple[str, ...]] = []
+    """Simple node paths src..dst over relationship edges, at most max_len hops.
 
-    def walk(path: tuple[str, ...]):
+    Depth first with an explicit stack, so a path may be longer than the
+    interpreter's recursion limit; the result is sorted, so the visiting
+    order does not show.
+    """
+    out: list[tuple[str, ...]] = []
+    stack = [(src,)]
+    while stack:
+        path = stack.pop()
         here = path[-1]
         if here == dst and len(path) > 1:
             out.append(path)
-            return
+            continue
         if len(path) > max_len:
-            return
-        for nxt in base.neighbors(here):
-            if nxt not in path:
-                walk(path + (nxt,))
-
-    walk((src,))
+            continue
+        stack.extend(path + (nxt,) for nxt in base.neighbors(here) if nxt not in path)
     return sorted(out, key=lambda p: (len(p), p))
 
 

@@ -149,7 +149,7 @@ def cmd_graph(args) -> int:
 def cmd_chains(args) -> int:
     from .chains import ChainObjective, enumerate_chains, search_chain
 
-    if args.unrestricted and args.target:
+    if args.unrestricted and args.target is not None:
         raise ConfigError("--unrestricted lists chains to every object; it cannot be combined with --target")
     if args.unrestricted and args.objective != "enumerate":
         raise ConfigError(f"--unrestricted applies only to --objective enumerate, not {args.objective}")
@@ -159,7 +159,7 @@ def cmd_chains(args) -> int:
     if args.objective == "enumerate":
         if args.unrestricted:
             targets = None
-        elif target:
+        elif target is not None:
             targets = (target,)
         else:
             targets = doc.targets or None

@@ -9,14 +9,16 @@ itself by re-enumerating after selection.
 
 The planners see a chain only through its signature: the bitmask of the
 defenses that break it, the OR of its attacks' masks in the attack graph's
-per-attack defense index (bit k is the k-th defense by id). The budget
-planner searches a kernel of (signature, weight) rows, one per distinct
+per-attack defense index (bit k is the k-th defense by id). Both
+planners search a kernel of (signature, weight) rows, one per distinct
 signature, instead of the chains themselves (the minimum critical attack
-set view of Jha, Sheyner & Wing, CSFW 2002); the cut planner takes its
-per-chain option sets from the same signatures. plan_budgeted is
-signatures -> _kernel -> _choose -> _finish_plan; the reactive defender
-builds its kernel rows straight from the chain walk and calls _choose
-itself, since it reads only the chosen defenses.
+set view of Jha, Sheyner & Wing, CSFW 2002), and share one greedy,
+_greedy. plan_budgeted is signatures -> _kernel -> _choose ->
+_finish_plan; the reactive defender builds its kernel rows straight from
+the chain walk and calls _choose itself, since it reads only the chosen
+defenses. plan_cut weighs each row by its chain count and either runs
+_hitting_set_exact over the rows' signatures or calls _greedy with an
+infinite budget: hits per cost over chains is row weight per cost.
 
 risk_assess reads the chain walk too: each emitted prefix updates its end
 object's count, maximum threat and minimum cost, and no chain is built.
@@ -63,9 +65,12 @@ class DefensePlan:
         }
 
 
-def _members(graph: AttackGraph, mask: int) -> list[DefenseRecord]:
-    """The defenses of a mask, in id order."""
-    return [d for k, d in enumerate(graph.sorted_defenses) if mask >> k & 1]
+def _cheapest_first(graph: AttackGraph, mask: int) -> list[int]:
+    """The defense bits of a mask, cheapest first (ties by id, as bits follow ids)."""
+    defenses = graph.sorted_defenses
+    bits = [k for k in range(len(defenses)) if mask >> k & 1]
+    bits.sort(key=lambda k: defenses[k].cost)
+    return bits
 
 
 def applicable_defenses(graph: AttackGraph, attack_id: str) -> tuple[DefenseRecord, ...]:
@@ -73,9 +78,7 @@ def applicable_defenses(graph: AttackGraph, attack_id: str) -> tuple[DefenseReco
     mask = graph.attack_defenses.get(attack_id)
     if mask is None:
         raise UnknownIdError(f"unknown attack {attack_id!r}")
-    hits = _members(graph, mask)
-    hits.sort(key=lambda d: (d.cost, d.id))
-    return tuple(hits)
+    return tuple(graph.sorted_defenses[k] for k in _cheapest_first(graph, mask))
 
 
 def neutralized_attacks(graph: AttackGraph, chosen) -> frozenset[str]:
@@ -196,7 +199,7 @@ def _choose(graph: AttackGraph, rows, budget: float, config: EngineConfig) -> tu
     value (each chosen defense adds the rows it newly breaks, in row order)
     and bounds a subtree by that value plus the weight of the live rows a
     later defense can still break. Beyond config.exact_defense_limit
-    defenses it picks greedily instead, and the choice is not optimal.
+    defenses it picks with _greedy instead, and the choice is not optimal.
     """
     defenses = graph.sorted_defenses
     n = len(defenses)
@@ -225,8 +228,18 @@ def _choose(graph: AttackGraph, rows, budget: float, config: EngineConfig) -> tu
         walk(0, (), 0.0, 0.0, rows)
         return best[2], True
 
-    # Greedy: best broken-value gain per unit cost, ties by (cost, id). A
-    # chosen defense breaks no live row again, so its gain drops to 0.
+    return _greedy(graph, rows, budget), False
+
+
+def _greedy(graph: AttackGraph, rows, budget: float) -> tuple[str, ...]:
+    """Greedy selection over kernel rows within the budget: sorted ids.
+
+    Takes the best broken-value gain per unit cost, ties by (cost, id),
+    until no affordable defense breaks a live row. A chosen defense breaks
+    no live row again, so its gain drops to 0. The cut planner calls it
+    with an infinite budget and one unit of weight per chain.
+    """
+    defenses = graph.sorted_defenses
     chosen: list[str] = []
     spent = 0.0
     live = rows
@@ -248,7 +261,7 @@ def _choose(graph: AttackGraph, rows, budget: float, config: EngineConfig) -> tu
         chosen.append(defenses[k].id)
         spent += defenses[k].cost
         live = [r for r in live if not r[0] >> k & 1]
-    return tuple(sorted(chosen)), False
+    return tuple(sorted(chosen))
 
 
 def plan_cut(
@@ -279,23 +292,19 @@ def plan_cut(
         return _finish_plan(graph, (), chains, [], config, optimal=True)
 
     signatures = [chain_signature(graph, c) for c in chains]
-    option_sets: list[frozenset[str]] = []
-    by_signature: dict[int, frozenset[str]] = {}
     for c, sig in zip(chains, signatures):
         if not sig:
             raise InfeasibleCutError(
                 f"chain {list(c.edges)} contains no defensible attack; cut impossible",
                 uncut_chains=(c,),
             )
-        if sig not in by_signature:
-            by_signature[sig] = frozenset(d.id for d in _members(graph, sig))
-        option_sets.append(by_signature[sig])
-
+    # One row per distinct signature, weighted by its chain count.
+    rows = _kernel((sig, 1.0) for sig in signatures)
     exact = len(chains) <= config.exact_chain_limit and len(graph.sorted_defenses) <= config.exact_defense_limit
     if exact:
-        chosen = _hitting_set_exact(option_sets, graph.defenses)
+        chosen = _hitting_set_exact(graph, rows)
     else:
-        chosen = _hitting_set_greedy(option_sets, graph.defenses)
+        chosen = _greedy(graph, rows, math.inf)
 
     plan = _finish_plan(graph, chosen, chains, signatures, config, optimal=exact)
     # A hitting set of the enumerated chains leaves none of them, and edge
@@ -306,54 +315,36 @@ def plan_cut(
     return plan
 
 
-def _hitting_set_exact(option_sets, by_id) -> tuple[str, ...]:
-    """Branch-and-bound minimum-cost hitting set.
+def _hitting_set_exact(graph: AttackGraph, rows) -> tuple[str, ...]:
+    """Branch-and-bound minimum-cost hitting set over kernel rows.
 
-    Branches on the uncovered chain with the fewest options; the bound adds
-    the cheapest option of the hardest uncovered chain. Ties resolve toward
-    (cost, set size, id tuple).
+    Branches on the unbroken row with the fewest defenses (ties by row
+    order, so the pivot is the first chain of that signature) and tries its
+    defenses cheapest first; the bound adds the cheapest defense of the
+    hardest unbroken row. Ties resolve toward (cost, set size, id tuple).
     """
+    defenses = graph.sorted_defenses
+    options = [_cheapest_first(graph, sig) for sig, _ in rows]
     best: tuple | None = None
 
-    def lower_bound(uncovered) -> float:
-        return max((min(by_id[o].cost for o in option_sets[i]) for i in uncovered), default=0.0)
-
-    def walk(chosen: tuple[str, ...], cost: float, uncovered: frozenset[int]):
+    def walk(chosen: tuple[str, ...], cost: float, unbroken: list[int]):
         nonlocal best
-        if not uncovered:
+        if not unbroken:
             key = (cost, len(chosen), tuple(sorted(chosen)))
             if best is None or key < best:
                 best = key
             return
-        if best is not None and cost + lower_bound(uncovered) > best[0] + EPS:
+        if best is not None and cost + max(defenses[options[i][0]].cost for i in unbroken) > best[0] + EPS:
             return
-        pivot = min(uncovered, key=lambda i: (len(option_sets[i]), i))
-        for option in sorted(option_sets[pivot], key=lambda o: (by_id[o].cost, o)):
-            still = frozenset(i for i in uncovered if option not in option_sets[i])
-            walk(chosen + (option,), cost + by_id[option].cost, still)
+        pivot = min(unbroken, key=lambda i: (len(options[i]), i))
+        for k in options[pivot]:
+            d = defenses[k]
+            walk(chosen + (d.id,), cost + d.cost, [i for i in unbroken if not rows[i][0] >> k & 1])
 
-    walk((), 0.0, frozenset(range(len(option_sets))))
+    walk((), 0.0, list(range(len(rows))))
     if best is None:
         raise RuntimeError("hitting-set search found no cover although every chain has an option")
     return best[2]
-
-
-def _hitting_set_greedy(option_sets, by_id) -> tuple[str, ...]:
-    """Cover chains by repeatedly taking the best hits-per-cost defense."""
-    uncovered = list(option_sets)
-    picked: list[str] = []
-    while uncovered:
-        counts: dict[str, int] = {}
-        for s in uncovered:
-            for o in s:
-                counts[o] = counts.get(o, 0) + 1
-        best_opt = min(
-            counts,
-            key=lambda o: (-(counts[o] / by_id[o].cost) if by_id[o].cost > 0 else float("-inf"), by_id[o].cost, o),
-        )
-        picked.append(best_opt)
-        uncovered = [s for s in uncovered if best_opt not in s]
-    return tuple(picked)
 
 
 # --- risk --------------------------------------------------------------------

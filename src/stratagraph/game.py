@@ -21,7 +21,7 @@ from .chains import _walk
 from .config import DEFAULT_CONFIG, EngineConfig
 from .defense import _choose, _kernel, neutralized_attacks
 from .graphs import AttackGraph
-from .model import ConfigError, EmptyEntryGrantsError, Grant
+from .model import ConfigError, EmptyEntryGrantsError, Grant, permission_problems
 
 ATTACKER_POLICIES = ("greedy_cheapest", "max_threat", "random")
 DEFENDER_POLICIES = ("none", "reactive_cut")
@@ -67,6 +67,10 @@ class GameConfig:
         perms = self.compromise_permissions
         if perms is not None and not (isinstance(perms, tuple) and all(isinstance(p, str) for p in perms)):
             raise ConfigError(f"compromise_permissions must be None or a tuple of strings, got {perms!r}")
+        # A name the scenario grammar refuses is on no grant, so it could never win.
+        for problem in map(permission_problems, perms or ()):
+            if problem:
+                raise ConfigError(f"compromise_permissions: {problem}")
         return self
 
     def as_dict(self) -> dict:

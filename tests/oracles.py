@@ -13,7 +13,7 @@ import math
 from itertools import combinations, permutations
 
 from stratagraph.defense import DefensePlan, RiskRow
-from stratagraph.model import Grant
+from stratagraph.model import Grant, InfeasibleCutError
 
 EPS = 1e-9
 
@@ -269,6 +269,87 @@ def reference_plan_budgeted(doc, chains, budget, objective="threat", exact_limit
         surviving_count=len(survivors),
         surviving_sample=tuple(survivors[:sample]),
         optimal=optimal,
+    )
+
+
+def reference_plan_cut(doc, chains, exact_chain_limit=64, exact_defense_limit=20):
+    """The cut planner searched over per-chain option sets instead of signatures.
+
+    chains are records whose first field is a chain's edge-id tuple, as in
+    brute_chains, for the chains to the targets in canonical order.
+    Each chain's option set is the frozenset of the defense ids that break
+    it, read from the scenario records. A chain with no option raises
+    InfeasibleCutError (the first such chain in canonical order). Within
+    both limits, branch-and-bound over the option sets: branch on the
+    uncovered chain with the fewest options (ties by chain index), try its
+    options cheapest first (ties by id), bound by the cheapest option of
+    the hardest uncovered chain, keyed (cost, set size, id tuple). Beyond
+    them, greedy: count each option's hits over the uncovered chains and
+    take the best hits per cost, ties by (cost, id). Returns the whole
+    DefensePlan; every chain is cut, so no chain survives.
+    """
+    edges = oracle_edges(doc)
+    by_id = {d.id: d for d in doc.defenses}
+    option_sets = []
+    for seq, *_ in chains:
+        attacks = {edges[eid][0].id for eid in seq}
+        options = frozenset(d.id for d in doc.defenses if attacks & set(d.d_results))
+        if not options:
+            raise InfeasibleCutError(
+                f"chain {list(seq)} contains no defensible attack; cut impossible", uncut_chains=(seq,)
+            )
+        option_sets.append(options)
+
+    # No chain to cut is the empty plan, optimal on either path.
+    exact = not chains or len(chains) <= exact_chain_limit and len(doc.defenses) <= exact_defense_limit
+    if exact:
+        best = None
+
+        def lower_bound(uncovered):
+            return max((min(by_id[o].cost for o in option_sets[i]) for i in uncovered), default=0.0)
+
+        def walk(chosen, cost, uncovered):
+            nonlocal best
+            if not uncovered:
+                key = (cost, len(chosen), tuple(sorted(chosen)))
+                if best is None or key < best:
+                    best = key
+                return
+            if best is not None and cost + lower_bound(uncovered) > best[0] + EPS:
+                return
+            pivot = min(uncovered, key=lambda i: (len(option_sets[i]), i))
+            for option in sorted(option_sets[pivot], key=lambda o: (by_id[o].cost, o)):
+                still = frozenset(i for i in uncovered if option not in option_sets[i])
+                walk(chosen + (option,), cost + by_id[option].cost, still)
+
+        walk((), 0.0, frozenset(range(len(option_sets))))
+        chosen = best[2]
+    else:
+        uncovered = list(option_sets)
+        chosen = []
+        while uncovered:
+            counts = {}
+            for s in uncovered:
+                for o in s:
+                    counts[o] = counts.get(o, 0) + 1
+            pick = min(
+                counts,
+                key=lambda o: (-(counts[o] / by_id[o].cost) if by_id[o].cost > 0 else float("-inf"), by_id[o].cost, o),
+            )
+            chosen.append(pick)
+            uncovered = [s for s in uncovered if pick not in s]
+
+    chosen = tuple(sorted(chosen))
+    blocked = set()
+    for did in chosen:
+        blocked.update(by_id[did].d_results)
+    return DefensePlan(
+        chosen=chosen,
+        total_cost=sum(by_id[did].cost for did in chosen),
+        neutralized_edges=tuple(sorted(eid for eid, e in edges.items() if e[0].id in blocked)),
+        surviving_count=0,
+        surviving_sample=(),
+        optimal=exact,
     )
 
 

@@ -423,6 +423,7 @@ def test_validate_reads_config_like_every_command(capsys, fixtures_dir, tmp_path
     [
         ("chains", "--unrestricted", "--target", "ran1"),
         ("chains", "--unrestricted", "--target", "HV1"),
+        ("chains", "--unrestricted", "--target", ""),
         ("chains", "--objective", "min_cost", "--unrestricted"),
         ("chains", "--objective", "max_threat", "--unrestricted"),
         ("defend", "--mode", "cut", "--chain", "NOPE#9"),
@@ -444,6 +445,43 @@ def test_flags_a_command_would_ignore_are_rejected(capsys, fixtures_dir, argv):
 def test_empty_chain_is_an_unknown_edge_not_a_missing_chain(capsys, fixtures_dir):
     argv = ("defend", "--scenario", scen(fixtures_dir, "toy5g"), "--mode", "coverage", "--chain", "")
     assert run_cli(capsys, *argv) == (1, "", "error: unknown attack edge ''\n")
+
+
+def test_empty_target_is_an_unknown_target_not_a_missing_one(capsys, fixtures_dir):
+    argv = ("chains", "--scenario", scen(fixtures_dir, "toy5g"), "--target", "")
+    assert run_cli(capsys, *argv) == (1, "", "error: unknown target ''\n")
+
+
+@pytest.mark.parametrize("perm", ["", "READ", "re ad"], ids=repr)
+def test_simulate_rejects_a_compromise_permission_no_grant_can_carry(capsys, fixtures_dir, perm):
+    argv = ("simulate", "--scenario", scen(fixtures_dir, "toy5g"), "--compromise-permission", perm)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: compromise_permissions: permission ")
+
+
+def test_potential_walks_a_path_longer_than_the_recursion_limit(capsys, tmp_path):
+    # A line of 1,500 objects: its one base path is deeper than Python's
+    # default recursion limit of 1,000 frames.
+    ids = [f"o{i:04d}" for i in range(1500)]
+    doc = {
+        "objects": [{"id": o, "layer": "virtual", "category": "virtual-entity", "label": ""} for o in ids],
+        "relationships": [{"from": a, "to": b, "kind": "management"} for a, b in zip(ids, ids[1:])],
+        "attacks": [],
+        "defenses": [],
+        "vulnerabilities": [],
+        "entry_grants": [],
+        "targets": [],
+    }
+    path = tmp_path / "line.scenario"
+    path.write_text(json.dumps(doc))
+    argv = ("potential", "--scenario", str(path), "--from", ids[0], "--to", ids[-1], "--max-len", "2000")
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["count"] == 1
+    assert payload["potential_chains"][0]["path"] == ids
+    assert len(payload["potential_chains"][0]["missing_hops"]) == 1499
 
 
 def test_simulate_without_budget_per_turn_gives_the_game_zero(capsys, fixtures_dir):

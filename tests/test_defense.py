@@ -26,7 +26,7 @@ from stratagraph.model import Grant, ObjectRecord, ScenarioDoc
 from stratagraph.defense import chain_attacks, neutralized_attacks
 
 import oracles
-from genscen import random_scenario
+from genscen import coherent_scenario, random_scenario
 
 GREEDY_ONLY = EngineConfig(exact_defense_limit=0, exact_chain_limit=0)
 
@@ -225,6 +225,37 @@ def test_cut_greedy_still_cuts(toy5g, hitting_trio):
         assert plan.surviving_count == 0
         blocked = neutralized_attacks(graph, plan.chosen)
         assert enumerate_chains(graph, targets=doc.targets, blocked_attacks=blocked, config=GREEDY_ONLY) == ()
+
+
+@pytest.mark.parametrize("semantics", ["accumulated", "strict"])
+def test_cut_matches_option_set_reference(semantics):
+    # The row search and the shared greedy must give the very plan of the
+    # per-chain option-set search, on both paths, and fail where it fails.
+    # The chains come from the engine (enumeration has its own referee),
+    # so scenarios are large enough for the exact search to branch.
+    docs = [random_scenario(seed, max_edges=14, max_defenses=10) for seed in range(1500)]
+    docs += [coherent_scenario(seed) for seed in range(300)]
+    seen = {"exact": 0, "greedy": 0, "infeasible": 0}
+    for i, doc in enumerate(docs):
+        graph = build_attack_graph(doc, build_base_graph(doc))
+        exact = EngineConfig(max_len=4, semantics=semantics)
+        greedy = replace(GREEDY_ONLY, max_len=4, semantics=semantics)
+        chains = [(c.edges,) for c in enumerate_chains(graph, targets=doc.targets, config=exact)]
+        for cfg in (exact, greedy):
+            limits = {"exact_chain_limit": cfg.exact_chain_limit, "exact_defense_limit": cfg.exact_defense_limit}
+            try:
+                want = oracles.reference_plan_cut(doc, chains, **limits)
+            except InfeasibleCutError as ref:
+                with pytest.raises(InfeasibleCutError) as got:
+                    plan_cut(graph, config=cfg)
+                assert str(got.value) == str(ref), f"doc {i}"
+                assert [c.edges for c in got.value.uncut_chains] == list(ref.uncut_chains), f"doc {i}"
+                seen["infeasible"] += 1
+                continue
+            assert plan_cut(graph, config=cfg) == want, f"doc {i} {cfg}"
+            if chains:
+                seen["exact" if want.optimal else "greedy"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_cut_rejects_unknown_targets(toy5g):

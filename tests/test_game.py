@@ -54,6 +54,9 @@ BAD_GAME_FIELDS = [
     {"compromise_permissions": "read"},
     {"compromise_permissions": ["read"]},
     {"compromise_permissions": ("read", 1)},
+    {"compromise_permissions": ("",)},
+    {"compromise_permissions": ("read", "READ")},
+    {"compromise_permissions": ("re ad",)},
     {"attacker_policy": "psychic"},
     {"defender_policy": "always"},
 ]
