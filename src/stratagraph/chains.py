@@ -21,14 +21,14 @@ min-cost search pops prefixes from a heap, and the validity check feeds
 the step one candidate edge at a time, asking for rejection reasons. Each
 prefix carries its cost and threat, so a finished chain is never re-summed.
 
-The walk has three readers, and only the first builds AttackChains:
-- `enumerate_chains` packages each prefix as a chain and sorts them into
-  canonical (length, edge ids) order;
+The walk's readers build an AttackChain only for a chain they print:
+- `enumerate_chains` packages each prefix and sorts the chains into
+  canonical (length, edge ids) order; `search_chain` under `max_threat`
+  packages only its winner;
 - `defense.risk_assess` keeps each end object's chain count, maximum
   threat and minimum cost, resolving ties in canonical order;
-- the reactive defender in `game.run_game` keeps each target-ending
-  prefix's defense signature and weight, and sums them into the budget
-  planner's rows in canonical order.
+- `defense._target_rows`, the row source of both planners and the
+  reactive defender, keeps each chain's edge ids, signature and threat.
 
 Enumeration restricted to goal objects prunes by backward reachability.
 One reverse breadth-first search from the goals over the unblocked attack
@@ -342,10 +342,9 @@ def enumerate_chains(
 
     targets (object ids, each checked) picks the goal objects; without it
     all valid chains are returned. blocked_attacks removes every edge of
-    the named attacks before searching (used by defense verification and
-    the simulation), and entry_grants overrides the scenario foothold. With
-    a goal set, prefixes that cannot reach a goal within the length left
-    are never expanded (see the module docstring).
+    the named attacks before searching, and entry_grants overrides the
+    scenario foothold. With a goal set, prefixes that cannot reach a goal
+    within the length left are never expanded (see the module docstring).
     Ordering: (length, edge-id tuple).
     """
     entry = _entry_grants(graph, entry_grants)
@@ -367,8 +366,9 @@ def search_chain(
     Returns None when no chain exists. min_cost runs uniform-cost search
     over (position, grants) states; grant monotonicity keeps the space
     finite. Prefixes pop in (cost, length, edge-ids) order, so the first
-    goal hit is also the canonical tie-break winner. max_threat is
-    exhaustive. Ties break by (length, lexicographic edge ids) in both modes.
+    goal hit is also the canonical tie-break winner. max_threat walks every
+    chain to the target and packages only the winner. Ties break by
+    (length, lexicographic edge ids) in both modes.
     """
     entry = _entry_grants(graph, entry_grants)
     target = objective.target
@@ -377,13 +377,9 @@ def search_chain(
         return None
 
     if objective.kind == "max_threat":
-        best = None
-        for chain in enumerate_chains(
-            graph, targets=goal, config=config, blocked_attacks=blocked_attacks, entry_grants=entry
-        ):
-            if best is None or (-chain.total_threat, chain.sort_key()) < (-best.total_threat, best.sort_key()):
-                best = chain
-        return best
+        walk = _walk(graph, entry, goal, config, blocked_attacks)
+        best = min(walk, key=lambda step: (-step[6], len(step[0]), step[0]), default=None)
+        return None if best is None else _chain(best)
     if objective.kind != "min_cost":
         raise ValueError(f"unknown objective kind {objective.kind!r}")
 

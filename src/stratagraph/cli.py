@@ -197,7 +197,7 @@ def cmd_potential(args) -> int:
 
 
 def cmd_defend(args) -> int:
-    from .chains import ChainObjective, chain_from_edges, enumerate_chains, search_chain
+    from .chains import ChainObjective, chain_from_edges, search_chain
     from .defense import plan_budgeted, plan_coverage, plan_cut
 
     if args.chain is not None and args.mode != "coverage":
@@ -217,8 +217,7 @@ def cmd_defend(args) -> int:
     elif args.mode == "budget":
         if args.budget is None:
             raise ConfigError("--mode budget requires --budget")
-        chains = enumerate_chains(graph, targets=doc.targets or None, config=config)
-        plan = plan_budgeted(graph, chains, args.budget, config=config)
+        plan = plan_budgeted(graph, args.budget, config=config)
     else:
         plan = plan_cut(graph, config=config)
 

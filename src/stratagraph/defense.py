@@ -5,20 +5,23 @@ their d_results). A chain is broken as soon as one of its edges is
 neutralized; cutting means no valid chain reaches any target afterwards.
 Edge removal is monotone (removing edges never creates chains), so
 hitting every currently valid chain is sound, and the cut planner verifies
-itself by re-enumerating after selection.
+itself by walking the chains again after selection.
 
 The planners see a chain only through its signature: the bitmask of the
 defenses that break it, the OR of its attacks' masks in the attack graph's
-per-attack defense index (bit k is the k-th defense by id). Both
-planners search a kernel of (signature, weight) rows, one per distinct
-signature, instead of the chains themselves (the minimum critical attack
-set view of Jha, Sheyner & Wing, CSFW 2002), and share one greedy,
-_greedy. plan_budgeted is signatures -> _kernel -> _choose ->
-_finish_plan; the reactive defender builds its kernel rows straight from
-the chain walk and calls _choose itself, since it reads only the chosen
-defenses. plan_cut weighs each row by its chain count and either runs
-_hitting_set_exact over the rows' signatures or calls _greedy with an
-infinite budget: hits per cost over chains is row weight per cost.
+per-attack defense index (bit k is the k-th defense by id). Every planner
+takes its chains from one row source, _target_rows, which reads each
+chain's edge ids, signature and threat off the chain walk in canonical
+order. _kernel groups them into (signature, weight) rows, one per distinct
+signature, and the planners search the rows instead of the chains (the
+minimum critical attack set view of Jha, Sheyner & Wing, CSFW 2002).
+plan_budgeted and the reactive defender both plan in _budget_choice:
+_target_rows -> _kernel -> _choose. plan_cut weighs each row by its chain
+count and either runs _hitting_set_exact over the rows' signatures or
+calls the shared _greedy with an infinite budget: hits per cost over
+chains is row weight per cost. An AttackChain is built only to be
+printed, replayed from its edge ids: the survivor sample of a budget plan
+and the uncut chain of an infeasible cut.
 
 risk_assess reads the chain walk too: each emitted prefix updates its end
 object's count, maximum threat and minimum cost, and no chain is built.
@@ -32,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .chains import AttackChain, _resolve_targets, _walk, enumerate_chains
+from .chains import AttackChain, _entry_grants, _resolve_targets, _walk, chain_from_edges
 from .config import DEFAULT_CONFIG, EngineConfig
 from .graphs import AttackGraph
 from .model import DefenseRecord, InfeasibleCutError, UnknownIdError
@@ -106,18 +109,15 @@ def chain_signature(graph: AttackGraph, chain: AttackChain) -> int:
     return sig
 
 
-def _finish_plan(graph, chosen, chains, signatures, config, optimal, uncovered=()) -> DefensePlan:
-    """The plan for a chosen set, judged on chains (signatures: one per chain)."""
+def _finish_plan(graph, chosen, surviving_count, sample, optimal, uncovered=()) -> DefensePlan:
+    """The plan for a chosen set that leaves surviving_count chains, sample the first of them."""
     chosen = tuple(sorted(chosen))
-    blocked = neutralized_attacks(graph, chosen)
-    mask = graph.defense_mask(chosen)
-    survivors = [c for c, sig in zip(chains, signatures) if not sig & mask]
     return DefensePlan(
         chosen=chosen,
         total_cost=sum(graph.defenses[d].cost for d in chosen),
-        neutralized_edges=_neutralized_edges(graph, blocked),
-        surviving_count=len(survivors),
-        surviving_sample=tuple(survivors[: config.survivor_sample]),
+        neutralized_edges=_neutralized_edges(graph, neutralized_attacks(graph, chosen)),
+        surviving_count=surviving_count,
+        surviving_sample=tuple(sample),
         optimal=optimal,
         uncovered_attacks=tuple(sorted(uncovered)),
     )
@@ -142,19 +142,35 @@ def plan_coverage(
             chosen.add(options[0].id)
         else:
             uncovered.append(attack_id)
-    return _finish_plan(
-        graph, chosen, [chain], [chain_signature(graph, chain)], config, optimal=True, uncovered=uncovered
-    )
+    survivors = () if chain_signature(graph, chain) & graph.defense_mask(chosen) else (chain,)
+    return _finish_plan(graph, chosen, len(survivors), survivors[: config.survivor_sample], True, uncovered)
+
+
+def _target_rows(graph: AttackGraph, entry, goal, blocked, config: EngineConfig) -> list[tuple]:
+    """(edge ids, signature, threat) per chain from entry to goal (every chain when goal is None).
+
+    In canonical (length, edge ids) order; the signature ORs the fired
+    attacks' defense masks. No walk prefix is kept, since the garbage
+    collector would traverse its grant set on every pass.
+    """
+    masks = graph.attack_defenses
+    found = []
+    for edges, _, fired, _, _, _, threat in _walk(graph, entry, goal, config, blocked):
+        sig = 0
+        for attack_id in fired:
+            sig |= masks[attack_id]
+        found.append((edges, sig, threat))
+    found.sort(key=lambda f: (len(f[0]), f[0]))
+    return found
 
 
 def _kernel(pairs) -> list[tuple[int, float]]:
     """(signature, weight) rows: chains grouped by the defenses that break them.
 
-    pairs holds one (signature, weight) per chain, in canonical chain order;
-    the weight is the chain's total_threat, or 1.0 under the "count"
-    objective. A row's weight sums its chains' weights in that order; rows
-    keep the order of their first chain. Chains with the empty signature
-    are dropped: no plan breaks them.
+    pairs holds one (signature, weight) per chain, in canonical chain order.
+    A row's weight sums its chains' weights in that order; rows keep the
+    order of their first chain. Chains with the empty signature are
+    dropped: no plan breaks them.
     """
     rows: dict[int, float] = {}
     for sig, weight in pairs:
@@ -163,16 +179,28 @@ def _kernel(pairs) -> list[tuple[int, float]]:
     return list(rows.items())
 
 
+def _budget_choice(graph: AttackGraph, budget: float, entry, goal, blocked, config: EngineConfig):
+    """(_target_rows' list, chosen ids, optimal): plan_budgeted's and the reactive defender's pick.
+
+    A chain weighs its total threat, or 1.0 under budget_objective "count".
+    """
+    found = _target_rows(graph, entry, goal, blocked, config)
+    count = config.budget_objective == "count"
+    rows = _kernel((sig, 1.0 if count else threat) for _, sig, threat in found)
+    return (found, *_choose(graph, rows, budget, config))
+
+
 def plan_budgeted(
     graph: AttackGraph,
-    chains,
     budget: float,
+    targets=None,
     config: EngineConfig = DEFAULT_CONFIG,
 ) -> DefensePlan:
-    """Spend at most the budget to break the most threatening chain set.
+    """Spend at most the budget to break the most threatening chains to the targets.
 
-    Objective is the summed threat of fully broken chains (chain count when
-    config.budget_objective is "count"). Exact search up to
+    targets None takes the scenario's targets, or every chain when it names
+    none. Objective is the summed threat of fully broken chains (chain
+    count when config.budget_objective is "count"). Exact search up to
     config.exact_defense_limit defenses, greedy by gain/cost beyond. Exact
     ties resolve toward (max value, min cost, lexicographic id tuple).
 
@@ -182,14 +210,15 @@ def plan_budgeted(
     the last bit than a per-chain sum would; the broken value never differs
     by more than EPS.
     """
+    entry = _entry_grants(graph, None)
+    goal = _resolve_targets(graph, (graph.doc.targets or None) if targets is None else targets, False)
     if not math.isfinite(budget) or budget < 0:
         raise ValueError(f"budget must be a finite non-negative number, got {budget!r}")
-    chains = list(chains)
-    signatures = [chain_signature(graph, c) for c in chains]
-    count = config.budget_objective == "count"
-    rows = _kernel(zip(signatures, (1.0 if count else c.total_threat for c in chains)))
-    chosen, optimal = _choose(graph, rows, budget, config)
-    return _finish_plan(graph, chosen, chains, signatures, config, optimal)
+    found, chosen, optimal = _budget_choice(graph, budget, entry, goal, frozenset(), config)
+    mask = graph.defense_mask(chosen)
+    survivors = [edges for edges, sig, _ in found if not sig & mask]
+    sample = [chain_from_edges(graph, edges, config, entry) for edges in survivors[: config.survivor_sample]]
+    return _finish_plan(graph, chosen, len(survivors), sample, optimal)
 
 
 def _choose(graph: AttackGraph, rows, budget: float, config: EngineConfig) -> tuple[tuple[str, ...], bool]:
@@ -272,47 +301,38 @@ def plan_cut(
 ) -> DefensePlan:
     """Cheapest defense set that severs every valid chain to the targets.
 
-    Solved as a minimum-cost hitting set over the enumerated chains: exact
-    branch-and-bound within config limits, greedy beyond. The result is
-    always re-verified by re-enumeration; a chain whose attacks admit no
-    defense at all makes the cut infeasible. entry_grants/targets default
-    to the scenario's own; an unknown target raises UnknownIdError.
+    Solved as a minimum-cost hitting set over the chains' signature rows:
+    exact branch-and-bound within config limits, greedy beyond. The result
+    is always re-verified by walking the chains again under the
+    neutralized attacks; a chain whose attacks admit no defense at all
+    makes the cut infeasible. entry_grants/targets default to the
+    scenario's own; an unknown target raises UnknownIdError.
     """
-    targets = _resolve_targets(graph, targets, True)
-    if not targets:
+    goal = _resolve_targets(graph, targets, True)
+    if not goal:
         raise ValueError("plan_cut requires at least one target")
-
-    def chains_to_targets(blocked: frozenset[str]):
-        return enumerate_chains(
-            graph, targets=targets, config=config, blocked_attacks=blocked, entry_grants=entry_grants
-        )
-
-    chains = list(chains_to_targets(frozenset()))
-    if not chains:
-        return _finish_plan(graph, (), chains, [], config, optimal=True)
-
-    signatures = [chain_signature(graph, c) for c in chains]
-    for c, sig in zip(chains, signatures):
+    entry = _entry_grants(graph, entry_grants)
+    found = _target_rows(graph, entry, goal, frozenset(), config)
+    for edges, sig, _ in found:
         if not sig:
             raise InfeasibleCutError(
-                f"chain {list(c.edges)} contains no defensible attack; cut impossible",
-                uncut_chains=(c,),
+                f"chain {list(edges)} contains no defensible attack; cut impossible",
+                uncut_chains=(chain_from_edges(graph, edges, config, entry),),
             )
-    # One row per distinct signature, weighted by its chain count.
-    rows = _kernel((sig, 1.0) for sig in signatures)
-    exact = len(chains) <= config.exact_chain_limit and len(graph.sorted_defenses) <= config.exact_defense_limit
-    if exact:
-        chosen = _hitting_set_exact(graph, rows)
-    else:
-        chosen = _greedy(graph, rows, math.inf)
-
-    plan = _finish_plan(graph, chosen, chains, signatures, config, optimal=exact)
-    # A hitting set of the enumerated chains leaves none of them, and edge
-    # removal never creates chains; re-enumerating checks both claims.
-    remaining = chains_to_targets(neutralized_attacks(graph, plan.chosen))
+    # One row per distinct signature, weighted by its chain count. No
+    # chain to cut is the empty plan, optimal on either path.
+    rows = _kernel((sig, 1.0) for _, sig, _ in found)
+    exact = not found or (
+        len(found) <= config.exact_chain_limit and len(graph.sorted_defenses) <= config.exact_defense_limit
+    )
+    chosen = _hitting_set_exact(graph, rows) if exact else _greedy(graph, rows, math.inf)
+    # A hitting set of the chains leaves none of them, and edge removal
+    # never creates chains; walking again under the neutralized attacks
+    # checks both claims.
+    remaining = sum(1 for _ in _walk(graph, entry, goal, config, neutralized_attacks(graph, chosen)))
     if remaining:
-        raise RuntimeError(f"cut verification failed: {len(remaining)} chains survive after neutralization")
-    return plan
+        raise RuntimeError(f"cut verification failed: {remaining} chains survive after neutralization")
+    return _finish_plan(graph, chosen, 0, (), optimal=exact)
 
 
 def _hitting_set_exact(graph: AttackGraph, rows) -> tuple[str, ...]:

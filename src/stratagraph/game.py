@@ -17,9 +17,8 @@ import math
 import random
 from dataclasses import dataclass, replace
 
-from .chains import _walk
 from .config import DEFAULT_CONFIG, EngineConfig
-from .defense import _choose, _kernel, neutralized_attacks
+from .defense import _budget_choice, neutralized_attacks
 from .graphs import AttackGraph
 from .model import ConfigError, EmptyEntryGrantsError, Grant, permission_problems
 
@@ -131,26 +130,6 @@ def _compromised(grants, targets, permissions) -> bool:
     return False
 
 
-def _defender_rows(graph: AttackGraph, grants: frozenset[Grant], targets, blocked, config: EngineConfig):
-    """The budget planner's kernel rows for the chains from grants to targets.
-
-    What plan_budgeted would search for the enumerated chains, taken from
-    the chain walk without building a chain: each target-ending prefix
-    gives its signature (the OR of its fired attacks' defense masks) and
-    weight, and the rows are summed in canonical chain order.
-    """
-    masks = graph.attack_defenses
-    count = config.budget_objective == "count"
-    found = []
-    for edges, _, fired, _, _, _, threat in _walk(graph, grants, targets, config, blocked):
-        sig = 0
-        for attack_id in fired:
-            sig |= masks[attack_id]
-        found.append((len(edges), edges, sig, 1.0 if count else threat))
-    found.sort()
-    return _kernel((sig, weight) for _, _, sig, weight in found)
-
-
 def run_game(
     graph: AttackGraph,
     game: GameConfig,
@@ -211,8 +190,8 @@ def run_game(
 
         new_defenses: tuple[str, ...] = ()
         if game.defender_policy == "reactive_cut" and detected_any:
-            rows = _defender_rows(graph, frozenset(grants), targets, neutralized, config)
-            chosen, _ = _choose(graph, rows, game.defender_budget_per_turn, config)
+            budget = game.defender_budget_per_turn
+            _, chosen, _ = _budget_choice(graph, budget, frozenset(grants), targets, neutralized, config)
             new_defenses = tuple(d for d in chosen if d not in applied_defenses)
             if new_defenses:
                 applied_defenses.update(new_defenses)

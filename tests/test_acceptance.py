@@ -175,7 +175,7 @@ def test_criterion_5_budget_optimality():
         engine_chains = enumerate_chains(graph, targets=doc.targets, config=cfg)
         total = sum(d.cost for d in doc.defenses)
         for budget in (0.0, 1.5, total):
-            plan = plan_budgeted(graph, engine_chains, budget, config=cfg)
+            plan = plan_budgeted(graph, budget, targets=doc.targets, config=cfg)
             value, cost, ids = oracles.brute_budget(doc, reachable, budget)
             assert plan.chosen == ids, f"seed={seed} budget={budget}"
             broken = sum(
@@ -184,9 +184,9 @@ def test_criterion_5_budget_optimality():
                 if chain_attacks(graph, c) & neutralized_attacks(graph, plan.chosen)
             )
             assert abs(broken - value) < EPS, f"seed={seed} budget={budget}"
-        zero = plan_budgeted(graph, engine_chains, 0.0, config=cfg)
+        zero = plan_budgeted(graph, 0.0, targets=doc.targets, config=cfg)
         assert zero.chosen == ()
-        full = plan_budgeted(graph, engine_chains, total, config=cfg)
+        full = plan_budgeted(graph, total, targets=doc.targets, config=cfg)
         breakable = [c for c in engine_chains if any(set(d.d_results) & chain_attacks(graph, c) for d in doc.defenses)]
         blocked = neutralized_attacks(graph, full.chosen)
         assert all(chain_attacks(graph, c) & blocked for c in breakable), f"seed={seed}: unlimited budget left breakable chains"
@@ -225,7 +225,7 @@ def test_criterion_6_monotonicity_suite():
 
         if doc.defenses and doc.targets:
             target_chains = enumerate_chains(graph, targets=doc.targets, config=CFG4)
-            plan = plan_budgeted(graph, target_chains, 1.0, config=CFG4)
+            plan = plan_budgeted(graph, 1.0, config=CFG4)
             blocked = neutralized_attacks(graph, plan.chosen)
             before = sum(1 for c in target_chains if not (chain_attacks(graph, c) & blocked))
             for extra in doc.defenses:

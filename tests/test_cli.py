@@ -396,7 +396,7 @@ def test_non_finite_budgets_rejected_by_library(toy5g):
     _, _, graph = toy5g
     for value in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            plan_budgeted(graph, (), value)
+            plan_budgeted(graph, value)
         with pytest.raises(ConfigError):
             GameConfig(defender_budget_per_turn=value).check()
 

@@ -99,9 +99,9 @@ def test_coverage_reports_uncovered(undefendable):
 def test_budget_zero_and_saturation(toy5g):
     doc, _, graph = toy5g
     chains = enumerate_chains(graph, targets=doc.targets)
-    empty = plan_budgeted(graph, chains, 0.0)
+    empty = plan_budgeted(graph, 0.0)
     assert empty.chosen == () and empty.surviving_count == len(chains)
-    everything = plan_budgeted(graph, chains, sum(d.cost for d in doc.defenses))
+    everything = plan_budgeted(graph, sum(d.cost for d in doc.defenses))
     assert everything.surviving_count == 0
 
 
@@ -110,7 +110,7 @@ def test_budget_matches_brute_force(toy5g):
     chains = enumerate_chains(graph, targets=doc.targets)
     oracle_chains = oracles.brute_chains(doc, 8, targets=doc.targets)
     for budget in (0.0, 2.0, 3.0, 5.0, 8.0):
-        plan = plan_budgeted(graph, chains, budget)
+        plan = plan_budgeted(graph, budget)
         value, cost, ids = oracles.brute_budget(doc, oracle_chains, budget)
         broken = sum(c.total_threat for c in chains if chain_attacks(graph, c) & neutralized_attacks(graph, plan.chosen))
         assert abs(broken - value) < 1e-9, f"budget {budget}"
@@ -119,9 +119,8 @@ def test_budget_matches_brute_force(toy5g):
 
 def test_budget_count_objective(toy5g):
     doc, _, graph = toy5g
-    chains = enumerate_chains(graph, targets=doc.targets)
     cfg = EngineConfig(budget_objective="count")
-    plan = plan_budgeted(graph, chains, 2.5, config=cfg)
+    plan = plan_budgeted(graph, 2.5, config=cfg)
     value, _, ids = oracles.brute_budget(doc, oracles.brute_chains(doc, 8, targets=doc.targets), 2.5, "count")
     assert plan.chosen == ids
 
@@ -135,16 +134,17 @@ def test_budget_count_objective(toy5g):
 )
 def test_budget_kernel_matches_per_chain_reference(seed, objective, limit, data):
     # The signature kernel must give the very plan of the per-chain search,
-    # on the exact path (limit 20) and on the greedy path (limit 0).
-    doc = random_scenario(seed, max_objects=6, max_edges=24, max_defenses=10)
+    # on the exact path (limit 20) and on the greedy path (limit 0). With no
+    # targets the planner plans over every chain.
+    doc = replace(random_scenario(seed, max_objects=6, max_edges=24, max_defenses=10), targets=())
     graph = build_attack_graph(doc, build_base_graph(doc))
     chains = enumerate_chains(graph, config=EngineConfig(max_len=4))
     total = sum(d.cost for d in doc.defenses)
     budget = data.draw(
         st.one_of(st.integers(0, int(2 * total)).map(lambda h: h / 2), st.floats(0.0, total)), label="budget"
     )
-    cfg = EngineConfig(budget_objective=objective, exact_defense_limit=limit)
-    plan = plan_budgeted(graph, chains, budget, config=cfg)
+    cfg = EngineConfig(max_len=4, budget_objective=objective, exact_defense_limit=limit)
+    plan = plan_budgeted(graph, budget, config=cfg)
     assert plan == oracles.reference_plan_budgeted(doc, chains, budget, objective, exact_limit=limit)
 
 
@@ -157,13 +157,14 @@ def test_budget_non_dyadic_weights_within_eps():
         if not doc.defenses:
             continue
         rng = random.Random(seed)
-        doc = replace(doc, attacks=tuple(replace(a, severity=rng.choice((0.1, 0.2, 0.7))) for a in doc.attacks))
+        severities = tuple(replace(a, severity=rng.choice((0.1, 0.2, 0.7))) for a in doc.attacks)
+        doc = replace(doc, attacks=severities, targets=())  # no targets: plan over every chain
         graph = build_attack_graph(doc, build_base_graph(doc))
         chains = enumerate_chains(graph, config=EngineConfig(max_len=4))
         oracle_chains = oracles.brute_chains(doc, 4)
         total = sum(d.cost for d in doc.defenses)
         for budget in (0.5, 1.5, total / 2, total):
-            plan = plan_budgeted(graph, chains, budget)
+            plan = plan_budgeted(graph, budget, config=EngineConfig(max_len=4))
             value, _, _ = oracles.brute_budget(doc, oracle_chains, budget)
             blocked = neutralized_attacks(graph, plan.chosen)
             broken = sum(c.total_threat for c in chains if chain_attacks(graph, c) & blocked)
@@ -297,7 +298,7 @@ def test_adding_defense_never_increases_survivors(toy5g):
     doc, _, graph = toy5g
     chains = enumerate_chains(graph, targets=doc.targets)
     for budget in (0.0, 2.5, 5.0):
-        plan = plan_budgeted(graph, chains, budget)
+        plan = plan_budgeted(graph, budget)
         for extra in doc.defenses:
             if extra.id in plan.chosen:
                 continue

@@ -13,7 +13,6 @@ from stratagraph import (
     build_base_graph,
     enumerate_chains,
     is_valid_chain,
-    plan_budgeted,
     plan_cut,
     risk_assess,
     run_batch,
@@ -22,9 +21,9 @@ from stratagraph import (
 )
 from stratagraph import canon
 from stratagraph.chains import AttackChain
+from stratagraph.cli import main
 from stratagraph.config import EngineConfig
-from stratagraph.defense import _choose, _kernel, chain_signature
-from stratagraph.game import _defender_rows
+from stratagraph.defense import _budget_choice, _choose, _kernel, _target_rows, chain_signature
 from stratagraph.model import Grant
 
 from genscen import random_scenario
@@ -236,17 +235,17 @@ def test_grants_stay_grants_and_canon_refuses_them(toy5g):
 def test_reactive_defender_enumerates_under_engine_semantics(toy5g, monkeypatch):
     # The engine config alone owns semantics: a strict config must reach
     # the defender's chain prediction, not be replaced by a game default.
-    import stratagraph.game as game_module
+    import stratagraph.defense as defense_module
     from stratagraph.config import EngineConfig
 
     seen = []
-    real = game_module._walk
+    real = defense_module._walk
 
     def spy(graph, entry, goal, config, blocked):
         seen.append(config.semantics)
         return real(graph, entry, goal, config, blocked)
 
-    monkeypatch.setattr(game_module, "_walk", spy)
+    monkeypatch.setattr(defense_module, "_walk", spy)
     _, _, graph = toy5g
     game = GameConfig(defender_policy="reactive_cut", defender_budget_per_turn=2.0)
     run_game(graph, game, config=EngineConfig(semantics="strict"))
@@ -261,10 +260,12 @@ def test_reactive_defender_enumerates_under_engine_semantics(toy5g, monkeypatch)
     non_dyadic=st.booleans(),
     data=st.data(),
 )
-def test_defender_rows_plan_like_plan_budgeted(seed, objective, limit, non_dyadic, data):
-    # The reactive defender plans from rows taken off the chain walk; it must
-    # choose what plan_budgeted chooses over the enumerated chains, for any
-    # foothold and blocked set, on the exact and on the greedy path.
+def test_target_rows_plan_like_the_per_chain_kernel(seed, objective, limit, non_dyadic, data):
+    # Both planners and the reactive defender take their chains from
+    # _target_rows. For any foothold and blocked set they must be the
+    # enumerated chains in canonical order with their per-chain signatures,
+    # and the budget pick must be what the per-chain kernel gives, on the
+    # exact and on the greedy path.
     doc = random_scenario(seed, max_objects=6, max_edges=16, max_defenses=8)
     rng = random.Random(seed)
     if non_dyadic:
@@ -280,30 +281,26 @@ def test_defender_rows_plan_like_plan_budgeted(seed, objective, limit, non_dyadi
     chains = enumerate_chains(
         graph, targets=doc.targets, config=config, blocked_attacks=blocked, entry_grants=foothold
     )
-    rows = _defender_rows(graph, foothold, frozenset(doc.targets), blocked, config)
+    goal = frozenset(doc.targets)
+    found = _target_rows(graph, foothold, goal, blocked, config)
+    signatures = [chain_signature(graph, c) for c in chains]
+    assert found == [(c.edges, sig, c.total_threat) for c, sig in zip(chains, signatures)]
     weights = [1.0 if objective == "count" else c.total_threat for c in chains]
-    assert rows == _kernel(zip((chain_signature(graph, c) for c in chains), weights))
-    plan = plan_budgeted(graph, chains, budget, config=config)
-    assert _choose(graph, rows, budget, config) == (plan.chosen, plan.optimal)
+    rows = _kernel(zip(signatures, weights))
+    picked = _budget_choice(graph, budget, foothold, goal, blocked, config)
+    assert picked == (found, *_choose(graph, rows, budget, config))
 
 
-def test_risk_and_reactive_defender_build_no_chains(toy5g, monkeypatch):
-    # risk and the reactive defender read only counts, totals and
-    # signatures, so neither may package a chain it does not print.
-    import stratagraph.chains as chains_module
-
+def test_risk_and_reactive_defender_build_no_chains(toy5g, fixtures_dir, tmp_path, monkeypatch, capsys):
+    # risk, the reactive defender and the planners read only counts, totals
+    # and signatures, so none may package a chain it does not print.
     built = []
-    real_chain, real_init = chains_module._chain, AttackChain.__init__
-
-    def spy_chain(prefix):
-        built.append(prefix[0])
-        return real_chain(prefix)
+    real_init = AttackChain.__init__
 
     def spy_init(self, *args, **kwargs):
-        built.append(args)
+        built.append(self)
         real_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(chains_module, "_chain", spy_chain)
     monkeypatch.setattr(AttackChain, "__init__", spy_init)
     _, _, graph = toy5g
     game = GameConfig(defender_policy="reactive_cut", defender_budget_per_turn=10.0)
@@ -312,4 +309,22 @@ def test_risk_and_reactive_defender_build_no_chains(toy5g, monkeypatch):
     assert built == []
     assert any(r.chain_count for r in rows) and any(t.defenses for t in trace.turns)
     enumerate_chains(graph)
-    assert built  # the spies see chains where they are built
+    assert built  # the spy sees chains where they are built
+
+    # A budget plan packages only its survivor sample: toy5g keeps all 4
+    # chains at budget 0, and the sample holds survivor_sample of them.
+    sample = tmp_path / "sample.config"
+    sample.write_text('{"survivor_sample": 2}', encoding="utf-8")
+    toy = ["--scenario", str(fixtures_dir / "toy5g.scenario")]
+    infeasible = ["--scenario", str(fixtures_dir / "infeasible.scenario")]
+    for argv, code, chains_built in [
+        (["defend", *toy, "--mode", "cut"], 0, 0),
+        (["defend", *toy, "--mode", "budget", "--budget", "0", "--config", str(sample)], 0, 2),
+        (["defend", *toy, "--mode", "budget", "--budget", "0"], 0, 4),
+        (["chains", *toy, "--objective", "max_threat"], 0, 1),
+        (["defend", *infeasible, "--mode", "cut"], 3, 1),  # the uncut chain of the error
+    ]:
+        built.clear()
+        assert main(argv) == code, argv
+        capsys.readouterr()
+        assert len(built) == chains_built, argv

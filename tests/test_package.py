@@ -105,3 +105,10 @@ def test_readme_library_example_runs(fixtures_dir):
     namespace = {}
     exec(code.replace('"net.scenario"', repr(str(fixtures_dir / "toy5g.scenario"))), namespace)
     assert namespace["graph"].doc is namespace["doc"]
+
+
+def test_python_dash_m_runs_the_cli():
+    # fresh_python fails unless the command exits 0.
+    version = fresh_python("-m", "stratagraph", "--version")
+    assert version == fresh_python("-m", "stratagraph.cli", "--version")
+    assert version[:2] == ["stratagraph", stratagraph.__version__]

@@ -19,7 +19,9 @@ Inputs, all generated from this checkout:
   bench commands in JSON and in text, plus `graph --dot`, `min_cost`,
   `max_threat`, `--unrestricted`, strict, coverage and `threat_agg max`
   variants;
-- `tests/genscen.py` scenarios, random and coherent, under both semantics;
+- `tests/genscen.py` scenarios, random and coherent, under both semantics,
+  and one with its targets removed: there `defend --mode budget` plans
+  over every chain and `defend --mode cut` exits 1;
 - the same scenarios with every cost and severity one or two million,
   written as a JSON int or float at random (`large_number_commands`).
   canon prints an int and an equal float alike below 1e6 (`5` and `5.0`
@@ -44,12 +46,14 @@ import tarfile
 import tempfile
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("topology-L", "chains-M", "reactive-sim-M")
 BENCH_SEEDS = (1, 2)
 GENSCEN_SEEDS = 8  # per family (random, coherent), each run under both semantics
+TARGETLESS_SEED = 3  # a random scenario with 22 chains of at most 4 edges once its targets are gone
 LARGE_SEEDS = 4  # per family, each run under both threat aggregations
 JOBS = 2  # commands run at once; each waits on a subprocess
 UNRESTRICTED_MAX_LEN = 6  # chains to every object at a workload's own max_len run to tens of MB
@@ -120,10 +124,14 @@ def genscen_commands(inputs: Path) -> list[list[str]]:
 
     from stratagraph.scenario import serialize_scenario
 
+    targetless = inputs / "genscen-targetless.scenario"
+    targetless.write_text(serialize_scenario(replace(random_scenario(TARGETLESS_SEED), targets=())), encoding="utf-8")
     commands = []
     for semantics in ("accumulated", "strict"):
         config = inputs / f"genscen-{semantics}.config"
         config.write_text(json.dumps({"semantics": semantics, "max_len": 4}) + "\n", encoding="utf-8")
+        common = ["--scenario", str(targetless), "--config", str(config), "--format", "json"]
+        commands += [["defend", *common, "--mode", "budget", "--budget", "3"], ["defend", *common, "--mode", "cut"]]
         for family, make in (("random", random_scenario), ("coherent", coherent_scenario)):
             for seed in range(GENSCEN_SEEDS):
                 doc = make(seed)
