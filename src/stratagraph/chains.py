@@ -14,12 +14,30 @@ immediately preceding edge, the literal adjacent-edge rule. A chain's cost
 and threat count each distinct attack once, even when several of its edges
 appear on the chain.
 
-Every rule lives in one successor step, `_successors`, which returns the
-valid one-edge extensions of a chain prefix. One depth-first walk over it,
-`_walk`, yields every chain enumeration emits as a bare prefix tuple;
-min-cost search pops prefixes from a heap, and the validity check feeds
-the step one candidate edge at a time, asking for rejection reasons. Each
-prefix carries its cost and threat, so a finished chain is never re-summed.
+The rules run over step records that the attack graph compiles once, on
+first use (`AttackGraph.steps`): one plain tuple per attack edge holding
+what a step reads (to object, condition, attack, results, cost, severity,
+the attack's defense mask, entry_only and the pair the edge grants), also
+grouped by from-object (`AttackGraph.steps_from`). `_walk`, the one
+depth-first walk that yields every chain enumeration emits as a bare
+prefix tuple, applies the rules in its own loop. For each (end, room) it
+meets, the object a prefix ends on and the edges left after the next
+step, `_step_table` settles once what depends only on that key:
+adjacency, blocked attacks, entry_only and whether a step's end is
+emitted or can still reach a goal. The loop then tests only the
+simple-path guard and the condition, and fires the attack. Each prefix
+carries its cost, threat and defense signature (the OR of its attacks'
+defense masks), so a finished chain is never re-summed.
+
+`_successors` applies the same rules to one prefix at a time, naming the
+first rule each rejected candidate breaks: the validity check feeds it one
+edge at a time for the rejection reasons, and min-cost search pops
+prefixes from a heap and extends them with it. The walk does not call it,
+because a call per expansion costs most of what the fused loop saves: on
+the reactive-sim-M bench workload (2-vCPU host, in process), the same
+records behind a per-expansion step function took walk time from 0.43 s
+to 0.39 s, the fused loop to 0.32-0.34 s. tests/test_chains.py pins the
+two rule sites to each other.
 
 The walk's readers build an AttackChain only for a chain they print:
 - `enumerate_chains` packages each prefix and sorts the chains into
@@ -126,98 +144,93 @@ def _entry_grants(graph: AttackGraph, entry_grants) -> frozenset[Grant]:
 def _root(entry: frozenset[Grant], config: EngineConfig) -> tuple:
     """The empty chain prefix.
 
-    A prefix is a plain tuple (edges, grants, fired, affected, last, cost,
-    threat): edge ids, grants held (frozenset), attack ids in firing order,
-    affected object ids, the last AttackEdge (None before the first step),
-    and the chain's cost and threat so far. An empty chain reports int 0
-    cost and threat, or 0.0 threat under threat_agg "max".
+    A prefix is a plain tuple (edges, grants, fired, affected, end, pair,
+    cost, threat, signature): edge ids, grants held (frozenset), attack ids
+    in firing order, affected object ids, the object the last edge affected
+    and the pair Grant it granted (both None before the first step), the
+    chain's cost and threat so far, and its defense signature, the OR of
+    the fired attacks' defense masks. An empty chain reports int 0 cost and
+    threat, or 0.0 threat under threat_agg "max".
     """
-    return ((), entry, (), (), None, 0, 0.0 if config.threat_agg == "max" else 0)
-
-
-def _next_edges(graph: AttackGraph, last):
-    """Every edge when the chain is empty, else the edges leaving last's object."""
-    return graph.edges if last is None else graph.by_from.get(last.to_id, ())
+    return ((), entry, (), (), None, None, 0, 0.0 if config.threat_agg == "max" else 0, 0)
 
 
 def _successors(graph: AttackGraph, prefix, candidates, entry, config: EngineConfig, blocked, why=None) -> list:
-    """The valid one-edge extensions of prefix: the one place chain rules live.
+    """The valid one-edge extensions of prefix, one step record at a time.
 
-    candidates=None tries every edge adjacent to the prefix's end (every
-    edge for the empty prefix). When why is a list, the reason each
-    rejected candidate fails is appended to it. Cost and threat grow by each
-    newly fired attack in firing order, as a sum over fired attacks would
-    (or a max of severities under threat_agg "max").
+    candidates=None tries every step adjacent to the prefix's end (every
+    step for the empty prefix). When why is a list, the reason each
+    rejected candidate fails is appended to it, naming the first rule it
+    breaks. Cost and threat grow by each newly fired attack in firing
+    order, as a sum over fired attacks would (or a max of severities under
+    threat_agg "max"). _walk applies the same rules inline.
     """
-    edges, grants, fired, affected, last, cost, threat = prefix
-    if last is None:
-        start = None
-        pool = entry if config.semantics == "strict" else grants
+    edges, grants, fired, affected, end, pair, cost, threat, sig = prefix
+    if config.semantics == "strict":
+        pool = entry if pair is None else entry | {pair}
     else:
-        start = last.to_id
-        pool = entry | {Grant(start, last.permission)} if config.semantics == "strict" else grants
+        pool = grants
     if candidates is None:
-        candidates = _next_edges(graph, last)
+        candidates = graph.steps.values() if end is None else graph.steps_from.get(end, ())
     use_max = config.threat_agg == "max"
     attacks = graph.attacks
     out = []
-    need = None
-    for edge in candidates:
-        record = attacks[edge.attack_id]
-        if start is not None and edge.from_id != start:
-            fault = "not adjacent: previous edge ends at {start}, this one starts at {edge.from_id}"
-        elif edge.to_id in affected:
-            fault = "object {edge.to_id} already affected (chain must stay simple)"
-        elif record.entry_only and start is not None:
+    for step in candidates:
+        edge_id, to, condition, attack_id, results, step_cost, severity, mask, entry_only, step_pair = step
+        record = attacks[attack_id]
+        if end is not None and record.object != end:
+            fault = "not adjacent: previous edge ends at {end}, this one starts at {record.object}"
+        elif to in affected:
+            fault = "object {to} already affected (chain must stay simple)"
+        elif entry_only and end is not None:
             fault = "attack {record.id} is entry-only and cannot fire mid-chain"
-        elif record.id in blocked:
+        elif attack_id in blocked:
             fault = "attack {record.id} is blocked"
+        elif not condition <= pool:
+            fault = "unsatisfied <{need.object}, {need.permission}>"
         else:
-            for need in record.condition:
-                if need not in pool:
-                    fault = "unsatisfied <{need.object}, {need.permission}>"
-                    break
-            else:
-                step = edges + (edge.edge_id,)
-                if record.id in fired:
-                    out.append((step, grants, fired, affected + (edge.to_id,), edge, cost, threat))
-                    continue
-                severity = record.severity
-                if use_max:
-                    new_threat = severity if not fired or severity > threat else threat
-                else:
-                    new_threat = threat + severity
-                out.append(
-                    (
-                        step,
-                        grants.union(record.a_results),
-                        fired + (record.id,),
-                        affected + (edge.to_id,),
-                        edge,
-                        cost + record.cost,
-                        new_threat,
-                    )
-                )
+            path = edges + (edge_id,)
+            if attack_id in fired:
+                out.append((path, grants, fired, affected + (to,), to, step_pair, cost, threat, sig))
                 continue
+            if use_max:
+                new_threat = severity if not fired or severity > threat else threat
+            else:
+                new_threat = threat + severity
+            out.append(
+                (
+                    path,
+                    grants | results,
+                    fired + (attack_id,),
+                    affected + (to,),
+                    to,
+                    step_pair,
+                    cost + step_cost,
+                    new_threat,
+                    sig | mask,
+                )
+            )
+            continue
         if why is not None:
-            why.append(fault.format(start=start, edge=edge, record=record, need=need))
+            need = next((n for n in record.condition if n not in pool), None)
+            why.append(fault.format(end=end, to=to, record=record, need=need))
     return out
 
 
 def _chain(prefix) -> AttackChain:
-    edges, grants, _, _, _, cost, threat = prefix
+    edges, grants, _, _, _, _, cost, threat, _ = prefix
     return AttackChain(edges=edges, total_cost=cost, total_threat=threat, final_grants=tuple(sorted(grants)))
 
 
 def _replay(graph, edge_ids, config, entry_grants) -> tuple[ChainCheck, tuple]:
     """Feed edge_ids through the successor step one at a time: (check, last prefix)."""
     entry = _entry_grants(graph, entry_grants)
-    edges = [graph.edge(eid) for eid in edge_ids]
+    records = [graph.steps[graph.edge(eid).edge_id] for eid in edge_ids]  # graph.edge raises on an unknown id
     prefix = _root(entry, config)
     states = [AttackerState(tuple(sorted(entry)), ())]
-    for i, edge in enumerate(edges):
+    for i, record in enumerate(records):
         why: list[str] = []
-        step = _successors(graph, prefix, (edge,), entry, config, frozenset(), why)
+        step = _successors(graph, prefix, (record,), entry, config, frozenset(), why)
         if not step:
             return ChainCheck(False, tuple(states), failed_index=i, reason=why[0]), prefix
         prefix = step[0]
@@ -289,46 +302,93 @@ def _goal_distance(graph: AttackGraph, goal: frozenset[str], blocked) -> dict[st
     return dist
 
 
+def _step_table(graph: AttackGraph, end, room: int, goal, dist, blocked) -> list[tuple]:
+    """The steps worth trying from end with room edges left after them.
+
+    One (step record, emit, extend) per step: adjacency, blocked attacks,
+    entry_only and goal reach are settled here once per (end, room), so
+    the walk tests only the simple-path guard and the condition. end None
+    is the empty chain's end, where every step is adjacent and entry_only
+    steps may fire. emit says whether a chain ending on the step's object
+    is yielded, extend whether it is walked further: with goal None every
+    step is emitted and extended while edges are left; with a goal set
+    only a step onto a goal is emitted, only a step whose end can still
+    reach a goal within room edges is extended, and a step that does
+    neither is left out.
+    """
+    if end is None:
+        records = graph.steps.values()
+    else:
+        records = graph.steps_from.get(end, ())
+    table = []
+    for step in records:
+        if step[3] in blocked or step[8] and end is not None:
+            continue
+        to = step[1]
+        if goal is None:
+            table.append((step, True, room > 0))
+            continue
+        emit = to in goal
+        extend = dist.get(to, room + 1) <= room
+        if emit or extend:
+            table.append((step, emit, extend))
+    return table
+
+
 def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfig, blocked):
     """Yield every chain prefix enumeration emits, depth first, not in canonical order.
 
     With goal None every valid prefix of at most config.max_len edges is
     yielded; with a goal set only the prefixes ending on a goal, and
     prefixes that cannot reach a goal within the length left are never
-    expanded (see the module docstring).
+    expanded (see the module docstring). One loop serves both modes and
+    both semantics: _step_table settles what depends only on (end, room),
+    and the loop applies the simple-path guard and the condition itself,
+    as _successors does.
     """
     max_len = config.max_len
+    strict = config.semantics == "strict"
+    use_max = config.threat_agg == "max"
+    dist = None if goal is None else _goal_distance(graph, goal, blocked)
+    tables: dict = {}  # (end, room) -> _step_table
     stack = [_root(entry, config)]
-    if goal is None:
-        while stack:
-            prefix = stack.pop()
-            for step in _successors(graph, prefix, None, entry, config, blocked):
-                yield step
-                if len(step[0]) < max_len:
-                    stack.append(step)
-        return
-    # An object without a distance reaches no goal; the default max_len
-    # exceeds every room, so such an end is never extended.
-    dist = _goal_distance(graph, goal, blocked)
-    # (object, room) -> the edges leaving object worth trying when room
-    # edges are left after them; None stands for the empty chain's end.
-    memo: dict = {}
+    pop, push = stack.pop, stack.append
     while stack:
-        prefix = stack.pop()
-        last = prefix[4]
-        room = max_len - len(prefix[0]) - 1  # edges left after the next step
-        key = (None if last is None else last.to_id, room)
-        candidates = memo.get(key)
-        if candidates is None:
-            candidates = memo[key] = [
-                e for e in _next_edges(graph, last) if e.to_id in goal or dist.get(e.to_id, max_len) <= room
-            ]
-        for step in _successors(graph, prefix, candidates, entry, config, blocked):
-            end = step[4].to_id
-            if end in goal:
-                yield step
-            if dist.get(end, max_len) <= room:
-                stack.append(step)
+        edges, grants, fired, affected, end, pair, cost, threat, sig = pop()
+        room = max_len - len(edges) - 1  # edges left after the next step
+        table = tables.get((end, room))
+        if table is None:
+            table = tables[end, room] = _step_table(graph, end, room, goal, dist, blocked)
+        if not strict:
+            pool = grants
+        else:
+            pool = entry if pair is None else entry | {pair}
+        for step, emit, extend in table:
+            edge_id, to, condition, attack_id, results, step_cost, severity, mask, _, step_pair = step
+            if to in affected or not condition <= pool:
+                continue
+            if attack_id in fired:
+                prefix = (edges + (edge_id,), grants, fired, affected + (to,), to, step_pair, cost, threat, sig)
+            else:
+                if use_max:
+                    new_threat = severity if not fired or severity > threat else threat
+                else:
+                    new_threat = threat + severity
+                prefix = (
+                    edges + (edge_id,),
+                    grants | results,
+                    fired + (attack_id,),
+                    affected + (to,),
+                    to,
+                    step_pair,
+                    cost + step_cost,
+                    new_threat,
+                    sig | mask,
+                )
+            if emit:
+                yield prefix
+            if extend:
+                push(prefix)
 
 
 def enumerate_chains(
@@ -378,7 +438,7 @@ def search_chain(
 
     if objective.kind == "max_threat":
         walk = _walk(graph, entry, goal, config, blocked_attacks)
-        best = min(walk, key=lambda step: (-step[6], len(step[0]), step[0]), default=None)
+        best = min(walk, key=lambda step: (-step[7], len(step[0]), step[0]), default=None)
         return None if best is None else _chain(best)
     if objective.kind != "min_cost":
         raise ValueError(f"unknown objective kind {objective.kind!r}")
@@ -388,20 +448,20 @@ def search_chain(
     seen: set = set()
     while heap:
         _, length, _, prefix = heapq.heappop(heap)
-        last = prefix[4]
-        if last is not None:
-            if last.to_id in goal:
+        end = prefix[4]
+        if end is not None:
+            if end in goal:
                 return _chain(prefix)
-            # Two prefixes landing on the same (position, pair, fired,
-            # affected) state have identical continuations; the first pop
-            # dominates in the full (cost, length, lexicographic) order.
-            key = (last.to_id, last.permission, frozenset(prefix[2]), frozenset(prefix[3]))
+            # Two prefixes landing on the same (pair, fired, affected)
+            # state have identical continuations; the first pop dominates
+            # in the full (cost, length, lexicographic) order.
+            key = (prefix[5], frozenset(prefix[2]), frozenset(prefix[3]))
             if key in seen:
                 continue
             seen.add(key)
         if length < max_len:
             for step in _successors(graph, prefix, None, entry, config, blocked_attacks):
-                heapq.heappush(heap, (step[5], length + 1, step[0], step))
+                heapq.heappush(heap, (step[6], length + 1, step[0], step))
     return None
 
 
@@ -438,26 +498,27 @@ def generate_potential_chains(
 
     A hop is covered when some attack edge runs along it. Paths with no gap
     are ordinary chain material and are excluded. For each missing hop the
-    catalog is scanned for records attacking an object of the hop's
-    from-category; when the following hop is covered, records must also be
-    able to grant what that next attack requires on the hop's to-object.
+    suggestions are the records attacking an object of the hop's
+    from-category (the catalog is grouped by category once per call); when
+    the following hop is covered, records must also be able to grant what
+    that next attack requires on the hop's to-object.
     """
     base = graph.base
     for oid in (from_id, to_id):
         if oid not in base.layers:
             raise UnknownIdError(f"unknown object {oid!r}")
     by_id = graph.doc.object_by_id()
+    by_category: dict[str, list[AttackRecord]] = {}  # category of the attacked object -> records, by id
+    for record in graph.sorted_attacks:
+        by_category.setdefault(by_id[record.object].category, []).append(record)
 
     def covering_attacks(f: str, t: str) -> list[AttackRecord]:
         return [graph.attacks[e.attack_id] for e in graph.by_from.get(f, ()) if e.to_id == t]
 
     def suggestions_for(f: str, t: str, nxt: str | None) -> tuple[str, ...]:
-        want_category = by_id[f].category
         next_needs = covering_attacks(t, nxt) if nxt is not None else []
         out = []
-        for record in graph.sorted_attacks:
-            if by_id[record.object].category != want_category:
-                continue
+        for record in by_category.get(by_id[f].category, ()):
             if next_needs:
                 perms = {g.permission for g in record.a_results}
                 if not any(

@@ -9,12 +9,14 @@ itself by walking the chains again after selection.
 
 The planners see a chain only through its signature: the bitmask of the
 defenses that break it, the OR of its attacks' masks in the attack graph's
-per-attack defense index (bit k is the k-th defense by id). Every planner
-takes its chains from one row source, _target_rows, which reads each
-chain's edge ids, signature and threat off the chain walk in canonical
-order. _kernel groups them into (signature, weight) rows, one per distinct
-signature, and the planners search the rows instead of the chains (the
-minimum critical attack set view of Jha, Sheyner & Wing, CSFW 2002).
+per-attack defense index (bit k is the k-th defense by id). The chain walk
+carries the signature on each prefix, ORing an attack's mask in as the
+attack fires. Every planner takes its chains from one row source,
+_target_rows, which reads each chain's edge ids, signature and threat off
+the walk in canonical order. _kernel groups them into (signature, weight)
+rows, one per distinct signature, and the planners search the rows
+instead of the chains (the minimum critical attack set view of Jha,
+Sheyner & Wing, CSFW 2002).
 plan_budgeted and the reactive defender both plan in _budget_choice:
 _target_rows -> _kernel -> _choose. plan_cut weighs each row by its chain
 count and either runs _hitting_set_exact over the rows' signatures or
@@ -100,12 +102,11 @@ def chain_attacks(graph: AttackGraph, chain: AttackChain) -> frozenset[str]:
 def chain_signature(graph: AttackGraph, chain: AttackChain) -> int:
     """Mask of the defenses that break the chain."""
     sig = 0
-    edge_defenses = graph.edge_defenses
     for eid in chain.edges:
-        mask = edge_defenses.get(eid)
-        if mask is None:
+        step = graph.steps.get(eid)
+        if step is None:
             raise UnknownIdError(f"unknown attack edge {eid!r}")
-        sig |= mask
+        sig |= step[7]  # the attack's defense mask
     return sig
 
 
@@ -149,17 +150,11 @@ def plan_coverage(
 def _target_rows(graph: AttackGraph, entry, goal, blocked, config: EngineConfig) -> list[tuple]:
     """(edge ids, signature, threat) per chain from entry to goal (every chain when goal is None).
 
-    In canonical (length, edge ids) order; the signature ORs the fired
-    attacks' defense masks. No walk prefix is kept, since the garbage
+    In canonical (length, edge ids) order; the signature is the one the
+    walk carries on each prefix. No walk prefix is kept, since the garbage
     collector would traverse its grant set on every pass.
     """
-    masks = graph.attack_defenses
-    found = []
-    for edges, _, fired, _, _, _, threat in _walk(graph, entry, goal, config, blocked):
-        sig = 0
-        for attack_id in fired:
-            sig |= masks[attack_id]
-        found.append((edges, sig, threat))
+    found = [(p[0], p[8], p[7]) for p in _walk(graph, entry, goal, config, blocked)]
     found.sort(key=lambda f: (len(f[0]), f[0]))
     return found
 
@@ -406,10 +401,10 @@ def risk_assess(
     doc = graph.doc
     if doc.entry_grants:
         walk = _walk(graph, frozenset(doc.entry_grants), None, config, frozenset())
-        for edges, _, _, _, last, cost, threat in walk:
-            s = stats.get(last.to_id)
+        for edges, _, _, _, end, _, cost, threat, _ in walk:
+            s = stats.get(end)
             if s is None:
-                stats[last.to_id] = [1, threat, edges, cost, edges]
+                stats[end] = [1, threat, edges, cost, edges]
                 continue
             s[0] += 1
             if threat > s[1] or threat == s[1] and (len(edges), edges) < (len(s[2]), s[2]):

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import insort
 from dataclasses import dataclass, replace
 
 from .config import DEFAULT_CONFIG, EngineConfig
 from .defense import _budget_choice, neutralized_attacks
 from .graphs import AttackGraph
-from .model import ConfigError, EmptyEntryGrantsError, Grant, permission_problems
+from .model import AttackRecord, ConfigError, EmptyEntryGrantsError, Grant, permission_problems
 
 ATTACKER_POLICIES = ("greedy_cheapest", "max_threat", "random")
 DEFENDER_POLICIES = ("none", "reactive_cut")
@@ -123,6 +124,52 @@ class GameTrace:
         }
 
 
+class _Frontier:
+    """The attacks whose conditions the attacker's grants meet, in attack-id order.
+
+    Each attack keeps a count of its unmet condition grants, and an index
+    maps each grant to the attacks that need it, so a new grant touches
+    only those attacks instead of every attack in the catalog.
+    """
+
+    def __init__(self, graph: AttackGraph, grants):
+        self.attacks = graph.sorted_attacks
+        self.unmet = []
+        self.needed_by: dict[Grant, list[int]] = {}
+        for i, record in enumerate(self.attacks):
+            needs = set(record.condition)
+            self.unmet.append(len(needs))
+            for need in needs:
+                self.needed_by.setdefault(need, []).append(i)
+        self.ready = [i for i, n in enumerate(self.unmet) if not n]  # ascending
+        self.held: set[Grant] = set()  # the attacker's grants
+        self.grant(grants)
+
+    def grant(self, grants) -> None:
+        """Add grants to those held, readying every attack whose last unmet need they meet."""
+        unmet, ready = self.unmet, self.ready
+        for g in set(grants) - self.held:
+            self.held.add(g)
+            for i in self.needed_by.get(g, ()):
+                unmet[i] -= 1
+                if not unmet[i]:
+                    insort(ready, i)
+
+    def candidates(self, fired: list[str], neutralized: frozenset[str]) -> list[AttackRecord]:
+        """The ready attacks neither fired nor neutralized, entry_only ones only before the first firing.
+
+        Each exclusion is final (fired and neutralized only grow), so the
+        excluded attacks leave the ready list for good.
+        """
+        keep = []
+        for i in self.ready:
+            record = self.attacks[i]
+            if record.id not in fired and record.id not in neutralized and not (record.entry_only and fired):
+                keep.append(i)
+        self.ready = keep
+        return [self.attacks[i] for i in keep]
+
+
 def _compromised(grants, targets, permissions) -> bool:
     for g in grants:
         if g.object in targets and (permissions is None or g.permission in permissions):
@@ -144,7 +191,8 @@ def run_game(
     targets = frozenset(doc.targets)
     permissions = frozenset(game.compromise_permissions) if game.compromise_permissions is not None else None
 
-    grants: set[Grant] = set(doc.entry_grants)
+    frontier = _Frontier(graph, doc.entry_grants)
+    grants = frontier.held
     fired: list[str] = []
     neutralized: frozenset[str] = frozenset()
     applied_defenses: set[str] = set()
@@ -158,14 +206,7 @@ def run_game(
 
     outcome = OUTCOME_TURN_LIMIT
     for turn in range(1, game.max_turns + 1):
-        candidates = []
-        for record in graph.sorted_attacks:
-            if record.id in fired or record.id in neutralized:
-                continue
-            if record.entry_only and fired:
-                continue
-            if all(need in grants for need in record.condition):
-                candidates.append(record)
+        candidates = frontier.candidates(fired, neutralized)
         if not candidates:
             outcome = OUTCOME_EXHAUSTED
             break
@@ -179,7 +220,7 @@ def run_game(
 
         fired.append(pick.id)
         attacker_cost += pick.cost
-        grants.update(pick.a_results)
+        frontier.grant(pick.a_results)
         detected = rng.random() < pick.detect_prob
         detected_any = detected_any or detected
 

@@ -5,11 +5,18 @@ relationship edges split into intra-layer and vertical (cross-layer) sets.
 The attack graph is independent of that topology: every a_result of every
 attack record becomes one directed edge from the attacked object to the
 affected object, so a record with k results contributes exactly k edges.
+
+The attack graph also compiles one step record per edge for the chain walk
+(see chains.py): a plain tuple of the fields a chain step reads, so the
+walk unpacks one tuple instead of reading an edge, its attack record and
+the defense index. The records are compiled on first use, once per graph,
+so the commands that walk no chain never pay for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import canon
 from .model import AttackRecord, DefenseRecord, RelationshipEdge, ScenarioDoc, UnknownIdError
@@ -81,12 +88,42 @@ class AttackGraph:
     sorted_defenses: tuple[DefenseRecord, ...]  # by id
     defense_bits: dict[str, int]  # defense id -> its single bit
     attack_defenses: dict[str, int]  # attack id -> mask of the defenses neutralizing it
-    edge_defenses: dict[str, int]  # edge id -> its attack's mask in attack_defenses
 
     @property
     def doc(self) -> ScenarioDoc:
         """The validated scenario both graphs were built from."""
         return self.base.doc
+
+    @cached_property
+    def steps(self) -> dict[str, tuple]:
+        """Edge id -> the edge's step record, in edge-id order.
+
+        A step record is the plain tuple (edge id, to object, condition
+        frozenset, attack id, a_results frozenset, cost, severity, the
+        attack's defense mask, entry_only, the pair Grant(to object,
+        permission) the edge grants).
+        """
+        records = {}
+        for a in self.attacks.values():
+            shared = (
+                frozenset(a.condition),
+                a.id,
+                frozenset(a.a_results),
+                a.cost,
+                a.severity,
+                self.attack_defenses[a.id],
+                a.entry_only,
+            )
+            for i, result in enumerate(a.a_results):
+                edge_id = f"{a.id}#{i}"
+                records[edge_id] = (edge_id, result.object, *shared, result)
+        return {e.edge_id: records[e.edge_id] for e in self.edges}
+
+    @cached_property
+    def steps_from(self) -> dict[str, tuple[tuple, ...]]:
+        """Object id -> the step records of the edges leaving it, in edge-id order."""
+        steps = self.steps
+        return {obj: tuple(steps[e.edge_id] for e in edges) for obj, edges in self.by_from.items()}
 
     def edge(self, edge_id: str) -> AttackEdge:
         found = self.by_id.get(edge_id)
@@ -166,7 +203,6 @@ def build_attack_graph(doc: ScenarioDoc, base: HierarchicalGraph) -> AttackGraph
         sorted_defenses=sorted_defenses,
         defense_bits=defense_bits,
         attack_defenses=attack_defenses,
-        edge_defenses={e.edge_id: attack_defenses[e.attack_id] for e in edges},
     )
 
 

@@ -21,10 +21,11 @@ from stratagraph import (
 )
 from stratagraph import chains as chains_module
 from stratagraph.config import EngineConfig
+from stratagraph.defense import chain_signature
 from stratagraph.model import Grant
 
 import oracles
-from genscen import PERMS, random_scenario
+from genscen import PERMS, coherent_scenario, random_scenario
 
 STRICT = EngineConfig(semantics="strict")
 
@@ -400,17 +401,20 @@ def steps_to_goal(doc, start, goal, blocked):
 
 
 def test_prune_expands_only_prefixes_that_can_reach_a_goal(monkeypatch):
-    # Every prefix handed to the successor step must still be able to reach
-    # a goal within the edges it has left; the same check on unrestricted
-    # enumeration shows the scenarios do have prefixes worth pruning.
-    prefixes = []
-    step = chains_module._successors
+    # Every prefix the walk expands looks up the step table of its (end,
+    # room), and whether it can still reach a goal depends on that key
+    # alone, so checking every table the walk builds covers every expanded
+    # prefix: its end must reach a goal within the next step and the room
+    # after it. The same check on unrestricted enumeration shows the
+    # scenarios do have prefixes worth pruning.
+    keys = []
+    build = chains_module._step_table
 
-    def spy(graph, prefix, *args, **kwargs):
-        prefixes.append(prefix[0])
-        return step(graph, prefix, *args, **kwargs)
+    def spy(graph, end, room, *args):
+        keys.append((end, room))
+        return build(graph, end, room, *args)
 
-    monkeypatch.setattr(chains_module, "_successors", spy)
+    monkeypatch.setattr(chains_module, "_step_table", spy)
     checked = dead_unrestricted = 0
     for seed in range(60):
         doc = random_scenario(seed, max_objects=7, max_edges=12)
@@ -422,16 +426,62 @@ def test_prune_expands_only_prefixes_that_can_reach_a_goal(monkeypatch):
             for semantics in ("accumulated", "strict"):
                 cfg = EngineConfig(semantics=semantics, max_len=max_len)
                 for targets in (doc.targets, None):
-                    prefixes.clear()
+                    keys.clear()
                     enumerate_chains(graph, targets=targets, config=cfg, blocked_attacks=blocked)
-                    for edges in prefixes:
-                        if not edges:
+                    for end, room in keys:
+                        if end is None:
                             continue
-                        steps = steps_to_goal(doc, graph.edge(edges[-1]).to_id, goal, blocked)
-                        can_reach = steps is not None and steps <= max_len - len(edges)
+                        steps = steps_to_goal(doc, end, goal, blocked)
+                        can_reach = steps is not None and steps <= room + 1
                         if targets is None:
                             dead_unrestricted += not can_reach
                         else:
-                            assert can_reach, (seed, max_len, semantics, edges)
+                            assert can_reach, (seed, max_len, semantics, end, room)
                             checked += 1
-    assert checked > 500 and dead_unrestricted > 500, (checked, dead_unrestricted)
+    assert checked > 300 and dead_unrestricted > 500, (checked, dead_unrestricted)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 10**6),
+    coherent=st.booleans(),
+    semantics=st.sampled_from(("accumulated", "strict")),
+    agg=st.sampled_from(("sum", "max")),
+    max_len=st.integers(1, 5),
+    to_goal=st.booleans(),
+    data=st.data(),
+)
+def test_walk_and_successor_step_apply_the_same_rules(seed, coherent, semantics, agg, max_len, to_goal, data):
+    # The walk applies the chain rules in its own loop, and _successors,
+    # which chain_from_edges and min-cost search step with, applies them
+    # again. Every prefix the walk yields must replay through the step
+    # with its cost, threat, final grants, fired attacks and signature,
+    # and the min-cost search must find the walk's cheapest chain.
+    doc = coherent_scenario(seed) if coherent else random_scenario(seed, max_objects=6, max_edges=14)
+    ids = [a.id for a in doc.attacks]
+    entry_only = data.draw(st.frozensets(st.sampled_from(ids), max_size=len(ids) // 3), label="entry_only")
+    doc = replace(doc, attacks=tuple(replace(a, entry_only=a.entry_only or a.id in entry_only) for a in doc.attacks))
+    graph = build_attack_graph(doc, build_base_graph(doc))
+    blocked = data.draw(st.frozensets(st.sampled_from(ids), max_size=len(ids) // 3), label="blocked")
+    # A foothold like the reactive defender's: the entry grants plus some
+    # effects of attacks fired earlier.
+    effects = sorted({g for a in doc.attacks for g in a.a_results})
+    entry = frozenset(doc.entry_grants) | data.draw(st.frozensets(st.sampled_from(effects), max_size=2), label="won")
+    cfg = EngineConfig(semantics=semantics, max_len=max_len, threat_agg=agg)
+    goal = frozenset(doc.targets) if to_goal else None
+    walked = list(chains_module._walk(graph, entry, goal, cfg, blocked))
+    for edges, grants, fired, affected, end, pair, cost, threat, sig in walked:
+        chain = chain_from_edges(graph, edges, cfg, entry)
+        assert (chain.total_cost, chain.total_threat, chain.final_grants) == (cost, threat, tuple(sorted(grants)))
+        assert is_valid_chain(graph, edges, cfg, entry).states[-1].fired == fired
+        assert not set(fired) & blocked
+        last = graph.edge(edges[-1])
+        assert (end, pair) == (last.to_id, Grant(last.to_id, last.permission))
+        assert affected == tuple(graph.edge(e).to_id for e in edges)
+        assert sig == chain_signature(graph, chain)
+        assert goal is None or end in goal
+    assert len({p[0] for p in walked}) == len(walked)
+    if goal:
+        best = min(walked, key=lambda p: (p[6], len(p[0]), p[0]), default=None)
+        want = None if best is None else chain_from_edges(graph, best[0], cfg, entry)
+        assert search_chain(graph, ChainObjective("min_cost"), cfg, blocked, entry) == want

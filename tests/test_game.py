@@ -24,6 +24,7 @@ from stratagraph.chains import AttackChain
 from stratagraph.cli import main
 from stratagraph.config import EngineConfig
 from stratagraph.defense import _budget_choice, _choose, _kernel, _target_rows, chain_signature
+from stratagraph.game import _Frontier
 from stratagraph.model import Grant
 
 from genscen import random_scenario
@@ -328,3 +329,38 @@ def test_risk_and_reactive_defender_build_no_chains(toy5g, fixtures_dir, tmp_pat
         assert main(argv) == code, argv
         capsys.readouterr()
         assert len(built) == chains_built, argv
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 10**6), data=st.data())
+def test_frontier_lists_the_attacks_a_full_scan_finds(seed, data):
+    # The random attacker picks by index, so the frontier must list exactly
+    # what a scan of every attack in id order finds, turn after turn, as
+    # grants arrive and attacks are fired or neutralized.
+    doc = random_scenario(seed, max_objects=6, max_edges=16)
+    graph = rebuild(doc)
+    grants = set(doc.entry_grants)
+    frontier = _Frontier(graph, grants)
+    fired: list[str] = []
+    neutralized: frozenset[str] = frozenset()
+    producible = sorted({g for a in doc.attacks for g in a.a_results})
+    for _ in range(data.draw(st.integers(1, 8), label="turns")):
+        want = [
+            a
+            for a in graph.sorted_attacks
+            if a.id not in fired
+            and a.id not in neutralized
+            and not (a.entry_only and fired)
+            and all(need in grants for need in a.condition)
+        ]
+        assert frontier.candidates(fired, neutralized) == want
+        if want:
+            pick = data.draw(st.sampled_from(want), label="pick")
+            fired.append(pick.id)
+            won = pick.a_results
+        else:
+            won = data.draw(st.lists(st.sampled_from(producible), max_size=2), label="won")
+        grants.update(won)
+        frontier.grant(won)
+        neutralized |= data.draw(st.frozensets(st.sampled_from(sorted(graph.attacks)), max_size=2), label="defended")
+        assert frontier.held == grants

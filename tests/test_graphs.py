@@ -18,6 +18,7 @@ from stratagraph import (
     parse_scenario,
 )
 from stratagraph.defense import chain_signature
+from stratagraph.model import Grant
 
 from genscen import random_scenario
 
@@ -207,8 +208,9 @@ def test_attack_defense_index_matches_d_results(toy5g, hitting_trio):
             bits = graph.attack_defenses[a.id]
             assert {d.id for k, d in enumerate(graph.sorted_defenses) if bits >> k & 1} == names
         assert set(graph.attack_defenses) == {a.id for a in doc.attacks}
-        # Each edge carries its attack's mask, and a chain's signature is their OR.
-        assert graph.edge_defenses == {e.edge_id: graph.attack_defenses[e.attack_id] for e in graph.edges}
+        # Each edge's step record carries its attack's mask, and a chain's
+        # signature is their OR.
+        assert all(graph.steps[e.edge_id][7] == graph.attack_defenses[e.attack_id] for e in graph.edges)
         for c in enumerate_chains(graph, config=EngineConfig(max_len=3)) if doc.entry_grants else ():
             expected = graph.defense_mask(
                 {d.id for d in doc.defenses for eid in c.edges if graph.by_id[eid].attack_id in d.d_results}
@@ -217,3 +219,32 @@ def test_attack_defense_index_matches_d_results(toy5g, hitting_trio):
     doc, graph = toy5g[::2]
     with pytest.raises(UnknownIdError):
         chain_signature(graph, AttackChain(edges=("A1#0", "NOPE#0"), total_cost=0.0, total_threat=0.0, final_grants=()))
+
+
+def test_step_records_compile_every_edge(toy5g, strictmode):
+    # The chain walk reads a step record in place of the edge, its attack
+    # record and the defense index, so each record must hold those fields,
+    # keyed and ordered like graph.edges and grouped like graph.by_from.
+    graphs = [toy5g[2], strictmode[2]]
+    for seed in range(50):
+        doc = random_scenario(seed)
+        graphs.append(build_attack_graph(doc, build_base_graph(doc)))
+    for graph in graphs:
+        assert list(graph.steps) == [e.edge_id for e in graph.edges]
+        for e in graph.edges:
+            a = graph.attacks[e.attack_id]
+            assert graph.steps[e.edge_id] == (
+                e.edge_id,
+                e.to_id,
+                frozenset(a.condition),
+                a.id,
+                frozenset(a.a_results),
+                a.cost,
+                a.severity,
+                graph.attack_defenses[a.id],
+                a.entry_only,
+                Grant(e.to_id, e.permission),
+            )
+        assert graph.steps_from == {
+            obj: tuple(graph.steps[e.edge_id] for e in edges) for obj, edges in graph.by_from.items()
+        }

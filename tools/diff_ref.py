@@ -18,7 +18,8 @@ Inputs, all generated from this checkout:
 - the three bench workloads (`bench/gen.py`) at seeds 1 and 2: the eight
   bench commands in JSON and in text, plus `graph --dot`, `min_cost`,
   `max_threat`, `--unrestricted`, strict, coverage and `threat_agg max`
-  variants;
+  variants, among them the bench's reactive `simulate` under strict
+  semantics and under `threat_agg max`, and a strict `defend --mode cut`;
 - `tests/genscen.py` scenarios, random and coherent, under both semantics,
   and one with its targets removed: there `defend --mode budget` plans
   over every chain and `defend --mode cut` exits 1;
@@ -96,6 +97,10 @@ def bench_commands(inputs: Path) -> list[list[str]]:
             agg_max.write_text(
                 json.dumps({**json.loads(scenario.config_text), "threat_agg": "max"}) + "\n", encoding="utf-8"
             )
+            simulate, simulate_max = (
+                next(argv for metric, _, argv in scenario.commands(str(path), str(c)) if metric == "simulate_s")
+                for c in (config, agg_max)
+            )
             bench = [argv for _, _, argv in scenario.commands(str(path), str(config))]
             commands += bench
             commands += [[*argv, "--format", "text"] for argv in bench]  # the last --format wins
@@ -109,6 +114,9 @@ def bench_commands(inputs: Path) -> list[list[str]]:
                 ["defend", *common, "--mode", "budget", "--budget", str(scenario.shape.budget), "--semantics", "strict"],
                 ["risk", *common, "--semantics", "strict"],
                 ["defend", *common, "--mode", "coverage"],
+                ["defend", *common, "--mode", "cut", "--semantics", "strict"],
+                [*simulate, "--semantics", "strict"],
+                simulate_max,
             ]
             agg = ["--scenario", str(path), "--config", str(agg_max), "--format", "json"]
             commands += [
