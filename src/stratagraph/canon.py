@@ -10,13 +10,17 @@ platform. The contract:
 - strings are pure ASCII: anything else is \\u-escaped as json.dumps does;
 - floats use 6 significant digits, and -0.0 is folded to 0.0;
 - non-finite floats are refused with ValueError;
-- named tuples (such as a Grant) are refused with TypeError: render a
-  record through its as_dict(). So is any other value that is not None, a
-  bool, an int, a float, a str, a dict, a list or a tuple.
+- a Grant renders as its as_dict() form, {"object": ..., "permission": ...};
+- every other named tuple is refused with TypeError: render such a record
+  through its as_dict(). So is any other value that is not None, a bool, an
+  int, a float, a str, a dict, a list, a tuple or a Grant.
 
 One dumps() call memoises the JSON form of each distinct string it meets,
 keys and values alike, and builds each level's padding once: chain sets
 repeat the same ids, permissions and keys hundreds of thousands of times.
+It memoises each Grant's text per depth too, keyed by (grant, depth): a
+chain set holds tens of thousands of grant entries but a few dozen
+distinct grants, and the indentation of a grant's text depends on its depth.
 Values of the exact built-in types take that fast path; subclasses (a str
 or int subclass, a dict subclass) render as their base type without it.
 """
@@ -25,6 +29,8 @@ from __future__ import annotations
 
 import math
 from json.encoder import encode_basestring_ascii as _encode_str  # what json.dumps(s) returns for a str
+
+from .model import Grant
 
 
 def format_float(x: float) -> str:
@@ -41,6 +47,7 @@ def dumps(value, indent: int = 2, end: str = "") -> str:
     append = parts.append
     strings: dict[str, str] = {}  # exact str -> its JSON form
     keys: dict[str, str] = {}  # exact str key -> its JSON form and ": "
+    grants: dict[tuple[Grant, int], str] = {}  # (grant, depth) -> its JSON form
     # depth -> (item separator, "[" opener, "]" closer, "{" opener, "}" closer)
     levels: list[tuple[str, str, str, str, str]] = []
 
@@ -56,12 +63,22 @@ def dumps(value, indent: int = 2, end: str = "") -> str:
             out = strings[s] = _encode_str(s)
         return out
 
+    def grant_text(value: Grant, level: int) -> str:
+        start = len(parts)
+        render_container(value.as_dict(), level)
+        out = grants[value, level] = "".join(parts[start:])
+        del parts[start:]
+        return out
+
     def render(value, level: int) -> None:
         kind = type(value)
         if kind is str:
             append(string(value))
         elif kind is dict or kind is list or kind is tuple:
             render_container(value, level)
+        elif kind is Grant:
+            out = grants.get((value, level))
+            append(grant_text(value, level) if out is None else out)
         elif kind is float:
             append(format_float(value))
         elif kind is int:
@@ -112,7 +129,7 @@ def dumps(value, indent: int = 2, end: str = "") -> str:
             append(close_dict)
             return
         if hasattr(value, "_fields"):
-            # A named tuple (such as a Grant) is a record; render its as_dict().
+            # A named tuple other than a Grant is a record; render its as_dict().
             raise TypeError(f"cannot render {type(value).__name__} canonically")
         if not value:
             append("[]")

@@ -79,7 +79,7 @@ class AttackerState:
     fired: tuple[str, ...]
 
     def as_dict(self) -> dict:
-        return {"grants": [g.as_dict() for g in self.grants], "fired": list(self.fired)}
+        return {"grants": list(self.grants), "fired": list(self.fired)}
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ class AttackChain:
             "edges": list(self.edges),
             "total_cost": self.total_cost,
             "total_threat": self.total_threat,
-            "final_grants": [g.as_dict() for g in self.final_grants],
+            "final_grants": list(self.final_grants),
         }
 
     def sort_key(self):

@@ -100,7 +100,7 @@ class TurnRecord:
             "attack": self.attack,
             "detected": self.detected,
             "defenses": list(self.defenses),
-            "grants": [g.as_dict() for g in self.grants],
+            "grants": list(self.grants),
         }
 
 

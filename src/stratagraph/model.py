@@ -98,8 +98,9 @@ class Grant(NamedTuple):
     The same pair shape doubles as a condition requirement on attacks. A
     named tuple, so hashing, equality and ordering (by object, then
     permission) run at C speed in the chain search and the game. It equals
-    the plain tuple of its fields, so grant sets hold only Grants, and
-    canon.dumps refuses one: it renders through as_dict().
+    the plain tuple of its fields, so grant sets hold only Grants. Payloads
+    hand Grants to canon.dumps as they are: it renders one as its as_dict()
+    form, memoised per depth within one call.
     """
 
     object: str

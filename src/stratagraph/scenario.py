@@ -229,13 +229,14 @@ def load_scenario(path: str | Path) -> ScenarioDoc:
 # --- serialization -----------------------------------------------------------
 
 def scenario_to_dict(doc: ScenarioDoc) -> dict:
+    """The scenario as data for canon.dumps. Grants stay Grants, which json.dumps would write as lists."""
     def attack(a: AttackRecord) -> dict:
         out = {
             "id": a.id,
             "object": a.object,
-            "condition": [g.as_dict() for g in a.condition],
+            "condition": list(a.condition),
             "method": a.method,
-            "a_results": [g.as_dict() for g in a.a_results],
+            "a_results": list(a.a_results),
             "cost": a.cost,
             "severity": a.severity,
             "detect_prob": a.detect_prob,
@@ -261,7 +262,7 @@ def scenario_to_dict(doc: ScenarioDoc) -> dict:
             }
             for v in doc.vulnerabilities
         ],
-        "entry_grants": [g.as_dict() for g in doc.entry_grants],
+        "entry_grants": list(doc.entry_grants),
         "targets": list(doc.targets),
         "extensions": list(doc.extensions),
     }

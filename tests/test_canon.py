@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stratagraph import canon
+from stratagraph.model import Grant
 
 from oracles import reference_dumps
 
@@ -33,6 +34,7 @@ leaves = (
     | strings
     | strings.map(Str)
     | st.integers().map(Int)
+    | st.builds(Grant, strings, strings)
 )
 keys = strings | strings.map(Str)
 values = st.recursive(
@@ -46,6 +48,20 @@ values = st.recursive(
     ),
     max_leaves=20,
 )
+
+
+def plain(value):
+    """value with every Grant replaced by its as_dict(), all else kept as it is."""
+    kind = type(value)
+    if kind is Grant:
+        return value.as_dict()
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if hasattr(value, "_fields"):
+        return kind(*map(plain, value))
+    if isinstance(value, (list, tuple)):
+        return kind(map(plain, value))
+    return value
 
 
 def outcome(render, value):
@@ -65,8 +81,22 @@ def outcome(render, value):
 @example({1: "non-string key"})
 @example(Pair(1, 2))
 @example({Str("k"): [Str("café"), Int(7), True]})
+@example([Grant("o1", "read"), {"g": Grant("o1", "read")}, (Grant("", 'é"'),)])
+@example(Pair(Grant("o1", "read"), 1))
+@example(Grant(Str("o1"), "read"))
 def test_dumps_matches_reference_renderer(value):
-    expected = outcome(reference_dumps, value)
+    # A Grant renders as its as_dict(); the reference renderer sees that dict.
+    expected = outcome(reference_dumps, plain(value))
     assert outcome(canon.dumps, value) == expected
     if isinstance(expected, str):
         assert canon.dumps(value, end="\n") == expected + "\n"
+
+
+def test_a_grant_renders_by_its_own_depth_within_one_call():
+    # One call meets the same Grant at several depths, deep and shallow in
+    # turn; a memo keyed by the grant alone would reuse the first one's
+    # indentation.
+    grant = Grant("o1", "read")
+    value = {"a": [[grant]], "b": grant, "c": [grant, {"d": [[grant]]}], "e": grant}
+    for indent in (2, 4):
+        assert canon.dumps(value, indent=indent) == reference_dumps(plain(value), indent=indent)

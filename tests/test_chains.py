@@ -3,7 +3,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from stratagraph import (
@@ -441,6 +441,23 @@ def test_prune_expands_only_prefixes_that_can_reach_a_goal(monkeypatch):
     assert checked > 300 and dead_unrestricted > 500, (checked, dead_unrestricted)
 
 
+class _EmptyDraws:
+    """Stands in for st.data() in an @example, which cannot take a strategy.
+
+    Each draw checks its strategy as a real draw would, then gives the empty set.
+    """
+
+    def draw(self, strategy, label=None):
+        strategy.validate()
+        return frozenset()
+
+
+def _subset(data, items, max_size, label):
+    # sampled_from refuses an empty list, as in a scenario with no attacks.
+    strategy = st.frozensets(st.sampled_from(items), max_size=max_size) if items else st.just(frozenset())
+    return data.draw(strategy, label=label)
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     seed=st.integers(0, 10**6),
@@ -451,6 +468,8 @@ def test_prune_expands_only_prefixes_that_can_reach_a_goal(monkeypatch):
     to_goal=st.booleans(),
     data=st.data(),
 )
+# coherent_scenario(704152) has no attacks.
+@example(seed=704152, coherent=True, semantics="accumulated", agg="sum", max_len=3, to_goal=True, data=_EmptyDraws())
 def test_walk_and_successor_step_apply_the_same_rules(seed, coherent, semantics, agg, max_len, to_goal, data):
     # The walk applies the chain rules in its own loop, and _successors,
     # which chain_from_edges and min-cost search step with, applies them
@@ -459,14 +478,14 @@ def test_walk_and_successor_step_apply_the_same_rules(seed, coherent, semantics,
     # and the min-cost search must find the walk's cheapest chain.
     doc = coherent_scenario(seed) if coherent else random_scenario(seed, max_objects=6, max_edges=14)
     ids = [a.id for a in doc.attacks]
-    entry_only = data.draw(st.frozensets(st.sampled_from(ids), max_size=len(ids) // 3), label="entry_only")
+    entry_only = _subset(data, ids, len(ids) // 3, "entry_only")
     doc = replace(doc, attacks=tuple(replace(a, entry_only=a.entry_only or a.id in entry_only) for a in doc.attacks))
     graph = build_attack_graph(doc, build_base_graph(doc))
-    blocked = data.draw(st.frozensets(st.sampled_from(ids), max_size=len(ids) // 3), label="blocked")
+    blocked = _subset(data, ids, len(ids) // 3, "blocked")
     # A foothold like the reactive defender's: the entry grants plus some
     # effects of attacks fired earlier.
     effects = sorted({g for a in doc.attacks for g in a.a_results})
-    entry = frozenset(doc.entry_grants) | data.draw(st.frozensets(st.sampled_from(effects), max_size=2), label="won")
+    entry = frozenset(doc.entry_grants) | _subset(data, effects, 2, "won")
     cfg = EngineConfig(semantics=semantics, max_len=max_len, threat_agg=agg)
     goal = frozenset(doc.targets) if to_goal else None
     walked = list(chains_module._walk(graph, entry, goal, cfg, blocked))

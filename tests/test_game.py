@@ -1,4 +1,5 @@
 import random
+from collections import namedtuple
 from dataclasses import replace
 
 import pytest
@@ -209,10 +210,10 @@ def test_summarize_identical_and_mixed(minichain):
         summarize([])
 
 
-def test_grants_stay_grants_and_canon_refuses_them(toy5g):
+def test_grants_stay_grants_and_canon_renders_them_as_dicts(toy5g):
     # Grant is a named tuple and equals the plain tuple of its fields: every
     # grant the engines hand out must still be a Grant, and canonical JSON
-    # must not quietly render one as a list.
+    # must render one as its dict form, never as a list.
     doc, _, graph = toy5g
     chains = enumerate_chains(graph)
     grants = [g for c in chains for g in c.final_grants]
@@ -226,11 +227,12 @@ def test_grants_stay_grants_and_canon_refuses_them(toy5g):
         Grant("a", "write"),
         Grant("b", "read"),
     ]
+    grant = Grant("x", "read")
+    assert canon.dumps(grant) == canon.dumps(grant.as_dict()) == canon.dumps({"object": "x", "permission": "read"})
+    assert canon.dumps({"grants": [grant]}) == canon.dumps({"grants": [grant.as_dict()]})
+    assert canon.dumps([grant]) != canon.dumps([["x", "read"]])
     with pytest.raises(TypeError):
-        canon.dumps(Grant("x", "read"))
-    with pytest.raises(TypeError):
-        canon.dumps({"grants": [Grant("x", "read")]})
-    assert canon.dumps(Grant("x", "read").as_dict()) == canon.dumps({"object": "x", "permission": "read"})
+        canon.dumps(namedtuple("Pair", "object permission")("x", "read"))
 
 
 def test_reactive_defender_enumerates_under_engine_semantics(toy5g, monkeypatch):

@@ -28,6 +28,10 @@ Inputs, all generated from this checkout:
   canon prints an int and an equal float alike below 1e6 (`5` and `5.0`
   both as `5`) but not from there up (`1000000` against `1e+06`), so
   only numbers this large show a drift in a printed value's type;
+- the serializer (`serializer_commands`): `serialize_scenario(load_scenario(
+  path))` of every scenario above. Each scenario is written by this
+  checkout's serializer, so a serializer drift would change both sides'
+  inputs alike and show nowhere else;
 - error paths (`error_commands`): `--version`, `--help` of the tool and of
   each subcommand, an unknown or missing subcommand, a missing or malformed
   scenario file, a missing `--config`, an infeasible cut, unknown ids and
@@ -169,7 +173,7 @@ def genscen_commands(inputs: Path) -> list[list[str]]:
 def large_number_commands(inputs: Path) -> list[list[str]]:
     from genscen import coherent_scenario, random_scenario
 
-    from stratagraph.scenario import scenario_to_dict
+    from stratagraph.scenario import serialize_scenario
 
     commands = []
     for agg in ("sum", "max"):
@@ -180,7 +184,7 @@ def large_number_commands(inputs: Path) -> list[list[str]]:
                 path = inputs / f"large-{family}-{seed}.scenario"
                 if not path.exists():
                     rng = random.Random(f"large-{family}-{seed}")
-                    data = scenario_to_dict(make(seed))
+                    data = json.loads(serialize_scenario(make(seed)))
                     for record, keys in [(a, ("cost", "severity")) for a in data["attacks"]] + [
                         (d, ("cost",)) for d in data["defenses"]
                     ]:
@@ -200,6 +204,23 @@ def large_number_commands(inputs: Path) -> list[list[str]]:
                     ["simulate", *common, "--defender", "reactive_cut", "--budget-per-turn", "2000000", "--runs", "2"],
                 ]
     return commands
+
+
+SERIALIZE = (
+    "import sys; from stratagraph.scenario import load_scenario, serialize_scenario;"
+    " sys.stdout.write(serialize_scenario(load_scenario(sys.argv[1])))"
+)
+
+
+def serializer_commands(inputs: Path) -> list[list[str]]:
+    """Each scenario written so far, loaded and serialized back, as `python -c` argv."""
+    return [["-c", SERIALIZE, str(path)] for path in sorted(inputs.glob("*.scenario"))]
+
+
+def describe(argv: list[str]) -> str:
+    if argv[:1] == ["-c"]:
+        return f"serialize_scenario(load_scenario({argv[2]!r}))"
+    return f"stratagraph {' '.join(argv)}"
 
 
 def error_commands(inputs: Path) -> list[list[str]]:
@@ -241,7 +262,7 @@ def error_commands(inputs: Path) -> list[list[str]]:
 def run(src: Path, argv: list[str], cwd: Path) -> tuple[int, str, str]:
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run(
-        [sys.executable, "-m", "stratagraph.cli", *argv],
+        [sys.executable, *(argv if argv[:1] == ["-c"] else ["-m", "stratagraph.cli", *argv])],
         cwd=cwd, env=env, capture_output=True, timeout=COMMAND_TIMEOUT_S,
     )
     return done.returncode, done.stdout.decode("utf-8", "replace"), done.stderr.decode("utf-8", "replace")
@@ -274,9 +295,8 @@ def main(argv=None) -> int:
         ref_src = export_ref(args.ref, tmp / "ref")
         inputs = tmp / "inputs"
         inputs.mkdir()
-        commands = (
-            bench_commands(inputs) + genscen_commands(inputs) + large_number_commands(inputs) + error_commands(inputs)
-        )
+        commands = bench_commands(inputs) + genscen_commands(inputs) + large_number_commands(inputs)
+        commands += serializer_commands(inputs) + error_commands(inputs)
 
         def both(argv):
             return run(ROOT / "src", argv, inputs), run(ref_src, argv, inputs)
@@ -288,7 +308,7 @@ def main(argv=None) -> int:
                     exits[ours[0]] += 1
                     continue
                 pool.shutdown(wait=False, cancel_futures=True)
-                print(f"DIFFERS: stratagraph {' '.join(argv)}")
+                print(f"DIFFERS: {describe(argv)}")
                 print(f"  exit code: this tree {ours[0]}, {args.ref} {theirs[0]}")
                 for name, k in (("stderr", 2), ("stdout", 1)):
                     if ours[k] != theirs[k]:
