@@ -59,6 +59,16 @@ these only removes chains (grants only grow along a chain, Ammann,
 Wijesekera & Kaushik, CCS 2002), so the distance never exceeds what any
 valid chain needs, and the prune drops no chain. Unrestricted enumeration
 skips it.
+
+A walk given via grants yields only the chains that take a via step, one
+whose condition holds a via grant (`AttackGraph.needed_by` lists those
+steps). The reactive defender walks so with the grants the attacker won
+since its last prediction, because a chain that takes no via step met
+every condition without them. Until a prefix takes a via step it is
+extended only while its end can reach a goal through a via step in the
+length left. A second backward search, `_via_distance`, gives that
+distance: each via edge joins it at one more than the edges its end still
+needs by the first search. It ignores the same rules, so it is sound too.
 """
 
 from __future__ import annotations
@@ -302,19 +312,53 @@ def _goal_distance(graph: AttackGraph, goal: frozenset[str], blocked) -> dict[st
     return dist
 
 
-def _step_table(graph: AttackGraph, end, room: int, goal, dist, blocked) -> list[tuple]:
+def _via_distance(graph: AttackGraph, goal, dist, via, blocked, limit: int) -> dict[str, int]:
+    """Object id -> the fewest unblocked attack edges, at most limit, to a goal through a via edge.
+
+    via holds the edges whose condition meets the via grants. A via edge
+    from x to y gives x 1 + the edges y still needs (none when y is a goal
+    or goal is None, else dist[y]); any other edge from x to y gives x
+    1 + y's own distance. A breadth-first search backwards over
+    graph.by_to, where each via edge joins at its level. It ignores the
+    same rules _goal_distance ignores, so it is a lower bound too.
+    """
+    joins: dict[int, list[str]] = {}  # level -> objects a via edge reaches a goal from in that many edges
+    for e in via:
+        left = 0 if goal is None or e.to_id in goal else dist.get(e.to_id, limit)
+        if left < limit and e.attack_id not in blocked:
+            joins.setdefault(left + 1, []).append(e.from_id)
+    out: dict[str, int] = {}
+    frontier: list[str] = []
+    for level in range(1, limit + 1):
+        reached = joins.get(level, [])
+        reached += [e.from_id for obj in frontier for e in graph.by_to.get(obj, ()) if e.attack_id not in blocked]
+        frontier = []
+        for obj in reached:
+            if obj not in out:
+                out[obj] = level
+                frontier.append(obj)
+    return out
+
+
+def _step_table(graph: AttackGraph, end, room: int, goal, dist, blocked, push, pending=None) -> list[tuple]:
     """The steps worth trying from end with room edges left after them.
 
-    One (step record, emit, extend) per step: adjacency, blocked attacks,
-    entry_only and goal reach are settled here once per (end, room), so
-    the walk tests only the simple-path guard and the condition. end None
-    is the empty chain's end, where every step is adjacent and entry_only
-    steps may fire. emit says whether a chain ending on the step's object
-    is yielded, extend whether it is walked further: with goal None every
-    step is emitted and extended while edges are left; with a goal set
-    only a step onto a goal is emitted, only a step whose end can still
-    reach a goal within room edges is extended, and a step that does
-    neither is left out.
+    One (step record, emit, push or None) per step: adjacency, blocked
+    attacks, entry_only and goal reach are settled here once per (end,
+    room), so the walk tests only the simple-path guard and the condition.
+    end None is the empty chain's end, where every step is adjacent and
+    entry_only steps may fire. emit says whether a chain ending on the
+    step's object is yielded, and the walk extends it by handing it to the
+    step's push: with goal None every step is emitted and pushed while
+    edges are left; with a goal set only a step onto a goal is emitted,
+    only a step whose end can still reach a goal within room edges is
+    pushed, and a step that does neither is left out.
+
+    pending = (via edge ids, _via_distance, the pending stack's push) is
+    the table of a via walk's prefix that took no via step yet: a via step
+    is tried as above, while any other step is never emitted and is pushed
+    back onto the pending stack only when its end can still reach a goal
+    through a via step within room edges.
     """
     if end is None:
         records = graph.steps.values()
@@ -325,17 +369,21 @@ def _step_table(graph: AttackGraph, end, room: int, goal, dist, blocked) -> list
         if step[3] in blocked or step[8] and end is not None:
             continue
         to = step[1]
+        if pending is not None and step[0] not in pending[0]:
+            if pending[1].get(to, room + 1) <= room:
+                table.append((step, False, pending[2]))
+            continue
         if goal is None:
-            table.append((step, True, room > 0))
+            table.append((step, True, push if room > 0 else None))
             continue
         emit = to in goal
         extend = dist.get(to, room + 1) <= room
         if emit or extend:
-            table.append((step, emit, extend))
+            table.append((step, emit, push if extend else None))
     return table
 
 
-def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfig, blocked):
+def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfig, blocked, via=None):
     """Yield every chain prefix enumeration emits, depth first, not in canonical order.
 
     With goal None every valid prefix of at most config.max_len edges is
@@ -345,50 +393,68 @@ def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfi
     both semantics: _step_table settles what depends only on (end, room),
     and the loop applies the simple-path guard and the condition itself,
     as _successors does.
+
+    via, a set of grants, yields only the chains that take a via step, one
+    whose condition holds a via grant (see the module docstring). A prefix
+    that took none sits on a pending stack and is extended only when its
+    end can reach a goal through a via step in the room left
+    (_via_distance); once it takes one it joins the full walk's stack. The
+    pending stack is drained first, as it feeds the other. Without via it
+    is empty, and the full walk pays no test for it.
     """
     max_len = config.max_len
     strict = config.semantics == "strict"
     use_max = config.threat_agg == "max"
     dist = None if goal is None else _goal_distance(graph, goal, blocked)
-    tables: dict = {}  # (end, room) -> _step_table
-    stack = [_root(entry, config)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        edges, grants, fired, affected, end, pair, cost, threat, sig = pop()
-        room = max_len - len(edges) - 1  # edges left after the next step
-        table = tables.get((end, room))
-        if table is None:
-            table = tables[end, room] = _step_table(graph, end, room, goal, dist, blocked)
-        if not strict:
-            pool = grants
-        else:
-            pool = entry if pair is None else entry | {pair}
-        for step, emit, extend in table:
-            edge_id, to, condition, attack_id, results, step_cost, severity, mask, _, step_pair = step
-            if to in affected or not condition <= pool:
-                continue
-            if attack_id in fired:
-                prefix = (edges + (edge_id,), grants, fired, affected + (to,), to, step_pair, cost, threat, sig)
+    stack = []  # prefixes every further step may extend (a full walk's)
+    if via is None:
+        stack.append(_root(entry, config))
+        phases = [(stack, None)]
+    else:
+        opened = {e for g in via for e in graph.needed_by.get(g, ())}
+        pending = [_root(entry, config)]
+        ahead = _via_distance(graph, goal, dist, opened, blocked, max_len - 1)
+        phases = [(pending, ({e.edge_id for e in opened}, ahead, pending.append)), (stack, None)]
+    push = stack.append
+    for todo, need in phases:
+        tables: dict = {}  # (end, room) -> _step_table
+        pop = todo.pop
+        while todo:
+            edges, grants, fired, affected, end, pair, cost, threat, sig = pop()
+            room = max_len - len(edges) - 1  # edges left after the next step
+            table = tables.get((end, room))
+            if table is None:
+                table = tables[end, room] = _step_table(graph, end, room, goal, dist, blocked, push, need)
+            if not strict:
+                pool = grants
             else:
-                if use_max:
-                    new_threat = severity if not fired or severity > threat else threat
+                pool = entry if pair is None else entry | {pair}
+            for step, emit, extend in table:
+                edge_id, to, condition, attack_id, results, step_cost, severity, mask, _, step_pair = step
+                if to in affected or not condition <= pool:
+                    continue
+                if attack_id in fired:
+                    prefix = (edges + (edge_id,), grants, fired, affected + (to,), to, step_pair, cost, threat, sig)
                 else:
-                    new_threat = threat + severity
-                prefix = (
-                    edges + (edge_id,),
-                    grants | results,
-                    fired + (attack_id,),
-                    affected + (to,),
-                    to,
-                    step_pair,
-                    cost + step_cost,
-                    new_threat,
-                    sig | mask,
-                )
-            if emit:
-                yield prefix
-            if extend:
-                push(prefix)
+                    if use_max:
+                        new_threat = severity if not fired or severity > threat else threat
+                    else:
+                        new_threat = threat + severity
+                    prefix = (
+                        edges + (edge_id,),
+                        grants | results,
+                        fired + (attack_id,),
+                        affected + (to,),
+                        to,
+                        step_pair,
+                        cost + step_cost,
+                        new_threat,
+                        sig | mask,
+                    )
+                if emit:
+                    yield prefix
+                if extend:
+                    extend(prefix)
 
 
 def enumerate_chains(

@@ -18,7 +18,11 @@ rows, one per distinct signature, and the planners search the rows
 instead of the chains (the minimum critical attack set view of Jha,
 Sheyner & Wing, CSFW 2002).
 plan_budgeted and the reactive defender both plan in _budget_choice:
-_target_rows -> _kernel -> _choose. plan_cut weighs each row by its chain
+_target_rows -> _kernel -> _choose. The reactive defender takes _target_rows
+on the first turn of a game only; on later turns _next_rows updates the
+last turn's rows: it drops the rows a new defense breaks and adds the
+chains that need a grant won since, which a walk given those grants finds
+(chains._walk's via). plan_cut weighs each row by its chain
 count and either runs _hitting_set_exact over the rows' signatures or
 calls the shared _greedy with an infinite budget: hits per cost over
 chains is row weight per cost. An AttackChain is built only to be
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .chains import AttackChain, _entry_grants, _resolve_targets, _walk, chain_from_edges
 from .config import DEFAULT_CONFIG, EngineConfig
@@ -44,6 +49,8 @@ from .model import DefenseRecord, InfeasibleCutError, UnknownIdError
 
 # Budget feasibility allows this much float slop on summed costs.
 EPS = 1e-9
+
+_weight = itemgetter(1)  # a kernel row's weight
 
 
 @dataclass(frozen=True)
@@ -147,6 +154,10 @@ def plan_coverage(
     return _finish_plan(graph, chosen, len(survivors), survivors[: config.survivor_sample], True, uncovered)
 
 
+def _row_order(row) -> tuple:
+    return (len(row[0]), row[0])
+
+
 def _target_rows(graph: AttackGraph, entry, goal, blocked, config: EngineConfig) -> list[tuple]:
     """(edge ids, signature, threat) per chain from entry to goal (every chain when goal is None).
 
@@ -155,7 +166,40 @@ def _target_rows(graph: AttackGraph, entry, goal, blocked, config: EngineConfig)
     collector would traverse its grant set on every pass.
     """
     found = [(p[0], p[8], p[7]) for p in _walk(graph, entry, goal, config, blocked)]
-    found.sort(key=lambda f: (len(f[0]), f[0]))
+    found.sort(key=_row_order)
+    return found
+
+
+def _next_rows(graph: AttackGraph, last, entry, mask: int, goal, blocked, config: EngineConfig) -> list[tuple]:
+    """_target_rows(graph, entry, goal, blocked, config), updated from an earlier turn's rows.
+
+    last = (grants, defense mask, rows): the rows _target_rows gave for
+    those grants under the attacks the defenses in that mask neutralize,
+    with the same goal and config. mask is the defenses applied now, and
+    blocked the attacks they neutralize. Grants and defenses only grow
+    within a game, and the rows hold then for both:
+    - an old chain survives unless a new defense breaks it, which its
+      signature tells;
+    - a chain under the new grants either takes a step whose condition
+      holds a grant won since, which the via walk finds, or it met every
+      condition under the old grants and is an old chain.
+    A via chain that was an old chain already is kept once. The merged
+    rows are sorted into canonical order, so _kernel sums the same weights
+    in the same order as after a fresh walk.
+    """
+    grants, old_mask, rows = last
+    if not grants <= entry or old_mask & ~mask:
+        raise RuntimeError("chain rows can only be updated to more grants and more defenses")
+    new = mask & ~old_mask
+    found = [row for row in rows if not row[1] & new]
+    won = entry - grants
+    if won:
+        kept = {row[0] for row in found}
+        walk = _walk(graph, entry, goal, config, blocked, won)
+        added = [(p[0], p[8], p[7]) for p in walk if p[0] not in kept]
+        if added:
+            found += added
+            found.sort(key=_row_order)
     return found
 
 
@@ -174,15 +218,14 @@ def _kernel(pairs) -> list[tuple[int, float]]:
     return list(rows.items())
 
 
-def _budget_choice(graph: AttackGraph, budget: float, entry, goal, blocked, config: EngineConfig):
-    """(_target_rows' list, chosen ids, optimal): plan_budgeted's and the reactive defender's pick.
+def _budget_choice(graph: AttackGraph, budget: float, found, config: EngineConfig) -> tuple[tuple[str, ...], bool]:
+    """plan_budgeted's and the reactive defender's pick from _target_rows' list: (chosen ids, optimal).
 
     A chain weighs its total threat, or 1.0 under budget_objective "count".
     """
-    found = _target_rows(graph, entry, goal, blocked, config)
     count = config.budget_objective == "count"
     rows = _kernel((sig, 1.0 if count else threat) for _, sig, threat in found)
-    return (found, *_choose(graph, rows, budget, config))
+    return _choose(graph, rows, budget, config)
 
 
 def plan_budgeted(
@@ -209,7 +252,8 @@ def plan_budgeted(
     goal = _resolve_targets(graph, (graph.doc.targets or None) if targets is None else targets, False)
     if not math.isfinite(budget) or budget < 0:
         raise ValueError(f"budget must be a finite non-negative number, got {budget!r}")
-    found, chosen, optimal = _budget_choice(graph, budget, entry, goal, frozenset(), config)
+    found = _target_rows(graph, entry, goal, frozenset(), config)
+    chosen, optimal = _budget_choice(graph, budget, found, config)
     mask = graph.defense_mask(chosen)
     survivors = [edges for edges, sig, _ in found if not sig & mask]
     sample = [chain_from_edges(graph, edges, config, entry) for edges in survivors[: config.survivor_sample]]
@@ -240,14 +284,26 @@ def _choose(graph: AttackGraph, rows, budget: float, config: EngineConfig) -> tu
             if k == n:
                 return
             # Even breaking every live row cannot beat the incumbent.
-            if value + sum(w for _, w in live) < -best[0]:
+            if value + sum(map(_weight, live)) < -best[0]:
                 return
             d = defenses[k]
+            after = k + 1
             if cost + d.cost <= budget + EPS:
-                gain = sum(w for sig, w in live if sig >> k & 1)
-                rest = [r for r in live if not r[0] >> k & 1]
-                walk(k + 1, chosen + (d.id,), cost + d.cost, value + gain, rest)
-            walk(k + 1, chosen, cost, value, [r for r in live if r[0] >> (k + 1)])
+                # One pass: the weights d breaks, the rows it keeps, and the
+                # rows a later defense can still break (the skip branch's).
+                broken, rest, skip = [], [], []
+                for row in live:
+                    sig = row[0]
+                    if sig >> k & 1:
+                        broken.append(row[1])
+                    else:
+                        rest.append(row)
+                    if sig >> after:
+                        skip.append(row)
+                walk(after, chosen + (d.id,), cost + d.cost, value + sum(broken), rest)
+            else:
+                skip = [row for row in live if row[0] >> after]
+            walk(after, chosen, cost, value, skip)
 
         walk(0, (), 0.0, 0.0, rows)
         return best[2], True

@@ -9,6 +9,17 @@ most threatening ones. The game ends when the attacker holds any permission
 on a target, runs out of attacks, or the turn limit expires. Every run is a
 pure function of (scenario, config): the RNG stream derives from the seed
 alone.
+
+Within one game the attacker's grants and the neutralized attacks only
+grow. A chain is a walk, and the chains to a target only grow with the
+grants and only shrink with the defenses (Ammann, Wijesekera & Kaushik,
+CCS 2002). So run_game keeps the defender's last prediction, the grants,
+the applied defenses' mask and the chain rows, for the length of one game,
+and each later turn updates those rows (defense._next_rows) instead of
+walking every chain again, as incremental attack-graph analysis updates a
+graph after a change (Saha, CCS 2008). The update gives the rows a fresh
+walk would, in the same order, so the plans are the same. The first
+prediction of a game is a full walk.
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ from bisect import insort
 from dataclasses import dataclass, replace
 
 from .config import DEFAULT_CONFIG, EngineConfig
-from .defense import _budget_choice, neutralized_attacks
+from .defense import _budget_choice, _next_rows, _target_rows, neutralized_attacks
 from .graphs import AttackGraph
 from .model import AttackRecord, ConfigError, EmptyEntryGrantsError, Grant, permission_problems
 
@@ -196,6 +207,7 @@ def run_game(
     fired: list[str] = []
     neutralized: frozenset[str] = frozenset()
     applied_defenses: set[str] = set()
+    last = None  # the defender's last prediction: (grants, defense mask, rows)
     detected_any = False
     attacker_cost = 0.0
     defender_cost = 0.0
@@ -231,8 +243,14 @@ def run_game(
 
         new_defenses: tuple[str, ...] = ()
         if game.defender_policy == "reactive_cut" and detected_any:
-            budget = game.defender_budget_per_turn
-            _, chosen, _ = _budget_choice(graph, budget, frozenset(grants), targets, neutralized, config)
+            held = frozenset(grants)
+            mask = graph.defense_mask(applied_defenses)
+            if last is None:
+                found = _target_rows(graph, held, targets, neutralized, config)
+            else:
+                found = _next_rows(graph, last, held, mask, targets, neutralized, config)
+            last = (held, mask, found)
+            chosen, _ = _budget_choice(graph, game.defender_budget_per_turn, found, config)
             new_defenses = tuple(d for d in chosen if d not in applied_defenses)
             if new_defenses:
                 applied_defenses.update(new_defenses)

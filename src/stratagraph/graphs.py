@@ -10,7 +10,9 @@ The attack graph also compiles one step record per edge for the chain walk
 (see chains.py): a plain tuple of the fields a chain step reads, so the
 walk unpacks one tuple instead of reading an edge, its attack record and
 the defense index. The records are compiled on first use, once per graph,
-so the commands that walk no chain never pay for them.
+so the commands that walk no chain never pay for them. So is `needed_by`,
+which maps each grant to the edges of the attacks whose condition holds it:
+the reactive defender finds through it the steps a newly won grant opens.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import canon
-from .model import AttackRecord, DefenseRecord, RelationshipEdge, ScenarioDoc, UnknownIdError
+from .model import AttackRecord, DefenseRecord, Grant, RelationshipEdge, ScenarioDoc, UnknownIdError
 from .scenario import require_valid
 
 
@@ -124,6 +126,15 @@ class AttackGraph:
         """Object id -> the step records of the edges leaving it, in edge-id order."""
         steps = self.steps
         return {obj: tuple(steps[e.edge_id] for e in edges) for obj, edges in self.by_from.items()}
+
+    @cached_property
+    def needed_by(self) -> dict[Grant, tuple[AttackEdge, ...]]:
+        """Grant -> the edges of the attacks whose condition holds it, in edge-id order."""
+        needed: dict[Grant, list[AttackEdge]] = {}
+        for e in self.edges:
+            for need in self.steps[e.edge_id][2]:
+                needed.setdefault(need, []).append(e)
+        return {g: tuple(edges) for g, edges in needed.items()}
 
     def edge(self, edge_id: str) -> AttackEdge:
         found = self.by_id.get(edge_id)

@@ -2,7 +2,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from stratagraph import (
@@ -23,7 +23,8 @@ from stratagraph import (
 )
 from stratagraph.config import EngineConfig
 from stratagraph.model import Grant, ObjectRecord, ScenarioDoc
-from stratagraph.defense import chain_attacks, neutralized_attacks
+from stratagraph import chains as chains_module
+from stratagraph.defense import _next_rows, _target_rows, chain_attacks, neutralized_attacks
 
 import oracles
 from genscen import coherent_scenario, random_scenario
@@ -463,3 +464,110 @@ def test_risk_ties_keep_the_first_chain_in_canonical_order(semantics, agg):
         ("b", 2, 0.0, float, 0.0, float),
     ]
     assert rows == typed(oracles.reference_risk(doc, 8, semantics, agg))
+
+
+def via_steps_to_goal(doc, start, goal, via, blocked):
+    """Fewest unblocked attack edges from start to a goal taking one whose condition meets via, or None.
+
+    By definition: a forward breadth-first search over (object, via step
+    taken) states; goal None takes any object as a goal.
+    """
+    hops = [
+        (src, dst, bool(set(record.condition) & via))
+        for record, src, dst, _ in oracles.oracle_edges(doc).values()
+        if record.id not in blocked
+    ]
+    frontier, seen, steps = {(start, False)}, set(), 0
+    while frontier:
+        steps += 1
+        reached = {(dst, took or opens) for obj, took in frontier for src, dst, opens in hops if src == obj}
+        if any(took and (goal is None or obj in goal) for obj, took in reached):
+            return steps
+        frontier = reached - seen
+        seen |= reached
+    return None
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 10**6),
+    coherent=st.booleans(),
+    semantics=st.sampled_from(("accumulated", "strict")),
+    agg=st.sampled_from(("sum", "max")),
+    max_len=st.integers(1, 5),
+    to_goal=st.booleans(),
+    data=st.data(),
+)
+def test_next_rows_equal_a_fresh_walk_at_every_step(seed, coherent, semantics, agg, max_len, to_goal, data):
+    # Within a game the attacker's grants and the applied defenses only
+    # grow, and the reactive defender updates its last rows instead of
+    # walking afresh. At every step of such a sequence the update must give
+    # the fresh rows, in the same order. Each step draws what the attacker
+    # won (nothing, grants some step needs, or only grants no step needs)
+    # and the new defenses (none, some, or every one, which breaks every
+    # breakable old row). The via walk must also expand a prefix that has
+    # taken no via step only where its end can still reach a goal through
+    # one: every table it builds for such a prefix is checked by definition.
+    doc = coherent_scenario(seed) if coherent else random_scenario(seed, max_objects=6, max_edges=14)
+    graph = build_attack_graph(doc, build_base_graph(doc))
+    cfg = EngineConfig(semantics=semantics, max_len=max_len, threat_agg=agg)
+    goal = frozenset(doc.targets) if to_goal else None
+    won_from = {
+        "needed": sorted(graph.needed_by),
+        "empty": [],
+        "unneeded": [g for o in doc.objects for g in (Grant(o.id, "read"), Grant(o.id, "write"))],
+    }
+    won_from["unneeded"] = [g for g in won_from["unneeded"] if g not in graph.needed_by]
+    defenses = [d.id for d in graph.sorted_defenses]
+    pending_keys = []
+    build = chains_module._step_table
+
+    def spy(graph, end, room, goal, dist, blocked, push, pending=None):
+        if pending is not None and end is not None:
+            pending_keys.append((end, room))
+        return build(graph, end, room, goal, dist, blocked, push, pending)
+
+    grants = frozenset(doc.entry_grants)
+    applied = frozenset()
+    last = (grants, 0, _target_rows(graph, grants, goal, frozenset(), cfg))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chains_module, "_step_table", spy)
+        for _ in range(data.draw(st.integers(1, 5), label="turns")):
+            pool = won_from[data.draw(st.sampled_from(sorted(won_from)), label="kind")]
+            won = data.draw(st.frozensets(st.sampled_from(pool), max_size=3) if pool else st.just(frozenset()))
+            defend = data.draw(st.sampled_from(("none", "some", "all")), label="defend")
+            if defend == "all":
+                applied = frozenset(defenses)
+            elif defend == "some" and defenses:
+                applied |= data.draw(st.frozensets(st.sampled_from(defenses), max_size=2), label="defended")
+            mask = graph.defense_mask(applied)
+            blocked = neutralized_attacks(graph, applied)
+            via = won - grants
+            pending_keys.clear()
+            rows = _next_rows(graph, last, grants | won, mask, goal, blocked, cfg)
+            grants |= won
+            assert rows == _target_rows(graph, grants, goal, blocked, cfg)
+            for end, room in pending_keys:
+                steps = via_steps_to_goal(doc, end, goal, via, blocked)
+                assert steps is not None and steps <= room + 1, (end, room)
+            if rows != last[2]:
+                event("rows changed")
+            if defend == "all" and any(sig for _, sig, _ in last[2]):
+                event("every breakable old row broken")
+            last = (grants, mask, rows)
+
+
+def test_next_rows_refuses_fewer_grants_or_defenses(toy5g):
+    # The update is exact only when grants and defenses grow; anything else
+    # is a broken invariant of the caller, refused even under python -O.
+    _, _, graph = toy5g
+    doc = graph.doc
+    entry = frozenset(doc.entry_grants)
+    goal = frozenset(doc.targets)
+    won = entry | {Grant("APP1", "read")}
+    rows = _target_rows(graph, won, goal, frozenset(), EngineConfig())
+    with pytest.raises(RuntimeError):
+        _next_rows(graph, (won, 0, rows), entry, 0, goal, frozenset(), EngineConfig())
+    mask = graph.defense_mask(["D1"])
+    with pytest.raises(RuntimeError):
+        _next_rows(graph, (entry, mask, rows), entry, 0, goal, frozenset(), EngineConfig())

@@ -3,7 +3,7 @@ from collections import namedtuple
 from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from stratagraph import (
@@ -24,7 +24,7 @@ from stratagraph import canon
 from stratagraph.chains import AttackChain
 from stratagraph.cli import main
 from stratagraph.config import EngineConfig
-from stratagraph.defense import _budget_choice, _choose, _kernel, _target_rows, chain_signature
+from stratagraph.defense import _budget_choice, _choose, _kernel, _target_rows, chain_signature, neutralized_attacks
 from stratagraph.game import _Frontier
 from stratagraph.model import Grant
 
@@ -238,21 +238,69 @@ def test_grants_stay_grants_and_canon_renders_them_as_dicts(toy5g):
 def test_reactive_defender_enumerates_under_engine_semantics(toy5g, monkeypatch):
     # The engine config alone owns semantics: a strict config must reach
     # the defender's chain prediction, not be replaced by a game default.
+    # The first prediction of a game walks every chain; the later ones walk
+    # with the grants won since (via), so the incremental path is taken.
     import stratagraph.defense as defense_module
     from stratagraph.config import EngineConfig
 
     seen = []
     real = defense_module._walk
 
-    def spy(graph, entry, goal, config, blocked):
-        seen.append(config.semantics)
-        return real(graph, entry, goal, config, blocked)
+    def spy(graph, entry, goal, config, blocked, via=None):
+        seen.append((config.semantics, via))
+        return real(graph, entry, goal, config, blocked, via)
 
     monkeypatch.setattr(defense_module, "_walk", spy)
     _, _, graph = toy5g
     game = GameConfig(defender_policy="reactive_cut", defender_budget_per_turn=2.0)
-    run_game(graph, game, config=EngineConfig(semantics="strict"))
-    assert seen and set(seen) == {"strict"}
+    trace = run_game(graph, game, config=EngineConfig(semantics="strict"))
+    assert seen and {semantics for semantics, _ in seen} == {"strict"}
+    assert seen[0][1] is None
+    later = [via for _, via in seen[1:]]
+    assert later and all(via for via in later)
+    grants = [frozenset(t.grants) for t in trace.turns]
+    assert set(later) <= {now - before for before, now in zip(grants, grants[1:])}
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 10**6),
+    semantics=st.sampled_from(("accumulated", "strict")),
+    policy=st.sampled_from(("greedy_cheapest", "max_threat", "random")),
+    budget=st.sampled_from((0.5, 2.0, 100.0)),
+)
+def test_reactive_defender_rows_equal_a_fresh_walk_on_every_turn(seed, semantics, policy, budget):
+    # run_game updates the last turn's rows; on every turn they must be
+    # what a fresh walk from the attacker's grants under the neutralized
+    # attacks gives. Every attack is detected, so the defender plans from
+    # the first turn on, and no entry grant is on a target, so most games
+    # last more than one turn.
+    import stratagraph.game as game_module
+
+    doc = random_scenario(seed, max_objects=8, max_edges=24)
+    entry = tuple(g for g in doc.entry_grants if g.object not in doc.targets)
+    if not entry or not doc.targets:
+        return
+    doc = replace(doc, entry_grants=entry, attacks=tuple(replace(a, detect_prob=1.0) for a in doc.attacks))
+    graph = rebuild(doc)
+    config = EngineConfig(semantics=semantics, max_len=4)
+    real = game_module._next_rows
+    updates = []
+
+    def check(graph, last, entry, mask, goal, blocked, config):
+        rows = real(graph, last, entry, mask, goal, blocked, config)
+        applied = [d.id for d in graph.sorted_defenses if mask & graph.defense_bits[d.id]]
+        assert blocked == neutralized_attacks(graph, applied)
+        assert rows == _target_rows(graph, entry, goal, blocked, config)
+        updates.append(rows)
+        return rows
+
+    game = GameConfig(max_turns=8, attacker_policy=policy, defender_policy="reactive_cut", defender_budget_per_turn=budget)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(game_module, "_next_rows", check)
+        run_batch(graph, game, 2, config)
+    if updates:
+        event("rows updated")
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -290,8 +338,7 @@ def test_target_rows_plan_like_the_per_chain_kernel(seed, objective, limit, non_
     assert found == [(c.edges, sig, c.total_threat) for c, sig in zip(chains, signatures)]
     weights = [1.0 if objective == "count" else c.total_threat for c in chains]
     rows = _kernel(zip(signatures, weights))
-    picked = _budget_choice(graph, budget, foothold, goal, blocked, config)
-    assert picked == (found, *_choose(graph, rows, budget, config))
+    assert _budget_choice(graph, budget, found, config) == _choose(graph, rows, budget, config)
 
 
 def test_risk_and_reactive_defender_build_no_chains(toy5g, fixtures_dir, tmp_path, monkeypatch, capsys):

@@ -19,10 +19,13 @@ Inputs, all generated from this checkout:
   bench commands in JSON and in text, plus `graph --dot`, `min_cost`,
   `max_threat`, `--unrestricted`, strict, coverage and `threat_agg max`
   variants, among them the bench's reactive `simulate` under strict
-  semantics and under `threat_agg max`, and a strict `defend --mode cut`;
+  semantics, under `threat_agg max`, under `budget_objective count` and
+  under the `greedy_cheapest` and `max_threat` attackers, and a strict
+  `defend --mode cut`;
 - `tests/genscen.py` scenarios, random and coherent, under both semantics,
-  and one with its targets removed: there `defend --mode budget` plans
-  over every chain and `defend --mode cut` exits 1;
+  each with a random attacker's reactive `simulate` of 3 runs of up to
+  20 turns, and one with its targets removed: there `defend --mode budget`
+  plans over every chain and `defend --mode cut` exits 1;
 - the same scenarios with every cost and severity one or two million,
   written as a JSON int or float at random (`large_number_commands`).
   canon prints an int and an equal float alike below 1e6 (`5` and `5.0`
@@ -95,15 +98,17 @@ def bench_commands(inputs: Path) -> list[list[str]]:
         for seed in BENCH_SEEDS:
             scenario = gen.generate(workload, seed)
             stem = inputs / f"{workload}-seed{seed}"
-            path, config, agg_max = (Path(f"{stem}{suffix}") for suffix in (".scenario", ".config", ".max.config"))
+            path, config, agg_max, count = (
+                Path(f"{stem}{suffix}") for suffix in (".scenario", ".config", ".max.config", ".count.config")
+            )
             path.write_text(scenario.text, encoding="utf-8")
             config.write_text(scenario.config_text, encoding="utf-8")
-            agg_max.write_text(
-                json.dumps({**json.loads(scenario.config_text), "threat_agg": "max"}) + "\n", encoding="utf-8"
-            )
-            simulate, simulate_max = (
+            for variant, key, value in ((agg_max, "threat_agg", "max"), (count, "budget_objective", "count")):
+                text = json.dumps({**json.loads(scenario.config_text), key: value}) + "\n"
+                variant.write_text(text, encoding="utf-8")
+            simulate, simulate_max, simulate_count = (
                 next(argv for metric, _, argv in scenario.commands(str(path), str(c)) if metric == "simulate_s")
-                for c in (config, agg_max)
+                for c in (config, agg_max, count)
             )
             bench = [argv for _, _, argv in scenario.commands(str(path), str(config))]
             commands += bench
@@ -121,6 +126,9 @@ def bench_commands(inputs: Path) -> list[list[str]]:
                 ["defend", *common, "--mode", "cut", "--semantics", "strict"],
                 [*simulate, "--semantics", "strict"],
                 simulate_max,
+                simulate_count,
+                [*simulate, "--attacker", "greedy_cheapest"],  # the last --attacker wins
+                [*simulate, "--attacker", "max_threat"],
             ]
             agg = ["--scenario", str(path), "--config", str(agg_max), "--format", "json"]
             commands += [
@@ -166,6 +174,10 @@ def genscen_commands(inputs: Path) -> list[list[str]]:
                     ["defend", *common, "--mode", "coverage"],
                     ["risk", *common],
                     ["simulate", *common, "--defender", "reactive_cut", "--budget-per-turn", "2", "--runs", "2"],
+                    [
+                        "simulate", *common, "--defender", "reactive_cut", "--budget-per-turn", "1",
+                        "--runs", "3", "--max-turns", "20", "--attacker", "random",
+                    ],
                 ]
     return commands
 
