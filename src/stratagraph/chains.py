@@ -74,15 +74,14 @@ needs by the first search. It ignores the same rules, so it is sound too.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import DEFAULT_CONFIG, EngineConfig
 from .graphs import AttackGraph, HierarchicalGraph
 from .model import AttackRecord, EmptyEntryGrantsError, Grant, UnknownIdError
 
 
-@dataclass(frozen=True)
-class AttackerState:
+class AttackerState(NamedTuple):
     """Snapshot of the attacker mid-chain: grants held, attacks fired."""
 
     grants: tuple[Grant, ...]
@@ -92,8 +91,7 @@ class AttackerState:
         return {"grants": list(self.grants), "fired": list(self.fired)}
 
 
-@dataclass(frozen=True)
-class AttackChain:
+class AttackChain(NamedTuple):
     edges: tuple[str, ...]
     total_cost: float
     total_threat: float
@@ -111,22 +109,19 @@ class AttackChain:
         return (len(self.edges), self.edges)
 
 
-@dataclass(frozen=True)
-class ChainObjective:
+class ChainObjective(NamedTuple):
     kind: str  # "min_cost" | "max_threat"
     target: str | None = None  # None = any scenario target
 
 
-@dataclass(frozen=True)
-class ChainCheck:
+class ChainCheck(NamedTuple):
     valid: bool
     states: tuple[AttackerState, ...]
     failed_index: int | None = None
     reason: str | None = None
 
 
-@dataclass(frozen=True)
-class PotentialChain:
+class PotentialChain(NamedTuple):
     """A base-graph path the catalog cannot fully realize yet."""
 
     path: tuple[str, ...]

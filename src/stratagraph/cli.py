@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from . import __version__, canon
 from .config import DEFAULT_CONFIG, load_config
@@ -85,7 +84,7 @@ def _load(args):
     if getattr(args, "max_len", None) is not None:
         overrides["max_len"] = args.max_len
     if overrides:
-        config = replace(config, **overrides)
+        config = config._replace(**overrides)
     return doc, config
 
 

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .model import ConfigError
 
@@ -13,8 +13,24 @@ THREAT_AGGREGATIONS = ("sum", "max")
 BUDGET_OBJECTIVES = ("threat", "count")
 
 
-@dataclass(frozen=True)
-class EngineConfig:
+class _Checked:
+    """A named-tuple mixin that runs the record's check() on every construction.
+
+    The constructor and _make call it, and _replace builds through _make, so
+    each of the three raises ConfigError on a bad value or type.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        return super().__new__(cls, *args, **kwargs).check()
+
+    @classmethod
+    def _make(cls, iterable):
+        return super()._make(iterable).check()
+
+
+class _EngineFields(NamedTuple):
     # Chain semantics: "accumulated" keeps every grant won so far; "strict"
     # checks each condition against the entry grants plus the single pair
     # granted by the previous edge.
@@ -28,8 +44,9 @@ class EngineConfig:
     derived_detect_prob: float = 1.0
     survivor_sample: int = 5
 
-    def __post_init__(self):
-        self.check()
+
+class EngineConfig(_Checked, _EngineFields):
+    __slots__ = ()
 
     def check(self) -> "EngineConfig":
         if self.semantics not in SEMANTICS_MODES:
@@ -55,7 +72,7 @@ class EngineConfig:
 
 DEFAULT_CONFIG = EngineConfig()
 
-_FIELDS = set(EngineConfig.__dataclass_fields__)
+_FIELDS = set(EngineConfig._fields)
 
 
 def config_from_dict(data: dict) -> EngineConfig:
@@ -64,7 +81,7 @@ def config_from_dict(data: dict) -> EngineConfig:
     unknown = sorted(set(data) - _FIELDS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    return replace(DEFAULT_CONFIG, **data)
+    return DEFAULT_CONFIG._replace(**data)
 
 
 def load_config(path: str | Path) -> EngineConfig:

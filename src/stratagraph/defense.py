@@ -39,8 +39,8 @@ McQueary, CCS 2006).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .chains import AttackChain, _entry_grants, _resolve_targets, _walk, chain_from_edges
 from .config import DEFAULT_CONFIG, EngineConfig
@@ -53,8 +53,7 @@ EPS = 1e-9
 _weight = itemgetter(1)  # a kernel row's weight
 
 
-@dataclass(frozen=True)
-class DefensePlan:
+class DefensePlan(NamedTuple):
     chosen: tuple[str, ...]
     total_cost: float
     neutralized_edges: tuple[str, ...]
@@ -420,8 +419,7 @@ def _hitting_set_exact(graph: AttackGraph, rows) -> tuple[str, ...]:
 
 # --- risk --------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RiskRow:
+class RiskRow(NamedTuple):
     object: str
     chain_count: int
     max_chain_threat: float

@@ -27,9 +27,9 @@ from __future__ import annotations
 import math
 import random
 from bisect import insort
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
-from .config import DEFAULT_CONFIG, EngineConfig
+from .config import DEFAULT_CONFIG, _Checked, EngineConfig
 from .defense import _budget_choice, _next_rows, _target_rows, neutralized_attacks
 from .graphs import AttackGraph
 from .model import AttackRecord, ConfigError, EmptyEntryGrantsError, Grant, permission_problems
@@ -42,8 +42,7 @@ OUTCOME_EXHAUSTED = "attacker_exhausted"
 OUTCOME_TURN_LIMIT = "turn_limit"
 
 
-@dataclass(frozen=True)
-class GameConfig:
+class _GameFields(NamedTuple):
     max_turns: int = 12
     attacker_policy: str = "greedy_cheapest"
     defender_policy: str = "none"
@@ -52,8 +51,9 @@ class GameConfig:
     # None = any permission on a target ends the game.
     compromise_permissions: tuple[str, ...] | None = None
 
-    def __post_init__(self):
-        self.check()
+
+class GameConfig(_Checked, _GameFields):
+    __slots__ = ()
 
     def check(self) -> "GameConfig":
         for name in ("max_turns", "rng_seed"):
@@ -97,8 +97,7 @@ class GameConfig:
         }
 
 
-@dataclass(frozen=True)
-class TurnRecord:
+class TurnRecord(NamedTuple):
     turn: int
     attack: str | None
     detected: bool
@@ -115,8 +114,7 @@ class TurnRecord:
         }
 
 
-@dataclass(frozen=True)
-class GameTrace:
+class GameTrace(NamedTuple):
     outcome: str
     turns: tuple[TurnRecord, ...]
     attacker_cost: float
@@ -279,12 +277,11 @@ def run_batch(
     if runs < 1:
         raise ConfigError("runs must be >= 1")
     return tuple(
-        run_game(graph, replace(game, rng_seed=game.rng_seed + i), config=config) for i in range(runs)
+        run_game(graph, game._replace(rng_seed=game.rng_seed + i), config=config) for i in range(runs)
     )
 
 
-@dataclass(frozen=True)
-class GameSummary:
+class GameSummary(NamedTuple):
     runs: int
     outcomes: dict[str, int]
     mean_turns: float

@@ -17,17 +17,20 @@ the reactive defender finds through it the steps a newly won grant opens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from . import canon
 from .model import AttackRecord, DefenseRecord, Grant, RelationshipEdge, ScenarioDoc, UnknownIdError
 from .scenario import require_valid
 
 
-@dataclass(frozen=True)
-class HierarchicalGraph:
-    """Per-layer object graphs joined by vertical relationship edges."""
+class HierarchicalGraph(NamedTuple):
+    """Per-layer object graphs joined by vertical relationship edges.
+
+    doc takes part in equality like every other field: two base graphs are
+    equal only when their docs are.
+    """
 
     layers: dict[str, str]  # object id -> layer
     intra_edges: tuple[RelationshipEdge, ...]
@@ -36,7 +39,7 @@ class HierarchicalGraph:
     adjacency: dict[str, tuple[str, ...]]
     # The validated scenario this graph was built from, the one owner of the
     # doc: the attack graph built on this base reads it as AttackGraph.doc.
-    doc: ScenarioDoc = field(compare=False, repr=False)
+    doc: ScenarioDoc
 
     def nodes(self) -> tuple[str, ...]:
         return tuple(sorted(self.layers))
@@ -51,8 +54,7 @@ class HierarchicalGraph:
         return b in self.adjacency.get(a, ())
 
 
-@dataclass(frozen=True)
-class AttackEdge:
+class AttackEdge(NamedTuple):
     edge_id: str
     attack_id: str
     from_id: str
@@ -75,8 +77,7 @@ class AttackEdge:
         }
 
 
-@dataclass(frozen=True)
-class AttackGraph:
+class _AttackGraphFields(NamedTuple):
     base: HierarchicalGraph
     edges: tuple[AttackEdge, ...]  # sorted by edge_id
     by_id: dict[str, AttackEdge]
@@ -90,6 +91,14 @@ class AttackGraph:
     sorted_defenses: tuple[DefenseRecord, ...]  # by id
     defense_bits: dict[str, int]  # defense id -> its single bit
     attack_defenses: dict[str, int]  # attack id -> mask of the defenses neutralizing it
+
+
+class AttackGraph(_AttackGraphFields):
+    """The attack graph, its indexes and its step records.
+
+    A named tuple subclass without __slots__, so each instance has the
+    __dict__ that the cached properties below fill once per graph.
+    """
 
     @property
     def doc(self) -> ScenarioDoc:

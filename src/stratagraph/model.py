@@ -5,14 +5,14 @@ objects (devices, channels, virtual entities, OSes, controllers, apps,
 protocols), the relationships between them, a catalog of attacks and
 defenses, plus the attacker's entry foothold and the defender's targets.
 
-Everything here is an immutable value type: a loaded scenario never
+Every record here is an immutable named tuple: a loaded scenario never
 mutates, so documents and derived graphs are safe to share across
-threads.
+threads. Every field takes part in equality and hashing, and a record
+equals any tuple of the same values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 LAYERS = ("physical", "virtual", "service", "application")
@@ -110,16 +110,14 @@ class Grant(NamedTuple):
         return {"object": self.object, "permission": self.permission}
 
 
-@dataclass(frozen=True)
-class ObjectRecord:
+class ObjectRecord(NamedTuple):
     id: str
     layer: str
     category: str
     label: str = ""
 
 
-@dataclass(frozen=True)
-class RelationshipEdge:
+class RelationshipEdge(NamedTuple):
     from_id: str
     to_id: str
     kind: str
@@ -135,8 +133,7 @@ class RelationshipEdge:
         return not self.directed and self.from_id == b and self.to_id == a
 
 
-@dataclass(frozen=True)
-class AttackRecord:
+class AttackRecord(NamedTuple):
     """One attack event on one object, with a list of granted effects.
 
     Each a_result instantiates one directed edge in the attack graph, so a
@@ -156,8 +153,7 @@ class AttackRecord:
     entry_only: bool = False
 
 
-@dataclass(frozen=True)
-class DefenseRecord:
+class DefenseRecord(NamedTuple):
     """A countermeasure: applying it neutralizes every edge of the named attacks."""
 
     id: str
@@ -166,8 +162,7 @@ class DefenseRecord:
     d_results: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class VulnerabilityRecord:
+class VulnerabilityRecord(NamedTuple):
     id: str
     affects_category: str
     yields_permission: str
@@ -175,10 +170,14 @@ class VulnerabilityRecord:
     severity: float = 1.0
 
 
-@dataclass(frozen=True)
-class ScenarioDoc:
+class ScenarioDoc(NamedTuple):
     """A fully parsed scenario file. Parsing does not validate semantics;
-    run validate_scenario to get the violation report."""
+    run validate_scenario to get the violation report.
+
+    unknown_keys takes part in equality like every other field, so a doc
+    parsed with an unknown key equals its serialized round trip only after
+    _replace(unknown_keys=()).
+    """
 
     objects: tuple[ObjectRecord, ...] = ()
     relationships: tuple[RelationshipEdge, ...] = ()
@@ -189,7 +188,7 @@ class ScenarioDoc:
     targets: tuple[str, ...] = ()
     extensions: tuple[str, ...] = ()
     # Unknown keys seen while parsing; reported as warnings, never persisted.
-    unknown_keys: tuple[str, ...] = field(default=(), compare=False)
+    unknown_keys: tuple[str, ...] = ()
 
     def object_ids(self) -> frozenset[str]:
         return frozenset(o.id for o in self.objects)
@@ -207,8 +206,7 @@ class ScenarioDoc:
         return CATEGORIES + self.extensions
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One invariant breach found by validate_scenario.
 
     severity is "error" (scenario unusable) or "warning" (suspicious but legal).

@@ -1,6 +1,6 @@
 """Seeded random scenario generator for property and oracle tests.
 
-Scenarios are built directly from the domain dataclasses with the same
+Scenarios are built directly from the domain records with the same
 normalization the parser applies (sorted conditions, entry grants, and
 targets), so they round-trip through serialization unchanged. All
 randomness flows from the seed; identical seeds give identical scenarios.

@@ -6,7 +6,6 @@ the brute-force oracles in oracles.py, never from the engines themselves.
 """
 
 import time
-from dataclasses import replace
 
 from stratagraph import (
     ChainObjective,
@@ -82,7 +81,7 @@ def test_criterion_2_enumeration_matches_brute_force():
         doc, graph = bundle(seed, max_edges)
         scenarios += 1
         for semantics in ("accumulated", "strict"):
-            config = replace(cfg, semantics=semantics)
+            config = cfg._replace(semantics=semantics)
             got = [
                 (c.edges, c.total_cost, c.total_threat)
                 for c in enumerate_chains(graph, config=config)
@@ -105,7 +104,7 @@ def test_criterion_3_search_optimality():
         doc, graph = bundle(seed, max_edges)
         scenarios += 1
         for semantics in ("accumulated", "strict"):
-            config = replace(cfg, semantics=semantics)
+            config = cfg._replace(semantics=semantics)
             chains = brute(seed, max_edges, max_len, semantics)
             reachable = [c for c in chains if oracles.oracle_edges(doc)[c[0][-1]][2] in doc.targets]
             cheapest = search_chain(graph, ChainObjective("min_cost"), config=config)
@@ -118,7 +117,7 @@ def test_criterion_3_search_optimality():
                 chains = brute(seed, max_edges, max_len, semantics, agg)
                 reachable = [c for c in chains if oracles.oracle_edges(doc)[c[0][-1]][2] in doc.targets]
                 nastiest = search_chain(
-                    graph, ChainObjective("max_threat"), config=replace(config, threat_agg=agg)
+                    graph, ChainObjective("max_threat"), config=config._replace(threat_agg=agg)
                 )
                 if not reachable:
                     assert nastiest is None
@@ -213,11 +212,11 @@ def test_criterion_6_monotonicity_suite():
         for drop in doc.attacks:
             kept = tuple(a for a in doc.attacks if a.id != drop.id)
             defenses = tuple(
-                replace(d, d_results=tuple(x for x in d.d_results if x != drop.id))
+                d._replace(d_results=tuple(x for x in d.d_results if x != drop.id))
                 for d in doc.defenses
                 if tuple(x for x in d.d_results if x != drop.id)
             )
-            smaller = replace(doc, attacks=kept, defenses=defenses)
+            smaller = doc._replace(attacks=kept, defenses=defenses)
             g2 = build_attack_graph(smaller, build_base_graph(smaller))
             for c in enumerate_chains(g2, config=CFG4):
                 assert c.edges in full_set, f"seed={seed}: removing {drop.id} created chain {c.edges}"

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stratagraph import canon
+from stratagraph.chains import AttackChain
 from stratagraph.model import Grant
 
 from oracles import reference_dumps
@@ -84,6 +85,7 @@ def outcome(render, value):
 @example([Grant("o1", "read"), {"g": Grant("o1", "read")}, (Grant("", 'é"'),)])
 @example(Pair(Grant("o1", "read"), 1))
 @example(Grant(Str("o1"), "read"))
+@example({"chains": [AttackChain(("A1#0",), 1.0, 2.0, (Grant("o1", "read"),))]})  # a record: TypeError
 def test_dumps_matches_reference_renderer(value):
     # A Grant renders as its as_dict(); the reference renderer sees that dict.
     expected = outcome(reference_dumps, plain(value))

@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -90,10 +89,8 @@ def test_unknown_edge_raises(toy5g):
 
 
 def test_empty_entry_grants_raise(toy5g):
-    from dataclasses import replace
-
     doc, _, _ = toy5g
-    bare = replace(doc, entry_grants=())
+    bare = doc._replace(entry_grants=())
     with pytest.raises(EmptyEntryGrantsError):
         enumerate_chains(build_attack_graph(bare, build_base_graph(bare)))
 
@@ -110,10 +107,8 @@ def test_accumulated_vs_strict_on_sibling_grant(strictmode):
 
 def test_entry_only_attack_must_open_the_chain():
     doc = two_step_doc('{"object": "O2", "permission": "read"}')
-    from dataclasses import replace
-
-    attacks = tuple(replace(a, entry_only=True) if a.id == "e2" else a for a in doc.attacks)
-    doc = replace(doc, attacks=attacks)
+    attacks = tuple(a._replace(entry_only=True) if a.id == "e2" else a for a in doc.attacks)
+    doc = doc._replace(attacks=attacks)
     graph = build_attack_graph(doc, build_base_graph(doc))
     check = is_valid_chain(graph, ["e1#0", "e2#0"])
     assert not check.valid and "entry-only" in check.reason
@@ -288,18 +283,15 @@ def test_potential_suggestion_respects_next_condition(toy5g):
 
 
 def test_removing_attack_never_adds_chains():
-    from dataclasses import replace
-
     for seed in range(10):
         doc = random_scenario(seed, max_edges=6)
         graph = build_attack_graph(doc, build_base_graph(doc))
         full = {c.edges for c in enumerate_chains(graph, config=EngineConfig(max_len=4))}
         for drop in doc.attacks:
-            smaller = replace(
-                doc,
+            smaller = doc._replace(
                 attacks=tuple(a for a in doc.attacks if a.id != drop.id),
                 defenses=tuple(
-                    replace(d, d_results=tuple(x for x in d.d_results if x != drop.id))
+                    d._replace(d_results=tuple(x for x in d.d_results if x != drop.id))
                     for d in doc.defenses
                     if tuple(x for x in d.d_results if x != drop.id)
                 ),
@@ -382,7 +374,7 @@ def test_target_enumeration_matches_oracle_on_game_path(seed, semantics, agg, ma
         graph, targets=targets, config=cfg, blocked_attacks=blocked, entry_grants=tuple(sorted(entry))
     )
     got = [(c.edges, c.total_cost, c.total_threat, frozenset(c.final_grants)) for c in found]
-    open_doc = replace(doc, attacks=tuple(a for a in doc.attacks if a.id not in blocked))
+    open_doc = doc._replace(attacks=tuple(a for a in doc.attacks if a.id not in blocked))
     assert got == oracles.brute_chains(open_doc, max_len, semantics, targets=targets, entry=entry, agg=agg)
 
 
@@ -479,7 +471,7 @@ def test_walk_and_successor_step_apply_the_same_rules(seed, coherent, semantics,
     doc = coherent_scenario(seed) if coherent else random_scenario(seed, max_objects=6, max_edges=14)
     ids = [a.id for a in doc.attacks]
     entry_only = _subset(data, ids, len(ids) // 3, "entry_only")
-    doc = replace(doc, attacks=tuple(replace(a, entry_only=a.entry_only or a.id in entry_only) for a in doc.attacks))
+    doc = doc._replace(attacks=tuple(a._replace(entry_only=a.entry_only or a.id in entry_only) for a in doc.attacks))
     graph = build_attack_graph(doc, build_base_graph(doc))
     blocked = _subset(data, ids, len(ids) // 3, "blocked")
     # A foothold like the reactive defender's: the entry grants plus some

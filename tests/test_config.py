@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import pytest
 
@@ -26,7 +25,9 @@ def test_bad_values_rejected_at_construction_and_replace(fields):
     with pytest.raises(ConfigError):
         EngineConfig(**fields)
     with pytest.raises(ConfigError):
-        replace(DEFAULT_CONFIG, **fields)
+        DEFAULT_CONFIG._replace(**fields)
+    with pytest.raises(ConfigError):
+        EngineConfig._make({**DEFAULT_CONFIG._asdict(), **fields}.values())
     with pytest.raises(ConfigError):
         config_from_dict(fields)
 

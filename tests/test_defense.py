@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings
@@ -137,7 +136,7 @@ def test_budget_kernel_matches_per_chain_reference(seed, objective, limit, data)
     # The signature kernel must give the very plan of the per-chain search,
     # on the exact path (limit 20) and on the greedy path (limit 0). With no
     # targets the planner plans over every chain.
-    doc = replace(random_scenario(seed, max_objects=6, max_edges=24, max_defenses=10), targets=())
+    doc = random_scenario(seed, max_objects=6, max_edges=24, max_defenses=10)._replace(targets=())
     graph = build_attack_graph(doc, build_base_graph(doc))
     chains = enumerate_chains(graph, config=EngineConfig(max_len=4))
     total = sum(d.cost for d in doc.defenses)
@@ -158,8 +157,8 @@ def test_budget_non_dyadic_weights_within_eps():
         if not doc.defenses:
             continue
         rng = random.Random(seed)
-        severities = tuple(replace(a, severity=rng.choice((0.1, 0.2, 0.7))) for a in doc.attacks)
-        doc = replace(doc, attacks=severities, targets=())  # no targets: plan over every chain
+        severities = tuple(a._replace(severity=rng.choice((0.1, 0.2, 0.7))) for a in doc.attacks)
+        doc = doc._replace(attacks=severities, targets=())  # no targets: plan over every chain
         graph = build_attack_graph(doc, build_base_graph(doc))
         chains = enumerate_chains(graph, config=EngineConfig(max_len=4))
         oracle_chains = oracles.brute_chains(doc, 4)
@@ -241,7 +240,7 @@ def test_cut_matches_option_set_reference(semantics):
     for i, doc in enumerate(docs):
         graph = build_attack_graph(doc, build_base_graph(doc))
         exact = EngineConfig(max_len=4, semantics=semantics)
-        greedy = replace(GREEDY_ONLY, max_len=4, semantics=semantics)
+        greedy = GREEDY_ONLY._replace(max_len=4, semantics=semantics)
         chains = [(c.edges,) for c in enumerate_chains(graph, targets=doc.targets, config=exact)]
         for cfg in (exact, greedy):
             limits = {"exact_chain_limit": cfg.exact_chain_limit, "exact_defense_limit": cfg.exact_defense_limit}
@@ -378,7 +377,7 @@ def test_risk_toy5g_table(toy5g):
 
 def test_risk_empty_entry_is_all_zero(toy5g):
     doc, _, _ = toy5g
-    bare = replace(doc, entry_grants=())
+    bare = doc._replace(entry_grants=())
     rows = risk_assess(build_attack_graph(bare, build_base_graph(bare)))
     assert all(r.chain_count == 0 and r.min_chain_cost is None for r in rows)
 
@@ -403,9 +402,7 @@ def millions(doc, rng, mix):
         as_int = mix == "int" or mix == "mixed" and rng.random() < 0.5
         return whole if as_int else float(whole)
 
-    return replace(
-        doc, attacks=tuple(replace(a, cost=scale(a.cost), severity=scale(a.severity)) for a in doc.attacks)
-    )
+    return doc._replace(attacks=tuple(a._replace(cost=scale(a.cost), severity=scale(a.severity)) for a in doc.attacks))
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])

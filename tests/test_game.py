@@ -1,6 +1,5 @@
 import random
 from collections import namedtuple
-from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings
@@ -37,7 +36,7 @@ def rebuild(doc):
 
 
 def zero_detect(doc):
-    return replace(doc, attacks=tuple(replace(a, detect_prob=0.0) for a in doc.attacks))
+    return doc._replace(attacks=tuple(a._replace(detect_prob=0.0) for a in doc.attacks))
 
 
 BAD_GAME_FIELDS = [
@@ -68,7 +67,9 @@ def test_bad_game_config_rejected_at_construction_and_replace(fields):
     with pytest.raises(ConfigError):
         GameConfig(**fields)
     with pytest.raises(ConfigError):
-        replace(GameConfig(), **fields)
+        GameConfig()._replace(**fields)
+    with pytest.raises(ConfigError):
+        GameConfig._make({**GameConfig()._asdict(), **fields}.values())
 
 
 def test_undefended_two_step_compromise(minichain):
@@ -133,7 +134,7 @@ def test_zero_detect_reactive_equals_none():
             continue
         graph = rebuild(doc)
         base_cfg = GameConfig(max_turns=10, attacker_policy="random", rng_seed=5)
-        quiet = run_game(graph, replace(base_cfg, defender_policy="reactive_cut", defender_budget_per_turn=99.0))
+        quiet = run_game(graph, base_cfg._replace(defender_policy="reactive_cut", defender_budget_per_turn=99.0))
         off = run_game(graph, base_cfg)
         assert canon.dumps(quiet.as_dict()) == canon.dumps(off.as_dict())
 
@@ -157,9 +158,8 @@ def test_compromise_permission_filter(minichain):
 
 def test_entry_only_attack_fires_first_or_never(minichain):
     doc, _, graph = minichain
-    flagged = replace(
-        doc,
-        attacks=tuple(replace(a, entry_only=True) if a.id == "B2" else a for a in doc.attacks),
+    flagged = doc._replace(
+        attacks=tuple(a._replace(entry_only=True) if a.id == "B2" else a for a in doc.attacks),
     )
     graph2 = rebuild(flagged)
     trace = run_game(graph2, GameConfig(max_turns=6))
@@ -181,9 +181,9 @@ def test_bad_config_rejected(minichain):
 def test_missing_entry_or_targets_rejected(minichain):
     doc, _, _ = minichain
     with pytest.raises(EmptyEntryGrantsError):
-        run_game(rebuild(replace(doc, entry_grants=())), GameConfig())
+        run_game(rebuild(doc._replace(entry_grants=())), GameConfig())
     with pytest.raises(ConfigError):
-        run_game(rebuild(replace(doc, targets=())), GameConfig())
+        run_game(rebuild(doc._replace(targets=())), GameConfig())
 
 
 def test_batch_seeds_are_consecutive(minichain):
@@ -281,7 +281,7 @@ def test_reactive_defender_rows_equal_a_fresh_walk_on_every_turn(seed, semantics
     entry = tuple(g for g in doc.entry_grants if g.object not in doc.targets)
     if not entry or not doc.targets:
         return
-    doc = replace(doc, entry_grants=entry, attacks=tuple(replace(a, detect_prob=1.0) for a in doc.attacks))
+    doc = doc._replace(entry_grants=entry, attacks=tuple(a._replace(detect_prob=1.0) for a in doc.attacks))
     graph = rebuild(doc)
     config = EngineConfig(semantics=semantics, max_len=4)
     real = game_module._next_rows
@@ -320,7 +320,7 @@ def test_target_rows_plan_like_the_per_chain_kernel(seed, objective, limit, non_
     doc = random_scenario(seed, max_objects=6, max_edges=16, max_defenses=8)
     rng = random.Random(seed)
     if non_dyadic:
-        doc = replace(doc, attacks=tuple(replace(a, severity=rng.choice((0.1, 0.2, 0.7))) for a in doc.attacks))
+        doc = doc._replace(attacks=tuple(a._replace(severity=rng.choice((0.1, 0.2, 0.7))) for a in doc.attacks))
     graph = rebuild(doc)
     producible = sorted({g for a in doc.attacks for g in a.a_results} - set(doc.entry_grants))
     extra = data.draw(st.lists(st.sampled_from(producible), max_size=4) if producible else st.just([]), label="extra")
@@ -345,11 +345,9 @@ def test_risk_and_reactive_defender_build_no_chains(toy5g, fixtures_dir, tmp_pat
     # risk, the reactive defender and the planners read only counts, totals
     # and signatures, so none may package a chain it does not print.
     built = []
-    real_init = AttackChain.__init__
 
     def spy_init(self, *args, **kwargs):
-        built.append(self)
-        real_init(self, *args, **kwargs)
+        built.append(self)  # a named tuple is whole after __new__
 
     monkeypatch.setattr(AttackChain, "__init__", spy_init)
     _, _, graph = toy5g

@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import pytest
 
@@ -106,8 +105,7 @@ def test_builds_are_deterministic(toy5g, fixtures_dir):
 
 def test_no_edge_survives_record_removal(toy5g):
     doc, _, graph = toy5g
-    smaller = replace(
-        doc,
+    smaller = doc._replace(
         attacks=tuple(a for a in doc.attacks if a.id != "A2"),
         defenses=tuple(d for d in doc.defenses if "A2" not in d.d_results),
     )
@@ -118,7 +116,7 @@ def test_no_edge_survives_record_removal(toy5g):
 
 def test_attack_graph_independent_of_relationships(toy5g):
     doc, base, graph = toy5g
-    stripped = replace(doc, relationships=())
+    stripped = doc._replace(relationships=())
     base2 = build_base_graph(stripped)
     graph2 = build_attack_graph(stripped, base2)
     assert (base2.intra_edges, base2.vertical_edges) != (base.intra_edges, base.vertical_edges)
@@ -152,7 +150,7 @@ def test_adjacency_matches_relationship_scan(fixtures_dir):
 
 def test_builders_reject_invalid_doc(toy5g):
     doc, base, _ = toy5g
-    invalid = replace(doc, targets=("GHOST",))
+    invalid = doc._replace(targets=("GHOST",))
     with pytest.raises(InvalidScenarioError):
         build_base_graph(invalid)
     # An invalid doc gets no base graph, so it can only reach the attack
@@ -174,7 +172,7 @@ def test_attack_graph_revalidates_only_other_docs(toy5g, monkeypatch):
     base = build_base_graph(doc)
     build_attack_graph(doc, base)
     assert calls == [doc]
-    twin = replace(doc)
+    twin = doc._replace()
     with pytest.raises(ValueError, match="another scenario document"):
         build_attack_graph(twin, base)
     assert calls == [doc]
@@ -187,7 +185,7 @@ def test_attack_graph_needs_the_doc_of_its_base(toy5g, minichain):
         graph.doc = minichain[0]
     # Another scenario, or an equal copy of this one, is not the doc the base
     # graph validated, so the pair is refused rather than mixed.
-    for other in (minichain[0], replace(doc)):
+    for other in (minichain[0], doc._replace()):
         with pytest.raises(ValueError, match="^the base graph was built from another scenario document$"):
             build_attack_graph(other, base)
 
@@ -198,7 +196,7 @@ def test_attack_defense_index_matches_d_results(toy5g, hitting_trio):
     bundles = [toy5g[::2], hitting_trio[::2]]
     for seed in range(100):
         doc = random_scenario(seed)
-        doc = replace(doc, defenses=doc.defenses[::-1])  # doc order is not id order
+        doc = doc._replace(defenses=doc.defenses[::-1])  # doc order is not id order
         bundles.append((doc, build_attack_graph(doc, build_base_graph(doc))))
     for doc, graph in bundles:
         assert [d.id for d in graph.sorted_defenses] == sorted(d.id for d in doc.defenses)

@@ -53,6 +53,17 @@ def test_each_command_imports_only_its_layers(fixtures_dir, argv, modules):
     assert set(loaded) == modules
 
 
+def test_no_module_imports_dataclasses_or_inspect():
+    # Every record is a named tuple: loading the CLI and every engine pulls
+    # in neither dataclasses nor what it imports (inspect, ast, dis, tokenize).
+    code = (
+        "import sys\n"
+        "import stratagraph.cli, stratagraph.graphs, stratagraph.chains, stratagraph.defense, stratagraph.game\n"
+        "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)) or ['none'])"
+    )
+    assert fresh_python("-c", code) == ["none"]
+
+
 def test_exports_load_from_their_home_modules_on_first_use():
     loaded = fresh_python("-c", "import sys, stratagraph; print(*sorted(sys.modules))")
     assert "stratagraph" in loaded

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -65,24 +64,24 @@ def test_toy5g_validates_clean(toy5g):
 def test_dangling_a_result_names_the_object(toy5g):
     doc, _, _ = toy5g
     attacks = list(doc.attacks)
-    attacks[0] = replace(attacks[0], a_results=(Grant("X9", "read"),))
-    report = validate_scenario(replace(doc, attacks=tuple(attacks)))
+    attacks[0] = attacks[0]._replace(a_results=(Grant("X9", "read"),))
+    report = validate_scenario(doc._replace(attacks=tuple(attacks)))
     assert any("X9" in v.message and v.severity == "error" for v in report)
 
 
 def test_detect_prob_out_of_range(toy5g):
     doc, _, _ = toy5g
     attacks = list(doc.attacks)
-    attacks[0] = replace(attacks[0], detect_prob=1.5)
-    report = validate_scenario(replace(doc, attacks=tuple(attacks)))
+    attacks[0] = attacks[0]._replace(detect_prob=1.5)
+    report = validate_scenario(doc._replace(attacks=tuple(attacks)))
     assert any("detect_prob" in v.message for v in report)
 
 
 def test_vertical_edge_kind_enforced(toy5g):
     doc, _, _ = toy5g
     rels = list(doc.relationships)
-    rels[3] = replace(rels[3], kind="connectivity")  # BS1->HV1 spans layers
-    report = validate_scenario(replace(doc, relationships=tuple(rels)))
+    rels[3] = rels[3]._replace(kind="connectivity")  # BS1->HV1 spans layers
+    report = validate_scenario(doc._replace(relationships=tuple(rels)))
     assert any(v.record_class == "relationship" and "vertical" in v.message for v in report)
 
 
@@ -188,17 +187,17 @@ def test_summed_numbers_reaching_the_total_limit_are_errors(toy5g):
     below = math.nextafter(half, 0.0)
 
     def errors(attacks=None, defenses=None):
-        changed = replace(doc, attacks=attacks or doc.attacks, defenses=defenses or doc.defenses)
+        changed = doc._replace(attacks=attacks or doc.attacks, defenses=defenses or doc.defenses)
         return [(v.record_id, v.message.split(" sum")[0]) for v in validate_scenario(changed) if v.severity == "error"]
 
-    pair = [replace(a, cost=half if i < 2 else 0.0) for i, a in enumerate(doc.attacks)]
+    pair = [a._replace(cost=half if i < 2 else 0.0) for i, a in enumerate(doc.attacks)]
     assert errors(attacks=pair) == [("attacks", "attack costs")]
-    pair = [replace(a, cost=half if i == 0 else below if i == 1 else 0.0) for i, a in enumerate(doc.attacks)]
+    pair = [a._replace(cost=half if i == 0 else below if i == 1 else 0.0) for i, a in enumerate(doc.attacks)]
     assert errors(attacks=pair) == []
-    huge = [replace(a, severity=1.7e308) for a in doc.attacks]
+    huge = [a._replace(severity=1.7e308) for a in doc.attacks]
     assert errors(attacks=huge) == [("attacks", "attack severities")]
-    assert "more than the largest float" in validate_scenario(replace(doc, attacks=tuple(huge)))[0].message
-    dear = [replace(d, cost=TOTAL_LIMIT) for d in doc.defenses]
+    assert "more than the largest float" in validate_scenario(doc._replace(attacks=tuple(huge)))[0].message
+    dear = [d._replace(cost=TOTAL_LIMIT) for d in doc.defenses]
     assert errors(defenses=dear) == [("defenses", "defense costs")]
 
 
@@ -214,8 +213,7 @@ def test_category_extensions_allowed():
 
 def test_violation_report_ordering_is_deterministic(toy5g):
     doc, _, _ = toy5g
-    broken = replace(
-        doc,
+    broken = doc._replace(
         targets=("GHOST",),
         entry_grants=(Grant("GHOST2", "read"),),
     )
@@ -230,6 +228,15 @@ def test_round_trip_identity_fixtures(fixtures_dir, name):
     assert parse_scenario(serialize_scenario(doc)) == doc
 
 
+def test_round_trip_drops_unknown_keys():
+    # unknown_keys takes part in equality, and the serializer never writes it.
+    doc = parse_scenario('{"objects": [{"id": "x", "layer": "physical", "category": "os"}], "frobnicate": 1}')
+    assert doc.unknown_keys == ("frobnicate",)
+    again = parse_scenario(serialize_scenario(doc))
+    assert again != doc
+    assert again == doc._replace(unknown_keys=())
+
+
 def test_round_trip_identity_random():
     for seed in range(25):
         doc = random_scenario(seed)
@@ -240,21 +247,21 @@ def test_round_trip_identity_random():
 def test_single_field_corruption_is_caught(toy5g):
     doc, _, _ = toy5g
     mutations = [
-        replace(doc, objects=doc.objects + (replace(doc.objects[0]),)),
-        replace(doc, objects=(replace(doc.objects[0], layer="cloud"),) + doc.objects[1:]),
-        replace(doc, objects=(replace(doc.objects[0], category="widget"),) + doc.objects[1:]),
-        replace(doc, attacks=(replace(doc.attacks[0], object="GONE"),) + doc.attacks[1:]),
-        replace(doc, attacks=(replace(doc.attacks[0], a_results=()),) + doc.attacks[1:]),
-        replace(doc, attacks=(replace(doc.attacks[0], cost=-1.0),) + doc.attacks[1:]),
-        replace(doc, attacks=(replace(doc.attacks[0], severity=-0.5),) + doc.attacks[1:]),
-        replace(doc, attacks=(replace(doc.attacks[0], condition=(Grant("GONE", "read"),)),) + doc.attacks[1:]),
-        replace(doc, defenses=(replace(doc.defenses[0], d_results=("NOPE",)),) + doc.defenses[1:]),
-        replace(doc, defenses=(replace(doc.defenses[0], d_results=()),) + doc.defenses[1:]),
-        replace(doc, defenses=(replace(doc.defenses[0], cost=-2.0),) + doc.defenses[1:]),
-        replace(doc, vulnerabilities=(replace(doc.vulnerabilities[0], affects_category="widget"),)),
-        replace(doc, vulnerabilities=(replace(doc.vulnerabilities[0], yields_permission="Read It"),)),
-        replace(doc, entry_grants=(Grant("GONE", "read"),)),
-        replace(doc, targets=("GONE",)),
+        doc._replace(objects=doc.objects + (doc.objects[0]._replace(),)),
+        doc._replace(objects=(doc.objects[0]._replace(layer="cloud"),) + doc.objects[1:]),
+        doc._replace(objects=(doc.objects[0]._replace(category="widget"),) + doc.objects[1:]),
+        doc._replace(attacks=(doc.attacks[0]._replace(object="GONE"),) + doc.attacks[1:]),
+        doc._replace(attacks=(doc.attacks[0]._replace(a_results=()),) + doc.attacks[1:]),
+        doc._replace(attacks=(doc.attacks[0]._replace(cost=-1.0),) + doc.attacks[1:]),
+        doc._replace(attacks=(doc.attacks[0]._replace(severity=-0.5),) + doc.attacks[1:]),
+        doc._replace(attacks=(doc.attacks[0]._replace(condition=(Grant("GONE", "read"),)),) + doc.attacks[1:]),
+        doc._replace(defenses=(doc.defenses[0]._replace(d_results=("NOPE",)),) + doc.defenses[1:]),
+        doc._replace(defenses=(doc.defenses[0]._replace(d_results=()),) + doc.defenses[1:]),
+        doc._replace(defenses=(doc.defenses[0]._replace(cost=-2.0),) + doc.defenses[1:]),
+        doc._replace(vulnerabilities=(doc.vulnerabilities[0]._replace(affects_category="widget"),)),
+        doc._replace(vulnerabilities=(doc.vulnerabilities[0]._replace(yields_permission="Read It"),)),
+        doc._replace(entry_grants=(Grant("GONE", "read"),)),
+        doc._replace(targets=("GONE",)),
     ]
     for i, mutant in enumerate(mutations):
         errors = [v for v in validate_scenario(mutant) if v.severity == "error"]
@@ -345,7 +352,7 @@ def test_derived_id_collision_is_violation(fixtures_dir):
     clash = AttackRecord(
         id="drv:VOS:OS1", object="OS1", a_results=(Grant("OS1", "read"),)
     )
-    broken = replace(doc, attacks=(clash,))
+    broken = doc._replace(attacks=(clash,))
     assert any("collides" in v.message for v in validate_scenario(broken))
     with pytest.raises(InvalidScenarioError):
         derive_attacks(broken)

@@ -54,7 +54,6 @@ import tarfile
 import tempfile
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -145,7 +144,7 @@ def genscen_commands(inputs: Path) -> list[list[str]]:
     from stratagraph.scenario import serialize_scenario
 
     targetless = inputs / "genscen-targetless.scenario"
-    targetless.write_text(serialize_scenario(replace(random_scenario(TARGETLESS_SEED), targets=())), encoding="utf-8")
+    targetless.write_text(serialize_scenario(random_scenario(TARGETLESS_SEED)._replace(targets=())), encoding="utf-8")
     commands = []
     for semantics in ("accumulated", "strict"):
         config = inputs / f"genscen-{semantics}.config"
