@@ -58,11 +58,9 @@ _EXPORTS = {
         "ScenarioError",
         "UnknownIdError",
         "Violation",
-        "VulnerabilityRecord",
     ),
     "scenario": (
         "SCHEMA_VERSION",
-        "derive_attacks",
         "load_scenario",
         "parse_scenario",
         "serialize_scenario",

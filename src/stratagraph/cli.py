@@ -6,13 +6,14 @@ human table (--format text, the default) or canonical JSON (--format json)
 to stdout. JSON output has sorted keys and 6-significant-digit floats, so
 identical inputs always produce identical bytes.
 
-Exit codes: 0 success, 1 usage/flag error, 2 invalid scenario, 3 infeasible
-defense plan, 4 internal error.
+Exit codes: 0 success, 1 usage/flag error or unwritable stdout, 2 invalid
+scenario, 3 infeasible defense plan, 4 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__, canon
@@ -36,6 +37,10 @@ EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_INFEASIBLE = 3
 EXIT_INTERNAL = 4
+
+
+class OutputError(Exception):
+    """Writing or flushing stdout failed, for example because the reader closed the pipe."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,6 +68,19 @@ def _table(headers, rows) -> str:
     return "\n".join(lines)
 
 
+def _write(*parts: str) -> None:
+    """Write the parts to stdout and flush it, so a closed stdout fails here, not at exit."""
+    try:
+        for part in parts:
+            sys.stdout.write(part)
+        sys.stdout.flush()
+    except OSError as exc:
+        # Drop whatever is still buffered: the interpreter's flush at exit
+        # would fail again and print an "Exception ignored" line.
+        sys.stdout = open(os.devnull, "w")
+        raise OutputError(exc) from exc
+
+
 def _emit(args, payload, text) -> None:
     """Write the output in the chosen format; only that format is built.
 
@@ -71,8 +89,7 @@ def _emit(args, payload, text) -> None:
     is written, so a failing command leaves stdout empty.
     """
     out = canon.dumps(payload()) if args.format == "json" else text()
-    sys.stdout.write(out)
-    sys.stdout.write("\n")
+    _write(out, "\n")
 
 
 def _load(args):
@@ -120,10 +137,12 @@ def cmd_validate(args) -> int:
 def cmd_graph(args) -> int:
     from .graphs import graphs_to_dict, graphs_to_dot
 
+    if args.dot and args.format == "json":
+        raise ConfigError("--dot writes DOT text; it cannot be combined with --format json")
     doc, _ = _load(args)
     graph = _graph(doc)
     if args.dot:
-        sys.stdout.write(graphs_to_dot(graph))
+        _write(graphs_to_dot(graph))
         return EXIT_OK
 
     def text():
@@ -388,6 +407,9 @@ def main(argv=None) -> int:
         return EXIT_INFEASIBLE
     except (ConfigError, UnknownIdError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OutputError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

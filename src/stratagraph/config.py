@@ -41,7 +41,6 @@ class _EngineFields(NamedTuple):
     # Above these sizes the defense planners switch from exact search to greedy.
     exact_defense_limit: int = 20
     exact_chain_limit: int = 64
-    derived_detect_prob: float = 1.0
     survivor_sample: int = 5
 
 
@@ -62,9 +61,6 @@ class EngineConfig(_Checked, _EngineFields):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.max_len < 1:
             raise ConfigError(f"max_len must be a positive integer, got {self.max_len!r}")
-        prob = self.derived_detect_prob
-        if isinstance(prob, bool) or not isinstance(prob, (int, float)) or not 0.0 <= prob <= 1.0:
-            raise ConfigError(f"derived_detect_prob must lie in [0,1], got {prob!r}")
         if self.exact_defense_limit < 0 or self.exact_chain_limit < 0 or self.survivor_sample < 0:
             raise ConfigError("limits must be non-negative")
         return self

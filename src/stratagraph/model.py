@@ -162,14 +162,6 @@ class DefenseRecord(NamedTuple):
     d_results: tuple[str, ...] = ()
 
 
-class VulnerabilityRecord(NamedTuple):
-    id: str
-    affects_category: str
-    yields_permission: str
-    exploit_cost: float = 1.0
-    severity: float = 1.0
-
-
 class ScenarioDoc(NamedTuple):
     """A fully parsed scenario file. Parsing does not validate semantics;
     run validate_scenario to get the violation report.
@@ -183,7 +175,6 @@ class ScenarioDoc(NamedTuple):
     relationships: tuple[RelationshipEdge, ...] = ()
     attacks: tuple[AttackRecord, ...] = ()
     defenses: tuple[DefenseRecord, ...] = ()
-    vulnerabilities: tuple[VulnerabilityRecord, ...] = ()
     entry_grants: tuple[Grant, ...] = ()
     targets: tuple[str, ...] = ()
     extensions: tuple[str, ...] = ()

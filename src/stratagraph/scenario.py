@@ -1,4 +1,4 @@
-"""Scenario file loading, validation, serialization, and attack derivation.
+"""Scenario file loading, validation and serialization.
 
 Scenario files are UTF-8 JSON; see docs/scenario.schema.json for the formal
 schema. load_scenario checks syntax and shape only. Semantic rules (dangling
@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 from . import canon
-from .config import DEFAULT_CONFIG, EngineConfig
 from .model import (
     LAYERS,
     VERTICAL_KINDS,
@@ -27,7 +26,6 @@ from .model import (
     RelationshipEdge,
     ScenarioDoc,
     Violation,
-    VulnerabilityRecord,
     normalize_permission,
     permission_problems,
 )
@@ -145,34 +143,6 @@ def _parse_defense(raw, where: str, unknown: list[str]) -> DefenseRecord:
     return rec
 
 
-def _parse_vulnerability(raw, where: str, unknown: list[str]) -> VulnerabilityRecord:
-    _expect(raw, dict, where)
-    raw = dict(raw)
-    rec = VulnerabilityRecord(
-        id=_expect(_take(raw, "id", where), str, f"{where}.id"),
-        affects_category=_expect(_take(raw, "affects_category", where), str, f"{where}.affects_category"),
-        yields_permission=normalize_permission(
-            _expect(_take(raw, "yields_permission", where), str, f"{where}.yields_permission")
-        ),
-        exploit_cost=_number(_take(raw, "exploit_cost", where, 1.0), f"{where}.exploit_cost"),
-        severity=_number(_take(raw, "severity", where, 1.0), f"{where}.severity"),
-    )
-    _leftover_keys(raw, where, unknown)
-    return rec
-
-
-_TOP_KEYS = (
-    "objects",
-    "relationships",
-    "attacks",
-    "defenses",
-    "vulnerabilities",
-    "entry_grants",
-    "targets",
-    "extensions",
-)
-
-
 def parse_scenario(text: str, source: str = "<string>") -> ScenarioDoc:
     """Parse scenario JSON text into a ScenarioDoc. Syntax/shape checks only."""
     if not text.strip():
@@ -195,9 +165,6 @@ def parse_scenario(text: str, source: str = "<string>") -> ScenarioDoc:
     )
     attacks = tuple(_parse_attack(a, f"attacks[{i}]", unknown) for i, a in enumerate(section("attacks")))
     defenses = tuple(_parse_defense(d, f"defenses[{i}]", unknown) for i, d in enumerate(section("defenses")))
-    vulnerabilities = tuple(
-        _parse_vulnerability(v, f"vulnerabilities[{i}]", unknown) for i, v in enumerate(section("vulnerabilities"))
-    )
     entry_grants = tuple(sorted(_parse_grant_list(_take(data, "entry_grants", source, []), "entry_grants")))
     targets_raw = _expect(_take(data, "targets", source, []), list, "targets")
     targets = tuple(sorted(_expect(t, str, f"targets[{i}]") for i, t in enumerate(targets_raw)))
@@ -212,7 +179,6 @@ def parse_scenario(text: str, source: str = "<string>") -> ScenarioDoc:
         relationships=relationships,
         attacks=attacks,
         defenses=defenses,
-        vulnerabilities=vulnerabilities,
         entry_grants=entry_grants,
         targets=targets,
         extensions=extensions,
@@ -251,16 +217,6 @@ def scenario_to_dict(doc: ScenarioDoc) -> dict:
         "attacks": [attack(a) for a in doc.attacks],
         "defenses": [
             {"id": d.id, "cost": d.cost, "method": d.method, "d_results": list(d.d_results)} for d in doc.defenses
-        ],
-        "vulnerabilities": [
-            {
-                "id": v.id,
-                "affects_category": v.affects_category,
-                "yields_permission": v.yields_permission,
-                "exploit_cost": v.exploit_cost,
-                "severity": v.severity,
-            }
-            for v in doc.vulnerabilities
         ],
         "entry_grants": list(doc.entry_grants),
         "targets": list(doc.targets),
@@ -358,13 +314,10 @@ def validate_scenario(doc: ScenarioDoc) -> tuple[Violation, ...]:
         linked.add((r.to_id, r.from_id))
 
     seen = set()
-    derived_ids = {f"drv:{v.id}:{o.id}" for v in doc.vulnerabilities for o in doc.objects if o.category == v.affects_category}
     for a in doc.attacks:
         if a.id in seen:
             out.append(Violation("error", "attack", a.id, f"duplicate attack id {a.id!r}"))
         seen.add(a.id)
-        if a.id in derived_ids:
-            out.append(Violation("error", "attack", a.id, f"attack id {a.id!r} collides with a derivable attack id"))
         if a.object not in ids:
             out.append(Violation("error", "attack", a.id, f"attacked object {a.object!r} does not exist"))
         if not a.a_results:
@@ -411,17 +364,6 @@ def validate_scenario(doc: ScenarioDoc) -> tuple[Violation, ...]:
     _check_total(out, "attacks", "attack severities", (a.severity for a in doc.attacks))
     _check_total(out, "defenses", "defense costs", (d.cost for d in doc.defenses))
 
-    seen = set()
-    for v in doc.vulnerabilities:
-        if v.id in seen:
-            out.append(Violation("error", "vulnerability", v.id, f"duplicate vulnerability id {v.id!r}"))
-        seen.add(v.id)
-        if v.affects_category not in categories:
-            out.append(Violation("error", "vulnerability", v.id, f"unknown category {v.affects_category!r}"))
-        _check_token(out, "vulnerability", v.id, v.yields_permission, "yields_permission")
-        _check_number(out, "vulnerability", v.id, "exploit_cost", v.exploit_cost)
-        _check_number(out, "vulnerability", v.id, "severity", v.severity)
-
     for g in doc.entry_grants:
         if g.object not in ids:
             out.append(Violation("error", "scenario", "entry_grants", f"entry grant object {g.object!r} does not exist"))
@@ -441,35 +383,3 @@ def require_valid(doc: ScenarioDoc) -> None:
     if errors:
         raise InvalidScenarioError(errors)
 
-
-# --- derivation --------------------------------------------------------------
-
-def derive_attacks(doc: ScenarioDoc, config: EngineConfig = DEFAULT_CONFIG) -> tuple[AttackRecord, ...]:
-    """Derive attack records from the vulnerability catalog.
-
-    One rule: a vulnerability spawns an attack on every object of its
-    category. The derived attack needs read access to the object, yields the
-    vulnerability's permission on it, and inherits its cost and severity.
-    Ids are deterministic ("drv:<vuln>:<object>"), so the result is stable
-    and repeatable; a collision with a hand-written attack id is a scenario
-    violation, never an overwrite.
-    """
-    require_valid(doc)
-    out = []
-    for v in doc.vulnerabilities:
-        for o in doc.objects:
-            if o.category != v.affects_category:
-                continue
-            out.append(
-                AttackRecord(
-                    id=f"drv:{v.id}:{o.id}",
-                    object=o.id,
-                    condition=(Grant(o.id, "read"),),
-                    method=f"exploit {v.id}",
-                    a_results=(Grant(o.id, v.yields_permission),),
-                    cost=v.exploit_cost,
-                    severity=v.severity,
-                    detect_prob=config.derived_detect_prob,
-                )
-            )
-    return tuple(out)

@@ -95,7 +95,6 @@ def random_scenario(seed: int, max_objects: int = 8, max_edges: int = 10, max_de
         relationships=tuple(relationships),
         attacks=tuple(attacks),
         defenses=tuple(defenses),
-        vulnerabilities=(),
         entry_grants=tuple(entry_grants),
         targets=targets,
     )
@@ -153,7 +152,6 @@ def coherent_scenario(seed: int, max_objects: int = 8) -> ScenarioDoc:
         relationships=(),
         attacks=tuple(attacks),
         defenses=tuple(defenses),
-        vulnerabilities=(),
         entry_grants=tuple(entry_grants),
         targets=(target,),
     )

@@ -53,6 +53,17 @@ def test_missing_file_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_unreadable_scenario_keeps_exit_2_and_its_message(capsys, tmp_path):
+    # A failed read is an invalid scenario, not a failed write of the output.
+    ghost = tmp_path / "ghost.scenario"
+    for argv in [("validate",), ("chains",), ("graph", "--dot")]:
+        assert run_cli(capsys, argv[0], "--scenario", str(ghost), *argv[1:]) == (
+            2,
+            "",
+            f"error: [Errno 2] No such file or directory: '{ghost}'\n",
+        ), argv
+
+
 def test_usage_error_exits_1(capsys, fixtures_dir):
     code, _, _ = run_cli(capsys, "validate")
     assert code == 1
@@ -252,6 +263,8 @@ ANALYSIS_COMMANDS = [
     ("risk",),
     ("simulate", "--defender", "reactive_cut", "--budget-per-turn", "2.5", "--runs", "2"),
 ]
+# graph --dot writes DOT text, so it refuses --format json.
+JSON_COMMANDS = [argv for argv in ANALYSIS_COMMANDS if "--dot" not in argv]
 
 
 @pytest.mark.parametrize("argv", [("validate",), *ANALYSIS_COMMANDS], ids=" ".join)
@@ -285,7 +298,7 @@ def test_json_output_never_builds_a_text_table(capsys, monkeypatch, fixtures_dir
 
     monkeypatch.setattr(stratagraph.cli, "_table", spy)
     toy = scen(fixtures_dir, "toy5g")
-    for argv in [("validate",), *ANALYSIS_COMMANDS]:
+    for argv in [("validate",), *JSON_COMMANDS]:
         code, out, _ = run_cli(capsys, argv[0], "--scenario", toy, "--format", "json", *argv[1:])
         assert code == 0 and out, argv
     assert tables == []
@@ -300,8 +313,6 @@ def test_json_output_never_builds_a_text_table(capsys, monkeypatch, fixtures_dir
         ("attacks", "severity"),
         ("attacks", "detect_prob"),
         ("defenses", "cost"),
-        ("vulnerabilities", "exploit_cost"),
-        ("vulnerabilities", "severity"),
     ],
 )
 def test_non_finite_scenario_number_exits_2_everywhere(capsys, fixtures_dir, tmp_path, section, key):
@@ -335,7 +346,7 @@ def test_overflowing_totals_exit_2_everywhere(capsys, fixtures_dir, tmp_path, se
     path.write_text(json.dumps(data))
     commands = [("validate",), *ANALYSIS_COMMANDS, ("defend", "--mode", "budget", "--budget", "1e308")]
     for argv in commands:
-        for fmt in ("json", "text"):
+        for fmt in ("text",) if "--dot" in argv else ("json", "text"):
             code, _, err = run_cli(capsys, argv[0], "--scenario", str(path), "--format", fmt, *argv[1:])
             assert code == 2, (argv, fmt)
             if argv[0] != "validate":
@@ -354,7 +365,8 @@ def test_costs_just_below_the_total_limit_still_simulate(capsys, fixtures_dir, t
     path = tmp_path / "big.scenario"
     path.write_text(json.dumps(data))
     for argv in [("validate",), *ANALYSIS_COMMANDS, ("simulate", "--runs", "5")]:
-        code, out, err = run_cli(capsys, argv[0], "--scenario", str(path), "--format", "json", *argv[1:])
+        fmt = "text" if "--dot" in argv else "json"
+        code, out, err = run_cli(capsys, argv[0], "--scenario", str(path), "--format", fmt, *argv[1:])
         assert code == 0, (argv, err)
     summary = json.loads(out)["summary"]
     assert 0 < summary["mean_attacker_cost"] < TOTAL_LIMIT
@@ -368,8 +380,6 @@ def test_costs_just_below_the_total_limit_still_simulate(capsys, fixtures_dir, t
         '{"max_len": 2.5}',
         '{"exact_chain_limit": false}',
         '{"survivor_sample": "3"}',
-        '{"derived_detect_prob": "0.5"}',
-        '{"derived_detect_prob": NaN}',
     ],
 )
 def test_config_types_checked(capsys, fixtures_dir, tmp_path, config):
@@ -378,6 +388,13 @@ def test_config_types_checked(capsys, fixtures_dir, tmp_path, config):
     code, _, err = run_cli(capsys, "chains", "--scenario", scen(fixtures_dir, "toy5g"), "--config", str(cfg))
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_unknown_config_key_exits_1(capsys, fixtures_dir, tmp_path):
+    cfg = tmp_path / "engine.json"
+    cfg.write_text('{"derived_detect_prob": 1.0}')
+    argv = ("chains", "--scenario", scen(fixtures_dir, "toy5g"), "--config", str(cfg))
+    assert run_cli(capsys, *argv) == (1, "", "error: unknown config keys: derived_detect_prob\n")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "infinity", "lots"])
@@ -433,6 +450,7 @@ def test_validate_reads_config_like_every_command(capsys, fixtures_dir, tmp_path
         ("defend", "--mode", "coverage", "--budget", "3"),
         ("simulate", "--budget-per-turn", "2"),
         ("simulate", "--defender", "none", "--budget-per-turn", "0"),
+        ("graph", "--dot", "--format", "json"),
     ],
     ids=lambda argv: " ".join(a or '""' for a in argv),
 )
@@ -469,7 +487,6 @@ def test_potential_walks_a_path_longer_than_the_recursion_limit(capsys, tmp_path
         "relationships": [{"from": a, "to": b, "kind": "management"} for a, b in zip(ids, ids[1:])],
         "attacks": [],
         "defenses": [],
-        "vulnerabilities": [],
         "entry_grants": [],
         "targets": [],
     }
@@ -493,3 +510,117 @@ def test_simulate_without_budget_per_turn_gives_the_game_zero(capsys, fixtures_d
         capsys, "simulate", "--scenario", toy, "--defender", "reactive_cut", "--budget-per-turn", "0", "--format", "json"
     )
     assert explicit == (0, out, "")
+
+
+def catalog_copy(fixtures_dir, tmp_path):
+    """toy5g with its old vulnerability catalog put back, written to tmp_path."""
+    data = json.loads((fixtures_dir / "toy5g.scenario").read_text())
+    data["vulnerabilities"] = [
+        {"id": "V1", "affects_category": "virtual-entity", "yields_permission": "execute",
+         "exploit_cost": 2.0, "severity": 4.5}
+    ]
+    path = tmp_path / "catalog.scenario"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_leftover_vulnerability_catalog_is_warned_about_and_ignored(capsys, fixtures_dir, tmp_path):
+    # A vulnerability catalog is an unknown key: one warning, and no answer changes.
+    toy = scen(fixtures_dir, "toy5g")
+    path = catalog_copy(fixtures_dir, tmp_path)
+    code, out, err = run_cli(capsys, "validate", "--scenario", path, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "valid": True,
+        "violations": [
+            {
+                "severity": "warning",
+                "record_class": "scenario",
+                "record_id": "unknown_keys",
+                "message": "unknown key 'vulnerabilities' ignored",
+            }
+        ],
+    }
+    for argv in [("chains",), ("defend", "--mode", "cut"), ("risk",)]:
+        assert run_cli(capsys, argv[0], "--scenario", path, *argv[1:]) == run_cli(
+            capsys, argv[0], "--scenario", toy, *argv[1:]
+        ), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv for argv in ANALYSIS_COMMANDS if argv not in [("chains",), ("defend", "--mode", "cut"), ("risk",)]],
+    ids=" ".join,
+)
+def test_leftover_vulnerability_catalog_changes_no_answer(capsys, fixtures_dir, tmp_path, argv):
+    path = catalog_copy(fixtures_dir, tmp_path)
+    toy = scen(fixtures_dir, "toy5g")
+    for fmt in ("text",) if "--dot" in argv else ("text", "json"):
+        with_catalog = run_cli(capsys, argv[0], "--scenario", path, "--format", fmt, *argv[1:])
+        assert with_catalog[0] == 0 and with_catalog[1], (argv, fmt)
+        assert with_catalog == run_cli(capsys, argv[0], "--scenario", toy, "--format", fmt, *argv[1:]), (argv, fmt)
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone: every write and flush raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [("validate",), *ANALYSIS_COMMANDS], ids=" ".join)
+def test_closed_stdout_exits_1_not_2(capsys, monkeypatch, fixtures_dir, argv):
+    import sys
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main([argv[0], "--scenario", scen(fixtures_dir, "toy5g"), *argv[1:]])
+    # The rest of the output goes to devnull, so the exit flush cannot fail.
+    assert not isinstance(sys.stdout, ClosedPipe)
+    sys.stdout.close()
+    assert code == 1
+    assert capsys.readouterr().err == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_pipe_exits_1_without_an_exit_flush_error(fixtures_dir, unbuffered):
+    # A real pipe whose read end is closed before the command writes: the
+    # write fails with EPIPE, and the interpreter's own flush at exit must not
+    # fail again with an "Exception ignored" line.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import stratagraph
+
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = str(Path(stratagraph.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "stratagraph.cli", "chains", "--scenario", scen(fixtures_dir, "toy5g")],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+
+def test_dot_with_explicit_text_format_still_prints_dot(capsys, fixtures_dir):
+    toy = scen(fixtures_dir, "toy5g")
+    code, out, err = run_cli(capsys, "graph", "--scenario", toy, "--dot", "--format", "text")
+    assert (code, err) == (0, "")
+    assert out.startswith("digraph")
+    assert (code, out, err) == run_cli(capsys, "graph", "--scenario", toy, "--dot")

@@ -15,8 +15,6 @@ BAD_FIELDS = [
     {"exact_defense_limit": -1},
     {"exact_chain_limit": "64"},
     {"survivor_sample": None},
-    {"derived_detect_prob": 1.5},
-    {"derived_detect_prob": float("nan")},
 ]
 
 
@@ -31,3 +29,9 @@ def test_bad_values_rejected_at_construction_and_replace(fields):
     with pytest.raises(ConfigError):
         config_from_dict(fields)
 
+
+def test_removed_derived_detect_prob_is_an_unknown_key():
+    with pytest.raises(ConfigError, match="^unknown config keys: derived_detect_prob$"):
+        config_from_dict({"derived_detect_prob": 1.0})
+    with pytest.raises(TypeError):
+        EngineConfig(derived_detect_prob=1.0)

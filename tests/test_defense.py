@@ -444,7 +444,7 @@ def tie_scenario():
         attack("atk6", "b", ("b", "read"), ("e", "read"), 1000000.0),
         attack("atk7", "b", ("b", "execute"), ("e", "write"), 1000000),
     )
-    return ScenarioDoc(objects, (), attacks, (), (), (Grant("a", "read"),), ("c",))
+    return ScenarioDoc(objects=objects, attacks=attacks, entry_grants=(Grant("a", "read"),), targets=("c",))
 
 
 @pytest.mark.parametrize("agg", ["sum", "max"])

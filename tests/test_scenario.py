@@ -4,15 +4,12 @@ import pytest
 
 from stratagraph import (
     Grant,
-    InvalidScenarioError,
     ParseError,
-    derive_attacks,
     load_scenario,
     parse_scenario,
     serialize_scenario,
     validate_scenario,
 )
-from stratagraph.config import EngineConfig
 
 import oracles
 from genscen import random_scenario
@@ -156,8 +153,6 @@ NON_FINITE_FIELDS = [
     ("attacks", "severity"),
     ("attacks", "detect_prob"),
     ("defenses", "cost"),
-    ("vulnerabilities", "exploit_cost"),
-    ("vulnerabilities", "severity"),
 ]
 
 
@@ -237,6 +232,43 @@ def test_round_trip_drops_unknown_keys():
     assert again == doc._replace(unknown_keys=())
 
 
+def test_leftover_vulnerability_catalog_is_an_unknown_key(fixtures_dir):
+    # A catalog in an old file loads, warns once, and leaves the document and
+    # its serialized bytes as they are without it.
+    import json
+
+    text = (fixtures_dir / "toy5g.scenario").read_text()
+    data = json.loads(text)
+    data["vulnerabilities"] = [
+        {"id": "V1", "affects_category": "virtual-entity", "yields_permission": "execute",
+         "exploit_cost": 2.0, "severity": 4.5}
+    ]
+    doc = parse_scenario(json.dumps(data))
+    plain = parse_scenario(text)
+    assert doc.unknown_keys == ("vulnerabilities",)
+    assert doc == plain._replace(unknown_keys=("vulnerabilities",))
+    assert [(v.severity, v.message) for v in validate_scenario(doc)] == [
+        ("warning", "unknown key 'vulnerabilities' ignored")
+    ]
+    assert serialize_scenario(doc) == serialize_scenario(plain)
+    assert "vulnerab" not in serialize_scenario(doc)
+
+
+def test_no_catalog_in_the_model_or_the_public_api():
+    import stratagraph
+    from stratagraph.config import EngineConfig
+    from stratagraph.model import ScenarioDoc
+
+    assert "vulnerabilities" not in ScenarioDoc._fields
+    assert len(EngineConfig._fields) == 7 and "derived_detect_prob" not in EngineConfig._fields
+    for name in ("VulnerabilityRecord", "derive_attacks"):
+        assert name not in stratagraph.__all__
+        with pytest.raises(AttributeError):
+            getattr(stratagraph, name)
+    with pytest.raises(TypeError):
+        ScenarioDoc(vulnerabilities=())
+
+
 def test_round_trip_identity_random():
     for seed in range(25):
         doc = random_scenario(seed)
@@ -258,8 +290,6 @@ def test_single_field_corruption_is_caught(toy5g):
         doc._replace(defenses=(doc.defenses[0]._replace(d_results=("NOPE",)),) + doc.defenses[1:]),
         doc._replace(defenses=(doc.defenses[0]._replace(d_results=()),) + doc.defenses[1:]),
         doc._replace(defenses=(doc.defenses[0]._replace(cost=-2.0),) + doc.defenses[1:]),
-        doc._replace(vulnerabilities=(doc.vulnerabilities[0]._replace(affects_category="widget"),)),
-        doc._replace(vulnerabilities=(doc.vulnerabilities[0]._replace(yields_permission="Read It"),)),
         doc._replace(entry_grants=(Grant("GONE", "read"),)),
         doc._replace(targets=("GONE",)),
     ]
@@ -311,48 +341,3 @@ def test_permission_aliases_normalize_at_load(multiedge):
     perms = [g.permission for g in doc.attacks[0].a_results]
     assert perms == ["read", "execute"]
 
-
-def test_derive_two_os_objects(fixtures_dir):
-    doc = load_scenario(fixtures_dir / "derive_os.scenario")
-    derived = derive_attacks(doc)
-    assert [a.id for a in derived] == ["drv:VOS:OS1", "drv:VOS:OS2"]
-    for rec in derived:
-        assert rec.condition == (Grant(rec.object, "read"),)
-        assert rec.a_results == (Grant(rec.object, "execute"),)
-        assert rec.cost == 3.0 and rec.severity == 7.0 and rec.detect_prob == 1.0
-
-
-def test_derive_respects_config_detect_prob(fixtures_dir):
-    doc = load_scenario(fixtures_dir / "derive_os.scenario")
-    derived = derive_attacks(doc, EngineConfig(derived_detect_prob=0.25))
-    assert all(a.detect_prob == 0.25 for a in derived)
-
-
-def test_derive_no_vulnerabilities_is_empty(minichain):
-    doc, _, _ = minichain
-    assert derive_attacks(doc) == ()
-
-
-def test_derive_yields_permission_on_matching_object(toy5g):
-    doc, _, _ = toy5g
-    derived = derive_attacks(doc)
-    assert [a.id for a in derived] == ["drv:V1:HV1"]
-    assert derived[0].a_results == (Grant("HV1", "execute"),)
-
-
-def test_derive_is_deterministic_and_idempotent(fixtures_dir):
-    doc = load_scenario(fixtures_dir / "derive_os.scenario")
-    assert derive_attacks(doc) == derive_attacks(doc)
-
-
-def test_derived_id_collision_is_violation(fixtures_dir):
-    doc = load_scenario(fixtures_dir / "derive_os.scenario")
-    from stratagraph.model import AttackRecord
-
-    clash = AttackRecord(
-        id="drv:VOS:OS1", object="OS1", a_results=(Grant("OS1", "read"),)
-    )
-    broken = doc._replace(attacks=(clash,))
-    assert any("collides" in v.message for v in validate_scenario(broken))
-    with pytest.raises(InvalidScenarioError):
-        derive_attacks(broken)

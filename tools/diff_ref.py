@@ -11,8 +11,10 @@ worktree, no network). One list of CLI commands then runs twice, as
 scenario files from the same directory, so paths in messages match. For
 each command the tool compares stdout, stderr and the exit code.
 
-The first command that differs is printed with both outputs and the tool
-exits 1; exit 0 means every command agreed byte for byte.
+Every command runs. Each one that differs is named on a `DIFFERS:` line,
+the first of them with both sides of its first differing lines, and a
+count closes the report; the tool then exits 1. Exit 0 means every command
+agreed byte for byte.
 
 Inputs, all generated from this checkout:
 - the three bench workloads (`bench/gen.py`) at seeds 1 and 2: the eight
@@ -37,8 +39,8 @@ Inputs, all generated from this checkout:
   inputs alike and show nowhere else;
 - error paths (`error_commands`): `--version`, `--help` of the tool and of
   each subcommand, an unknown or missing subcommand, a missing or malformed
-  scenario file, a missing `--config`, an infeasible cut, unknown ids and
-  out-of-range flag values.
+  scenario file, a missing `--config`, an infeasible cut, unknown ids,
+  out-of-range flag values and refused flag pairs.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ def bench_commands(inputs: Path) -> list[list[str]]:
             commands += [[*argv, "--format", "text"] for argv in bench]  # the last --format wins
             common = ["--scenario", str(path), "--config", str(config), "--format", "json"]
             commands += [
-                ["graph", *common, "--dot"],
+                ["graph", "--scenario", str(path), "--config", str(config), "--dot"],
                 ["chains", *common, "--objective", "min_cost"],
                 ["chains", *common, "--objective", "max_threat"],
                 ["chains", *common, "--unrestricted", "--max-len", str(UNRESTRICTED_MAX_LEN)],
@@ -266,6 +268,7 @@ def error_commands(inputs: Path) -> list[list[str]]:
         ["defend", "--scenario", toy, "--mode", "budget", "--budget", "nan"],
         ["defend", "--scenario", toy, "--mode", "budget"],
         ["simulate", "--scenario", toy, "--runs", "0"],
+        ["graph", "--scenario", toy, "--dot", "--format", "json"],
     ]
     return commands
 
@@ -313,19 +316,23 @@ def main(argv=None) -> int:
             return run(ROOT / "src", argv, inputs), run(ref_src, argv, inputs)
 
         exits = Counter()
+        differ = 0
         with ThreadPoolExecutor(max_workers=JOBS) as pool:
             for argv, (ours, theirs) in zip(commands, pool.map(both, commands)):
                 if ours == theirs:
                     exits[ours[0]] += 1
                     continue
-                pool.shutdown(wait=False, cancel_futures=True)
-                print(f"DIFFERS: {describe(argv)}")
-                print(f"  exit code: this tree {ours[0]}, {args.ref} {theirs[0]}")
-                for name, k in (("stderr", 2), ("stdout", 1)):
-                    if ours[k] != theirs[k]:
-                        print(first_difference(name, ours[k], theirs[k], args.ref))
-                return 1
+                differ += 1
+                print(f"DIFFERS: {describe(argv)}", flush=True)
+                if differ == 1:
+                    print(f"  exit code: this tree {ours[0]}, {args.ref} {theirs[0]}")
+                    for name, k in (("stderr", 2), ("stdout", 1)):
+                        if ours[k] != theirs[k]:
+                            print(first_difference(name, ours[k], theirs[k], args.ref), flush=True)
     codes = ", ".join(f"{n} exit {code}" for code, n in sorted(exits.items()))
+    if differ:
+        print(f"differ: {differ} of {len(commands)} commands; the other {len(commands) - differ} are identical ({codes})")
+        return 1
     print(f"identical: {len(commands)} commands ({codes}), same stdout, stderr and exit code as {args.ref}")
     return 0
 
