@@ -60,15 +60,30 @@ Wijesekera & Kaushik, CCS 2002), so the distance never exceeds what any
 valid chain needs, and the prune drops no chain. Unrestricted enumeration
 skips it.
 
-A walk given via grants yields only the chains that take a via step, one
-whose condition holds a via grant (`AttackGraph.needed_by` lists those
-steps). The reactive defender walks so with the grants the attacker won
-since its last prediction, because a chain that takes no via step met
-every condition without them. Until a prefix takes a via step it is
-extended only while its end can reach a goal through a via step in the
-length left. A second backward search, `_via_distance`, gives that
-distance: each via edge joins it at one more than the edges its end still
-needs by the first search. It ignores the same rules, so it is sound too.
+A walk given via grants, the grants won since an earlier walk, yields only
+the chains that are new: valid now and invalid under the old grants. The
+reactive defender walks so, because every other chain is one it found
+before. A chain is new exactly when one of its steps has a condition the
+old grants fail: the old entry plus what the chain earned so far under
+accumulated semantics, plus the previous pair under strict. So a prefix
+stays pending, carrying that old pool, while the old pool satisfies each
+step it takes, also a via step (one whose condition holds a via grant,
+listed by `AttackGraph.needed_by`): a chain can earn a won grant itself. A
+pending prefix is never emitted. The first step that only the old pool
+plus the won grants satisfy is a via step, and it moves the prefix to the
+full walk with the won grants added. A pending prefix is extended only
+while its end can reach a goal through a via step in the length left. A
+second backward search, `_via_distance`, gives that distance: each via
+edge joins it at one more than the edges its end still needs by the first
+search. It ignores the same rules, so it is sound too, and it is never
+below the goal distance, so a pending step table is a filter of the full
+one for the same (end, room) (`_pending_table`).
+
+The goal distances and the full step tables depend only on the goal and
+the blocked attacks. A walk context (`_walk_context`) keeps them for a
+caller's later walks to the same goal under the same blocked set: the
+reactive defender keeps one for a game, and renews it when a new defense
+grows the blocked set.
 """
 
 from __future__ import annotations
@@ -335,25 +350,41 @@ def _via_distance(graph: AttackGraph, goal, dist, via, blocked, limit: int) -> d
     return out
 
 
-def _step_table(graph: AttackGraph, end, room: int, goal, dist, blocked, push, pending=None) -> list[tuple]:
+def _walk_context(graph: AttackGraph, goal, blocked, context) -> tuple[dict | None, dict]:
+    """(goal distances, full step tables) for walks to goal under blocked.
+
+    context is a dict a caller keeps across walks, or None for a single
+    walk. It holds one entry, keyed by (goal, blocked), so a walk under
+    another goal or blocked set starts it afresh and never reads a stale
+    table. The tables map (end, room) to _step_table's table, which depends
+    on nothing else.
+    """
+    key = (goal, blocked)
+    kept = None if context is None else context.get(key)
+    if kept is None:
+        kept = (None if goal is None else _goal_distance(graph, goal, blocked)), {}
+        if context is not None:
+            context.clear()
+            context[key] = kept
+    return kept
+
+
+def _step_table(graph: AttackGraph, end, room: int, goal, dist, blocked) -> list[tuple]:
     """The steps worth trying from end with room edges left after them.
 
-    One (step record, emit, push or None) per step: adjacency, blocked
+    One (step record, emit, extend, None) per step: adjacency, blocked
     attacks, entry_only and goal reach are settled here once per (end,
     room), so the walk tests only the simple-path guard and the condition.
     end None is the empty chain's end, where every step is adjacent and
     entry_only steps may fire. emit says whether a chain ending on the
-    step's object is yielded, and the walk extends it by handing it to the
-    step's push: with goal None every step is emitted and pushed while
+    step's object is yielded, extend whether the walk pushes it to be
+    extended: with goal None every step is emitted, and extended while
     edges are left; with a goal set only a step onto a goal is emitted,
     only a step whose end can still reach a goal within room edges is
-    pushed, and a step that does neither is left out.
-
-    pending = (via edge ids, _via_distance, the pending stack's push) is
-    the table of a via walk's prefix that took no via step yet: a via step
-    is tried as above, while any other step is never emitted and is pushed
-    back onto the pending stack only when its end can still reach a goal
-    through a via step within room edges.
+    extended, and a step that does neither is left out. The last field is
+    a pending table's move (see _pending_table); a full table has none.
+    The table holds flags only, no stack, so one walk context can keep it
+    for every walk to the same goal under the same blocked set.
     """
     if end is None:
         records = graph.steps.values()
@@ -363,22 +394,43 @@ def _step_table(graph: AttackGraph, end, room: int, goal, dist, blocked, push, p
     for step in records:
         if step[3] in blocked or step[8] and end is not None:
             continue
-        to = step[1]
-        if pending is not None and step[0] not in pending[0]:
-            if pending[1].get(to, room + 1) <= room:
-                table.append((step, False, pending[2]))
-            continue
         if goal is None:
-            table.append((step, True, push if room > 0 else None))
+            table.append((step, True, room > 0, None))
             continue
+        to = step[1]
         emit = to in goal
         extend = dist.get(to, room + 1) <= room
         if emit or extend:
-            table.append((step, emit, push if extend else None))
+            table.append((step, emit, extend, None))
     return table
 
 
-def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfig, blocked, via=None):
+def _pending_table(full: list[tuple], room: int, opened, ahead) -> list[tuple]:
+    """A via walk's table for a pending prefix, filtered from the full table of its (end, room).
+
+    A pending prefix has taken no new step: its old pool met every
+    condition so far. One (step record, False, stay, move) per step:
+    - a step the old pool satisfies keeps the prefix pending, a via step
+      too. It is never emitted, and stay says whether it is pushed back
+      onto the pending stack: only when its end can still reach a goal
+      through a via step within room edges (ahead, _via_distance);
+    - move, for a via step (its edge id in opened) only, is the full
+      table's (emit, extend). It applies when only the old pool plus the
+      won grants satisfy the step: the prefix then moves to the full stack.
+    Any other step is left out. _via_distance is never below
+    _goal_distance, so every step kept is in the full table already.
+    """
+    table = []
+    for step, emit, extend, _ in full:
+        stay = ahead.get(step[1], room + 1) <= room
+        if step[0] in opened:
+            table.append((step, False, stay, (emit, extend)))
+        elif stay:
+            table.append((step, False, True, None))
+    return table
+
+
+def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfig, blocked, via=None, context=None):
     """Yield every chain prefix enumeration emits, depth first, not in canonical order.
 
     With goal None every valid prefix of at most config.max_len edges is
@@ -387,49 +439,76 @@ def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfi
     expanded (see the module docstring). One loop serves both modes and
     both semantics: _step_table settles what depends only on (end, room),
     and the loop applies the simple-path guard and the condition itself,
-    as _successors does.
+    as _successors does. context, a dict the caller keeps, lets walks to
+    the same goal under the same blocked set share their goal distances
+    and step tables (_walk_context).
 
-    via, a set of grants, yields only the chains that take a via step, one
-    whose condition holds a via grant (see the module docstring). A prefix
-    that took none sits on a pending stack and is extended only when its
-    end can reach a goal through a via step in the room left
-    (_via_distance); once it takes one it joins the full walk's stack. The
-    pending stack is drained first, as it feeds the other. Without via it
-    is empty, and the full walk pays no test for it.
+    via, the grants won since an earlier walk from entry - via, yields only
+    the chains that are new: invalid under the old grants (see the module
+    docstring). A pending prefix has taken no new step, and its pool is
+    the old one: the old entry plus what it earned under accumulated
+    semantics, plus the previous pair under strict. A step the old pool
+    satisfies keeps it pending, and a step only the old pool plus the won
+    grants satisfy moves it to the full walk's stack, the won grants added
+    to its grants (_pending_table). The pending stack is drained first, as
+    it feeds the other. Without via there is no pending stack.
     """
     max_len = config.max_len
     strict = config.semantics == "strict"
     use_max = config.threat_agg == "max"
-    dist = None if goal is None else _goal_distance(graph, goal, blocked)
+    dist, tables = _walk_context(graph, goal, blocked, context)
+
+    def full_table(end, room):
+        table = tables.get((end, room))
+        if table is None:
+            table = tables[end, room] = _step_table(graph, end, room, goal, dist, blocked)
+        return table
+
     stack = []  # prefixes every further step may extend (a full walk's)
+    push = stack.append
     if via is None:
         stack.append(_root(entry, config))
-        phases = [(stack, None)]
+        phases = [(stack, tables, full_table, entry)]
     else:
-        opened = {e for g in via for e in graph.needed_by.get(g, ())}
-        pending = [_root(entry, config)]
-        ahead = _via_distance(graph, goal, dist, opened, blocked, max_len - 1)
-        phases = [(pending, ({e.edge_id for e in opened}, ahead, pending.append)), (stack, None)]
-    push = stack.append
-    for todo, need in phases:
-        tables: dict = {}  # (end, room) -> _step_table
+        old = entry - via
+        won = entry - old
+        via_edges = {e for g in won for e in graph.needed_by.get(g, ())}
+        ahead = _via_distance(graph, goal, dist, via_edges, blocked, max_len - 1)
+        opened = {e.edge_id for e in via_edges}
+
+        def pending_table(end, room):
+            return _pending_table(full_table(end, room), room, opened, ahead)
+
+        phases = [([_root(old, config)], {}, pending_table, old), (stack, tables, full_table, entry)]
+    for todo, own, build, base in phases:
+        keep = todo.append
         pop = todo.pop
         while todo:
             edges, grants, fired, affected, end, pair, cost, threat, sig = pop()
             room = max_len - len(edges) - 1  # edges left after the next step
-            table = tables.get((end, room))
+            table = own.get((end, room))
             if table is None:
-                table = tables[end, room] = _step_table(graph, end, room, goal, dist, blocked, push, need)
+                table = own[end, room] = build(end, room)
             if not strict:
                 pool = grants
             else:
-                pool = entry if pair is None else entry | {pair}
-            for step, emit, extend in table:
+                pool = base if pair is None else base | {pair}
+            if base is not entry:  # a pending prefix; a move takes the won grants too
+                raised = grants | won
+                wider = raised if not strict else entry if pair is None else entry | {pair}
+            for step, emit, extend, move in table:
                 edge_id, to, condition, attack_id, results, step_cost, severity, mask, _, step_pair = step
-                if to in affected or not condition <= pool:
+                if to in affected:
+                    continue
+                if condition <= pool:
+                    held, into = grants, keep
+                elif move is not None and condition <= wider:
+                    # Only the won grants open this step: the chain is new.
+                    (emit, extend), held, into = move, raised, push
+                else:
                     continue
                 if attack_id in fired:
-                    prefix = (edges + (edge_id,), grants, fired, affected + (to,), to, step_pair, cost, threat, sig)
+                    prefix = (edges + (edge_id,), held, fired, affected + (to,), to, step_pair, cost, threat, sig)
                 else:
                     if use_max:
                         new_threat = severity if not fired or severity > threat else threat
@@ -437,7 +516,7 @@ def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfi
                         new_threat = threat + severity
                     prefix = (
                         edges + (edge_id,),
-                        grants | results,
+                        held | results,
                         fired + (attack_id,),
                         affected + (to,),
                         to,
@@ -449,7 +528,7 @@ def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfi
                 if emit:
                     yield prefix
                 if extend:
-                    extend(prefix)
+                    into(prefix)
 
 
 def enumerate_chains(
@@ -560,18 +639,14 @@ def generate_potential_chains(
     A hop is covered when some attack edge runs along it. Paths with no gap
     are ordinary chain material and are excluded. For each missing hop the
     suggestions are the records attacking an object of the hop's
-    from-category (the catalog is grouped by category once per call); when
-    the following hop is covered, records must also be able to grant what
-    that next attack requires on the hop's to-object.
+    from-category (AttackGraph.same_category_attacks); when the following
+    hop is covered, records must also be able to grant what that next
+    attack requires on the hop's to-object.
     """
     base = graph.base
     for oid in (from_id, to_id):
         if oid not in base.layers:
             raise UnknownIdError(f"unknown object {oid!r}")
-    by_id = graph.doc.object_by_id()
-    by_category: dict[str, list[AttackRecord]] = {}  # category of the attacked object -> records, by id
-    for record in graph.sorted_attacks:
-        by_category.setdefault(by_id[record.object].category, []).append(record)
 
     def covering_attacks(f: str, t: str) -> list[AttackRecord]:
         return [graph.attacks[e.attack_id] for e in graph.by_from.get(f, ()) if e.to_id == t]
@@ -579,7 +654,7 @@ def generate_potential_chains(
     def suggestions_for(f: str, t: str, nxt: str | None) -> tuple[str, ...]:
         next_needs = covering_attacks(t, nxt) if nxt is not None else []
         out = []
-        for record in by_category.get(by_id[f].category, ()):
+        for record in graph.same_category_attacks[f]:
             if next_needs:
                 perms = {g.permission for g in record.a_results}
                 if not any(

@@ -13,6 +13,7 @@ scenario, 3 infeasible defense plan, 4 internal error.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 
@@ -393,11 +394,20 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # argparse prints --help and --version itself and ignores a failed
+    # write, so it prints into a buffer here, which _write then copies to
+    # stdout under the same check as every command's output.
+    stdout, sys.stdout = sys.stdout, io.StringIO()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        args, code = None, exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    finally:
+        printed, sys.stdout = sys.stdout.getvalue(), stdout
     try:
+        if args is None:
+            _write(printed)
+            return code
         return args.func(args)
     except (ParseError, InvalidScenarioError, EmptyEntryGrantsError) as exc:
         print(f"error: {exc}", file=sys.stderr)

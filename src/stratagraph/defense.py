@@ -21,13 +21,13 @@ plan_budgeted and the reactive defender both plan in _budget_choice:
 _target_rows -> _kernel -> _choose. The reactive defender takes _target_rows
 on the first turn of a game only; on later turns _next_rows updates the
 last turn's rows: it drops the rows a new defense breaks and adds the
-chains that need a grant won since, which a walk given those grants finds
-(chains._walk's via). plan_cut weighs each row by its chain
-count and either runs _hitting_set_exact over the rows' signatures or
-calls the shared _greedy with an infinite budget: hits per cost over
-chains is row weight per cost. An AttackChain is built only to be
-printed, replayed from its edge ids: the survivor sample of a budget plan
-and the uncut chain of an infeasible cut.
+chains that are new under the grants won since, which a walk given those
+grants yields and nothing else (chains._walk's via). plan_cut weighs each
+row by its chain count and either runs _hitting_set_exact over the rows'
+signatures or calls the shared _greedy with an infinite budget: hits per
+cost over chains is row weight per cost. An AttackChain is built only to
+be printed, replayed from its edge ids: the survivor sample of a budget
+plan and the uncut chain of an infeasible cut.
 
 risk_assess reads the chain walk too: each emitted prefix updates its end
 object's count, maximum threat and minimum cost, and no chain is built.
@@ -157,14 +157,15 @@ def _row_order(row) -> tuple:
     return (len(row[0]), row[0])
 
 
-def _target_rows(graph: AttackGraph, entry, goal, blocked, config: EngineConfig) -> list[tuple]:
+def _target_rows(graph: AttackGraph, entry, goal, blocked, config: EngineConfig, context=None) -> list[tuple]:
     """(edge ids, signature, threat) per chain from entry to goal (every chain when goal is None).
 
     In canonical (length, edge ids) order; the signature is the one the
     walk carries on each prefix. No walk prefix is kept, since the garbage
-    collector would traverse its grant set on every pass.
+    collector would traverse its grant set on every pass. context is the
+    walk context a caller keeps across walks (chains._walk_context).
     """
-    found = [(p[0], p[8], p[7]) for p in _walk(graph, entry, goal, config, blocked)]
+    found = [(p[0], p[8], p[7]) for p in _walk(graph, entry, goal, config, blocked, None, context)]
     found.sort(key=_row_order)
     return found
 
@@ -172,30 +173,29 @@ def _target_rows(graph: AttackGraph, entry, goal, blocked, config: EngineConfig)
 def _next_rows(graph: AttackGraph, last, entry, mask: int, goal, blocked, config: EngineConfig) -> list[tuple]:
     """_target_rows(graph, entry, goal, blocked, config), updated from an earlier turn's rows.
 
-    last = (grants, defense mask, rows): the rows _target_rows gave for
-    those grants under the attacks the defenses in that mask neutralize,
-    with the same goal and config. mask is the defenses applied now, and
+    last = (grants, defense mask, rows, walk context): the rows _target_rows
+    gave for those grants under the attacks the defenses in that mask
+    neutralize, with the same goal and config, and the walk context that
+    the walks of the game share. mask is the defenses applied now, and
     blocked the attacks they neutralize. Grants and defenses only grow
     within a game, and the rows hold then for both:
     - an old chain survives unless a new defense breaks it, which its
       signature tells;
-    - a chain under the new grants either takes a step whose condition
-      holds a grant won since, which the via walk finds, or it met every
-      condition under the old grants and is an old chain.
-    A via chain that was an old chain already is kept once. The merged
-    rows are sorted into canonical order, so _kernel sums the same weights
-    in the same order as after a fresh walk.
+    - a chain under the new grants either was valid under the old grants
+      and is an old chain, or it is new, and the via walk yields exactly
+      the new chains.
+    So the kept rows and the added rows share no chain. The merged rows
+    are sorted into canonical order, so _kernel sums the same weights in
+    the same order as after a fresh walk.
     """
-    grants, old_mask, rows = last
+    grants, old_mask, rows, context = last
     if not grants <= entry or old_mask & ~mask:
         raise RuntimeError("chain rows can only be updated to more grants and more defenses")
     new = mask & ~old_mask
     found = [row for row in rows if not row[1] & new]
     won = entry - grants
     if won:
-        kept = {row[0] for row in found}
-        walk = _walk(graph, entry, goal, config, blocked, won)
-        added = [(p[0], p[8], p[7]) for p in walk if p[0] not in kept]
+        added = [(p[0], p[8], p[7]) for p in _walk(graph, entry, goal, config, blocked, won, context)]
         if added:
             found += added
             found.sort(key=_row_order)

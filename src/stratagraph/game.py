@@ -17,9 +17,15 @@ CCS 2002). So run_game keeps the defender's last prediction, the grants,
 the applied defenses' mask and the chain rows, for the length of one game,
 and each later turn updates those rows (defense._next_rows) instead of
 walking every chain again, as incremental attack-graph analysis updates a
-graph after a change (Saha, CCS 2008). The update gives the rows a fresh
-walk would, in the same order, so the plans are the same. The first
-prediction of a game is a full walk.
+graph after a change (Saha, CCS 2008): it walks only the chains the grants
+won since make new. The update gives the rows a fresh walk would, in the
+same order, so the plans are the same. The first prediction of a game is a
+full walk.
+
+The prediction also holds the game's walk context (chains._walk_context):
+the goal distances and step tables that every walk of the game shares
+while the blocked set stays the same. A turn that buys a defense grows the
+blocked set, and the next walk builds them again for it.
 """
 
 from __future__ import annotations
@@ -205,7 +211,8 @@ def run_game(
     fired: list[str] = []
     neutralized: frozenset[str] = frozenset()
     applied_defenses: set[str] = set()
-    last = None  # the defender's last prediction: (grants, defense mask, rows)
+    last = None  # the defender's last prediction: (grants, defense mask, rows, walk context)
+    context: dict = {}  # the walk context every prediction of this game shares
     detected_any = False
     attacker_cost = 0.0
     defender_cost = 0.0
@@ -244,10 +251,10 @@ def run_game(
             held = frozenset(grants)
             mask = graph.defense_mask(applied_defenses)
             if last is None:
-                found = _target_rows(graph, held, targets, neutralized, config)
+                found = _target_rows(graph, held, targets, neutralized, config, context)
             else:
                 found = _next_rows(graph, last, held, mask, targets, neutralized, config)
-            last = (held, mask, found)
+            last = (held, mask, found, context)
             chosen, _ = _budget_choice(graph, game.defender_budget_per_turn, found, config)
             new_defenses = tuple(d for d in chosen if d not in applied_defenses)
             if new_defenses:

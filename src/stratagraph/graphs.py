@@ -13,6 +13,8 @@ the defense index. The records are compiled on first use, once per graph,
 so the commands that walk no chain never pay for them. So is `needed_by`,
 which maps each grant to the edges of the attacks whose condition holds it:
 the reactive defender finds through it the steps a newly won grant opens.
+So is `same_category_attacks`, the catalog grouped by the category of the
+attacked object, from which potential chains draw their suggestions.
 """
 
 from __future__ import annotations
@@ -144,6 +146,19 @@ class AttackGraph(_AttackGraphFields):
             for need in self.steps[e.edge_id][2]:
                 needed.setdefault(need, []).append(e)
         return {g: tuple(edges) for g, edges in needed.items()}
+
+    @cached_property
+    def same_category_attacks(self) -> dict[str, tuple[AttackRecord, ...]]:
+        """Object id -> the records attacking any object of its category, by id.
+
+        The objects of one category share one tuple.
+        """
+        category = {o.id: o.category for o in self.doc.objects}
+        groups: dict[str, list[AttackRecord]] = {}
+        for record in self.sorted_attacks:
+            groups.setdefault(category[record.object], []).append(record)
+        shared = {c: tuple(records) for c, records in groups.items()}
+        return {oid: shared.get(c, ()) for oid, c in category.items()}
 
     def edge(self, edge_id: str) -> AttackEdge:
         found = self.by_id.get(edge_id)

@@ -584,11 +584,8 @@ def test_closed_stdout_exits_1_not_2(capsys, monkeypatch, fixtures_dir, argv):
     assert capsys.readouterr().err == "error: cannot write output: [Errno 32] Broken pipe\n"
 
 
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-def test_closed_pipe_exits_1_without_an_exit_flush_error(fixtures_dir, unbuffered):
-    # A real pipe whose read end is closed before the command writes: the
-    # write fails with EPIPE, and the interpreter's own flush at exit must not
-    # fail again with an "Exception ignored" line.
+def run_into_closed_pipe(argv, unbuffered):
+    """Run the CLI with a stdout pipe whose read end is closed before it writes."""
     import os
     import subprocess
     import sys
@@ -604,8 +601,8 @@ def test_closed_pipe_exits_1_without_an_exit_flush_error(fixtures_dir, unbuffere
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "stratagraph.cli", "chains", "--scenario", scen(fixtures_dir, "toy5g")],
+        return subprocess.run(
+            [sys.executable, "-m", "stratagraph.cli", *argv],
             stdout=write_end,
             stderr=subprocess.PIPE,
             env=env,
@@ -614,6 +611,24 @@ def test_closed_pipe_exits_1_without_an_exit_flush_error(fixtures_dir, unbuffere
         )
     finally:
         os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_pipe_exits_1_without_an_exit_flush_error(fixtures_dir, unbuffered):
+    # The write fails with EPIPE, and the interpreter's own flush at exit
+    # must not fail again with an "Exception ignored" line.
+    proc = run_into_closed_pipe(["chains", "--scenario", scen(fixtures_dir, "toy5g")], unbuffered)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [("--help",), ("--version",), ("simulate", "--help")], ids=" ".join)
+def test_help_and_version_into_a_closed_pipe_exit_1(argv, unbuffered):
+    # argparse prints these itself and ignores a failed write; they must
+    # fail like any command's output, not exit 0 having printed nothing
+    # or 120 after an "Exception ignored" line at exit.
+    proc = run_into_closed_pipe(argv, unbuffered)
     assert proc.returncode == 1
     assert proc.stderr == "error: cannot write output: [Errno 32] Broken pipe\n"
 

@@ -502,9 +502,10 @@ def test_next_rows_equal_a_fresh_walk_at_every_step(seed, coherent, semantics, a
     # the fresh rows, in the same order. Each step draws what the attacker
     # won (nothing, grants some step needs, or only grants no step needs)
     # and the new defenses (none, some, or every one, which breaks every
-    # breakable old row). The via walk must also expand a prefix that has
-    # taken no via step only where its end can still reach a goal through
-    # one: every table it builds for such a prefix is checked by definition.
+    # breakable old row). The updates share one walk context, as a game's
+    # do. The via walk must also push back a prefix that has taken no new
+    # step only where its end can still reach a goal through a via step:
+    # every such push of every table it builds is checked by definition.
     doc = coherent_scenario(seed) if coherent else random_scenario(seed, max_objects=6, max_edges=14)
     graph = build_attack_graph(doc, build_base_graph(doc))
     cfg = EngineConfig(semantics=semantics, max_len=max_len, threat_agg=agg)
@@ -516,19 +517,20 @@ def test_next_rows_equal_a_fresh_walk_at_every_step(seed, coherent, semantics, a
     }
     won_from["unneeded"] = [g for g in won_from["unneeded"] if g not in graph.needed_by]
     defenses = [d.id for d in graph.sorted_defenses]
-    pending_keys = []
-    build = chains_module._step_table
+    stays = []
+    build = chains_module._pending_table
 
-    def spy(graph, end, room, goal, dist, blocked, push, pending=None):
-        if pending is not None and end is not None:
-            pending_keys.append((end, room))
-        return build(graph, end, room, goal, dist, blocked, push, pending)
+    def spy(full, room, opened, ahead):
+        table = build(full, room, opened, ahead)
+        stays.extend((step[1], room) for step, _, stay, _ in table if stay)
+        return table
 
     grants = frozenset(doc.entry_grants)
     applied = frozenset()
-    last = (grants, 0, _target_rows(graph, grants, goal, frozenset(), cfg))
+    context = {}
+    last = (grants, 0, _target_rows(graph, grants, goal, frozenset(), cfg, context), context)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(chains_module, "_step_table", spy)
+        patch.setattr(chains_module, "_pending_table", spy)
         for _ in range(data.draw(st.integers(1, 5), label="turns")):
             pool = won_from[data.draw(st.sampled_from(sorted(won_from)), label="kind")]
             won = data.draw(st.frozensets(st.sampled_from(pool), max_size=3) if pool else st.just(frozenset()))
@@ -540,18 +542,90 @@ def test_next_rows_equal_a_fresh_walk_at_every_step(seed, coherent, semantics, a
             mask = graph.defense_mask(applied)
             blocked = neutralized_attacks(graph, applied)
             via = won - grants
-            pending_keys.clear()
+            stays.clear()
             rows = _next_rows(graph, last, grants | won, mask, goal, blocked, cfg)
             grants |= won
             assert rows == _target_rows(graph, grants, goal, blocked, cfg)
-            for end, room in pending_keys:
-                steps = via_steps_to_goal(doc, end, goal, via, blocked)
-                assert steps is not None and steps <= room + 1, (end, room)
+            for to, room in stays:
+                steps = via_steps_to_goal(doc, to, goal, via, blocked)
+                assert steps is not None and steps <= room, (to, room)
             if rows != last[2]:
                 event("rows changed")
             if defend == "all" and any(sig for _, sig, _ in last[2]):
                 event("every breakable old row broken")
-            last = (grants, mask, rows)
+            last = (grants, mask, rows, context)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 10**6),
+    coherent=st.booleans(),
+    semantics=st.sampled_from(("accumulated", "strict")),
+    agg=st.sampled_from(("sum", "max")),
+    max_len=st.integers(1, 5),
+    to_goal=st.booleans(),
+    data=st.data(),
+)
+def test_via_walk_yields_exactly_the_new_chains(seed, coherent, semantics, agg, max_len, to_goal, data):
+    # A walk given the grants won since an earlier walk yields the chains
+    # that are valid now and invalid under the old grants, by replay, each
+    # once, and no other chain. So the rows _next_rows adds share no edge
+    # tuple with the rows it keeps, and it needs no dedup set to merge them.
+    doc = coherent_scenario(seed) if coherent else random_scenario(seed, max_objects=6, max_edges=14)
+    graph = build_attack_graph(doc, build_base_graph(doc))
+    cfg = EngineConfig(semantics=semantics, max_len=max_len, threat_agg=agg)
+    goal = frozenset(doc.targets) if to_goal else None
+    edges = oracles.oracle_edges(doc)
+    old = frozenset(doc.entry_grants)
+    needed = sorted(set(graph.needed_by) - old)
+    won = data.draw(st.frozensets(st.sampled_from(needed), min_size=1, max_size=3) if needed else st.just(frozenset()))
+    defenses = [d.id for d in graph.sorted_defenses]
+    applied = data.draw(st.frozensets(st.sampled_from(defenses), max_size=2) if defenses else st.just(frozenset()))
+    mask = graph.defense_mask(applied)
+    blocked = neutralized_attacks(graph, applied)
+    entry = old | won
+
+    walked = list(chains_module._walk(graph, entry, goal, cfg, blocked, won))
+    yielded = [p[0] for p in walked]
+    for seq in yielded:
+        assert oracles.replay(doc, edges, seq, semantics, entry) is not None, seq
+        assert oracles.replay(doc, edges, seq, semantics, old) is None, seq
+    fresh = [p[0] for p in chains_module._walk(graph, entry, goal, cfg, blocked)]
+    new = [seq for seq in fresh if oracles.replay(doc, edges, seq, semantics, old) is None]
+    assert sorted(yielded) == sorted(new)
+
+    last = (old, 0, _target_rows(graph, old, goal, frozenset(), cfg), None)
+    kept = [row for row in last[2] if not row[1] & mask]
+    added = [(p[0], p[8], p[7]) for p in walked]
+    assert not {row[0] for row in kept} & {row[0] for row in added}
+    merged = sorted(kept + added, key=lambda row: (len(row[0]), row[0]))
+    assert _next_rows(graph, last, entry, mask, goal, blocked, cfg) == merged
+    if yielded and len(yielded) < len(fresh):
+        event("old and new chains")
+
+
+@pytest.mark.parametrize("semantics", ["accumulated", "strict"])
+def test_via_walk_keeps_a_chain_pending_through_a_won_grant_it_earned(semantics):
+    # b.read and c.write are won. atk1 earns b.read itself, so atk2 after it
+    # takes a step the old pool satisfies, and the chain is still old; only
+    # atk3, which needs c.write, makes it new. The walk must keep the
+    # prefix pending through atk2 to find that chain.
+    objects = tuple(ObjectRecord(o, "service", "application-software", "") for o in "abcd")
+
+    def attack(aid, obj, need, result):
+        return AttackRecord(aid, obj, (Grant(*need),), "", (Grant(*result),), cost=1.0, severity=1.0)
+
+    attacks = (
+        attack("atk1", "a", ("a", "read"), ("b", "read")),
+        attack("atk2", "b", ("b", "read"), ("c", "read")),
+        attack("atk3", "c", ("c", "write"), ("d", "read")),
+    )
+    old = frozenset({Grant("a", "read")})
+    doc = ScenarioDoc(objects=objects, attacks=attacks, entry_grants=tuple(old), targets=("d",))
+    graph = build_attack_graph(doc, build_base_graph(doc))
+    won = frozenset({Grant("b", "read"), Grant("c", "write")})
+    walk = chains_module._walk(graph, old | won, frozenset("d"), EngineConfig(semantics=semantics), frozenset(), won)
+    assert sorted(p[0] for p in walk) == [("atk1#0", "atk2#0", "atk3#0"), ("atk2#0", "atk3#0"), ("atk3#0",)]
 
 
 def test_next_rows_refuses_fewer_grants_or_defenses(toy5g):
@@ -564,7 +638,7 @@ def test_next_rows_refuses_fewer_grants_or_defenses(toy5g):
     won = entry | {Grant("APP1", "read")}
     rows = _target_rows(graph, won, goal, frozenset(), EngineConfig())
     with pytest.raises(RuntimeError):
-        _next_rows(graph, (won, 0, rows), entry, 0, goal, frozenset(), EngineConfig())
+        _next_rows(graph, (won, 0, rows, None), entry, 0, goal, frozenset(), EngineConfig())
     mask = graph.defense_mask(["D1"])
     with pytest.raises(RuntimeError):
-        _next_rows(graph, (entry, mask, rows), entry, 0, goal, frozenset(), EngineConfig())
+        _next_rows(graph, (entry, mask, rows, None), entry, 0, goal, frozenset(), EngineConfig())

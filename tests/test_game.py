@@ -246,9 +246,9 @@ def test_reactive_defender_enumerates_under_engine_semantics(toy5g, monkeypatch)
     seen = []
     real = defense_module._walk
 
-    def spy(graph, entry, goal, config, blocked, via=None):
+    def spy(graph, entry, goal, config, blocked, via=None, context=None):
         seen.append((config.semantics, via))
-        return real(graph, entry, goal, config, blocked, via)
+        return real(graph, entry, goal, config, blocked, via, context)
 
     monkeypatch.setattr(defense_module, "_walk", spy)
     _, _, graph = toy5g
@@ -301,6 +301,94 @@ def test_reactive_defender_rows_equal_a_fresh_walk_on_every_turn(seed, semantics
         run_batch(graph, game, 2, config)
     if updates:
         event("rows updated")
+
+
+def test_reactive_defender_keeps_its_walk_context_while_the_blocked_set_holds(monkeypatch):
+    # The blocked set only grows within a game, so the defender's walks keep
+    # their goal distances and full step tables while it holds:
+    # _goal_distance runs once per distinct blocked set a game walks under,
+    # not once per walk. Every pending table of a via walk is the kept full
+    # table of its (end, room), which must be what a fresh scan under the
+    # current blocked set gives, filtered by _via_distance.
+    import stratagraph.chains as chains_module
+    import stratagraph.game as game_module
+
+    goal_distance, step_table, pending_table = (
+        chains_module._goal_distance,
+        chains_module._step_table,
+        chains_module._pending_table,
+    )
+    real_target, real_next = game_module._target_rows, game_module._next_rows
+    distances = []  # the blocked set of every _goal_distance call
+    pending = []  # (full, room, opened, ahead, table) of every pending table built
+    blocked_sets = []  # the blocked set of every walk
+    checked = 0
+
+    def spy_distance(graph, goal, blocked):
+        distances.append(blocked)
+        return goal_distance(graph, goal, blocked)
+
+    def spy_pending(full, room, opened, ahead):
+        table = pending_table(full, room, opened, ahead)
+        pending.append((full, room, opened, ahead, table))
+        return table
+
+    def spy_target(graph, entry, goal, blocked, config, context=None):
+        blocked_sets.append(blocked)
+        return real_target(graph, entry, goal, blocked, config, context)
+
+    def spy_next(graph, last, entry, mask, goal, blocked, config):
+        nonlocal checked
+        pending.clear()
+        rows = real_next(graph, last, entry, mask, goal, blocked, config)
+        if entry == last[0]:  # nothing won, nothing walked
+            assert not pending
+            return rows
+        blocked_sets.append(blocked)
+        ((key, (dist, tables)),) = last[3].items()
+        assert key == (goal, blocked)
+        assert dist == goal_distance(graph, goal, blocked)
+        where = {id(table): at for at, table in tables.items()}
+        via = {e for g in entry - last[0] for e in graph.needed_by.get(g, ())}
+        opened = {e.edge_id for e in via}
+        ahead = chains_module._via_distance(graph, goal, dist, via, blocked, config.max_len - 1)
+        for full, room, got_opened, got_ahead, table in pending:
+            end, at_room = where[id(full)]
+            assert at_room == room and (got_opened, got_ahead) == (opened, ahead)
+            assert full == step_table(graph, end, room, goal, dist, blocked)
+            stays = {step[0]: ahead.get(step[1], room + 1) <= room for step, _, _, _ in full}
+            assert table == [
+                (step, False, stays[step[0]], (emit, extend) if step[0] in opened else None)
+                for step, emit, extend, _ in full
+                if step[0] in opened or stays[step[0]]
+            ]
+            checked += 1
+        return rows
+
+    monkeypatch.setattr(chains_module, "_goal_distance", spy_distance)
+    monkeypatch.setattr(chains_module, "_pending_table", spy_pending)
+    monkeypatch.setattr(game_module, "_target_rows", spy_target)
+    monkeypatch.setattr(game_module, "_next_rows", spy_next)
+    walks = searches = 0
+    for seed in range(100):
+        doc = random_scenario(seed, max_objects=8, max_edges=24)
+        entry = tuple(g for g in doc.entry_grants if g.object not in doc.targets)
+        if not entry or not doc.targets:
+            continue
+        doc = doc._replace(entry_grants=entry, attacks=tuple(a._replace(detect_prob=1.0) for a in doc.attacks))
+        graph = rebuild(doc)
+        for budget in (0.0, 2.0):
+            game = GameConfig(
+                max_turns=8, attacker_policy="random", defender_policy="reactive_cut",
+                defender_budget_per_turn=budget, rng_seed=seed,
+            )
+            distances.clear()
+            blocked_sets.clear()
+            run_game(graph, game, EngineConfig(max_len=4))
+            assert len(distances) == len(set(blocked_sets))
+            walks += len(blocked_sets)
+            searches += len(distances)
+    assert checked > 100 and searches < walks, (checked, searches, walks)
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -21,8 +21,9 @@ Inputs, all generated from this checkout:
   bench commands in JSON and in text, plus `graph --dot`, `min_cost`,
   `max_threat`, `--unrestricted`, strict, coverage and `threat_agg max`
   variants, among them the bench's reactive `simulate` under strict
-  semantics, under `threat_agg max`, under `budget_objective count` and
-  under the `greedy_cheapest` and `max_threat` attackers, and a strict
+  semantics, under `threat_agg max`, under `budget_objective count`,
+  under the `greedy_cheapest` and `max_threat` attackers, with a zero
+  budget per turn and as one game of up to 40 turns, and a strict
   `defend --mode cut`;
 - `tests/genscen.py` scenarios, random and coherent, under both semantics,
   each with a random attacker's reactive `simulate` of 3 runs of up to
@@ -130,6 +131,10 @@ def bench_commands(inputs: Path) -> list[list[str]]:
                 simulate_count,
                 [*simulate, "--attacker", "greedy_cheapest"],  # the last --attacker wins
                 [*simulate, "--attacker", "max_threat"],
+                # The defender's walk context: kept for every turn when no
+                # defense is ever bought, and renewed many times in long games.
+                [*simulate, "--budget-per-turn", "0"],
+                [*simulate, "--runs", "1", "--max-turns", "40"],
             ]
             agg = ["--scenario", str(path), "--config", str(agg_max), "--format", "json"]
             commands += [
