@@ -14,20 +14,22 @@ immediately preceding edge, the literal adjacent-edge rule. A chain's cost
 and threat count each distinct attack once, even when several of its edges
 appear on the chain.
 
-The rules run over step records that the attack graph compiles once, on
-first use (`AttackGraph.steps`): one plain tuple per attack edge holding
-what a step reads (to object, condition, attack, results, cost, severity,
-the attack's defense mask, entry_only and the pair the edge grants), also
-grouped by from-object (`AttackGraph.steps_from`). `_walk`, the one
-depth-first walk that yields every chain enumeration emits as a bare
-prefix tuple, applies the rules in its own loop. For each (end, room) it
-meets, the object a prefix ends on and the edges left after the next
-step, `_step_table` settles once what depends only on that key:
+The rules run over the attack edges (`AttackGraph.edges`, grouped by
+from-object in `AttackGraph.by_from`), each of which carries what a step
+reads: to object, condition, attack, results, cost, severity, the
+attack's defense mask, entry_only and the pair the edge grants. `_walk`,
+the one depth-first walk that yields every chain enumeration emits as a
+bare prefix tuple, applies the rules in its own loop. For each (end,
+room) it meets, the object a prefix ends on and the edges left after the
+next step, `_step_table` settles once what depends only on that key:
 adjacency, blocked attacks, entry_only and whether a step's end is
-emitted or can still reach a goal. The loop then tests only the
-simple-path guard and the condition, and fires the attack. Each prefix
-carries its cost, threat and defense signature (the OR of its attacks'
-defense masks), so a finished chain is never re-summed.
+emitted or can still reach a goal. Its entries are plain tuples, an
+edge's fields followed by those flags, which the loop unpacks in one go:
+CPython unpacks an exact tuple several times faster than a named tuple.
+The loop then tests only the simple-path guard and the condition, and
+fires the attack. Each prefix carries its cost, threat and defense
+signature (the OR of its attacks' defense masks), so a finished chain is
+never re-summed.
 
 `_successors` applies the same rules to one prefix at a time, naming the
 first rule each rejected candidate breaks: the validity check feeds it one
@@ -35,7 +37,7 @@ edge at a time for the rejection reasons, and min-cost search pops
 prefixes from a heap and extends them with it. The walk does not call it,
 because a call per expansion costs most of what the fused loop saves: on
 the reactive-sim-M bench workload (2-vCPU host, in process), the same
-records behind a per-expansion step function took walk time from 0.43 s
+step records behind a per-expansion step function took walk time from 0.43 s
 to 0.39 s, the fused loop to 0.32-0.34 s. tests/test_chains.py pins the
 two rule sites to each other.
 
@@ -176,10 +178,10 @@ def _root(entry: frozenset[Grant], config: EngineConfig) -> tuple:
 
 
 def _successors(graph: AttackGraph, prefix, candidates, entry, config: EngineConfig, blocked, why=None) -> list:
-    """The valid one-edge extensions of prefix, one step record at a time.
+    """The valid one-edge extensions of prefix, one attack edge at a time.
 
-    candidates=None tries every step adjacent to the prefix's end (every
-    step for the empty prefix). When why is a list, the reason each
+    candidates=None tries every edge adjacent to the prefix's end (every
+    edge for the empty prefix). When why is a list, the reason each
     rejected candidate fails is appended to it, naming the first rule it
     breaks. Cost and threat grow by each newly fired attack in firing
     order, as a sum over fired attacks would (or a max of severities under
@@ -191,49 +193,48 @@ def _successors(graph: AttackGraph, prefix, candidates, entry, config: EngineCon
     else:
         pool = grants
     if candidates is None:
-        candidates = graph.steps.values() if end is None else graph.steps_from.get(end, ())
+        candidates = graph.edges if end is None else graph.by_from.get(end, ())
     use_max = config.threat_agg == "max"
-    attacks = graph.attacks
     out = []
-    for step in candidates:
-        edge_id, to, condition, attack_id, results, step_cost, severity, mask, entry_only, step_pair = step
-        record = attacks[attack_id]
-        if end is not None and record.object != end:
-            fault = "not adjacent: previous edge ends at {end}, this one starts at {record.object}"
+    for edge in candidates:
+        to, attack_id = edge.to_id, edge.attack_id
+        if end is not None and edge.from_id != end:
+            fault = "not adjacent: previous edge ends at {end}, this one starts at {edge.from_id}"
         elif to in affected:
             fault = "object {to} already affected (chain must stay simple)"
-        elif entry_only and end is not None:
-            fault = "attack {record.id} is entry-only and cannot fire mid-chain"
+        elif edge.entry_only and end is not None:
+            fault = "attack {edge.attack_id} is entry-only and cannot fire mid-chain"
         elif attack_id in blocked:
-            fault = "attack {record.id} is blocked"
-        elif not condition <= pool:
+            fault = "attack {edge.attack_id} is blocked"
+        elif not edge.condition <= pool:
             fault = "unsatisfied <{need.object}, {need.permission}>"
         else:
-            path = edges + (edge_id,)
+            path = edges + (edge.edge_id,)
             if attack_id in fired:
-                out.append((path, grants, fired, affected + (to,), to, step_pair, cost, threat, sig))
+                out.append((path, grants, fired, affected + (to,), to, edge.grant, cost, threat, sig))
                 continue
             if use_max:
-                new_threat = severity if not fired or severity > threat else threat
+                new_threat = edge.severity if not fired or edge.severity > threat else threat
             else:
-                new_threat = threat + severity
+                new_threat = threat + edge.severity
             out.append(
                 (
                     path,
-                    grants | results,
+                    grants | edge.results,
                     fired + (attack_id,),
                     affected + (to,),
                     to,
-                    step_pair,
-                    cost + step_cost,
+                    edge.grant,
+                    cost + edge.cost,
                     new_threat,
-                    sig | mask,
+                    sig | edge.defense_mask,
                 )
             )
             continue
         if why is not None:
-            need = next((n for n in record.condition if n not in pool), None)
-            why.append(fault.format(end=end, to=to, record=record, need=need))
+            # The first unmet grant in the attack record's condition order.
+            need = next((n for n in graph.attacks[attack_id].condition if n not in pool), None)
+            why.append(fault.format(end=end, to=to, edge=edge, need=need))
     return out
 
 
@@ -245,12 +246,12 @@ def _chain(prefix) -> AttackChain:
 def _replay(graph, edge_ids, config, entry_grants) -> tuple[ChainCheck, tuple]:
     """Feed edge_ids through the successor step one at a time: (check, last prefix)."""
     entry = _entry_grants(graph, entry_grants)
-    records = [graph.steps[graph.edge(eid).edge_id] for eid in edge_ids]  # graph.edge raises on an unknown id
+    edges = [graph.edge(eid) for eid in edge_ids]  # raises on an unknown id before any step
     prefix = _root(entry, config)
     states = [AttackerState(tuple(sorted(entry)), ())]
-    for i, record in enumerate(records):
+    for i, edge in enumerate(edges):
         why: list[str] = []
-        step = _successors(graph, prefix, (record,), entry, config, frozenset(), why)
+        step = _successors(graph, prefix, (edge,), entry, config, frozenset(), why)
         if not step:
             return ChainCheck(False, tuple(states), failed_index=i, reason=why[0]), prefix
         prefix = step[0]
@@ -372,10 +373,11 @@ def _walk_context(graph: AttackGraph, goal, blocked, context) -> tuple[dict | No
 def _step_table(graph: AttackGraph, end, room: int, goal, dist, blocked) -> list[tuple]:
     """The steps worth trying from end with room edges left after them.
 
-    One (step record, emit, extend, None) per step: adjacency, blocked
+    One entry per step, the plain tuple of the edge's fields followed by
+    (emit, extend, None), which _walk unpacks in one go: adjacency, blocked
     attacks, entry_only and goal reach are settled here once per (end,
     room), so the walk tests only the simple-path guard and the condition.
-    end None is the empty chain's end, where every step is adjacent and
+    end None is the empty chain's end, where every edge is adjacent and
     entry_only steps may fire. emit says whether a chain ending on the
     step's object is yielded, extend whether the walk pushes it to be
     extended: with goal None every step is emitted, and extended while
@@ -386,22 +388,18 @@ def _step_table(graph: AttackGraph, end, room: int, goal, dist, blocked) -> list
     The table holds flags only, no stack, so one walk context can keep it
     for every walk to the same goal under the same blocked set.
     """
-    if end is None:
-        records = graph.steps.values()
-    else:
-        records = graph.steps_from.get(end, ())
     table = []
-    for step in records:
-        if step[3] in blocked or step[8] and end is not None:
+    for edge in graph.edges if end is None else graph.by_from.get(end, ()):
+        if edge.attack_id in blocked or edge.entry_only and end is not None:
             continue
         if goal is None:
-            table.append((step, True, room > 0, None))
+            table.append(edge + (True, room > 0, None))  # a named tuple plus a tuple is an exact tuple
             continue
-        to = step[1]
+        to = edge.to_id
         emit = to in goal
         extend = dist.get(to, room + 1) <= room
         if emit or extend:
-            table.append((step, emit, extend, None))
+            table.append(edge + (emit, extend, None))
     return table
 
 
@@ -409,7 +407,8 @@ def _pending_table(full: list[tuple], room: int, opened, ahead) -> list[tuple]:
     """A via walk's table for a pending prefix, filtered from the full table of its (end, room).
 
     A pending prefix has taken no new step: its old pool met every
-    condition so far. One (step record, False, stay, move) per step:
+    condition so far. Each entry is the full entry's edge fields followed by
+    (False, stay, move):
     - a step the old pool satisfies keeps the prefix pending, a via step
       too. It is never emitted, and stay says whether it is pushed back
       onto the pending stack: only when its end can still reach a goal
@@ -418,15 +417,17 @@ def _pending_table(full: list[tuple], room: int, opened, ahead) -> list[tuple]:
       table's (emit, extend). It applies when only the old pool plus the
       won grants satisfy the step: the prefix then moves to the full stack.
     Any other step is left out. _via_distance is never below
-    _goal_distance, so every step kept is in the full table already.
+    _goal_distance, so every step kept is in the full table already, and
+    one that stays is extended there too: a full entry that is not emitted
+    already reads (False, True, None), and is kept as it is.
     """
     table = []
-    for step, emit, extend, _ in full:
-        stay = ahead.get(step[1], room + 1) <= room
-        if step[0] in opened:
-            table.append((step, False, stay, (emit, extend)))
+    for entry in full:  # entry[0] is the edge id, entry[3] its to object, entry[-3] its emit
+        stay = ahead.get(entry[3], room + 1) <= room
+        if entry[0] in opened:
+            table.append(entry[:-3] + (False, stay, entry[-3:-1]))
         elif stay:
-            table.append((step, False, True, None))
+            table.append(entry[:-3] + (False, True, None) if entry[-3] else entry)
     return table
 
 
@@ -496,8 +497,10 @@ def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfi
             if base is not entry:  # a pending prefix; a move takes the won grants too
                 raised = grants | won
                 wider = raised if not strict else entry if pair is None else entry | {pair}
-            for step, emit, extend, move in table:
-                edge_id, to, condition, attack_id, results, step_cost, severity, mask, _, step_pair = step
+            for (
+                edge_id, attack_id, _, to, _, step_cost, severity, _,
+                condition, results, mask, _, step_pair, emit, extend, move,
+            ) in table:
                 if to in affected:
                     continue
                 if condition <= pool:

@@ -85,8 +85,12 @@ def load_config(path: str | Path) -> EngineConfig:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except RecursionError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: nested too deeply") from exc
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal longer than int() converts
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(data)

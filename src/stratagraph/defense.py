@@ -109,10 +109,7 @@ def chain_signature(graph: AttackGraph, chain: AttackChain) -> int:
     """Mask of the defenses that break the chain."""
     sig = 0
     for eid in chain.edges:
-        step = graph.steps.get(eid)
-        if step is None:
-            raise UnknownIdError(f"unknown attack edge {eid!r}")
-        sig |= step[7]  # the attack's defense mask
+        sig |= graph.edge(eid).defense_mask
     return sig
 
 

@@ -6,15 +6,15 @@ The attack graph is independent of that topology: every a_result of every
 attack record becomes one directed edge from the attacked object to the
 affected object, so a record with k results contributes exactly k edges.
 
-The attack graph also compiles one step record per edge for the chain walk
-(see chains.py): a plain tuple of the fields a chain step reads, so the
-walk unpacks one tuple instead of reading an edge, its attack record and
-the defense index. The records are compiled on first use, once per graph,
-so the commands that walk no chain never pay for them. So is `needed_by`,
-which maps each grant to the edges of the attacks whose condition holds it:
-the reactive defender finds through it the steps a newly won grant opens.
-So is `same_category_attacks`, the catalog grouped by the category of the
-attacked object, from which potential chains draw their suggestions.
+Each attack edge also carries what a chain step reads off its attack
+record and the defense index (condition, results, defense mask,
+entry_only and the pair it grants), filled once when the graph is built,
+so the chain walk reads one edge and nothing else (see chains.py). Two
+indexes are built on first use, once per graph: `needed_by` maps each
+grant to the edges of the attacks whose condition holds it, and the
+reactive defender finds through it the steps a newly won grant opens;
+`same_category_attacks` groups the catalog by the category of the
+attacked object, and potential chains draw their suggestions from it.
 """
 
 from __future__ import annotations
@@ -57,6 +57,8 @@ class HierarchicalGraph(NamedTuple):
 
 
 class AttackEdge(NamedTuple):
+    """One a_result of one attack record, from the attacked object; as_dict leaves out the fields after detect_prob."""
+
     edge_id: str
     attack_id: str
     from_id: str
@@ -65,6 +67,11 @@ class AttackEdge(NamedTuple):
     cost: float
     severity: float
     detect_prob: float
+    condition: frozenset[Grant]  # the attack's condition
+    results: frozenset[Grant]  # all of the attack's a_results, granted when it fires
+    defense_mask: int  # the defenses neutralizing the attack (see defense_bits)
+    entry_only: bool
+    grant: Grant  # Grant(to_id, permission), the pair this edge grants
 
     def as_dict(self) -> dict:
         return {
@@ -96,7 +103,7 @@ class _AttackGraphFields(NamedTuple):
 
 
 class AttackGraph(_AttackGraphFields):
-    """The attack graph, its indexes and its step records.
+    """The attack graph and its indexes.
 
     A named tuple subclass without __slots__, so each instance has the
     __dict__ that the cached properties below fill once per graph.
@@ -108,42 +115,11 @@ class AttackGraph(_AttackGraphFields):
         return self.base.doc
 
     @cached_property
-    def steps(self) -> dict[str, tuple]:
-        """Edge id -> the edge's step record, in edge-id order.
-
-        A step record is the plain tuple (edge id, to object, condition
-        frozenset, attack id, a_results frozenset, cost, severity, the
-        attack's defense mask, entry_only, the pair Grant(to object,
-        permission) the edge grants).
-        """
-        records = {}
-        for a in self.attacks.values():
-            shared = (
-                frozenset(a.condition),
-                a.id,
-                frozenset(a.a_results),
-                a.cost,
-                a.severity,
-                self.attack_defenses[a.id],
-                a.entry_only,
-            )
-            for i, result in enumerate(a.a_results):
-                edge_id = f"{a.id}#{i}"
-                records[edge_id] = (edge_id, result.object, *shared, result)
-        return {e.edge_id: records[e.edge_id] for e in self.edges}
-
-    @cached_property
-    def steps_from(self) -> dict[str, tuple[tuple, ...]]:
-        """Object id -> the step records of the edges leaving it, in edge-id order."""
-        steps = self.steps
-        return {obj: tuple(steps[e.edge_id] for e in edges) for obj, edges in self.by_from.items()}
-
-    @cached_property
     def needed_by(self) -> dict[Grant, tuple[AttackEdge, ...]]:
         """Grant -> the edges of the attacks whose condition holds it, in edge-id order."""
         needed: dict[Grant, list[AttackEdge]] = {}
         for e in self.edges:
-            for need in self.steps[e.edge_id][2]:
+            for need in e.condition:
                 needed.setdefault(need, []).append(e)
         return {g: tuple(edges) for g, edges in needed.items()}
 
@@ -196,21 +172,19 @@ def build_attack_graph(doc: ScenarioDoc, base: HierarchicalGraph) -> AttackGraph
     """The attack graph of doc on its base graph, which build_base_graph(doc) validated."""
     if base.doc is not doc:
         raise ValueError("the base graph was built from another scenario document")
+    sorted_defenses = tuple(sorted(doc.defenses, key=lambda d: d.id))
+    defense_bits = {d.id: 1 << k for k, d in enumerate(sorted_defenses)}
+    attack_defenses = {a.id: 0 for a in doc.attacks}
+    for d in sorted_defenses:
+        for aid in d.d_results:
+            attack_defenses[aid] |= defense_bits[d.id]
     edges = []
     for record in doc.attacks:
+        condition, results = frozenset(record.condition), frozenset(record.a_results)
+        shared = (record.cost, record.severity, record.detect_prob, condition, results, attack_defenses[record.id])
         for i, result in enumerate(record.a_results):
-            edges.append(
-                AttackEdge(
-                    edge_id=f"{record.id}#{i}",
-                    attack_id=record.id,
-                    from_id=record.object,
-                    to_id=result.object,
-                    permission=result.permission,
-                    cost=record.cost,
-                    severity=record.severity,
-                    detect_prob=record.detect_prob,
-                )
-            )
+            head = (f"{record.id}#{i}", record.id, record.object, result.object, result.permission)
+            edges.append(AttackEdge(*head, *shared, record.entry_only, result))
     edges.sort(key=lambda e: e.edge_id)
     by_from: dict[str, list[AttackEdge]] = {}
     by_to: dict[str, list[AttackEdge]] = {}
@@ -219,12 +193,6 @@ def build_attack_graph(doc: ScenarioDoc, base: HierarchicalGraph) -> AttackGraph
         by_from.setdefault(e.from_id, []).append(e)
         by_to.setdefault(e.to_id, []).append(e)
         by_attack.setdefault(e.attack_id, []).append(e)
-    sorted_defenses = tuple(sorted(doc.defenses, key=lambda d: d.id))
-    defense_bits = {d.id: 1 << k for k, d in enumerate(sorted_defenses)}
-    attack_defenses = {a.id: 0 for a in doc.attacks}
-    for d in sorted_defenses:
-        for aid in d.d_results:
-            attack_defenses[aid] |= defense_bits[d.id]
     return AttackGraph(
         base=base,
         edges=tuple(edges),

@@ -51,7 +51,11 @@ def _number(value, where: str) -> float:
     # bool is an int subclass; reject it explicitly.
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{where}: expected number, got {type(value).__name__}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        # Caught in parse_scenario, which names the file.
+        raise OverflowError(f"{where}: integer too large for a float") from None
 
 
 _REQUIRED = object()
@@ -151,6 +155,10 @@ def parse_scenario(text: str, source: str = "<string>") -> ScenarioDoc:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{source}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{source}: JSON nested too deeply") from exc
+    except ValueError as exc:  # an integer literal longer than int() converts
+        raise ParseError(f"{source}: {exc}") from exc
     _expect(data, dict, source)
     data = dict(data)
     unknown: list[str] = []
@@ -163,8 +171,11 @@ def parse_scenario(text: str, source: str = "<string>") -> ScenarioDoc:
     relationships = tuple(
         _parse_relationship(r, f"relationships[{i}]", unknown) for i, r in enumerate(section("relationships"))
     )
-    attacks = tuple(_parse_attack(a, f"attacks[{i}]", unknown) for i, a in enumerate(section("attacks")))
-    defenses = tuple(_parse_defense(d, f"defenses[{i}]", unknown) for i, d in enumerate(section("defenses")))
+    try:
+        attacks = tuple(_parse_attack(a, f"attacks[{i}]", unknown) for i, a in enumerate(section("attacks")))
+        defenses = tuple(_parse_defense(d, f"defenses[{i}]", unknown) for i, d in enumerate(section("defenses")))
+    except OverflowError as exc:
+        raise ParseError(f"{source}: {exc}") from exc
     entry_grants = tuple(sorted(_parse_grant_list(_take(data, "entry_grants", source, []), "entry_grants")))
     targets_raw = _expect(_take(data, "targets", source, []), list, "targets")
     targets = tuple(sorted(_expect(t, str, f"targets[{i}]") for i, t in enumerate(targets_raw)))
@@ -188,7 +199,10 @@ def parse_scenario(text: str, source: str = "<string>") -> ScenarioDoc:
 
 def load_scenario(path: str | Path) -> ScenarioDoc:
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     return parse_scenario(text, source=str(path))
 
 

@@ -496,3 +496,33 @@ def test_walk_and_successor_step_apply_the_same_rules(seed, coherent, semantics,
         best = min(walked, key=lambda p: (p[6], len(p[0]), p[0]), default=None)
         want = None if best is None else chain_from_edges(graph, best[0], cfg, entry)
         assert search_chain(graph, ChainObjective("min_cost"), cfg, blocked, entry) == want
+
+
+def test_walk_tables_hold_plain_tuples(monkeypatch):
+    # The walk unpacks every table entry in its inner loop, and CPython
+    # unpacks an exact tuple several times faster than a named tuple, so
+    # no table, full or pending, may hold an AttackEdge or any other tuple
+    # subclass. Via walks build both kinds.
+    built = {"_step_table": [], "_pending_table": []}
+    for name, tables in built.items():
+
+        def spy(*args, build=getattr(chains_module, name), tables=tables):
+            table = build(*args)
+            tables.append(table)
+            return table
+
+        monkeypatch.setattr(chains_module, name, spy)
+    for seed in range(40):
+        doc = random_scenario(seed, max_objects=7, max_edges=14)
+        graph = build_attack_graph(doc, build_base_graph(doc))
+        entry = frozenset(doc.entry_grants)
+        won = frozenset(sorted(graph.needed_by)[::2]) - entry
+        for goal in (frozenset(doc.targets), None):
+            for semantics in ("accumulated", "strict"):
+                cfg = EngineConfig(semantics=semantics, max_len=4)
+                list(chains_module._walk(graph, entry, goal, cfg, frozenset()))
+                list(chains_module._walk(graph, entry | won, goal, cfg, frozenset(), via=won))
+    for name, tables in built.items():
+        entries = [entry for table in tables for entry in table]
+        assert len(entries) > 200, name
+        assert {type(entry) for entry in entries} == {tuple}, name

@@ -372,6 +372,44 @@ def test_costs_just_below_the_total_limit_still_simulate(capsys, fixtures_dir, t
     assert 0 < summary["mean_attacker_cost"] < TOTAL_LIMIT
 
 
+def _toy_with(fixtures_dir, section, key, literal):
+    """The toy5g scenario text with one number of its first section record written as literal."""
+    data = json.loads((fixtures_dir / "toy5g.scenario").read_text())
+    data[section][0][key] = "NUMBER"
+    return json.dumps(data).replace('"NUMBER"', literal)
+
+
+DEEP = "[" * 200_000 + "]" * 200_000
+MALFORMED_INPUTS = {
+    # name: (file, exit code, bytes of the file, given the fixtures directory)
+    "scenario-not-utf8": ("scenario", 2, lambda f: b'{"objects": [], "label": "\xff"}'),
+    "scenario-nested-deep": ("scenario", 2, lambda f: DEEP.encode()),
+    "scenario-5000-digit-int": ("scenario", 2, lambda f: _toy_with(f, "attacks", "cost", "9" * 5000).encode()),
+    "scenario-attack-cost-1e400": ("scenario", 2, lambda f: _toy_with(f, "attacks", "cost", str(10**400)).encode()),
+    "scenario-defense-cost-1e400": ("scenario", 2, lambda f: _toy_with(f, "defenses", "cost", str(10**400)).encode()),
+    "config-not-utf8": ("config", 1, lambda f: b'{"semantics": "\xff"}'),
+    "config-nested-deep": ("config", 1, lambda f: DEEP.encode()),
+    "config-5000-digit-int": ("config", 1, lambda f: b'{"max_len": ' + b"9" * 5000 + b"}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_files_get_their_exit_code_and_name_the_file(capsys, fixtures_dir, tmp_path, case):
+    # A scenario that cannot be read as JSON numbers is an invalid scenario
+    # (exit 2), a config one a usage error (exit 1), never an internal
+    # error (exit 4), and the message says which file is at fault.
+    kind, want, content = MALFORMED_INPUTS[case]
+    path = tmp_path / f"{case}.{kind}"
+    path.write_bytes(content(fixtures_dir))
+    if kind == "scenario":
+        argv = ("validate", "--scenario", str(path))
+    else:
+        argv = ("chains", "--scenario", scen(fixtures_dir, "toy5g"), "--config", str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (want, "")
+    assert err.startswith("error: ") and str(path) in err and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize(
     "config",
     [

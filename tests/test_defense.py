@@ -522,7 +522,7 @@ def test_next_rows_equal_a_fresh_walk_at_every_step(seed, coherent, semantics, a
 
     def spy(full, room, opened, ahead):
         table = build(full, room, opened, ahead)
-        stays.extend((step[1], room) for step, _, stay, _ in table if stay)
+        stays.extend((to, room) for _, _, _, to, *_, stay, _ in table if stay)
         return table
 
     grants = frozenset(doc.entry_grants)

@@ -356,11 +356,11 @@ def test_reactive_defender_keeps_its_walk_context_while_the_blocked_set_holds(mo
             end, at_room = where[id(full)]
             assert at_room == room and (got_opened, got_ahead) == (opened, ahead)
             assert full == step_table(graph, end, room, goal, dist, blocked)
-            stays = {step[0]: ahead.get(step[1], room + 1) <= room for step, _, _, _ in full}
+            stays = {edge_id: ahead.get(to, room + 1) <= room for edge_id, _, _, to, *_ in full}
             assert table == [
-                (step, False, stays[step[0]], (emit, extend) if step[0] in opened else None)
-                for step, emit, extend, _ in full
-                if step[0] in opened or stays[step[0]]
+                (*edge, False, stays[edge[0]], (emit, extend) if edge[0] in opened else None)
+                for *edge, emit, extend, _ in full
+                if edge[0] in opened or stays[edge[0]]
             ]
             checked += 1
         return rows

@@ -4,6 +4,7 @@ import pytest
 import stratagraph.scenario
 from stratagraph import (
     AttackChain,
+    AttackEdge,
     EngineConfig,
     InvalidScenarioError,
     UnknownIdError,
@@ -206,9 +207,9 @@ def test_attack_defense_index_matches_d_results(toy5g, hitting_trio):
             bits = graph.attack_defenses[a.id]
             assert {d.id for k, d in enumerate(graph.sorted_defenses) if bits >> k & 1} == names
         assert set(graph.attack_defenses) == {a.id for a in doc.attacks}
-        # Each edge's step record carries its attack's mask, and a chain's
-        # signature is their OR.
-        assert all(graph.steps[e.edge_id][7] == graph.attack_defenses[e.attack_id] for e in graph.edges)
+        # Each edge carries its attack's mask, and a chain's signature is
+        # their OR.
+        assert all(e.defense_mask == graph.attack_defenses[e.attack_id] for e in graph.edges)
         for c in enumerate_chains(graph, config=EngineConfig(max_len=3)) if doc.entry_grants else ():
             expected = graph.defense_mask(
                 {d.id for d in doc.defenses for eid in c.edges if graph.by_id[eid].attack_id in d.d_results}
@@ -220,29 +221,40 @@ def test_attack_defense_index_matches_d_results(toy5g, hitting_trio):
 
 
 def test_step_records_compile_every_edge(toy5g, strictmode):
-    # The chain walk reads a step record in place of the edge, its attack
-    # record and the defense index, so each record must hold those fields,
-    # keyed and ordered like graph.edges and grouped like graph.by_from.
+    # The chain walk reads an attack edge in place of its attack record and
+    # the defense index, so each edge must hold those fields, in the order
+    # the walk unpacks them, and the graph must list and group the edges
+    # the way the walk's step tables take them.
+    assert AttackEdge._fields == (
+        "edge_id", "attack_id", "from_id", "to_id", "permission", "cost", "severity", "detect_prob",
+        "condition", "results", "defense_mask", "entry_only", "grant",
+    )
     graphs = [toy5g[2], strictmode[2]]
     for seed in range(50):
         doc = random_scenario(seed)
         graphs.append(build_attack_graph(doc, build_base_graph(doc)))
     for graph in graphs:
-        assert list(graph.steps) == [e.edge_id for e in graph.edges]
+        ids = [f"{a.id}#{i}" for a in graph.doc.attacks for i in range(len(a.a_results))]
+        assert [e.edge_id for e in graph.edges] == sorted(ids)
         for e in graph.edges:
             a = graph.attacks[e.attack_id]
-            assert graph.steps[e.edge_id] == (
-                e.edge_id,
-                e.to_id,
-                frozenset(a.condition),
+            i = int(e.edge_id.rpartition("#")[2])
+            assert e == (
+                f"{a.id}#{i}",
                 a.id,
-                frozenset(a.a_results),
+                a.object,
+                a.a_results[i].object,
+                a.a_results[i].permission,
                 a.cost,
                 a.severity,
+                a.detect_prob,
+                frozenset(a.condition),
+                frozenset(a.a_results),
                 graph.attack_defenses[a.id],
                 a.entry_only,
                 Grant(e.to_id, e.permission),
             )
-        assert graph.steps_from == {
-            obj: tuple(graph.steps[e.edge_id] for e in edges) for obj, edges in graph.by_from.items()
+            assert graph.by_id[e.edge_id] is e
+        assert graph.by_from == {
+            obj: tuple(e for e in graph.edges if e.from_id == obj) for obj in {e.from_id for e in graph.edges}
         }

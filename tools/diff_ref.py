@@ -38,6 +38,12 @@ Inputs, all generated from this checkout:
   path))` of every scenario above. Each scenario is written by this
   checkout's serializer, so a serializer drift would change both sides'
   inputs alike and show nowhere else;
+- explicit chains (`coverage_commands`): `defend --mode coverage --chain`
+  on toy5g and on the reactive-sim-M bench workload at seed 1, with a
+  valid chain, the same chain without its second edge (its replay stops
+  there), a chain whose first edge's condition the entry grants do not
+  hold, and an unknown edge id. A failing chain prints the reason its
+  replay stops;
 - error paths (`error_commands`): `--version`, `--help` of the tool and of
   each subcommand, an unknown or missing subcommand, a missing or malformed
   scenario file, a missing `--config`, an infeasible cut, unknown ids,
@@ -224,6 +230,26 @@ def large_number_commands(inputs: Path) -> list[list[str]]:
     return commands
 
 
+def coverage_commands(inputs: Path) -> list[list[str]]:
+    """`defend --mode coverage --chain` runs: each chain is replayed edge by edge, then covered."""
+    from stratagraph import ChainObjective, build_attack_graph, build_base_graph, load_scenario, search_chain
+
+    toy = ROOT / "tests" / "fixtures" / "toy5g.scenario"
+    bench = inputs / "reactive-sim-M-seed1.scenario"  # written by bench_commands
+    doc = load_scenario(bench)
+    bench_chain = search_chain(build_attack_graph(doc, build_base_graph(doc)), ChainObjective("min_cost")).edges
+    commands = []
+    for path, chain in ((toy, ("A1#0", "A2#1", "A4#0")), (bench, bench_chain)):
+        coverage = ["defend", "--scenario", str(path), "--mode", "coverage", "--chain"]
+        commands += [[*coverage, ",".join(chain), "--format", fmt] for fmt in ("json", "text")]
+        commands += [
+            [*coverage, ",".join(chain[:1] + chain[2:])],
+            [*coverage, ",".join(chain[1:])],
+            [*coverage, f"{chain[0]},NOPE#0"],
+        ]
+    return commands
+
+
 SERIALIZE = (
     "import sys; from stratagraph.scenario import load_scenario, serialize_scenario;"
     " sys.stdout.write(serialize_scenario(load_scenario(sys.argv[1])))"
@@ -315,7 +341,7 @@ def main(argv=None) -> int:
         inputs = tmp / "inputs"
         inputs.mkdir()
         commands = bench_commands(inputs) + genscen_commands(inputs) + large_number_commands(inputs)
-        commands += serializer_commands(inputs) + error_commands(inputs)
+        commands += coverage_commands(inputs) + serializer_commands(inputs) + error_commands(inputs)
 
         def both(argv):
             return run(ROOT / "src", argv, inputs), run(ref_src, argv, inputs)
