@@ -22,8 +22,8 @@ the one depth-first walk that yields every chain enumeration emits as a
 bare prefix tuple, applies the rules in its own loop. For each (end,
 room) it meets, the object a prefix ends on and the edges left after the
 next step, `_step_table` settles once what depends only on that key:
-adjacency, blocked attacks, entry_only and whether a step's end is
-emitted or can still reach a goal. Its entries are plain tuples, an
+adjacency, blocked attacks, entry_only and whether a step's end is a
+goal or can still reach one. Its entries are plain tuples, an
 edge's fields followed by those flags, which the loop unpacks in one go:
 CPython unpacks an exact tuple several times faster than a named tuple.
 The loop then tests only the simple-path guard and the condition, and
@@ -50,17 +50,19 @@ The walk's readers build an AttackChain only for a chain they print:
 - `defense._target_rows`, the row source of both planners and the
   reactive defender, keeps each chain's edge ids, signature and threat.
 
-Enumeration restricted to goal objects prunes by backward reachability.
-One reverse breadth-first search from the goals over the unblocked attack
-edges gives each object the fewest edges it needs to reach a goal. A
-prefix is only offered the edges that land on a goal or end within the
-length left of one, and a step is only extended when its end can still
-reach a goal in time. The prune is sound under both semantics: the search
-ignores conditions, entry_only and the simple-path guard, and each of
-these only removes chains (grants only grow along a chain, Ammann,
-Wijesekera & Kaushik, CCS 2002), so the distance never exceeds what any
-valid chain needs, and the prune drops no chain. Unrestricted enumeration
-skips it.
+Every walk goes to a goal set; unrestricted enumeration takes every
+object as a goal. The walk prunes by backward reachability. A reverse
+breadth-first search from the goals over the unblocked attack edges
+(`_distance`) gives each object the fewest edges it needs to reach a
+goal. A prefix is only offered the edges that land on a goal or end
+within the length left of one, and a step is only extended when its end
+can still reach a goal in time; with every object a goal, that is when
+its end has an unblocked out-edge and length is left. The prune is sound
+under both semantics: the search ignores conditions, entry_only and the
+simple-path guard, and each of these only removes chains (grants only
+grow along a chain, Ammann, Wijesekera & Kaushik, CCS 2002), so the
+distance never exceeds what any valid chain needs, and the prune drops no
+chain.
 
 A walk given via grants, the grants won since an earlier walk, yields only
 the chains that are new: valid now and invalid under the old grants. The
@@ -74,12 +76,13 @@ listed by `AttackGraph.needed_by`): a chain can earn a won grant itself. A
 pending prefix is never emitted. The first step that only the old pool
 plus the won grants satisfy is a via step, and it moves the prefix to the
 full walk with the won grants added. A pending prefix is extended only
-while its end can reach a goal through a via step in the length left. A
-second backward search, `_via_distance`, gives that distance: each via
-edge joins it at one more than the edges its end still needs by the first
-search. It ignores the same rules, so it is sound too, and it is never
-below the goal distance, so a pending step table is a filter of the full
-one for the same (end, room) (`_pending_table`).
+while its end can reach a goal through a via step in the length left. The
+same backward search, seeded from the via edges instead of the goals,
+gives that distance: each via edge joins it at one more than the edges
+its end still needs by the goal search. It ignores the same rules, so it
+is sound too, and it is never below the goal distance, so a pending step
+table is a filter of the full one for the same (end, room)
+(`_pending_table`).
 
 The goal distances and the full step tables depend only on the goal and
 the blocked attacks. A walk context (`_walk_context`) keeps them for a
@@ -288,10 +291,10 @@ def chain_from_edges(
     return _chain(prefix)
 
 
-def _resolve_targets(graph: AttackGraph, targets, default_to_scenario: bool) -> frozenset[str] | None:
-    """The goal set: targets checked against the graph's objects, else the scenario's or None."""
+def _resolve_targets(graph: AttackGraph, targets) -> frozenset[str]:
+    """The goal set: targets checked against the graph's objects, or every object when targets is None."""
     if targets is None:
-        return frozenset(graph.doc.targets) if default_to_scenario else None
+        return frozenset(graph.base.layers)
     goal = frozenset(targets)
     for target in sorted(goal):
         if target not in graph.base.layers:
@@ -299,78 +302,59 @@ def _resolve_targets(graph: AttackGraph, targets, default_to_scenario: bool) -> 
     return goal
 
 
-def _goal_distance(graph: AttackGraph, goal: frozenset[str], blocked) -> dict[str, int]:
-    """Object id -> the fewest unblocked attack edges (at least one) to any goal.
+def _distance(graph: AttackGraph, blocked, frontier, joins: dict[int, list[str]], limit) -> dict[str, int]:
+    """Object id -> the fewest unblocked attack edges to a seed, at most limit (None: no cap).
 
-    A multi-source breadth-first search backwards from the goals over
-    graph.by_to. A goal gets a distance only when it can reach a goal
-    again; an object missing from the map reaches none. Conditions,
-    entry_only and the simple-path guard are ignored: each only removes
-    chains, so the distance never exceeds the edges a valid chain needs.
+    A breadth-first search backwards over graph.by_to, level by level: an
+    object gets level k when an unblocked edge leads from it to the level
+    k - 1 frontier, or when joins[k] lists it. The frontier starts as the
+    given objects at level 0, which get a level only when reached again.
+    The goal search seeds the frontier with the goals, the via search
+    seeds joins (see _walk). It stops when the frontier is empty and no
+    join is left. Conditions, entry_only and the simple-path guard are
+    ignored: each only removes chains, so the distance never exceeds the
+    edges a valid chain needs.
     """
-    dist: dict[str, int] = {}
-    frontier = list(goal)
+    out: dict[str, int] = {}
+    last = max(joins, default=0)  # the level of the last join
     level = 0
-    while frontier:
+    while (frontier or level < last) and level != limit:
         level += 1
         reached = []
-        for obj in frontier:
-            for edge in graph.by_to.get(obj, ()):
-                if edge.from_id not in dist and edge.attack_id not in blocked:
-                    dist[edge.from_id] = level
-                    reached.append(edge.from_id)
-        frontier = reached
-    return dist
-
-
-def _via_distance(graph: AttackGraph, goal, dist, via, blocked, limit: int) -> dict[str, int]:
-    """Object id -> the fewest unblocked attack edges, at most limit, to a goal through a via edge.
-
-    via holds the edges whose condition meets the via grants. A via edge
-    from x to y gives x 1 + the edges y still needs (none when y is a goal
-    or goal is None, else dist[y]); any other edge from x to y gives x
-    1 + y's own distance. A breadth-first search backwards over
-    graph.by_to, where each via edge joins at its level. It ignores the
-    same rules _goal_distance ignores, so it is a lower bound too.
-    """
-    joins: dict[int, list[str]] = {}  # level -> objects a via edge reaches a goal from in that many edges
-    for e in via:
-        left = 0 if goal is None or e.to_id in goal else dist.get(e.to_id, limit)
-        if left < limit and e.attack_id not in blocked:
-            joins.setdefault(left + 1, []).append(e.from_id)
-    out: dict[str, int] = {}
-    frontier: list[str] = []
-    for level in range(1, limit + 1):
-        reached = joins.get(level, [])
-        reached += [e.from_id for obj in frontier for e in graph.by_to.get(obj, ()) if e.attack_id not in blocked]
-        frontier = []
-        for obj in reached:
+        for obj in joins.get(level, ()):
             if obj not in out:
                 out[obj] = level
-                frontier.append(obj)
+                reached.append(obj)
+        for obj in frontier:
+            for edge in graph.by_to.get(obj, ()):
+                if edge.from_id not in out and edge.attack_id not in blocked:
+                    out[edge.from_id] = level
+                    reached.append(edge.from_id)
+        frontier = reached
     return out
 
 
-def _walk_context(graph: AttackGraph, goal, blocked, context) -> tuple[dict | None, dict]:
+def _walk_context(graph: AttackGraph, goal: frozenset[str], blocked, context) -> tuple[dict, dict]:
     """(goal distances, full step tables) for walks to goal under blocked.
 
     context is a dict a caller keeps across walks, or None for a single
     walk. It holds one entry, keyed by (goal, blocked), so a walk under
     another goal or blocked set starts it afresh and never reads a stale
     table. The tables map (end, room) to _step_table's table, which depends
-    on nothing else.
+    on nothing else. The goal search is not capped, since the key holds no
+    length.
     """
     key = (goal, blocked)
     kept = None if context is None else context.get(key)
     if kept is None:
-        kept = (None if goal is None else _goal_distance(graph, goal, blocked)), {}
+        kept = _distance(graph, blocked, goal, {}, None), {}
         if context is not None:
             context.clear()
             context[key] = kept
     return kept
 
 
-def _step_table(graph: AttackGraph, end, room: int, goal, dist, blocked) -> list[tuple]:
+def _step_table(graph: AttackGraph, end, room: int, goal: frozenset[str], dist, blocked) -> list[tuple]:
     """The steps worth trying from end with room edges left after them.
 
     One entry per step, the plain tuple of the edge's fields followed by
@@ -379,27 +363,22 @@ def _step_table(graph: AttackGraph, end, room: int, goal, dist, blocked) -> list
     room), so the walk tests only the simple-path guard and the condition.
     end None is the empty chain's end, where every edge is adjacent and
     entry_only steps may fire. emit says whether a chain ending on the
-    step's object is yielded, extend whether the walk pushes it to be
-    extended: with goal None every step is emitted, and extended while
-    edges are left; with a goal set only a step onto a goal is emitted,
-    only a step whose end can still reach a goal within room edges is
-    extended, and a step that does neither is left out. The last field is
-    a pending table's move (see _pending_table); a full table has none.
-    The table holds flags only, no stack, so one walk context can keep it
-    for every walk to the same goal under the same blocked set.
+    step's object is yielded, that is whether the object is a goal; extend
+    says whether the walk pushes the step to be extended, that is whether
+    its end can still reach a goal within room edges (dist). A step that
+    does neither is left out. The last field is a pending table's move (see
+    _pending_table); a full table has none. The table holds flags only, no
+    stack, so one walk context can keep it for every walk to the same goal
+    under the same blocked set.
     """
     table = []
     for edge in graph.edges if end is None else graph.by_from.get(end, ()):
         if edge.attack_id in blocked or edge.entry_only and end is not None:
             continue
-        if goal is None:
-            table.append(edge + (True, room > 0, None))  # a named tuple plus a tuple is an exact tuple
-            continue
-        to = edge.to_id
-        emit = to in goal
-        extend = dist.get(to, room + 1) <= room
+        emit = edge.to_id in goal
+        extend = dist.get(edge.to_id, room + 1) <= room
         if emit or extend:
-            table.append(edge + (emit, extend, None))
+            table.append(edge + (emit, extend, None))  # a named tuple plus a tuple is an exact tuple
     return table
 
 
@@ -412,12 +391,12 @@ def _pending_table(full: list[tuple], room: int, opened, ahead) -> list[tuple]:
     - a step the old pool satisfies keeps the prefix pending, a via step
       too. It is never emitted, and stay says whether it is pushed back
       onto the pending stack: only when its end can still reach a goal
-      through a via step within room edges (ahead, _via_distance);
+      through a via step within room edges (ahead, the via search);
     - move, for a via step (its edge id in opened) only, is the full
       table's (emit, extend). It applies when only the old pool plus the
       won grants satisfy the step: the prefix then moves to the full stack.
-    Any other step is left out. _via_distance is never below
-    _goal_distance, so every step kept is in the full table already, and
+    Any other step is left out. The via distance is never below the goal
+    distance, so every step kept is in the full table already, and
     one that stays is extended there too: a full entry that is not emitted
     already reads (False, True, None), and is kept as it is.
     """
@@ -434,15 +413,15 @@ def _pending_table(full: list[tuple], room: int, opened, ahead) -> list[tuple]:
 def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfig, blocked, via=None, context=None):
     """Yield every chain prefix enumeration emits, depth first, not in canonical order.
 
-    With goal None every valid prefix of at most config.max_len edges is
-    yielded; with a goal set only the prefixes ending on a goal, and
-    prefixes that cannot reach a goal within the length left are never
-    expanded (see the module docstring). One loop serves both modes and
-    both semantics: _step_table settles what depends only on (end, room),
-    and the loop applies the simple-path guard and the condition itself,
-    as _successors does. context, a dict the caller keeps, lets walks to
-    the same goal under the same blocked set share their goal distances
-    and step tables (_walk_context).
+    The valid prefixes of at most config.max_len edges that end on a goal
+    are yielded (goal holds every object for unrestricted enumeration),
+    and prefixes that cannot reach a goal within the length left are never
+    expanded (see the module docstring). One loop serves both semantics:
+    _step_table settles what depends only on (end, room), and the loop
+    applies the simple-path guard and the condition itself, as _successors
+    does. context, a dict the caller keeps, lets walks to the same goal
+    under the same blocked set share their goal distances and step tables
+    (_walk_context).
 
     via, the grants won since an earlier walk from entry - via, yields only
     the chains that are new: invalid under the old grants (see the module
@@ -474,7 +453,13 @@ def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfi
         old = entry - via
         won = entry - old
         via_edges = {e for g in won for e in graph.needed_by.get(g, ())}
-        ahead = _via_distance(graph, goal, dist, via_edges, blocked, max_len - 1)
+        limit = max_len - 1
+        joins: dict[int, list[str]] = {}  # level -> objects a via edge reaches a goal from in that many edges
+        for e in via_edges:
+            left = 0 if e.to_id in goal else dist.get(e.to_id, limit)
+            if left < limit and e.attack_id not in blocked:
+                joins.setdefault(left + 1, []).append(e.from_id)
+        ahead = _distance(graph, blocked, (), joins, limit)
         opened = {e.edge_id for e in via_edges}
 
         def pending_table(end, room):
@@ -544,14 +529,15 @@ def enumerate_chains(
     """Every valid simple chain up to config.max_len edges, in canonical order.
 
     targets (object ids, each checked) picks the goal objects; without it
-    all valid chains are returned. blocked_attacks removes every edge of
-    the named attacks before searching, and entry_grants overrides the
-    scenario foothold. With a goal set, prefixes that cannot reach a goal
-    within the length left are never expanded (see the module docstring).
+    every object is a goal, so all valid chains are returned.
+    blocked_attacks removes every edge of the named attacks before
+    searching, and entry_grants overrides the scenario foothold. Prefixes
+    that cannot reach a goal within the length left are never expanded (see
+    the module docstring).
     Ordering: (length, edge-id tuple).
     """
     entry = _entry_grants(graph, entry_grants)
-    goal = _resolve_targets(graph, targets, False)
+    goal = _resolve_targets(graph, targets)
     results = [_chain(step) for step in _walk(graph, entry, goal, config, blocked_attacks)]
     results.sort(key=AttackChain.sort_key)
     return tuple(results)
@@ -575,7 +561,7 @@ def search_chain(
     """
     entry = _entry_grants(graph, entry_grants)
     target = objective.target
-    goal = _resolve_targets(graph, None if target is None else (target,), True)
+    goal = _resolve_targets(graph, graph.doc.targets if target is None else (target,))
     if not goal:
         return None
 

@@ -25,7 +25,6 @@ from .model import (
     InfeasibleCutError,
     InvalidScenarioError,
     ParseError,
-    ScenarioError,
     UnknownIdError,
 )
 from .scenario import SCHEMA_VERSION, load_scenario, validate_scenario
@@ -424,9 +423,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception as exc:  # pragma: no cover - last-resort guard
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

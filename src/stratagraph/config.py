@@ -93,4 +93,7 @@ def load_config(path: str | Path) -> EngineConfig:
         raise ConfigError(f"config {path} is not valid JSON: nested too deeply") from exc
     except ValueError as exc:  # a JSONDecodeError, or an integer literal longer than int() converts
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(data)
+    try:
+        return config_from_dict(data)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

@@ -155,12 +155,14 @@ def _row_order(row) -> tuple:
 
 
 def _target_rows(graph: AttackGraph, entry, goal, blocked, config: EngineConfig, context=None) -> list[tuple]:
-    """(edge ids, signature, threat) per chain from entry to goal (every chain when goal is None).
+    """(edge ids, signature, threat) per chain from entry to a goal object.
 
     In canonical (length, edge ids) order; the signature is the one the
-    walk carries on each prefix. No walk prefix is kept, since the garbage
-    collector would traverse its grant set on every pass. context is the
-    walk context a caller keeps across walks (chains._walk_context).
+    walk carries on each prefix. goal is a set of object ids, every object
+    when plan_budgeted plans on a scenario that names no target. No walk
+    prefix is kept, since the garbage collector would traverse its grant
+    set on every pass. context is the walk context a caller keeps across
+    walks (chains._walk_context).
     """
     found = [(p[0], p[8], p[7]) for p in _walk(graph, entry, goal, config, blocked, None, context)]
     found.sort(key=_row_order)
@@ -245,7 +247,7 @@ def plan_budgeted(
     by more than EPS.
     """
     entry = _entry_grants(graph, None)
-    goal = _resolve_targets(graph, (graph.doc.targets or None) if targets is None else targets, False)
+    goal = _resolve_targets(graph, (graph.doc.targets or None) if targets is None else targets)
     if not math.isfinite(budget) or budget < 0:
         raise ValueError(f"budget must be a finite non-negative number, got {budget!r}")
     found = _target_rows(graph, entry, goal, frozenset(), config)
@@ -355,7 +357,7 @@ def plan_cut(
     makes the cut infeasible. entry_grants/targets default to the
     scenario's own; an unknown target raises UnknownIdError.
     """
-    goal = _resolve_targets(graph, targets, True)
+    goal = _resolve_targets(graph, graph.doc.targets if targets is None else targets)
     if not goal:
         raise ValueError("plan_cut requires at least one target")
     entry = _entry_grants(graph, entry_grants)
@@ -441,17 +443,18 @@ def risk_assess(
     grants trivially yields the all-zero table). Rows sort by descending
     threat, then object id.
 
-    The chains are never built: each prefix the chain walk emits updates
-    its end object's count, maximum threat and minimum cost. Of tied
-    values the first chain in canonical (length, edge ids) order wins, as
-    max and min over the enumerated chains would pick it; the winner's
-    type (int or float) is what gets printed.
+    The chains are never built: the chain walk takes every object as a
+    goal, and each prefix it emits updates its end object's count, maximum
+    threat and minimum cost. Of tied values the first chain in canonical
+    (length, edge ids) order wins, as max and min over the enumerated
+    chains would pick it; the winner's type (int or float) is what gets
+    printed.
     """
     # object id -> [count, max threat, its edges, min cost, its edges]
     stats: dict[str, list] = {}
     doc = graph.doc
     if doc.entry_grants:
-        walk = _walk(graph, frozenset(doc.entry_grants), None, config, frozenset())
+        walk = _walk(graph, frozenset(doc.entry_grants), _resolve_targets(graph, None), config, frozenset())
         for edges, _, _, _, end, _, cost, threat, _ in walk:
             s = stats.get(end)
             if s is None:

@@ -148,7 +148,7 @@ def _parse_defense(raw, where: str, unknown: list[str]) -> DefenseRecord:
 
 
 def parse_scenario(text: str, source: str = "<string>") -> ScenarioDoc:
-    """Parse scenario JSON text into a ScenarioDoc. Syntax/shape checks only."""
+    """Parse scenario JSON text into a ScenarioDoc. Syntax/shape checks only; every error names source."""
     if not text.strip():
         raise ParseError(f"{source}: file is empty")
     try:
@@ -160,27 +160,27 @@ def parse_scenario(text: str, source: str = "<string>") -> ScenarioDoc:
     except ValueError as exc:  # an integer literal longer than int() converts
         raise ParseError(f"{source}: {exc}") from exc
     _expect(data, dict, source)
-    data = dict(data)
+    try:
+        return _parse_document(dict(data))
+    except (ParseError, OverflowError) as exc:
+        raise ParseError(f"{source}: {exc}") from exc
+
+
+def _parse_document(data: dict) -> ScenarioDoc:
     unknown: list[str] = []
 
     def section(key: str) -> list:
-        raw = _take(data, key, source, [])
-        return _expect(raw, list, f"{source}.{key}")
+        return _expect(data.pop(key, []), list, key)
 
     objects = tuple(_parse_object(o, f"objects[{i}]", unknown) for i, o in enumerate(section("objects")))
     relationships = tuple(
         _parse_relationship(r, f"relationships[{i}]", unknown) for i, r in enumerate(section("relationships"))
     )
-    try:
-        attacks = tuple(_parse_attack(a, f"attacks[{i}]", unknown) for i, a in enumerate(section("attacks")))
-        defenses = tuple(_parse_defense(d, f"defenses[{i}]", unknown) for i, d in enumerate(section("defenses")))
-    except OverflowError as exc:
-        raise ParseError(f"{source}: {exc}") from exc
-    entry_grants = tuple(sorted(_parse_grant_list(_take(data, "entry_grants", source, []), "entry_grants")))
-    targets_raw = _expect(_take(data, "targets", source, []), list, "targets")
-    targets = tuple(sorted(_expect(t, str, f"targets[{i}]") for i, t in enumerate(targets_raw)))
-    ext_raw = _expect(_take(data, "extensions", source, []), list, "extensions")
-    extensions = tuple(_expect(e, str, f"extensions[{i}]") for i, e in enumerate(ext_raw))
+    attacks = tuple(_parse_attack(a, f"attacks[{i}]", unknown) for i, a in enumerate(section("attacks")))
+    defenses = tuple(_parse_defense(d, f"defenses[{i}]", unknown) for i, d in enumerate(section("defenses")))
+    entry_grants = tuple(sorted(_parse_grant_list(data.pop("entry_grants", []), "entry_grants")))
+    targets = tuple(sorted(_expect(t, str, f"targets[{i}]") for i, t in enumerate(section("targets"))))
+    extensions = tuple(_expect(e, str, f"extensions[{i}]") for i, e in enumerate(section("extensions")))
 
     for key in sorted(data):
         unknown.append(key)

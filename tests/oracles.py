@@ -117,6 +117,40 @@ def brute_chains_product(doc, max_len, semantics="accumulated"):
     return found
 
 
+def reference_distance(doc, start, goal, blocked=frozenset(), via=None):
+    """Fewest edges (at least one) from start to a goal object, or None when no edge walk gets there.
+
+    A forward breadth-first search over (object, via step taken) states,
+    along the edges of the attacks not in blocked. With via, a set of
+    grants, the walk must take an edge whose attack's condition holds one
+    of them. Conditions, entry_only and repeated objects are ignored.
+    """
+    hops = [
+        (src, dst, via is None or bool(set(record.condition) & via))
+        for record, src, dst, _ in oracle_edges(doc).values()
+        if record.id not in blocked
+    ]
+    frontier, seen, steps = {(start, False)}, set(), 0
+    while frontier:
+        steps += 1
+        reached = {(dst, took or opens) for obj, took in frontier for src, dst, opens in hops if src == obj}
+        if any(took and obj in goal for obj, took in reached):
+            return steps
+        frontier = reached - seen
+        seen |= reached
+    return None
+
+
+def reference_distances(doc, goal, blocked=frozenset(), via=None, limit=None):
+    """Object id -> its reference_distance, for each object that reaches a goal within limit edges (None: any)."""
+    out = {}
+    for o in doc.objects:
+        steps = reference_distance(doc, o.id, goal, blocked, via)
+        if steps is not None and (limit is None or steps <= limit):
+            out[o.id] = steps
+    return out
+
+
 def brute_min_cost(doc, max_len, semantics="accumulated", targets=None):
     """(edge tuple, cost) of the cheapest target-reaching chain, or None."""
     chains = brute_chains(doc, max_len, semantics, targets=targets)

@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from stratagraph import (
@@ -378,27 +378,14 @@ def test_target_enumeration_matches_oracle_on_game_path(seed, semantics, agg, ma
     assert got == oracles.brute_chains(open_doc, max_len, semantics, targets=targets, entry=entry, agg=agg)
 
 
-def steps_to_goal(doc, start, goal, blocked):
-    """Fewest unblocked attack edges (at least one) from start to a goal, or None."""
-    hops = [(src, dst) for record, src, dst, _ in oracles.oracle_edges(doc).values() if record.id not in blocked]
-    frontier, seen, steps = {start}, set(), 0
-    while frontier:
-        steps += 1
-        reached = {dst for src, dst in hops if src in frontier}
-        if reached & goal:
-            return steps
-        frontier = reached - seen
-        seen |= reached
-    return None
-
-
 def test_prune_expands_only_prefixes_that_can_reach_a_goal(monkeypatch):
     # Every prefix the walk expands looks up the step table of its (end,
     # room), and whether it can still reach a goal depends on that key
     # alone, so checking every table the walk builds covers every expanded
     # prefix: its end must reach a goal within the next step and the room
-    # after it. The same check on unrestricted enumeration shows the
-    # scenarios do have prefixes worth pruning.
+    # after it. Unrestricted enumeration takes every object as a goal and
+    # prunes the same way; counting its expansions that cannot reach a
+    # target shows the scenarios do have prefixes worth pruning.
     keys = []
     build = chains_module._step_table
 
@@ -413,24 +400,24 @@ def test_prune_expands_only_prefixes_that_can_reach_a_goal(monkeypatch):
         graph = build_attack_graph(doc, build_base_graph(doc))
         rng = random.Random(seed)
         blocked = frozenset(a.id for a in doc.attacks if rng.random() < 0.3)
-        goal = frozenset(doc.targets)
+        targets = frozenset(doc.targets)
+        everything = frozenset(o.id for o in doc.objects)
         for max_len in range(1, 6):
             for semantics in ("accumulated", "strict"):
                 cfg = EngineConfig(semantics=semantics, max_len=max_len)
-                for targets in (doc.targets, None):
+                for given, goal in ((doc.targets, targets), (None, everything)):
                     keys.clear()
-                    enumerate_chains(graph, targets=targets, config=cfg, blocked_attacks=blocked)
+                    enumerate_chains(graph, targets=given, config=cfg, blocked_attacks=blocked)
                     for end, room in keys:
                         if end is None:
                             continue
-                        steps = steps_to_goal(doc, end, goal, blocked)
-                        can_reach = steps is not None and steps <= room + 1
-                        if targets is None:
-                            dead_unrestricted += not can_reach
-                        else:
-                            assert can_reach, (seed, max_len, semantics, end, room)
-                            checked += 1
-    assert checked > 300 and dead_unrestricted > 500, (checked, dead_unrestricted)
+                        steps = oracles.reference_distance(doc, end, goal, blocked)
+                        assert steps is not None and steps <= room + 1, (seed, max_len, semantics, given, end, room)
+                        checked += 1
+                        if given is None:
+                            steps = oracles.reference_distance(doc, end, targets, blocked)
+                            dead_unrestricted += steps is None or steps > room + 1
+    assert checked > 900 and dead_unrestricted > 200, (checked, dead_unrestricted)
 
 
 class _EmptyDraws:
@@ -479,7 +466,8 @@ def test_walk_and_successor_step_apply_the_same_rules(seed, coherent, semantics,
     effects = sorted({g for a in doc.attacks for g in a.a_results})
     entry = frozenset(doc.entry_grants) | _subset(data, effects, 2, "won")
     cfg = EngineConfig(semantics=semantics, max_len=max_len, threat_agg=agg)
-    goal = frozenset(doc.targets) if to_goal else None
+    # Unrestricted enumeration walks to every object.
+    goal = frozenset(doc.targets) if to_goal else frozenset(o.id for o in doc.objects)
     walked = list(chains_module._walk(graph, entry, goal, cfg, blocked))
     for edges, grants, fired, affected, end, pair, cost, threat, sig in walked:
         chain = chain_from_edges(graph, edges, cfg, entry)
@@ -490,12 +478,52 @@ def test_walk_and_successor_step_apply_the_same_rules(seed, coherent, semantics,
         assert (end, pair) == (last.to_id, Grant(last.to_id, last.permission))
         assert affected == tuple(graph.edge(e).to_id for e in edges)
         assert sig == chain_signature(graph, chain)
-        assert goal is None or end in goal
+        assert end in goal
     assert len({p[0] for p in walked}) == len(walked)
-    if goal:
+    if to_goal and goal:
         best = min(walked, key=lambda p: (p[6], len(p[0]), p[0]), default=None)
         want = None if best is None else chain_from_edges(graph, best[0], cfg, entry)
         assert search_chain(graph, ChainObjective("min_cost"), cfg, blocked, entry) == want
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 10**6),
+    coherent=st.booleans(),
+    to_goal=st.booleans(),
+    limit=st.sampled_from((1, 2, 3, 4, 5, 6, 10**6)),
+    data=st.data(),
+)
+def test_backward_search_gives_the_reference_distances(seed, coherent, to_goal, limit, data):
+    # A via walk runs the backward search twice: from the goals, uncapped,
+    # and from the via edges, capped at the room after the first step. Both
+    # must give every object the fewest edges a forward search by
+    # definition takes to a goal, through a via step for the second, and
+    # no entry for an object that needs more than the cap or cannot get
+    # there at all. A limit of 10**6 leaves the cap far beyond the graph.
+    doc = coherent_scenario(seed) if coherent else random_scenario(seed, max_objects=7, max_edges=16)
+    graph = build_attack_graph(doc, build_base_graph(doc))
+    goal = frozenset(doc.targets) if to_goal else frozenset(o.id for o in doc.objects)
+    blocked = _subset(data, [a.id for a in doc.attacks], len(doc.attacks) // 2, "blocked")
+    won = _subset(data, sorted(graph.needed_by), 3, "won")
+    searches = []
+    search = chains_module._distance
+
+    def spy(graph, blocked, frontier, joins, cap):
+        found = search(graph, blocked, frontier, joins, cap)
+        searches.append((cap, found))
+        return found
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chains_module, "_distance", spy)
+        entry = frozenset(doc.entry_grants) | won
+        list(chains_module._walk(graph, entry, goal, EngineConfig(max_len=limit + 1), blocked, won))
+    (uncapped, dist), (cap, ahead) = searches
+    assert (uncapped, cap) == (None, limit)
+    assert dist == oracles.reference_distances(doc, goal, blocked)
+    assert ahead == oracles.reference_distances(doc, goal, blocked, won, limit)
+    if ahead and len(ahead) < len(dist):
+        event("via search reaches fewer objects")
 
 
 def test_walk_tables_hold_plain_tuples(monkeypatch):
@@ -517,7 +545,7 @@ def test_walk_tables_hold_plain_tuples(monkeypatch):
         graph = build_attack_graph(doc, build_base_graph(doc))
         entry = frozenset(doc.entry_grants)
         won = frozenset(sorted(graph.needed_by)[::2]) - entry
-        for goal in (frozenset(doc.targets), None):
+        for goal in (frozenset(doc.targets), frozenset(o.id for o in doc.objects)):
             for semantics in ("accumulated", "strict"):
                 cfg = EngineConfig(semantics=semantics, max_len=4)
                 list(chains_module._walk(graph, entry, goal, cfg, frozenset()))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -241,9 +245,6 @@ def test_text_tables_render(capsys, fixtures_dir):
 
 
 def test_console_script_entry_point():
-    import subprocess
-    import sys
-
     proc = subprocess.run(
         [sys.executable, "-m", "stratagraph.cli", "--version"], capture_output=True, text=True
     )
@@ -387,16 +388,26 @@ MALFORMED_INPUTS = {
     "scenario-5000-digit-int": ("scenario", 2, lambda f: _toy_with(f, "attacks", "cost", "9" * 5000).encode()),
     "scenario-attack-cost-1e400": ("scenario", 2, lambda f: _toy_with(f, "attacks", "cost", str(10**400)).encode()),
     "scenario-defense-cost-1e400": ("scenario", 2, lambda f: _toy_with(f, "defenses", "cost", str(10**400)).encode()),
+    "scenario-attack-cost-string": ("scenario", 2, lambda f: _toy_with(f, "attacks", "cost", '"free"').encode()),
+    "scenario-nested-extension": ("scenario", 2, lambda f: b'{"objects": [], "extensions": [["x"]]}'),
+    "scenario-grant-extra-key": (
+        "scenario", 2, lambda f: b'{"entry_grants": [{"object": "a", "permission": "read", "via": "b"}]}'
+    ),
     "config-not-utf8": ("config", 1, lambda f: b'{"semantics": "\xff"}'),
     "config-nested-deep": ("config", 1, lambda f: DEEP.encode()),
     "config-5000-digit-int": ("config", 1, lambda f: b'{"max_len": ' + b"9" * 5000 + b"}"),
+    "config-unknown-key": ("config", 1, lambda f: b'{"derived_detect_prob": 1.0}'),
+    "config-bad-semantics": ("config", 1, lambda f: b'{"semantics": "lenient"}'),
+    "config-max-len-string": ("config", 1, lambda f: b'{"max_len": "8"}'),
+    "config-not-an-object": ("config", 1, lambda f: b"[8]"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
 def test_malformed_files_get_their_exit_code_and_name_the_file(capsys, fixtures_dir, tmp_path, case):
-    # A scenario that cannot be read as JSON numbers is an invalid scenario
-    # (exit 2), a config one a usage error (exit 1), never an internal
+    # A scenario that cannot be read as JSON numbers, or whose records have
+    # the wrong shape, is an invalid scenario (exit 2), a config one or one
+    # with a bad key or value a usage error (exit 1), never an internal
     # error (exit 4), and the message says which file is at fault.
     kind, want, content = MALFORMED_INPUTS[case]
     path = tmp_path / f"{case}.{kind}"
@@ -432,7 +443,7 @@ def test_unknown_config_key_exits_1(capsys, fixtures_dir, tmp_path):
     cfg = tmp_path / "engine.json"
     cfg.write_text('{"derived_detect_prob": 1.0}')
     argv = ("chains", "--scenario", scen(fixtures_dir, "toy5g"), "--config", str(cfg))
-    assert run_cli(capsys, *argv) == (1, "", "error: unknown config keys: derived_detect_prob\n")
+    assert run_cli(capsys, *argv) == (1, "", f"error: {cfg}: unknown config keys: derived_detect_prob\n")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "infinity", "lots"])
@@ -611,8 +622,6 @@ class ClosedPipe:
 
 @pytest.mark.parametrize("argv", [("validate",), *ANALYSIS_COMMANDS], ids=" ".join)
 def test_closed_stdout_exits_1_not_2(capsys, monkeypatch, fixtures_dir, argv):
-    import sys
-
     monkeypatch.setattr(sys, "stdout", ClosedPipe())
     code = main([argv[0], "--scenario", scen(fixtures_dir, "toy5g"), *argv[1:]])
     # The rest of the output goes to devnull, so the exit flush cannot fail.
@@ -622,20 +631,22 @@ def test_closed_stdout_exits_1_not_2(capsys, monkeypatch, fixtures_dir, argv):
     assert capsys.readouterr().err == "error: cannot write output: [Errno 32] Broken pipe\n"
 
 
-def run_into_closed_pipe(argv, unbuffered):
-    """Run the CLI with a stdout pipe whose read end is closed before it writes."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
+def cli_env():
+    """The environment for a CLI subprocess: this one, with the package's directory first on PYTHONPATH."""
     import stratagraph
 
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
+    env = dict(os.environ)
     src = str(Path(stratagraph.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    return env
+
+
+def run_into_closed_pipe(argv, unbuffered):
+    """Run the CLI with a stdout pipe whose read end is closed before it writes."""
+    env = cli_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -677,3 +688,35 @@ def test_dot_with_explicit_text_format_still_prints_dot(capsys, fixtures_dir):
     assert (code, err) == (0, "")
     assert out.startswith("digraph")
     assert (code, out, err) == run_cli(capsys, "graph", "--scenario", toy, "--dot")
+
+
+def test_huge_max_len_simulates_like_a_small_one(fixtures_dir):
+    # The backward searches of the reactive defender's walks stop once no
+    # object is left to reach, so a --max-len far beyond the longest chain
+    # costs what a small one does and gives the same games. The timeout
+    # fails a search whose work grows with the length limit itself.
+    def simulate(max_len):
+        argv = ["simulate", "--scenario", scen(fixtures_dir, "toy5g"), "--defender", "reactive_cut"]
+        argv += ["--budget-per-turn", "1", "--runs", "3", "--max-len", str(max_len)]
+        done = subprocess.run(
+            [sys.executable, "-m", "stratagraph.cli", *argv], env=cli_env(), capture_output=True, text=True, timeout=60
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    small = simulate(64)
+    assert small[0] == 0 and small[1], small
+    assert simulate(10**9) == small
+
+
+def test_an_error_no_clause_names_exits_4(capsys, monkeypatch, fixtures_dir):
+    # Each error the package raises on purpose has its own exit code; any
+    # other, a bare ScenarioError too, is an internal error.
+    import stratagraph.cli as cli
+    from stratagraph.model import ScenarioError
+
+    def fail(args):
+        raise ScenarioError("no command raises this")
+
+    monkeypatch.setattr(cli, "cmd_risk", fail)
+    argv = ("risk", "--scenario", scen(fixtures_dir, "toy5g"))
+    assert run_cli(capsys, *argv) == (4, "", "internal error: no command raises this\n")

@@ -463,28 +463,6 @@ def test_risk_ties_keep_the_first_chain_in_canonical_order(semantics, agg):
     assert rows == typed(oracles.reference_risk(doc, 8, semantics, agg))
 
 
-def via_steps_to_goal(doc, start, goal, via, blocked):
-    """Fewest unblocked attack edges from start to a goal taking one whose condition meets via, or None.
-
-    By definition: a forward breadth-first search over (object, via step
-    taken) states; goal None takes any object as a goal.
-    """
-    hops = [
-        (src, dst, bool(set(record.condition) & via))
-        for record, src, dst, _ in oracles.oracle_edges(doc).values()
-        if record.id not in blocked
-    ]
-    frontier, seen, steps = {(start, False)}, set(), 0
-    while frontier:
-        steps += 1
-        reached = {(dst, took or opens) for obj, took in frontier for src, dst, opens in hops if src == obj}
-        if any(took and (goal is None or obj in goal) for obj, took in reached):
-            return steps
-        frontier = reached - seen
-        seen |= reached
-    return None
-
-
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     seed=st.integers(0, 10**6),
@@ -509,7 +487,7 @@ def test_next_rows_equal_a_fresh_walk_at_every_step(seed, coherent, semantics, a
     doc = coherent_scenario(seed) if coherent else random_scenario(seed, max_objects=6, max_edges=14)
     graph = build_attack_graph(doc, build_base_graph(doc))
     cfg = EngineConfig(semantics=semantics, max_len=max_len, threat_agg=agg)
-    goal = frozenset(doc.targets) if to_goal else None
+    goal = frozenset(doc.targets) if to_goal else frozenset(o.id for o in doc.objects)
     won_from = {
         "needed": sorted(graph.needed_by),
         "empty": [],
@@ -547,7 +525,7 @@ def test_next_rows_equal_a_fresh_walk_at_every_step(seed, coherent, semantics, a
             grants |= won
             assert rows == _target_rows(graph, grants, goal, blocked, cfg)
             for to, room in stays:
-                steps = via_steps_to_goal(doc, to, goal, via, blocked)
+                steps = oracles.reference_distance(doc, to, goal, blocked, via)
                 assert steps is not None and steps <= room, (to, room)
             if rows != last[2]:
                 event("rows changed")
@@ -574,7 +552,7 @@ def test_via_walk_yields_exactly_the_new_chains(seed, coherent, semantics, agg, 
     doc = coherent_scenario(seed) if coherent else random_scenario(seed, max_objects=6, max_edges=14)
     graph = build_attack_graph(doc, build_base_graph(doc))
     cfg = EngineConfig(semantics=semantics, max_len=max_len, threat_agg=agg)
-    goal = frozenset(doc.targets) if to_goal else None
+    goal = frozenset(doc.targets) if to_goal else frozenset(o.id for o in doc.objects)
     edges = oracles.oracle_edges(doc)
     old = frozenset(doc.entry_grants)
     needed = sorted(set(graph.needed_by) - old)

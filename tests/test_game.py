@@ -27,6 +27,7 @@ from stratagraph.defense import _budget_choice, _choose, _kernel, _target_rows, 
 from stratagraph.game import _Frontier
 from stratagraph.model import Grant
 
+import oracles
 from genscen import random_scenario
 
 
@@ -305,28 +306,33 @@ def test_reactive_defender_rows_equal_a_fresh_walk_on_every_turn(seed, semantics
 
 def test_reactive_defender_keeps_its_walk_context_while_the_blocked_set_holds(monkeypatch):
     # The blocked set only grows within a game, so the defender's walks keep
-    # their goal distances and full step tables while it holds:
-    # _goal_distance runs once per distinct blocked set a game walks under,
-    # not once per walk. Every pending table of a via walk is the kept full
-    # table of its (end, room), which must be what a fresh scan under the
-    # current blocked set gives, filtered by _via_distance.
+    # their goal distances and full step tables while it holds: the goal
+    # search runs once per distinct blocked set a game walks under, not once
+    # per walk. Both backward searches must give the distances of a forward
+    # search by definition (oracles.reference_distances). Every pending
+    # table of a via walk is the kept full table of its (end, room), which
+    # must be what a fresh scan under the current blocked set gives,
+    # filtered by the via distances.
     import stratagraph.chains as chains_module
     import stratagraph.game as game_module
 
-    goal_distance, step_table, pending_table = (
-        chains_module._goal_distance,
+    search, step_table, pending_table = (
+        chains_module._distance,
         chains_module._step_table,
         chains_module._pending_table,
     )
     real_target, real_next = game_module._target_rows, game_module._next_rows
-    distances = []  # the blocked set of every _goal_distance call
+    distances = []  # the blocked set of every goal search
     pending = []  # (full, room, opened, ahead, table) of every pending table built
     blocked_sets = []  # the blocked set of every walk
     checked = 0
 
-    def spy_distance(graph, goal, blocked):
-        distances.append(blocked)
-        return goal_distance(graph, goal, blocked)
+    def spy_search(graph, blocked, frontier, joins, limit):
+        found = search(graph, blocked, frontier, joins, limit)
+        if limit is None:  # a goal search, from the goals
+            distances.append(blocked)
+            assert found == oracles.reference_distances(graph.doc, frontier, blocked)
+        return found
 
     def spy_pending(full, room, opened, ahead):
         table = pending_table(full, room, opened, ahead)
@@ -347,11 +353,11 @@ def test_reactive_defender_keeps_its_walk_context_while_the_blocked_set_holds(mo
         blocked_sets.append(blocked)
         ((key, (dist, tables)),) = last[3].items()
         assert key == (goal, blocked)
-        assert dist == goal_distance(graph, goal, blocked)
+        assert dist == oracles.reference_distances(graph.doc, goal, blocked)
         where = {id(table): at for at, table in tables.items()}
-        via = {e for g in entry - last[0] for e in graph.needed_by.get(g, ())}
-        opened = {e.edge_id for e in via}
-        ahead = chains_module._via_distance(graph, goal, dist, via, blocked, config.max_len - 1)
+        won = entry - last[0]
+        opened = {e.edge_id for g in won for e in graph.needed_by.get(g, ())}
+        ahead = oracles.reference_distances(graph.doc, goal, blocked, won, config.max_len - 1)
         for full, room, got_opened, got_ahead, table in pending:
             end, at_room = where[id(full)]
             assert at_room == room and (got_opened, got_ahead) == (opened, ahead)
@@ -365,7 +371,7 @@ def test_reactive_defender_keeps_its_walk_context_while_the_blocked_set_holds(mo
             checked += 1
         return rows
 
-    monkeypatch.setattr(chains_module, "_goal_distance", spy_distance)
+    monkeypatch.setattr(chains_module, "_distance", spy_search)
     monkeypatch.setattr(chains_module, "_pending_table", spy_pending)
     monkeypatch.setattr(game_module, "_target_rows", spy_target)
     monkeypatch.setattr(game_module, "_next_rows", spy_next)

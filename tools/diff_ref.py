@@ -38,6 +38,9 @@ Inputs, all generated from this checkout:
   path))` of every scenario above. Each scenario is written by this
   checkout's serializer, so a serializer drift would change both sides'
   inputs alike and show nowhere else;
+- a length limit of 100,000 (`long_limit_commands`): `chains
+  --unrestricted`, `risk` and a reactive `simulate` of 3 runs on toy5g
+  and on one `tests/genscen.py` scenario, far beyond their longest chain;
 - explicit chains (`coverage_commands`): `defend --mode coverage --chain`
   on toy5g and on the reactive-sim-M bench workload at seed 1, with a
   valid chain, the same chain without its second edge (its replay stops
@@ -73,6 +76,7 @@ TARGETLESS_SEED = 3  # a random scenario with 22 chains of at most 4 edges once 
 LARGE_SEEDS = 4  # per family, each run under both threat aggregations
 JOBS = 2  # commands run at once; each waits on a subprocess
 UNRESTRICTED_MAX_LEN = 6  # chains to every object at a workload's own max_len run to tens of MB
+LONG_MAX_LEN = 100_000  # far beyond any chain of the small scenarios, and still quick for a search capped by it
 COMMAND_TIMEOUT_S = 600
 CONTEXT_LINES = 3
 
@@ -230,6 +234,20 @@ def large_number_commands(inputs: Path) -> list[list[str]]:
     return commands
 
 
+def long_limit_commands(inputs: Path) -> list[list[str]]:
+    """Walks to every object and reactive games with a length limit far beyond the longest chain."""
+    genscen = inputs / "genscen-random-0.scenario"  # written by genscen_commands
+    commands = []
+    for path in (ROOT / "tests" / "fixtures" / "toy5g.scenario", genscen):
+        common = ["--scenario", str(path), "--format", "json", "--max-len", str(LONG_MAX_LEN)]
+        commands += [
+            ["chains", *common, "--unrestricted"],
+            ["risk", *common],
+            ["simulate", *common, "--defender", "reactive_cut", "--budget-per-turn", "1", "--runs", "3"],
+        ]
+    return commands
+
+
 def coverage_commands(inputs: Path) -> list[list[str]]:
     """`defend --mode coverage --chain` runs: each chain is replayed edge by edge, then covered."""
     from stratagraph import ChainObjective, build_attack_graph, build_base_graph, load_scenario, search_chain
@@ -341,7 +359,8 @@ def main(argv=None) -> int:
         inputs = tmp / "inputs"
         inputs.mkdir()
         commands = bench_commands(inputs) + genscen_commands(inputs) + large_number_commands(inputs)
-        commands += coverage_commands(inputs) + serializer_commands(inputs) + error_commands(inputs)
+        commands += long_limit_commands(inputs) + coverage_commands(inputs)
+        commands += serializer_commands(inputs) + error_commands(inputs)
 
         def both(argv):
             return run(ROOT / "src", argv, inputs), run(ref_src, argv, inputs)
