@@ -16,13 +16,19 @@ platform. The contract:
   int, a float, a str, a dict, a list, a tuple or a Grant.
 
 One dumps() call memoises the JSON form of each distinct string it meets,
-keys and values alike, and builds each level's padding once: chain sets
-repeat the same ids, permissions and keys hundreds of thousands of times.
-It memoises each Grant's text per depth too, keyed by (grant, depth): a
-chain set holds tens of thousands of grant entries but a few dozen
-distinct grants, and the indentation of a grant's text depends on its depth.
-Values of the exact built-in types take that fast path; subclasses (a str
-or int subclass, a dict subclass) render as their base type without it.
+keys and values alike, the text of each distinct float, and each level's
+padding: chain sets repeat the same ids, permissions, keys and costs
+hundreds of thousands of times. It memoises each Grant's text per depth
+too, in one memo per depth keyed by the grant: a chain set holds tens of
+thousands of grant entries but a few dozen distinct grants, and the
+indentation of a grant's text depends on its depth. The memos live for
+one call. Leaves of the exact built-in types str, Grant, float and int
+take an inline path in both the list loop and the dict-value loop, with
+no call per leaf; every other value (None, a bool, a container, a
+subclass such as a str or int subclass) goes through one render call and
+renders as its base type. Values that are equal as dict keys but print
+apart never share a memo entry: floats have their own memo (1 == 1.0 ==
+True), and only a grant of two exact strs is memoised.
 """
 
 from __future__ import annotations
@@ -47,42 +53,34 @@ def dumps(value, indent: int = 2, end: str = "") -> str:
     append = parts.append
     strings: dict[str, str] = {}  # exact str -> its JSON form
     keys: dict[str, str] = {}  # exact str key -> its JSON form and ": "
-    grants: dict[tuple[Grant, int], str] = {}  # (grant, depth) -> its JSON form
-    # depth -> (item separator, "[" opener, "]" closer, "{" opener, "}" closer)
-    levels: list[tuple[str, str, str, str, str]] = []
+    floats: dict[float, str] = {}  # exact float -> its text; 0.0 and -0.0 share "0"
+    # depth -> (item separator, "[" opener, "]" closer, "{" opener, "}" closer,
+    # the text of each Grant met as an item at the next depth)
+    levels: list[tuple[str, str, str, str, str, dict[Grant, str]]] = []
 
     def add_level() -> None:
         k = len(levels)
         pad = " " * (indent * (k + 1))
         close = "\n" + " " * (indent * k)
-        levels.append((",\n" + pad, "[\n" + pad, close + "]", "{\n" + pad, close + "}"))
+        levels.append((",\n" + pad, "[\n" + pad, close + "]", "{\n" + pad, close + "}", {}))
 
-    def string(s: str) -> str:
-        out = strings.get(s)
-        if out is None:
-            out = strings[s] = _encode_str(s)
-        return out
-
-    def grant_text(value: Grant, level: int) -> str:
+    def grant_text(value: Grant, level: int, grants: dict[Grant, str]) -> str:
         start = len(parts)
         render_container(value.as_dict(), level)
-        out = grants[value, level] = "".join(parts[start:])
+        out = "".join(parts[start:])
         del parts[start:]
+        # Grant(1, "r") == Grant(True, "r"), yet they render apart: only a
+        # grant of two exact strs is memoised.
+        if type(value.object) is str and type(value.permission) is str:
+            grants[value] = out
         return out
 
     def render(value, level: int) -> None:
         kind = type(value)
-        if kind is str:
-            append(string(value))
-        elif kind is dict or kind is list or kind is tuple:
+        if kind is dict or kind is list or kind is tuple:
             render_container(value, level)
         elif kind is Grant:
-            out = grants.get((value, level))
-            append(grant_text(value, level) if out is None else out)
-        elif kind is float:
-            append(format_float(value))
-        elif kind is int:
-            append(int.__repr__(value))
+            render_container(value.as_dict(), level)
         elif value is None:
             append("null")
         elif value is True:
@@ -101,9 +99,12 @@ def dumps(value, indent: int = 2, end: str = "") -> str:
             raise TypeError(f"cannot render {type(value).__name__} canonically")
 
     def render_container(value, level: int) -> None:
+        # Both loops below take each leaf of an exact built-in type inline:
+        # a call per leaf costs more than the rest of the loop. Any other
+        # item goes through render().
         if level == len(levels):
             add_level()
-        sep, open_list, close_list, open_dict, close_dict = levels[level]
+        sep, open_list, close_list, open_dict, close_dict, grants = levels[level]
         if isinstance(value, dict):
             if not value:
                 append("{}")
@@ -122,8 +123,22 @@ def dumps(value, indent: int = 2, end: str = "") -> str:
                     raise TypeError(f"canonical JSON requires string keys, got {key!r}")
                 append(head)
                 item = value[key]
-                if type(item) is str:  # the common leaf, without a render call
-                    append(string(item))
+                kind = type(item)
+                if kind is str:
+                    out = strings.get(item)
+                    if out is None:
+                        out = strings[item] = _encode_str(item)
+                    append(out)
+                elif kind is Grant:
+                    out = grants.get(item)
+                    append(grant_text(item, level + 1, grants) if out is None else out)
+                elif kind is float:
+                    out = floats.get(item)
+                    if out is None:
+                        out = floats[item] = format_float(item)
+                    append(out)
+                elif kind is int:
+                    append(int.__repr__(item))
                 else:
                     render(item, level + 1)
             append(close_dict)
@@ -138,8 +153,22 @@ def dumps(value, indent: int = 2, end: str = "") -> str:
         for i, item in enumerate(value):
             if i:
                 append(sep)
-            if type(item) is str:
-                append(string(item))
+            kind = type(item)
+            if kind is str:
+                out = strings.get(item)
+                if out is None:
+                    out = strings[item] = _encode_str(item)
+                append(out)
+            elif kind is Grant:
+                out = grants.get(item)
+                append(grant_text(item, level + 1, grants) if out is None else out)
+            elif kind is float:
+                out = floats.get(item)
+                if out is None:
+                    out = floats[item] = format_float(item)
+                append(out)
+            elif kind is int:
+                append(int.__repr__(item))
             else:
                 render(item, level + 1)
         append(close_list)

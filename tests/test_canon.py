@@ -6,9 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stratagraph import canon
-from stratagraph.chains import AttackChain
+from stratagraph.chains import AttackChain, enumerate_chains
+from stratagraph.graphs import build_attack_graph, build_base_graph, graphs_to_dict
 from stratagraph.model import Grant
 
+from genscen import random_scenario
 from oracles import reference_dumps
 
 
@@ -49,6 +51,24 @@ values = st.recursive(
     ),
     max_leaves=20,
 )
+# Long lists over a small pool, so one call meets the same string, float and
+# Grant again and again, at several depths: the memoised paths. The pool
+# holds values that are equal as dict keys but render apart (1, 1.0, True).
+POOL = (
+    "a", "b", Str("a"), "café",
+    0.0, -0.0, 1.0, 2.5, 1e6, 1, 1000000, True, False, Int(1), None,
+    Grant("o1", "read"), Grant("o2", "write"), Grant(Str("o1"), "read"), Grant(1, "r"), Grant(True, "r"),
+)
+repeating = st.recursive(
+    st.sampled_from(POOL),
+    lambda children: (
+        st.lists(children, max_size=16)
+        | st.lists(children, max_size=16).map(tuple)
+        | st.dictionaries(st.sampled_from(("a", "b", "c", Str("d"))), children, max_size=4)
+    ),
+    max_leaves=60,
+)
+GRANT = Grant("o1", "read")
 
 
 def plain(value):
@@ -73,8 +93,8 @@ def outcome(render, value):
         return type(exc)
 
 
-@settings(max_examples=300, deadline=None)
-@given(values)
+@settings(max_examples=400, deadline=None)
+@given(values | repeating)
 @example(-0.0)
 @example({"a": [{"b": [1, -0.0]}, {}], "c": ()})
 @example([[], [[None, True, False]], {"k": {"v": "x"}}])
@@ -86,6 +106,14 @@ def outcome(render, value):
 @example(Pair(Grant("o1", "read"), 1))
 @example(Grant(Str("o1"), "read"))
 @example({"chains": [AttackChain(("A1#0",), 1.0, 2.0, (Grant("o1", "read"),))]})  # a record: TypeError
+@example([0.0, -0.0, 0.0])  # both zeros print 0
+@example([2.5, 2.5, float("nan")])  # a memoised float before it does not let a NaN through
+@example([1000000, 1000000.0, 1000000])  # equal as dict keys, printed apart
+@example([1, 1.0, True, Int(1)])
+@example([Grant(1, "r"), Grant(True, "r"), Grant(1.0, "r")])
+@example({"a": GRANT, "b": [GRANT], "c": [[GRANT]]})
+@example([{"k": GRANT}, [GRANT]])  # one depth, reached from a dict value and from a list item
+@example([Str("x"), "x"])
 def test_dumps_matches_reference_renderer(value):
     # A Grant renders as its as_dict(); the reference renderer sees that dict.
     expected = outcome(reference_dumps, plain(value))
@@ -102,3 +130,14 @@ def test_a_grant_renders_by_its_own_depth_within_one_call():
     value = {"a": [[grant]], "b": grant, "c": [grant, {"d": [[grant]]}], "e": grant}
     for indent in (2, 4):
         assert canon.dumps(value, indent=indent) == reference_dumps(plain(value), indent=indent)
+
+
+def test_dumps_matches_reference_on_a_chain_set_of_hundreds():
+    # The shape of the big outputs: hundreds of chains that repeat a few
+    # dozen ids, grants and costs, and the graph listing that goes with them.
+    doc = random_scenario(26, max_objects=12, max_edges=30)
+    graph = build_attack_graph(doc, build_base_graph(doc))
+    found = enumerate_chains(graph)
+    assert len(found) >= 300
+    for payload in ({"count": len(found), "chains": [c.as_dict() for c in found]}, graphs_to_dict(graph)):
+        assert canon.dumps(payload) == reference_dumps(plain(payload))

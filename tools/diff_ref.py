@@ -34,6 +34,10 @@ Inputs, all generated from this checkout:
   canon prints an int and an equal float alike below 1e6 (`5` and `5.0`
   both as `5`) but not from there up (`1000000` against `1e+06`), so
   only numbers this large show a drift in a printed value's type;
+- the same scenarios with every cost and severity zero, written as `0`,
+  `0.0` or `-0.0` at random (`signed_zero_commands`): `graph`, `chains`
+  and `risk` in JSON. canon prints both float zeros as `0`, and a memo
+  keyed by value (`0.0 == -0.0`) must keep doing so;
 - the serializer (`serializer_commands`): `serialize_scenario(load_scenario(
   path))` of every scenario above. Each scenario is written by this
   checkout's serializer, so a serializer drift would change both sides'
@@ -74,6 +78,7 @@ BENCH_SEEDS = (1, 2)
 GENSCEN_SEEDS = 8  # per family (random, coherent), each run under both semantics
 TARGETLESS_SEED = 3  # a random scenario with 22 chains of at most 4 edges once its targets are gone
 LARGE_SEEDS = 4  # per family, each run under both threat aggregations
+ZERO_SEEDS = 4  # per family
 JOBS = 2  # commands run at once; each waits on a subprocess
 UNRESTRICTED_MAX_LEN = 6  # chains to every object at a workload's own max_len run to tens of MB
 LONG_MAX_LEN = 100_000  # far beyond any chain of the small scenarios, and still quick for a search capped by it
@@ -198,10 +203,19 @@ def genscen_commands(inputs: Path) -> list[list[str]]:
     return commands
 
 
+def _rewrite_numbers(path: Path, doc, pick) -> None:
+    """Write doc to path with every cost and severity replaced by pick()."""
+    from stratagraph.scenario import serialize_scenario
+
+    data = json.loads(serialize_scenario(doc))
+    for record, keys in [(a, ("cost", "severity")) for a in data["attacks"]] + [(d, ("cost",)) for d in data["defenses"]]:
+        for key in keys:
+            record[key] = pick()
+    path.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
+
+
 def large_number_commands(inputs: Path) -> list[list[str]]:
     from genscen import coherent_scenario, random_scenario
-
-    from stratagraph.scenario import serialize_scenario
 
     commands = []
     for agg in ("sum", "max"):
@@ -212,14 +226,12 @@ def large_number_commands(inputs: Path) -> list[list[str]]:
                 path = inputs / f"large-{family}-{seed}.scenario"
                 if not path.exists():
                     rng = random.Random(f"large-{family}-{seed}")
-                    data = json.loads(serialize_scenario(make(seed)))
-                    for record, keys in [(a, ("cost", "severity")) for a in data["attacks"]] + [
-                        (d, ("cost",)) for d in data["defenses"]
-                    ]:
-                        for key in keys:
-                            whole = rng.choice((1, 2)) * 10**6
-                            record[key] = whole if rng.random() < 0.5 else float(whole)
-                    path.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
+
+                    def pick():
+                        whole = rng.choice((1, 2)) * 10**6
+                        return whole if rng.random() < 0.5 else float(whole)
+
+                    _rewrite_numbers(path, make(seed), pick)
                 common = ["--scenario", str(path), "--config", str(config), "--format", "json"]
                 commands += [
                     ["chains", *common],
@@ -231,6 +243,21 @@ def large_number_commands(inputs: Path) -> list[list[str]]:
                     ["defend", *common, "--mode", "budget", "--budget", "3000000"],
                     ["simulate", *common, "--defender", "reactive_cut", "--budget-per-turn", "2000000", "--runs", "2"],
                 ]
+    return commands
+
+
+def signed_zero_commands(inputs: Path) -> list[list[str]]:
+    """Scenarios whose every cost and severity is written as 0, 0.0 or -0.0 at random."""
+    from genscen import coherent_scenario, random_scenario
+
+    commands = []
+    for family, make in (("random", random_scenario), ("coherent", coherent_scenario)):
+        for seed in range(ZERO_SEEDS):
+            path = inputs / f"zero-{family}-{seed}.scenario"
+            rng = random.Random(f"zero-{family}-{seed}")
+            _rewrite_numbers(path, make(seed), lambda: rng.choice((0, 0.0, -0.0)))
+            common = ["--scenario", str(path), "--format", "json"]
+            commands += [["graph", *common], ["chains", *common], ["risk", *common]]
     return commands
 
 
@@ -359,6 +386,7 @@ def main(argv=None) -> int:
         inputs = tmp / "inputs"
         inputs.mkdir()
         commands = bench_commands(inputs) + genscen_commands(inputs) + large_number_commands(inputs)
+        commands += signed_zero_commands(inputs)
         commands += long_limit_commands(inputs) + coverage_commands(inputs)
         commands += serializer_commands(inputs) + error_commands(inputs)
 
