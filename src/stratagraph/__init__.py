@@ -40,8 +40,6 @@ _EXPORTS = {
         "build_attack_graph",
         "build_base_graph",
         "graphs_to_dot",
-        "graphs_to_json",
-        "neighbors",
     ),
     "model": (
         "AttackRecord",

@@ -613,7 +613,7 @@ def _base_paths(base: HierarchicalGraph, src: str, dst: str, max_len: int):
             continue
         if len(path) > max_len:
             continue
-        stack.extend(path + (nxt,) for nxt in base.neighbors(here) if nxt not in path)
+        stack.extend(path + (nxt,) for nxt in base.adjacency.get(here, ()) if nxt not in path)
     return sorted(out, key=lambda p: (len(p), p))
 
 

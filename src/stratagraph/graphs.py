@@ -22,7 +22,6 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from . import canon
 from .model import AttackRecord, DefenseRecord, Grant, RelationshipEdge, ScenarioDoc, UnknownIdError
 from .scenario import require_valid
 
@@ -42,18 +41,6 @@ class HierarchicalGraph(NamedTuple):
     # The validated scenario this graph was built from, the one owner of the
     # doc: the attack graph built on this base reads it as AttackGraph.doc.
     doc: ScenarioDoc
-
-    def nodes(self) -> tuple[str, ...]:
-        return tuple(sorted(self.layers))
-
-    def neighbors(self, object_id: str) -> tuple[str, ...]:
-        """Objects reachable over one relationship edge, honoring direction."""
-        if object_id not in self.layers:
-            raise UnknownIdError(f"unknown object {object_id!r}")
-        return self.adjacency.get(object_id, ())
-
-    def connects(self, a: str, b: str) -> bool:
-        return b in self.adjacency.get(a, ())
 
 
 class AttackEdge(NamedTuple):
@@ -209,13 +196,6 @@ def build_attack_graph(doc: ScenarioDoc, base: HierarchicalGraph) -> AttackGraph
     )
 
 
-def neighbors(graph: AttackGraph, object_id: str) -> tuple[AttackEdge, ...]:
-    """All attack edges leaving an object, in edge-id order."""
-    if object_id not in graph.base.layers:
-        raise UnknownIdError(f"unknown object {object_id!r}")
-    return graph.by_from.get(object_id, ())
-
-
 # --- exports -----------------------------------------------------------------
 
 def graphs_to_dict(graph: AttackGraph) -> dict:
@@ -237,10 +217,6 @@ def graphs_to_dict(graph: AttackGraph) -> dict:
         "object_count": len(doc.objects),
         "attack_edge_count": len(graph.edges),
     }
-
-
-def graphs_to_json(graph: AttackGraph) -> str:
-    return canon.dumps(graphs_to_dict(graph), end="\n")
 
 
 def _dot_quote(s: str) -> str:

@@ -126,12 +126,6 @@ class RelationshipEdge(NamedTuple):
     def as_dict(self) -> dict:
         return {"from": self.from_id, "to": self.to_id, "kind": self.kind, "directed": self.directed}
 
-    def touches(self, a: str, b: str) -> bool:
-        """True when this edge links a to b, honoring directedness."""
-        if self.from_id == a and self.to_id == b:
-            return True
-        return not self.directed and self.from_id == b and self.to_id == a
-
 
 class AttackRecord(NamedTuple):
     """One attack event on one object, with a list of granted effects.

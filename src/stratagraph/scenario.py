@@ -1,8 +1,11 @@
 """Scenario file loading, validation and serialization.
 
 Scenario files are UTF-8 JSON; see docs/scenario.schema.json for the formal
-schema. load_scenario checks syntax and shape only. Semantic rules (dangling
-references, duplicate ids, taxonomy membership, numeric ranges) live in
+schema. load_scenario checks syntax and shape only. The field tables _GRANT,
+_OBJECT, _RELATIONSHIP, _ATTACK and _DEFENSE are the one statement of each
+record's keys, types and defaults, and of the order its checks run; one loop
+reads every record by its table. Semantic rules (dangling references,
+duplicate ids, taxonomy membership, numeric ranges) live in
 validate_scenario, which reports violations as data instead of raising.
 """
 
@@ -39,11 +42,18 @@ TOTAL_LIMIT = sys.float_info.max / 2
 
 
 # --- parsing -----------------------------------------------------------------
+#
+# A field table lists (key, check, default) in the order the checks run. A
+# check is a type the value must have, or a converter that checks the value
+# and returns what the record holds. A default is what a record holds when
+# its key is missing; _REQUIRED marks a key without one.
 
-def _expect(value, types, where: str):
-    if not isinstance(value, types):
-        names = types.__name__ if isinstance(types, type) else "/".join(t.__name__ for t in types)
-        raise ParseError(f"{where}: expected {names}, got {type(value).__name__}")
+_REQUIRED = object()
+
+
+def _expect(value, kind: type, where: str):
+    if not isinstance(value, kind):
+        raise ParseError(f"{where}: expected {kind.__name__}, got {type(value).__name__}")
     return value
 
 
@@ -58,93 +68,83 @@ def _number(value, where: str) -> float:
         raise OverflowError(f"{where}: integer too large for a float") from None
 
 
-_REQUIRED = object()
+def _grants(value, where: str) -> tuple[Grant, ...]:
+    _expect(value, list, where)
+    grants = []
+    for i, raw in enumerate(value):
+        here = f"{where}[{i}]"
+        (obj, perm), extra = _fields(raw, here, _GRANT)
+        if extra:
+            raise ParseError(f"{here}: unexpected keys {extra}")
+        grants.append(Grant(obj, normalize_permission(perm)))
+    return tuple(grants)
 
 
-def _take(record: dict, key: str, where: str, default=_REQUIRED):
-    if key in record:
-        return record.pop(key)
-    if default is _REQUIRED:
-        raise ParseError(f"{where}: missing required key {key!r}")
-    return default
+def _sorted_grants(value, where: str) -> tuple[Grant, ...]:
+    return tuple(sorted(_grants(value, where)))
 
 
-def _leftover_keys(record: dict, where: str, unknown: list[str]) -> None:
-    for key in sorted(record):
-        unknown.append(f"{where}.{key}")
+def _strings(value, where: str) -> tuple[str, ...]:
+    _expect(value, list, where)
+    return tuple(_expect(s, str, f"{where}[{i}]") for i, s in enumerate(value))
 
 
-def _parse_grant(raw, where: str) -> Grant:
+_GRANT = (("object", str, _REQUIRED), ("permission", str, _REQUIRED))
+_OBJECT = (("id", str, _REQUIRED), ("layer", str, _REQUIRED), ("category", str, _REQUIRED), ("label", str, ""))
+_RELATIONSHIP = (("from", str, _REQUIRED), ("to", str, _REQUIRED), ("kind", str, _REQUIRED), ("directed", bool, False))
+_ATTACK = (
+    ("id", str, _REQUIRED),
+    ("object", str, _REQUIRED),
+    ("condition", _sorted_grants, ()),
+    ("method", str, ""),
+    ("a_results", _grants, _REQUIRED),
+    ("cost", _number, 1.0),
+    ("severity", _number, 1.0),
+    ("detect_prob", _number, 1.0),
+    ("entry_only", bool, False),
+)
+# d_results is checked first, so an empty {} defense reports it missing.
+_DEFENSE = (
+    ("d_results", _strings, _REQUIRED),
+    ("id", str, _REQUIRED),
+    ("cost", _number, _REQUIRED),
+    ("method", str, ""),
+)
+_SECTIONS = frozenset(("objects", "relationships", "attacks", "defenses", "entry_grants", "targets", "extensions"))
+
+
+def _fields(raw, where: str, fields) -> tuple[list, list]:
+    """raw's values in table order, and the keys the table lacks, sorted."""
     _expect(raw, dict, where)
-    raw = dict(raw)
-    obj = _expect(_take(raw, "object", where), str, f"{where}.object")
-    perm = _expect(_take(raw, "permission", where), str, f"{where}.permission")
-    if raw:
-        raise ParseError(f"{where}: unexpected keys {sorted(raw)}")
-    return Grant(obj, normalize_permission(perm))
+    values = []
+    found = 0
+    for key, check, default in fields:
+        if key not in raw:
+            if default is _REQUIRED:
+                raise ParseError(f"{where}: missing required key {key!r}")
+            values.append(default)
+            continue
+        found += 1
+        value = raw[key]
+        if type(check) is not type:
+            value = check(value, f"{where}.{key}")
+        elif not isinstance(value, check):
+            _expect(value, check, f"{where}.{key}")
+        values.append(value)
+    if len(raw) == found:
+        return values, []
+    return values, sorted(raw.keys() - {key for key, _, _ in fields})
 
 
-def _parse_grant_list(raw, where: str) -> tuple[Grant, ...]:
-    _expect(raw, list, where)
-    return tuple(_parse_grant(g, f"{where}[{i}]") for i, g in enumerate(raw))
-
-
-def _parse_object(raw, where: str, unknown: list[str]) -> ObjectRecord:
-    _expect(raw, dict, where)
-    raw = dict(raw)
-    rec = ObjectRecord(
-        id=_expect(_take(raw, "id", where), str, f"{where}.id"),
-        layer=_expect(_take(raw, "layer", where), str, f"{where}.layer"),
-        category=_expect(_take(raw, "category", where), str, f"{where}.category"),
-        label=_expect(_take(raw, "label", where, ""), str, f"{where}.label"),
-    )
-    _leftover_keys(raw, where, unknown)
-    return rec
-
-
-def _parse_relationship(raw, where: str, unknown: list[str]) -> RelationshipEdge:
-    _expect(raw, dict, where)
-    raw = dict(raw)
-    rec = RelationshipEdge(
-        from_id=_expect(_take(raw, "from", where), str, f"{where}.from"),
-        to_id=_expect(_take(raw, "to", where), str, f"{where}.to"),
-        kind=_expect(_take(raw, "kind", where), str, f"{where}.kind"),
-        directed=_expect(_take(raw, "directed", where, False), bool, f"{where}.directed"),
-    )
-    _leftover_keys(raw, where, unknown)
-    return rec
-
-
-def _parse_attack(raw, where: str, unknown: list[str]) -> AttackRecord:
-    _expect(raw, dict, where)
-    raw = dict(raw)
-    rec = AttackRecord(
-        id=_expect(_take(raw, "id", where), str, f"{where}.id"),
-        object=_expect(_take(raw, "object", where), str, f"{where}.object"),
-        condition=tuple(sorted(_parse_grant_list(_take(raw, "condition", where, []), f"{where}.condition"))),
-        method=_expect(_take(raw, "method", where, ""), str, f"{where}.method"),
-        a_results=_parse_grant_list(_take(raw, "a_results", where), f"{where}.a_results"),
-        cost=_number(_take(raw, "cost", where, 1.0), f"{where}.cost"),
-        severity=_number(_take(raw, "severity", where, 1.0), f"{where}.severity"),
-        detect_prob=_number(_take(raw, "detect_prob", where, 1.0), f"{where}.detect_prob"),
-        entry_only=_expect(_take(raw, "entry_only", where, False), bool, f"{where}.entry_only"),
-    )
-    _leftover_keys(raw, where, unknown)
-    return rec
-
-
-def _parse_defense(raw, where: str, unknown: list[str]) -> DefenseRecord:
-    _expect(raw, dict, where)
-    raw = dict(raw)
-    d_results = _expect(_take(raw, "d_results", where), list, f"{where}.d_results")
-    rec = DefenseRecord(
-        id=_expect(_take(raw, "id", where), str, f"{where}.id"),
-        cost=_number(_take(raw, "cost", where), f"{where}.cost"),
-        method=_expect(_take(raw, "method", where, ""), str, f"{where}.method"),
-        d_results=tuple(_expect(a, str, f"{where}.d_results[{i}]") for i, a in enumerate(d_results)),
-    )
-    _leftover_keys(raw, where, unknown)
-    return rec
+def _records(data: dict, section: str, fields, make, unknown: list[str]) -> tuple:
+    """The records of one section, built by make from their values; unknown gains their extra keys."""
+    records = []
+    for i, raw in enumerate(_expect(data.get(section, []), list, section)):
+        where = f"{section}[{i}]"
+        values, extra = _fields(raw, where, fields)
+        unknown += [f"{where}.{key}" for key in extra]
+        records.append(make(*values))
+    return tuple(records)
 
 
 def parse_scenario(text: str, source: str = "<string>") -> ScenarioDoc:
@@ -161,39 +161,26 @@ def parse_scenario(text: str, source: str = "<string>") -> ScenarioDoc:
         raise ParseError(f"{source}: {exc}") from exc
     _expect(data, dict, source)
     try:
-        return _parse_document(dict(data))
+        return _parse_document(data)
     except (ParseError, OverflowError) as exc:
         raise ParseError(f"{source}: {exc}") from exc
 
 
 def _parse_document(data: dict) -> ScenarioDoc:
+    # Arguments run in the order written: sections are read, and their
+    # unknown keys listed, in this order.
     unknown: list[str] = []
-
-    def section(key: str) -> list:
-        return _expect(data.pop(key, []), list, key)
-
-    objects = tuple(_parse_object(o, f"objects[{i}]", unknown) for i, o in enumerate(section("objects")))
-    relationships = tuple(
-        _parse_relationship(r, f"relationships[{i}]", unknown) for i, r in enumerate(section("relationships"))
-    )
-    attacks = tuple(_parse_attack(a, f"attacks[{i}]", unknown) for i, a in enumerate(section("attacks")))
-    defenses = tuple(_parse_defense(d, f"defenses[{i}]", unknown) for i, d in enumerate(section("defenses")))
-    entry_grants = tuple(sorted(_parse_grant_list(data.pop("entry_grants", []), "entry_grants")))
-    targets = tuple(sorted(_expect(t, str, f"targets[{i}]") for i, t in enumerate(section("targets"))))
-    extensions = tuple(_expect(e, str, f"extensions[{i}]") for i, e in enumerate(section("extensions")))
-
-    for key in sorted(data):
-        unknown.append(key)
-
     return ScenarioDoc(
-        objects=objects,
-        relationships=relationships,
-        attacks=attacks,
-        defenses=defenses,
-        entry_grants=entry_grants,
-        targets=targets,
-        extensions=extensions,
-        unknown_keys=tuple(unknown),
+        objects=_records(data, "objects", _OBJECT, ObjectRecord, unknown),
+        relationships=_records(data, "relationships", _RELATIONSHIP, RelationshipEdge, unknown),
+        attacks=_records(data, "attacks", _ATTACK, AttackRecord, unknown),
+        defenses=_records(
+            data, "defenses", _DEFENSE, lambda d_results, *rest: DefenseRecord(*rest, d_results), unknown
+        ),
+        entry_grants=_sorted_grants(data.get("entry_grants", []), "entry_grants"),
+        targets=tuple(sorted(_strings(data.get("targets", []), "targets"))),
+        extensions=_strings(data.get("extensions", []), "extensions"),
+        unknown_keys=(*unknown, *sorted(data.keys() - _SECTIONS)),
     )
 
 
@@ -320,8 +307,8 @@ def validate_scenario(doc: ScenarioDoc) -> tuple[Violation, ...]:
                 )
             )
 
-    # Both orientations of every relationship: touches(a, b) or touches(b, a)
-    # holds exactly when some relationship joins a and b, directed or not.
+    # Both orientations of every relationship: a pair is in it exactly when
+    # some relationship joins the two objects, directed or not.
     linked = set()
     for r in doc.relationships:
         linked.add((r.from_id, r.to_id))

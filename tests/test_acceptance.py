@@ -14,7 +14,6 @@ from stratagraph import (
     build_attack_graph,
     build_base_graph,
     enumerate_chains,
-    graphs_to_json,
     is_valid_chain,
     plan_budgeted,
     plan_cut,
@@ -25,6 +24,7 @@ from stratagraph import canon
 from stratagraph.cli import main
 from stratagraph.config import EngineConfig
 from stratagraph.defense import chain_attacks, neutralized_attacks
+from stratagraph.graphs import graphs_to_dict
 
 import oracles
 from genscen import coherent_scenario, random_scenario
@@ -71,7 +71,7 @@ def test_criterion_1_worked_example_two_edges(multiedge, golden_check):
     edges = [(e.from_id, e.to_id, e.permission) for e in graph.edges]
     assert edges == [("O1", "O2", "read"), ("O1", "O3", "execute")]
     assert len(graph.edges) == 2
-    golden_check("multiedge_graph.json", graphs_to_json(graph))
+    golden_check("multiedge_graph.json", canon.dumps(graphs_to_dict(graph), end="\n"))
     print("criterion 1 PASS: worked example yields exactly the two expected edges, golden stable")
 
 

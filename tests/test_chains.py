@@ -266,6 +266,8 @@ def test_no_base_path_gives_nothing(potential_gap):
     assert generate_potential_chains(graph, "PB", "PX", config=EngineConfig(max_len=2)) == ()
     with pytest.raises(UnknownIdError):
         generate_potential_chains(graph, "PB", "NOPE")
+    with pytest.raises(UnknownIdError):
+        generate_potential_chains(graph, "NOPE", "PB")
 
 
 def test_potential_suggestion_respects_next_condition(toy5g):

@@ -12,12 +12,12 @@ from stratagraph import (
     build_base_graph,
     enumerate_chains,
     graphs_to_dot,
-    graphs_to_json,
-    neighbors,
     load_scenario,
     parse_scenario,
 )
+from stratagraph import canon
 from stratagraph.defense import chain_signature
+from stratagraph.graphs import graphs_to_dict
 from stratagraph.model import Grant
 
 from genscen import random_scenario
@@ -37,16 +37,16 @@ def test_no_relationships_gives_isolated_nodes():
     doc = parse_scenario('{"objects": [{"id": "a", "layer": "physical", "category": "os"},'
                          ' {"id": "b", "layer": "virtual", "category": "os"}]}')
     base = build_base_graph(doc)
-    assert base.nodes() == ("a", "b")
+    assert sorted(base.layers) == ["a", "b"]
     assert base.intra_edges == () and base.vertical_edges == ()
-    assert base.neighbors("a") == ()
+    assert base.adjacency == {}
 
 
 def test_single_object_graph():
     doc = parse_scenario('{"objects": [{"id": "solo", "layer": "service", "category": "protocol"}]}')
     base = build_base_graph(doc)
     graph = build_attack_graph(doc, base)
-    assert base.nodes() == ("solo",)
+    assert sorted(base.layers) == ["solo"]
     assert graph.edges == ()
 
 
@@ -81,16 +81,10 @@ def test_edge_attrs_copied_from_record(toy5g):
 
 def test_neighbors_ordering(multiedge, toy5g):
     _, _, megraph = multiedge
-    assert [e.edge_id for e in neighbors(megraph, "O1")] == ["A1#0", "A1#1"]
-    assert neighbors(megraph, "O2") == ()
+    assert [e.edge_id for e in megraph.by_from["O1"]] == ["A1#0", "A1#1"]
+    assert "O2" not in megraph.by_from
     _, _, graph = toy5g
-    assert [e.edge_id for e in neighbors(graph, "UE1")] == ["A4#0", "A5#0"]
-
-
-def test_neighbors_unknown_object(toy5g):
-    _, _, graph = toy5g
-    with pytest.raises(UnknownIdError):
-        neighbors(graph, "NOPE")
+    assert [e.edge_id for e in graph.by_from["UE1"]] == ["A4#0", "A5#0"]
 
 
 def test_builds_are_deterministic(toy5g, fixtures_dir):
@@ -100,7 +94,7 @@ def test_builds_are_deterministic(toy5g, fixtures_dir):
     doc2 = load_scenario(fixtures_dir / "toy5g.scenario")
     base2 = build_base_graph(doc2)
     graph2 = build_attack_graph(doc2, base2)
-    assert graphs_to_json(graph) == graphs_to_json(graph2)
+    assert canon.dumps(graphs_to_dict(graph), end="\n") == canon.dumps(graphs_to_dict(graph2), end="\n")
     assert graphs_to_dot(graph) == graphs_to_dot(graph2)
 
 
@@ -139,14 +133,18 @@ def test_adjacency_matches_relationship_scan(fixtures_dir):
     docs += [random_scenario(seed) for seed in range(60)]
     for doc in docs:
         base = build_base_graph(doc)
-        for a in base.nodes():
+        for a in base.layers:
             expected = sorted(
                 {e.to_id for e in doc.relationships if e.from_id == a}
                 | {e.from_id for e in doc.relationships if not e.directed and e.to_id == a}
             )
-            assert list(base.neighbors(a)) == expected
-            for b in base.nodes():
-                assert base.connects(a, b) == any(e.touches(a, b) for e in doc.relationships)
+            assert list(base.adjacency.get(a, ())) == expected
+            for b in base.layers:
+                touches = any(
+                    (e.from_id, e.to_id) == (a, b) or (not e.directed and (e.from_id, e.to_id) == (b, a))
+                    for e in doc.relationships
+                )
+                assert (b in base.adjacency.get(a, ())) == touches
 
 
 def test_builders_reject_invalid_doc(toy5g):

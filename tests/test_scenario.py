@@ -1,7 +1,10 @@
+import json
 import math
+from pathlib import Path
 
 import pytest
 
+from stratagraph import scenario
 from stratagraph import (
     Grant,
     ParseError,
@@ -159,8 +162,6 @@ NON_FINITE_FIELDS = [
 @pytest.mark.parametrize("section, key", NON_FINITE_FIELDS)
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_numbers_are_errors(fixtures_dir, section, key, literal):
-    import json
-
     data = json.loads((fixtures_dir / "toy5g.scenario").read_text())
     data[section][0][key] = float(literal)
     text = json.dumps(data)
@@ -235,8 +236,6 @@ def test_round_trip_drops_unknown_keys():
 def test_leftover_vulnerability_catalog_is_an_unknown_key(fixtures_dir):
     # A catalog in an old file loads, warns once, and leaves the document and
     # its serialized bytes as they are without it.
-    import json
-
     text = (fixtures_dir / "toy5g.scenario").read_text()
     data = json.loads(text)
     data["vulnerabilities"] = [
@@ -299,8 +298,6 @@ def test_single_field_corruption_is_caught(toy5g):
 
 
 def test_type_corruption_always_raises_parse_error(fixtures_dir):
-    import json
-
     original = json.loads((fixtures_dir / "toy5g.scenario").read_text())
 
     def paths(node, prefix=()):
@@ -341,3 +338,125 @@ def test_permission_aliases_normalize_at_load(multiedge):
     perms = [g.permission for g in doc.attacks[0].a_results]
     assert perms == ["read", "execute"]
 
+
+
+# --- record shapes -------------------------------------------------------------
+
+_OBJ = {"id": "x", "layer": "physical", "category": "os"}
+_REL = {"from": "x", "to": "x", "kind": "link"}
+_GRANT = {"object": "x", "permission": "read"}
+_ATK = {"id": "a", "object": "x", "a_results": [_GRANT]}
+_DEF = {"id": "d", "cost": 1, "d_results": ["a"]}
+
+
+def _with(record: dict, **changes) -> dict:
+    """record with changes applied; a change to None deletes the key."""
+    out = {**record, **changes}
+    return {k: v for k, v in out.items() if changes.get(k, 0) is not None}
+
+
+# (scenario data, the exact ParseError text); one pair per fault kind and record.
+SHAPE_FAULTS = [
+    ([], "expected dict, got list"),
+    ({"objects": {}}, "objects: expected list, got dict"),
+    ({"objects": ["x"]}, "objects[0]: expected dict, got str"),
+    ({"objects": [{}]}, "objects[0]: missing required key 'id'"),
+    ({"objects": [_with(_OBJ, layer=None)]}, "objects[0]: missing required key 'layer'"),
+    ({"objects": [_with(_OBJ, id=7)]}, "objects[0].id: expected str, got int"),
+    ({"objects": [_with(_OBJ, label=[])]}, "objects[0].label: expected str, got list"),
+    ({"relationships": 1}, "relationships: expected list, got int"),
+    ({"relationships": [{}]}, "relationships[0]: missing required key 'from'"),
+    ({"relationships": [_with(_REL, kind=None)]}, "relationships[0]: missing required key 'kind'"),
+    ({"relationships": [_with(_REL, to=1.5)]}, "relationships[0].to: expected str, got float"),
+    ({"relationships": [_with(_REL, directed="yes")]}, "relationships[0].directed: expected bool, got str"),
+    ({"relationships": [_with(_REL, directed=1)]}, "relationships[0].directed: expected bool, got int"),
+    ({"attacks": [{}]}, "attacks[0]: missing required key 'id'"),
+    ({"attacks": [[]]}, "attacks[0]: expected dict, got list"),
+    ({"attacks": [_with(_ATK, a_results=None)]}, "attacks[0]: missing required key 'a_results'"),
+    ({"attacks": [_with(_ATK, object=False)]}, "attacks[0].object: expected str, got bool"),
+    ({"attacks": [_with(_ATK, method=5)]}, "attacks[0].method: expected str, got int"),
+    ({"attacks": [_with(_ATK, condition="x")]}, "attacks[0].condition: expected list, got str"),
+    ({"attacks": [_with(_ATK, condition=[1])]}, "attacks[0].condition[0]: expected dict, got int"),
+    ({"attacks": [_with(_ATK, condition=[{}])]}, "attacks[0].condition[0]: missing required key 'object'"),
+    ({"attacks": [_with(_ATK, a_results={})]}, "attacks[0].a_results: expected list, got dict"),
+    (
+        {"attacks": [_with(_ATK, a_results=[{"object": "x"}])]},
+        "attacks[0].a_results[0]: missing required key 'permission'",
+    ),
+    (
+        {"attacks": [_with(_ATK, a_results=[_with(_GRANT, object=1)])]},
+        "attacks[0].a_results[0].object: expected str, got int",
+    ),
+    (
+        {"attacks": [_with(_ATK, a_results=[_with(_GRANT, z=1, b=2)])]},
+        "attacks[0].a_results[0]: unexpected keys ['b', 'z']",
+    ),
+    ({"attacks": [_with(_ATK, cost=True)]}, "attacks[0].cost: expected number, got bool"),
+    ({"attacks": [_with(_ATK, cost="free")]}, "attacks[0].cost: expected number, got str"),
+    ({"attacks": [_with(_ATK, severity=2**2000)]}, "attacks[0].severity: integer too large for a float"),
+    ({"attacks": [_with(_ATK, detect_prob=[0.5])]}, "attacks[0].detect_prob: expected number, got list"),
+    ({"attacks": [_with(_ATK, entry_only=0)]}, "attacks[0].entry_only: expected bool, got int"),
+    ({"defenses": "d"}, "defenses: expected list, got str"),
+    ({"defenses": [{}]}, "defenses[0]: missing required key 'd_results'"),
+    ({"defenses": [_with(_DEF, id=None)]}, "defenses[0]: missing required key 'id'"),
+    ({"defenses": [_with(_DEF, cost=None)]}, "defenses[0]: missing required key 'cost'"),
+    ({"defenses": [_with(_DEF, cost=False)]}, "defenses[0].cost: expected number, got bool"),
+    ({"defenses": [_with(_DEF, method={})]}, "defenses[0].method: expected str, got dict"),
+    ({"defenses": [_with(_DEF, d_results="a")]}, "defenses[0].d_results: expected list, got str"),
+    ({"defenses": [_with(_DEF, d_results=["a", 2])]}, "defenses[0].d_results[1]: expected str, got int"),
+    ({"entry_grants": {}}, "entry_grants: expected list, got dict"),
+    ({"entry_grants": [{}]}, "entry_grants[0]: missing required key 'object'"),
+    ({"entry_grants": [_with(_GRANT, permission=None)]}, "entry_grants[0]: missing required key 'permission'"),
+    ({"entry_grants": [_with(_GRANT, note="x")]}, "entry_grants[0]: unexpected keys ['note']"),
+    ({"targets": "x"}, "targets: expected list, got str"),
+    ({"targets": ["x", 1]}, "targets[1]: expected str, got int"),
+    ({"extensions": [None]}, "extensions[0]: expected str, got NoneType"),
+    # Sections are read in document order, and each record in its table's order.
+    ({"defenses": [{}], "objects": [{}]}, "objects[0]: missing required key 'id'"),
+    ({"attacks": [_with(_ATK, id=1, cost="x")]}, "attacks[0].id: expected str, got int"),
+    # A defense reads all of d_results before its other keys.
+    ({"defenses": [_with(_DEF, d_results=[1], method=5)]}, "defenses[0].d_results[0]: expected str, got int"),
+]
+
+
+@pytest.mark.parametrize("data, message", SHAPE_FAULTS)
+def test_shape_faults_give_exact_messages(data, message):
+    with pytest.raises(ParseError) as caught:
+        parse_scenario(json.dumps(data), source="s.json")
+    assert str(caught.value) == f"s.json: {message}"
+
+
+def test_unknown_keys_keep_record_then_document_order():
+    data = {
+        "zz": 1,
+        "objects": [_with(_OBJ, z=1, b=2), _OBJ],
+        "attacks": [_with(_ATK, a=1)],
+        "defenses": [_with(_DEF, x=1)],
+        "aa": 2,
+    }
+    doc = parse_scenario(json.dumps(data))
+    assert doc.unknown_keys == ("objects[0].b", "objects[0].z", "attacks[0].a", "defenses[0].x", "aa", "zz")
+    assert doc.objects[0] == doc.objects[1]
+
+
+@pytest.mark.parametrize(
+    "table, schema_path",
+    [
+        ("_GRANT", ("$defs", "grant")),
+        ("_OBJECT", ("properties", "objects", "items")),
+        ("_RELATIONSHIP", ("properties", "relationships", "items")),
+        ("_ATTACK", ("properties", "attacks", "items")),
+        ("_DEFENSE", ("properties", "defenses", "items")),
+    ],
+)
+def test_field_tables_match_the_shipped_schema(table, schema_path):
+    schema = json.loads((Path(__file__).parent.parent / "docs" / "scenario.schema.json").read_text())
+    for step in schema_path:
+        schema = schema[step]
+    fields = getattr(scenario, table)
+    properties = schema["properties"]
+    assert sorted(properties) == sorted(key for key, _, _ in fields)
+    assert sorted(schema["required"]) == sorted(key for key, _, default in fields if default is scenario._REQUIRED)
+    # A table default is the parsed value, so compare both as JSON data.
+    defaults = {key: json.loads(json.dumps(default)) for key, _, default in fields if default is not scenario._REQUIRED}
+    assert {key: p["default"] for key, p in properties.items() if "default" in p} == defaults

@@ -51,6 +51,12 @@ Inputs, all generated from this checkout:
   there), a chain whose first edge's condition the entry grants do not
   hold, and an unknown edge id. A failing chain prints the reason its
   replay stops;
+- shape faults (`shape_commands`): `validate --scenario` of toy5g with one
+  fault each: a missing required key in each record kind, an empty `{}`
+  record in each section, a wrong type for each kind of check, `true` as a
+  cost, `2**2000` as a severity, a grant with an extra key, a record that
+  is not an object, a section that is not a list, a target that is not a
+  string, and an unknown nested key, which warns and exits 0;
 - error paths (`error_commands`): `--version`, `--help` of the tool and of
   each subcommand, an unknown or missing subcommand, a missing or malformed
   scenario file, a missing `--config`, an infeasible cut, unknown ids,
@@ -312,6 +318,54 @@ def describe(argv: list[str]) -> str:
     return f"stratagraph {' '.join(argv)}"
 
 
+DELETE = object()
+# name -> (path into toy5g's JSON, the value put there, or DELETE to remove the key)
+SHAPE_FAULTS = {
+    "grant-missing-permission": (("attacks", 0, "a_results", 0, "permission"), DELETE),
+    "object-missing-layer": (("objects", 0, "layer"), DELETE),
+    "relationship-missing-kind": (("relationships", 0, "kind"), DELETE),
+    "attack-missing-a_results": (("attacks", 0, "a_results"), DELETE),
+    "defense-missing-cost": (("defenses", 0, "cost"), DELETE),
+    "objects-empty-record": (("objects", 0), {}),
+    "relationships-empty-record": (("relationships", 0), {}),
+    "attacks-empty-record": (("attacks", 0), {}),
+    "defenses-empty-record": (("defenses", 0), {}),
+    "entry_grants-empty-record": (("entry_grants", 0), {}),
+    "str-check": (("objects", 0, "category"), 7),
+    "bool-check": (("relationships", 0, "directed"), "yes"),
+    "number-check": (("attacks", 0, "detect_prob"), "high"),
+    "grant-list-check": (("attacks", 0, "a_results"), {}),
+    "sorted-grant-list-check": (("attacks", 0, "condition"), "A"),
+    "string-list-check": (("defenses", 0, "d_results"), "A1"),
+    "bool-cost": (("attacks", 0, "cost"), True),
+    "huge-severity": (("attacks", 0, "severity"), 2**2000),
+    "grant-extra-key": (("entry_grants", 0, "note"), "x"),
+    "record-not-dict": (("defenses", 0), "D1"),
+    "section-not-list": (("relationships",), {}),
+    "target-not-str": (("targets", 0), 1),
+    "unknown-nested-key": (("objects", 0, "color"), "red"),
+}
+
+
+def shape_commands(inputs: Path) -> list[list[str]]:
+    """`validate` of toy5g with one shape fault each; all but the unknown key exit 2."""
+    original = (ROOT / "tests" / "fixtures" / "toy5g.scenario").read_text(encoding="utf-8")
+    commands = []
+    for name, (path, value) in SHAPE_FAULTS.items():
+        data = json.loads(original)
+        node = data
+        for step in path[:-1]:
+            node = node[step]
+        if value is DELETE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        scenario = inputs / f"shape-{name}.scenario"
+        scenario.write_text(json.dumps(data) + "\n", encoding="utf-8")
+        commands += [["validate", "--scenario", str(scenario), "--format", fmt] for fmt in ("json", "text")]
+    return commands
+
+
 def error_commands(inputs: Path) -> list[list[str]]:
     """Help, usage and error paths: moving an import can change these and no success output."""
     fixtures = ROOT / "tests" / "fixtures"
@@ -388,7 +442,7 @@ def main(argv=None) -> int:
         commands = bench_commands(inputs) + genscen_commands(inputs) + large_number_commands(inputs)
         commands += signed_zero_commands(inputs)
         commands += long_limit_commands(inputs) + coverage_commands(inputs)
-        commands += serializer_commands(inputs) + error_commands(inputs)
+        commands += serializer_commands(inputs) + shape_commands(inputs) + error_commands(inputs)
 
         def both(argv):
             return run(ROOT / "src", argv, inputs), run(ref_src, argv, inputs)
