@@ -39,6 +39,7 @@ McQueary, CCS 2006).
 from __future__ import annotations
 
 import math
+import sys
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -146,7 +147,8 @@ def plan_coverage(
             chosen.add(options[0].id)
         else:
             uncovered.append(attack_id)
-    survivors = () if chain_signature(graph, chain) & graph.defense_mask(chosen) else (chain,)
+    # Every chosen defense neutralizes an attack on the chain.
+    survivors = () if chosen else (chain,)
     return _finish_plan(graph, chosen, len(survivors), survivors[: config.survivor_sample], True, uncovered)
 
 
@@ -261,52 +263,64 @@ def plan_budgeted(
 def _choose(graph: AttackGraph, rows, budget: float, config: EngineConfig) -> tuple[tuple[str, ...], bool]:
     """The defenses plan_budgeted picks from kernel rows: (sorted ids, optimal).
 
-    The exact search walks the defenses in id order, carries the broken
-    value (each chosen defense adds the rows it newly breaks, in row order)
-    and bounds a subtree by that value plus the weight of the live rows a
-    later defense can still break. Beyond config.exact_defense_limit
-    defenses it picks with _greedy instead, and the choice is not optimal.
+    The exact search is a depth-first loop over an explicit stack. A node
+    (k, chosen, cost, value, live) has decided the defenses before index k
+    (in id order): chosen are the ids taken, value the weight they break
+    (each adds the rows it newly breaks, in row order), and live the
+    unbroken rows that have a defense at k or later. Every node is a
+    candidate with key (-value, cost, chosen), and the answer is the
+    smallest key of any affordable set. A node with no live row ends its
+    branch, since below it value stays and chosen only grows; so does one
+    whose value plus the weight of its live rows, widened by more than
+    rounding can add, cannot reach the incumbent's. Otherwise defense k
+    is taken (when affordable) or skipped, the take child searched first.
+    A take that breaks no live row adds cost and no value, so the same
+    choices below the skip child beat it; it is searched only when its
+    cost is 0 or so small (at most tiny) that rounding could absorb it in
+    a later sum. Beyond config.exact_defense_limit defenses it picks with
+    _greedy instead, and the choice is not optimal.
     """
     defenses = graph.sorted_defenses
     n = len(defenses)
-
-    if n <= config.exact_defense_limit:
-        best: tuple | None = None
-
-        def walk(k: int, chosen: tuple[str, ...], cost: float, value: float, live):
-            # live: the unbroken rows that still have a defense at or after k
-            nonlocal best
-            key = (-value, cost, chosen)
-            if best is None or key < best:
-                best = key
-            if k == n:
-                return
-            # Even breaking every live row cannot beat the incumbent.
-            if value + sum(map(_weight, live)) < -best[0]:
-                return
-            d = defenses[k]
-            after = k + 1
-            if cost + d.cost <= budget + EPS:
-                # One pass: the weights d breaks, the rows it keeps, and the
-                # rows a later defense can still break (the skip branch's).
-                broken, rest, skip = [], [], []
-                for row in live:
-                    sig = row[0]
-                    if sig >> k & 1:
-                        broken.append(row[1])
-                    else:
-                        rest.append(row)
-                    if sig >> after:
-                        skip.append(row)
-                walk(after, chosen + (d.id,), cost + d.cost, value + sum(broken), rest)
-            else:
-                skip = [row for row in live if row[0] >> after]
-            walk(after, chosen, cost, value, skip)
-
-        walk(0, (), 0.0, 0.0, rows)
-        return best[2], True
-
-    return _greedy(graph, rows, budget), False
+    if n > config.exact_defense_limit:
+        return _greedy(graph, rows, budget), False
+    eps = sys.float_info.epsilon
+    # Rounding lifts a value below a node over the node's rounded bound by
+    # less than this factor: a path sums at most len(rows) + n non-negative
+    # terms, each rounding within half an epsilon.
+    widen = 1.0 + 4 * (len(rows) + n + 2) * eps
+    # A take costing more than this still costs more after the same later
+    # takes, rounded: every running cost stays below twice the budget.
+    tiny = (2 * n + 2) * eps * (budget + EPS)
+    best = (0.0, 0.0, ())  # the root's key: the empty plan
+    stack = [(0, (), 0.0, 0.0, rows)]
+    while stack:
+        k, chosen, cost, value, live = stack.pop()
+        key = (-value, cost, chosen)
+        if key < best:
+            best = key
+        if not live or (value + sum(map(_weight, live))) * widen < -best[0]:
+            continue
+        d = defenses[k]
+        after = k + 1
+        if cost + d.cost <= budget + EPS:
+            # One pass: the weights d breaks, the rows it keeps, and the
+            # rows a later defense can still break (the skip child's).
+            broken, rest, skip = [], [], []
+            for row in live:
+                sig = row[0]
+                if sig >> k & 1:
+                    broken.append(row[1])
+                else:
+                    rest.append(row)
+                if sig >> after:
+                    skip.append(row)
+            stack.append((after, chosen, cost, value, skip))
+            if broken or d.cost <= tiny:
+                stack.append((after, chosen + (d.id,), cost + d.cost, value + sum(broken), rest))
+        else:
+            stack.append((after, chosen, cost, value, [row for row in live if row[0] >> after]))
+    return best[2], True
 
 
 def _greedy(graph: AttackGraph, rows, budget: float) -> tuple[str, ...]:
@@ -387,30 +401,34 @@ def plan_cut(
 def _hitting_set_exact(graph: AttackGraph, rows) -> tuple[str, ...]:
     """Branch-and-bound minimum-cost hitting set over kernel rows.
 
-    Branches on the unbroken row with the fewest defenses (ties by row
-    order, so the pivot is the first chain of that signature) and tries its
-    defenses cheapest first; the bound adds the cheapest defense of the
-    hardest unbroken row. Ties resolve toward (cost, set size, id tuple).
+    A depth-first loop over an explicit stack of (chosen, cost, unbroken)
+    nodes, unbroken the indices of the rows no chosen defense breaks, in
+    row order. A node with none is a cover; ties resolve toward (cost, set
+    size, id tuple). Otherwise the bound adds the cheapest defense of the
+    hardest unbroken row, and the node branches on the unbroken row with
+    the fewest defenses (ties by row order, so the pivot is the first chain
+    of that signature), its children pushed so that the cheapest pops
+    first.
     """
     defenses = graph.sorted_defenses
     options = [_cheapest_first(graph, sig) for sig, _ in rows]
+    sizes = [len(o) for o in options]
     best: tuple | None = None
-
-    def walk(chosen: tuple[str, ...], cost: float, unbroken: list[int]):
-        nonlocal best
+    stack = [((), 0.0, list(range(len(rows))))]
+    while stack:
+        chosen, cost, unbroken = stack.pop()
         if not unbroken:
             key = (cost, len(chosen), tuple(sorted(chosen)))
             if best is None or key < best:
                 best = key
-            return
+            continue
         if best is not None and cost + max(defenses[options[i][0]].cost for i in unbroken) > best[0] + EPS:
-            return
-        pivot = min(unbroken, key=lambda i: (len(options[i]), i))
-        for k in options[pivot]:
+            continue
+        # min keeps the first of equal sizes, and unbroken is in row order.
+        pivot = min(unbroken, key=sizes.__getitem__)
+        for k in reversed(options[pivot]):
             d = defenses[k]
-            walk(chosen + (d.id,), cost + d.cost, [i for i in unbroken if not rows[i][0] >> k & 1])
-
-    walk((), 0.0, list(range(len(rows))))
+            stack.append((chosen + (d.id,), cost + d.cost, [i for i in unbroken if not rows[i][0] >> k & 1]))
     if best is None:
         raise RuntimeError("hitting-set search found no cover although every chain has an option")
     return best[2]

@@ -30,8 +30,6 @@ CATEGORIES = (
 # Relationship kinds allowed on edges that span two layers.
 VERTICAL_KINDS = ("functional-support", "resource-sharing", "management", "orchestration")
 
-CANONICAL_PERMISSIONS = ("read", "write", "execute", "disable")
-
 # Adjective spellings accepted in scenario files and folded to canonical tokens.
 PERMISSION_ALIASES = {
     "readable": "read",

@@ -222,6 +222,33 @@ def brute_budget(doc, chains, budget, objective="threat"):
     return (-best[0], best[1], best[2])
 
 
+def brute_kernel_budget(defenses, rows, budget):
+    """The ids of the affordable defense subset with the smallest key (-value, cost, ids).
+
+    defenses are in id order; rows are (signature, weight) kernel rows, bit
+    k standing for defenses[k]. A subset adds up in id order: each defense
+    adds its cost and the weights of the rows it newly breaks, summed in
+    row order. That is the order in which the exact budget search sums a
+    plan, so both compute the same float key for it, and every subset is
+    tried here.
+    """
+    best = None
+    for r in range(len(defenses) + 1):
+        for combo in combinations(range(len(defenses)), r):
+            cost = value = 0.0
+            live = rows
+            for k in combo:
+                value += sum(w for sig, w in live if sig >> k & 1)
+                live = [row for row in live if not row[0] >> k & 1]
+                cost += defenses[k].cost
+            if cost > budget + EPS:
+                continue
+            key = (-value, cost, tuple(defenses[k].id for k in combo))
+            if best is None or key < best:
+                best = key
+    return best[2]
+
+
 def reference_plan_budgeted(doc, chains, budget, objective="threat", exact_limit=20, sample=5):
     """The budget planner searched per chain instead of per signature.
 

@@ -284,6 +284,37 @@ def test_potential_suggestion_respects_next_condition(toy5g):
     assert gap[0].suggestions == (("A1",),)
 
 
+def test_potential_suggestion_drops_a_record_that_cannot_grant_the_next_need():
+    # C1 -> U has no attack; NEXT covers U -> T and needs read on U. DROP
+    # and KEEP attack a channel, as C1 is, and only KEEP grants read. Each
+    # attack needs read on the object it attacks.
+    attacks = [
+        {
+            "id": aid, "object": obj, "condition": [{"object": obj, "permission": "read"}],
+            "a_results": [{"object": to, "permission": perm}],
+        }
+        for aid, obj, to, perm in (("NEXT", "U", "T", "read"), ("KEEP", "C2", "C2", "read"), ("DROP", "C2", "C2", "disable"))
+    ]
+    objects = [("C1", "channel"), ("C2", "channel"), ("U", "hardware-device"), ("T", "hardware-device")]
+    doc = parse_scenario(
+        json.dumps(
+            {
+                "objects": [{"id": o, "layer": "physical", "category": c} for o, c in objects],
+                "relationships": [{"from": a, "to": b, "kind": "connectivity"} for a, b in (("C1", "U"), ("U", "T"))],
+                "attacks": attacks,
+                "entry_grants": [{"object": "C1", "permission": "read"}],
+                "targets": ["T"],
+            }
+        )
+    )
+    graph = build_attack_graph(doc, build_base_graph(doc))
+    [gap] = generate_potential_chains(graph, "C1", "T", config=EngineConfig(max_len=3))
+    assert (gap.path, gap.missing_hops, gap.suggestions) == (("C1", "U", "T"), (("C1", "U"),), (("KEEP",),))
+    # With no next hop there is no need to meet, and both records stay.
+    [last] = generate_potential_chains(graph, "C1", "U", config=EngineConfig(max_len=3))
+    assert (last.path, last.suggestions) == (("C1", "U"), (("DROP", "KEEP"),))
+
+
 def test_removing_attack_never_adds_chains():
     for seed in range(10):
         doc = random_scenario(seed, max_edges=6)

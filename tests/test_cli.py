@@ -550,6 +550,61 @@ def test_potential_walks_a_path_longer_than_the_recursion_limit(capsys, tmp_path
     assert len(payload["potential_chains"][0]["missing_hops"]) == 1499
 
 
+def _one_hop_scenario(tmp_path, attacks: int, d_results) -> str:
+    """Attacks A0000... each give one edge O1 -> T; defense D<i> costs 1 and neutralizes d_results[i]."""
+    grant = [{"object": "O1", "permission": "read"}]
+    doc = {
+        "objects": [
+            {"id": "O1", "layer": "physical", "category": "channel", "label": ""},
+            {"id": "T", "layer": "physical", "category": "hardware-device", "label": ""},
+        ],
+        "relationships": [{"from": "O1", "to": "T", "kind": "connectivity"}],
+        "attacks": [
+            {
+                "id": f"A{i:04d}", "object": "O1", "condition": grant, "method": "m",
+                "a_results": [{"object": "T", "permission": "read"}], "cost": 1.0, "severity": 1.0,
+            }
+            for i in range(attacks)
+        ],
+        "defenses": [
+            {"id": f"D{i:04d}", "cost": 1.0, "method": "m", "d_results": ids} for i, ids in enumerate(d_results)
+        ],
+        "entry_grants": grant,
+        "targets": ["T"],
+    }
+    path = tmp_path / "wide.scenario"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_budget_plan_over_more_defenses_than_the_recursion_limit(capsys, tmp_path):
+    # 1,200 defenses that each break the one chain: the exact search goes
+    # one level per defense, deeper than Python's default recursion limit.
+    path = _one_hop_scenario(tmp_path, 1, [["A0000"]] * 1200)
+    config = tmp_path / "engine.json"
+    config.write_text('{"exact_defense_limit": 5000}')
+    argv = ("defend", "--mode", "budget", "--budget", "3", "--scenario", path, "--config", str(config))
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    plan = json.loads(out)
+    assert (plan["chosen"], plan["total_cost"], plan["optimal"]) == (["D0000"], 1.0, True)
+    assert plan["surviving_chains"]["count"] == 0
+
+
+def test_cut_over_more_chains_than_the_recursion_limit(capsys, tmp_path):
+    # 1,100 one-edge chains, each broken only by its own defense: the exact
+    # cut takes one defense per level, deeper than the recursion limit.
+    path = _one_hop_scenario(tmp_path, 1100, [[f"A{i:04d}"] for i in range(1100)])
+    config = tmp_path / "engine.json"
+    config.write_text('{"exact_defense_limit": 5000, "exact_chain_limit": 100000}')
+    argv = ("defend", "--mode", "cut", "--scenario", path, "--config", str(config))
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    plan = json.loads(out)
+    assert plan["chosen"] == [f"D{i:04d}" for i in range(1100)]
+    assert (plan["total_cost"], plan["optimal"]) == (1100.0, True)
+
+
 def test_simulate_without_budget_per_turn_gives_the_game_zero(capsys, fixtures_dir):
     toy = scen(fixtures_dir, "toy5g")
     code, out, _ = run_cli(capsys, "simulate", "--scenario", toy, "--defender", "reactive_cut", "--format", "json")

@@ -1,7 +1,9 @@
+import json
 import random
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from stratagraph import (
@@ -21,9 +23,9 @@ from stratagraph import (
     search_chain,
 )
 from stratagraph.config import EngineConfig
-from stratagraph.model import Grant, ObjectRecord, ScenarioDoc
+from stratagraph.model import DefenseRecord, Grant, ObjectRecord, ScenarioDoc
 from stratagraph import chains as chains_module
-from stratagraph.defense import _next_rows, _target_rows, chain_attacks, neutralized_attacks
+from stratagraph.defense import _choose, _next_rows, _target_rows, chain_attacks, neutralized_attacks
 
 import oracles
 from genscen import coherent_scenario, random_scenario
@@ -172,6 +174,62 @@ def test_budget_non_dyadic_weights_within_eps():
             assert plan.total_cost <= budget + oracles.EPS
             checked += 1
     assert checked >= 80
+
+
+# D1 and E1 break A1's chain, D2 and E2 those of A2 and A3, F only A3's.
+# (E1, E2) breaks every chain for 2, summed 0.1 + (0.1 + 1.1); the rows'
+# bound before E1, (0.1 + 0.1) + 1.1, rounds one ulp lower.
+TIE_COSTS = (2.0, 2.0, 1.0, 1.0, 100.0)
+TIE_ROWS = [(0b00101, 0.1), (0b01010, 0.1), (0b11010, 1.1)]
+
+
+def test_budget_plan_is_the_cheapest_of_equal_value_with_non_dyadic_threats():
+    grant = [{"object": "O1", "permission": "read"}]
+    attacks = [
+        {"id": a, "object": "O1", "condition": grant, "a_results": [{"object": "T", "permission": "read"}], "severity": s}
+        for a, s in (("A1", 0.1), ("A2", 0.1), ("A3", 1.1))
+    ]
+    breaks = (("D1", ["A1"]), ("D2", ["A2", "A3"]), ("E1", ["A1"]), ("E2", ["A2", "A3"]), ("F", ["A3"]))
+    doc = parse_scenario(
+        json.dumps(
+            {
+                "objects": [
+                    {"id": "O1", "layer": "physical", "category": "channel"},
+                    {"id": "T", "layer": "physical", "category": "hardware-device"},
+                ],
+                "relationships": [{"from": "O1", "to": "T", "kind": "connectivity"}],
+                "attacks": attacks,
+                "defenses": [{"id": d, "cost": c, "d_results": r} for (d, r), c in zip(breaks, TIE_COSTS)],
+                "entry_grants": grant,
+                "targets": ["T"],
+            }
+        )
+    )
+    plan = plan_budgeted(build_attack_graph(doc, build_base_graph(doc)), 4.0)
+    assert (plan.chosen, plan.total_cost, plan.surviving_count, plan.optimal) == (("E1", "E2"), 2.0, 0, True)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    costs=st.lists(st.sampled_from((0.0, 1e-20, 1e-3, 0.1, 0.3, 1.0, 2.5, 1e16)), min_size=1, max_size=9),
+    data=st.data(),
+)
+@example(costs=list(TIE_COSTS), data=None)
+def test_exact_budget_search_finds_the_smallest_key(costs, data):
+    # The exact search must return the plan of smallest key among all
+    # affordable ones, also where rounding blurs ties: weights that are no
+    # binary fractions, and costs so far apart that one absorbs another.
+    defenses = tuple(DefenseRecord(f"D{k}", c) for k, c in enumerate(costs))
+    if data is None:
+        rows, budget = TIE_ROWS, 4.0
+    else:
+        sigs = data.draw(st.lists(st.integers(1, 2 ** len(costs) - 1), unique=True, max_size=8), label="sigs")
+        weights = st.sampled_from((0.1, 0.2, 0.7, 1.0, 1.1, 2.5))
+        rows = [(sig, data.draw(weights, label="weight")) for sig in sigs]
+        budget = data.draw(st.sampled_from((0.0, 0.3, 1.0, 2.0, 3.5, 1e16, sum(costs))), label="budget")
+    graph = SimpleNamespace(sorted_defenses=defenses)  # all that _choose reads of a graph
+    chosen = oracles.brute_kernel_budget(defenses, rows, budget)
+    assert _choose(graph, rows, budget, EngineConfig()) == (chosen, True)
 
 
 def test_cut_hitting_trio_is_two(hitting_trio):
