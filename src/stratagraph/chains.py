@@ -24,12 +24,17 @@ room) it meets, the object a prefix ends on and the edges left after the
 next step, `_step_table` settles once what depends only on that key:
 adjacency, blocked attacks, entry_only and whether a step's end is a
 goal or can still reach one. Its entries are plain tuples, an
-edge's fields followed by those flags, which the loop unpacks in one go:
+edge's fields followed by two bits and those flags, which the loop
+unpacks in one go:
 CPython unpacks an exact tuple several times faster than a named tuple.
 The loop then tests only the simple-path guard and the condition, and
 fires the attack. Each prefix carries its cost, threat and defense
 signature (the OR of its attacks' defense masks), so a finished chain is
-never re-summed.
+never re-summed. It holds its affected objects and its fired attacks as
+two int masks, one bit per object and per attack (`AttackGraph`'s
+`_object_bits` and `_attack_bits`, which each table entry carries after
+the edge's fields), so the simple-path guard and the re-fire test are one
+AND each, and a step ORs its bits in.
 
 `_successors` applies the same rules to one prefix at a time, naming the
 first rule each rejected candidate breaks: the validity check feeds it one
@@ -170,14 +175,16 @@ def _root(entry: frozenset[Grant], config: EngineConfig) -> tuple:
     """The empty chain prefix.
 
     A prefix is a plain tuple (edges, grants, fired, affected, end, pair,
-    cost, threat, signature): edge ids, grants held (frozenset), attack ids
-    in firing order, affected object ids, the object the last edge affected
-    and the pair Grant it granted (both None before the first step), the
-    chain's cost and threat so far, and its defense signature, the OR of
-    the fired attacks' defense masks. An empty chain reports int 0 cost and
-    threat, or 0.0 threat under threat_agg "max".
+    cost, threat, signature): edge ids, grants held (frozenset), the fired
+    attacks and the affected objects as int masks (the OR of their bits in
+    graph._attack_bits and graph._object_bits), the object the last edge
+    affected and the pair Grant it granted (both None before the first
+    step), the chain's cost and threat so far, and its defense signature,
+    the OR of the fired attacks' defense masks. Both masks start at 0, so
+    fired is 0 exactly when nothing has fired. An empty chain reports int 0
+    cost and threat, or 0.0 threat under threat_agg "max".
     """
-    return ((), entry, (), (), None, None, 0, 0.0 if config.threat_agg == "max" else 0, 0)
+    return ((), entry, 0, 0, None, None, 0, 0.0 if config.threat_agg == "max" else 0, 0)
 
 
 def _successors(graph: AttackGraph, prefix, candidates, entry, config: EngineConfig, blocked, why=None) -> list:
@@ -198,12 +205,14 @@ def _successors(graph: AttackGraph, prefix, candidates, entry, config: EngineCon
     if candidates is None:
         candidates = graph.edges if end is None else graph.by_from.get(end, ())
     use_max = config.threat_agg == "max"
+    object_bits, attack_bits = graph._object_bits, graph._attack_bits
     out = []
     for edge in candidates:
         to, attack_id = edge.to_id, edge.attack_id
+        to_bit, attack_bit = object_bits[to], attack_bits[attack_id]
         if end is not None and edge.from_id != end:
             fault = "not adjacent: previous edge ends at {end}, this one starts at {edge.from_id}"
-        elif to in affected:
+        elif to_bit & affected:
             fault = "object {to} already affected (chain must stay simple)"
         elif edge.entry_only and end is not None:
             fault = "attack {edge.attack_id} is entry-only and cannot fire mid-chain"
@@ -213,8 +222,8 @@ def _successors(graph: AttackGraph, prefix, candidates, entry, config: EngineCon
             fault = "unsatisfied <{need.object}, {need.permission}>"
         else:
             path = edges + (edge.edge_id,)
-            if attack_id in fired:
-                out.append((path, grants, fired, affected + (to,), to, edge.grant, cost, threat, sig))
+            if attack_bit & fired:
+                out.append((path, grants, fired, affected | to_bit, to, edge.grant, cost, threat, sig))
                 continue
             if use_max:
                 new_threat = edge.severity if not fired or edge.severity > threat else threat
@@ -224,8 +233,8 @@ def _successors(graph: AttackGraph, prefix, candidates, entry, config: EngineCon
                 (
                     path,
                     grants | edge.results,
-                    fired + (attack_id,),
-                    affected + (to,),
+                    fired | attack_bit,
+                    affected | to_bit,
                     to,
                     edge.grant,
                     cost + edge.cost,
@@ -247,18 +256,25 @@ def _chain(prefix) -> AttackChain:
 
 
 def _replay(graph, edge_ids, config, entry_grants) -> tuple[ChainCheck, tuple]:
-    """Feed edge_ids through the successor step one at a time: (check, last prefix)."""
+    """Feed edge_ids through the successor step one at a time: (check, last prefix).
+
+    The states list the fired attacks in firing order, which the prefix's
+    fired mask does not keep: a step adds its attack when its bit is new.
+    """
     entry = _entry_grants(graph, entry_grants)
     edges = [graph.edge(eid) for eid in edge_ids]  # raises on an unknown id before any step
     prefix = _root(entry, config)
-    states = [AttackerState(tuple(sorted(entry)), ())]
+    fired: tuple[str, ...] = ()
+    states = [AttackerState(tuple(sorted(entry)), fired)]
     for i, edge in enumerate(edges):
         why: list[str] = []
         step = _successors(graph, prefix, (edge,), entry, config, frozenset(), why)
         if not step:
             return ChainCheck(False, tuple(states), failed_index=i, reason=why[0]), prefix
+        if not prefix[2] & graph._attack_bits[edge.attack_id]:
+            fired += (edge.attack_id,)
         prefix = step[0]
-        states.append(AttackerState(tuple(sorted(prefix[1])), prefix[2]))
+        states.append(AttackerState(tuple(sorted(prefix[1])), fired))
     return ChainCheck(True, tuple(states)), prefix
 
 
@@ -358,9 +374,13 @@ def _step_table(graph: AttackGraph, end, room: int, goal: frozenset[str], dist, 
     """The steps worth trying from end with room edges left after them.
 
     One entry per step, the plain tuple of the edge's fields followed by
-    (emit, extend, None), which _walk unpacks in one go: adjacency, blocked
-    attacks, entry_only and goal reach are settled here once per (end,
-    room), so the walk tests only the simple-path guard and the condition.
+    (to_bit, attack_bit, emit, extend, None), which _walk unpacks in one
+    go. The edge's fields and bits are its row in graph._step_rows; the two
+    bits are the step's object and attack in graph._object_bits and
+    graph._attack_bits, which _walk's masks are made of. Adjacency,
+    blocked attacks, entry_only and goal reach are settled here once per
+    (end, room), so the walk tests only the simple-path guard and the
+    condition.
     end None is the empty chain's end, where every edge is adjacent and
     entry_only steps may fire. emit says whether a chain ending on the
     step's object is yielded, that is whether the object is a goal; extend
@@ -372,13 +392,14 @@ def _step_table(graph: AttackGraph, end, room: int, goal: frozenset[str], dist, 
     under the same blocked set.
     """
     table = []
-    for edge in graph.edges if end is None else graph.by_from.get(end, ()):
-        if edge.attack_id in blocked or edge.entry_only and end is not None:
+    for row in graph._step_rows.get(end, ()):  # row[1] is the attack id, row[3] the to object, row[11] entry_only
+        if row[1] in blocked or row[11] and end is not None:
             continue
-        emit = edge.to_id in goal
-        extend = dist.get(edge.to_id, room + 1) <= room
+        to = row[3]
+        emit = to in goal
+        extend = dist.get(to, room + 1) <= room
         if emit or extend:
-            table.append(edge + (emit, extend, None))  # a named tuple plus a tuple is an exact tuple
+            table.append(row + (emit, extend, None))
     return table
 
 
@@ -386,8 +407,8 @@ def _pending_table(full: list[tuple], room: int, opened, ahead) -> list[tuple]:
     """A via walk's table for a pending prefix, filtered from the full table of its (end, room).
 
     A pending prefix has taken no new step: its old pool met every
-    condition so far. Each entry is the full entry's edge fields followed by
-    (False, stay, move):
+    condition so far. Each entry is the full entry's edge fields and bits
+    followed by (False, stay, move):
     - a step the old pool satisfies keeps the prefix pending, a via step
       too. It is never emitted, and stay says whether it is pushed back
       onto the pending stack: only when its end can still reach a goal
@@ -483,10 +504,10 @@ def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfi
                 raised = grants | won
                 wider = raised if not strict else entry if pair is None else entry | {pair}
             for (
-                edge_id, attack_id, _, to, _, step_cost, severity, _,
-                condition, results, mask, _, step_pair, emit, extend, move,
+                edge_id, _, _, to, _, step_cost, severity, _,
+                condition, results, mask, _, step_pair, to_bit, attack_bit, emit, extend, move,
             ) in table:
-                if to in affected:
+                if to_bit & affected:
                     continue
                 if condition <= pool:
                     held, into = grants, keep
@@ -495,8 +516,8 @@ def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfi
                     (emit, extend), held, into = move, raised, push
                 else:
                     continue
-                if attack_id in fired:
-                    prefix = (edges + (edge_id,), held, fired, affected + (to,), to, step_pair, cost, threat, sig)
+                if attack_bit & fired:
+                    prefix = (edges + (edge_id,), held, fired, affected | to_bit, to, step_pair, cost, threat, sig)
                 else:
                     if use_max:
                         new_threat = severity if not fired or severity > threat else threat
@@ -505,8 +526,8 @@ def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfi
                     prefix = (
                         edges + (edge_id,),
                         held | results,
-                        fired + (attack_id,),
-                        affected + (to,),
+                        fired | attack_bit,
+                        affected | to_bit,
                         to,
                         step_pair,
                         cost + step_cost,
@@ -584,7 +605,7 @@ def search_chain(
             # Two prefixes landing on the same (pair, fired, affected)
             # state have identical continuations; the first pop dominates
             # in the full (cost, length, lexicographic) order.
-            key = (prefix[5], frozenset(prefix[2]), frozenset(prefix[3]))
+            key = (prefix[5], prefix[2], prefix[3])
             if key in seen:
                 continue
             seen.add(key)

@@ -106,14 +106,6 @@ def chain_attacks(graph: AttackGraph, chain: AttackChain) -> frozenset[str]:
     return frozenset(graph.edge(eid).attack_id for eid in chain.edges)
 
 
-def chain_signature(graph: AttackGraph, chain: AttackChain) -> int:
-    """Mask of the defenses that break the chain."""
-    sig = 0
-    for eid in chain.edges:
-        sig |= graph.edge(eid).defense_mask
-    return sig
-
-
 def _finish_plan(graph, chosen, surviving_count, sample, optimal, uncovered=()) -> DefensePlan:
     """The plan for a chosen set that leaves surviving_count chains, sample the first of them."""
     chosen = tuple(sorted(chosen))

@@ -9,12 +9,18 @@ affected object, so a record with k results contributes exactly k edges.
 Each attack edge also carries what a chain step reads off its attack
 record and the defense index (condition, results, defense mask,
 entry_only and the pair it grants), filled once when the graph is built,
-so the chain walk reads one edge and nothing else (see chains.py). Two
+so the chain walk reads one edge and nothing else (see chains.py). Five
 indexes are built on first use, once per graph: `needed_by` maps each
 grant to the edges of the attacks whose condition holds it, and the
 reactive defender finds through it the steps a newly won grant opens;
 `same_category_attacks` groups the catalog by the category of the
-attacked object, and potential chains draw their suggestions from it.
+attacked object, and potential chains draw their suggestions from it;
+`_object_bits` and `_attack_bits` give each object and each attack its
+own bit, so a chain prefix holds its affected objects and fired attacks
+as two int masks, and `_step_rows` holds each edge as the plain tuple of
+its fields followed by its two bits, the start of every step-table entry.
+They are not edge fields, so a command that never walks a chain never
+builds them.
 """
 
 from __future__ import annotations
@@ -109,6 +115,30 @@ class AttackGraph(_AttackGraphFields):
             for need in e.condition:
                 needed.setdefault(need, []).append(e)
         return {g: tuple(edges) for g, edges in needed.items()}
+
+    @cached_property
+    def _object_bits(self) -> dict[str, int]:
+        """Object id -> its single bit, in base.layers order: the walk's affected mask."""
+        return {oid: 1 << k for k, oid in enumerate(self.base.layers)}
+
+    @cached_property
+    def _attack_bits(self) -> dict[str, int]:
+        """Attack id -> its single bit, in doc.attacks order: the walk's fired mask."""
+        return {a.id: 1 << k for k, a in enumerate(self.doc.attacks)}
+
+    @cached_property
+    def _step_rows(self) -> dict[str | None, tuple[tuple, ...]]:
+        """From object -> its edges as plain tuples, each edge's fields followed by (to_bit, attack_bit).
+
+        None maps to every edge. The walk's step tables copy these rows, so
+        no table build looks a bit up.
+        """
+        object_bits, attack_bits = self._object_bits, self._attack_bits
+        every = tuple(e + (object_bits[e.to_id], attack_bits[e.attack_id]) for e in self.edges)
+        rows: dict[str | None, list[tuple]] = {}
+        for row in every:
+            rows.setdefault(row[2], []).append(row)  # row[2] is the from object
+        return {None: every, **{k: tuple(v) for k, v in rows.items()}}
 
     @cached_property
     def same_category_attacks(self) -> dict[str, tuple[AttackRecord, ...]]:

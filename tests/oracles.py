@@ -117,6 +117,75 @@ def brute_chains_product(doc, max_len, semantics="accumulated"):
     return found
 
 
+def chain_signature(doc, edge_ids) -> int:
+    """Mask of the defenses that break the chain: bit k for the k-th defense in id order.
+
+    A defense breaks a chain when it neutralizes an attack of one of its edges.
+    """
+    edges = oracle_edges(doc)
+    attacks = {edges[eid][0].id for eid in edge_ids}
+    sig = 0
+    for k, d in enumerate(sorted(doc.defenses, key=lambda d: d.id)):
+        if attacks & set(d.d_results):
+            sig |= 1 << k
+    return sig
+
+
+def brute_potential(doc, src, dst, max_len):
+    """generate_potential_chains by definition, as (path, missing hops, suggestions) tuples.
+
+    A path is src, then distinct intermediate objects in any order, then
+    dst, of at most max_len hops, each hop along a relationship (a directed
+    one only from its from object). A hop (f, t) is covered when some
+    attack on f has a result on t; a path with no uncovered hop is left
+    out. Each uncovered hop suggests the attacks, by id, on any object of
+    f's category; when the path's next hop (t, n) is covered, only those
+    whose results hold every permission that some attack covering (t, n)
+    needs on t. The results' objects are not compared: a suggestion is a
+    catalog record to copy onto the missing hop. Sorted by the number of
+    uncovered hops, then path.
+    """
+    joined = set()
+    for r in doc.relationships:
+        joined.add((r.from_id, r.to_id))
+        if not r.directed:
+            joined.add((r.to_id, r.from_id))
+    category = {o.id: o.category for o in doc.objects}
+
+    def covering(f, t):
+        return [a for a in doc.attacks if a.object == f and any(g.object == t for g in a.a_results)]
+
+    if src == dst:
+        return []  # a simple path never comes back to its start
+    others = [o.id for o in doc.objects if o.id not in (src, dst)]
+    found = []
+    for k in range(max_len):
+        for middle in permutations(others, k):
+            path = (src, *middle, dst)
+            hops = list(zip(path, path[1:]))
+            if any(hop not in joined for hop in hops):
+                continue
+            missing, suggestions = [], []
+            for i, (f, t) in enumerate(hops):
+                if covering(f, t):
+                    continue
+                needs = covering(*hops[i + 1]) if i + 1 < len(hops) else []
+                suggested = []
+                for a in sorted(doc.attacks, key=lambda a: a.id):
+                    if category[a.object] != category[f]:
+                        continue
+                    perms = {g.permission for g in a.a_results}
+                    if needs and not any(all(c.permission in perms for c in n.condition if c.object == t) for n in needs):
+                        continue
+                    suggested.append(a.id)
+                missing.append((f, t))
+                suggestions.append(tuple(suggested))
+            if missing:
+                found.append((path, tuple(missing), tuple(suggestions)))
+    found.sort(key=lambda p: (len(p[1]), p[0]))
+    return found
+
+
 def reference_distance(doc, start, goal, blocked=frozenset(), via=None):
     """Fewest edges (at least one) from start to a goal object, or None when no edge walk gets there.
 

@@ -20,7 +20,6 @@ from stratagraph import (
 )
 from stratagraph import chains as chains_module
 from stratagraph.config import EngineConfig
-from stratagraph.defense import chain_signature
 from stratagraph.model import Grant
 
 import oracles
@@ -113,6 +112,48 @@ def test_entry_only_attack_must_open_the_chain():
     check = is_valid_chain(graph, ["e1#0", "e2#0"])
     assert not check.valid and "entry-only" in check.reason
     assert enumerate_chains(graph, targets=["O3"]) == ()
+
+
+@pytest.mark.parametrize("agg, threat", [("sum", 7.5), ("max", 3.0)])
+def test_a_re_fired_attack_counts_once(toy5g, agg, threat):
+    # A1#1 and A1#0 are two edges of one attack, so A1 fires twice on this
+    # chain. The state after each step lists it once, and the cost (2.0 +
+    # 3.0 + 1.5) and threat count it once, in the walk and in the replay.
+    _, _, graph = toy5g
+    cfg = EngineConfig(threat_agg=agg)
+    seq = ("A1#1", "A1#0", "A2#1", "A4#0")
+    check = is_valid_chain(graph, seq, cfg)
+    assert check.valid
+    assert [s.fired for s in check.states] == [(), ("A1",), ("A1",), ("A1", "A2"), ("A1", "A2", "A4")]
+    chain = chain_from_edges(graph, seq, cfg)
+    assert (chain.total_cost, chain.total_threat) == (6.5, threat)
+    walked = {c.edges: c for c in enumerate_chains(graph, config=cfg)}
+    assert walked[seq] == chain
+    assert (walked[seq[:2]].total_cost, walked[seq[:2]].total_threat) == (2.0, 2.0)
+
+
+def test_bit_indexes_give_each_object_and_attack_its_own_bit(toy5g):
+    # The walk's affected and fired masks are ORs of these bits, so each
+    # must be one bit of its own, and every step-table entry starts with
+    # its edge's row: the edge's fields and its two bits. All three indexes
+    # are built on first use only, so a command that never walks never
+    # builds them.
+    graphs = [toy5g[2]]
+    for seed in range(30):
+        doc = random_scenario(seed, max_objects=7, max_edges=14)
+        graphs.append(build_attack_graph(doc, build_base_graph(doc)))
+    for graph in graphs:
+        assert not {"_object_bits", "_attack_bits", "_step_rows"} & set(vars(graph))
+        doc = graph.doc
+        for bits, ids in ((graph._object_bits, [o.id for o in doc.objects]), (graph._attack_bits, [a.id for a in doc.attacks])):
+            assert sorted(bits) == sorted(ids)
+            assert all(bit > 0 and bit & (bit - 1) == 0 for bit in bits.values())
+            assert len(set(bits.values())) == len(ids)
+        rows = {None: graph.edges, **graph.by_from}
+        assert graph._step_rows == {
+            end: tuple((*e, graph._object_bits[e.to_id], graph._attack_bits[e.attack_id]) for e in edges)
+            for end, edges in rows.items()
+        }
 
 
 def test_toy5g_enumeration_matches_frozen_oracle(toy5g):
@@ -268,6 +309,47 @@ def test_no_base_path_gives_nothing(potential_gap):
         generate_potential_chains(graph, "PB", "NOPE")
     with pytest.raises(UnknownIdError):
         generate_potential_chains(graph, "NOPE", "PB")
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 10**6),
+    direction=st.sampled_from(("as drawn", "all directed", "all reversed")),
+    long=st.booleans(),
+    data=st.data(),
+)
+def test_potential_chains_match_the_brute_force_referee(seed, direction, long, data):
+    # The engine walks base paths depth first and looks covering attacks up
+    # through its edge index; the referee tries every order of the
+    # intermediate objects and scans the records, for every (from, to)
+    # pair, the same object twice included. Directed relationships
+    # are drawn as generated, all one way, or all the other way, and a long
+    # limit exceeds every simple path (an object count's worth of hops).
+    doc = random_scenario(seed, max_objects=7, max_edges=16)
+    if direction != "as drawn":
+        flip = direction == "all reversed"
+        doc = doc._replace(
+            relationships=tuple(
+                r._replace(from_id=r.to_id, to_id=r.from_id, directed=True) if flip else r._replace(directed=True)
+                for r in doc.relationships
+            )
+        )
+    graph = build_attack_graph(doc, build_base_graph(doc))
+    ids = [o.id for o in doc.objects]
+    max_len = len(ids) if long else data.draw(st.integers(1, 4), label="max_len")
+    found = []
+    for src in ids:
+        for dst in ids:
+            got = generate_potential_chains(graph, src, dst, EngineConfig(max_len=max_len))
+            assert [(p.path, p.missing_hops, p.suggestions) for p in got] == oracles.brute_potential(doc, src, dst, max_len)
+            found += got
+    if any(len(p.missing_hops) > 1 for p in found):
+        event("a path with two gaps")
+    for p in found:
+        hops = list(zip(p.path, p.path[1:]))
+        if any(hop in p.missing_hops and after not in p.missing_hops for hop, after in zip(hops, hops[1:])):
+            event("a gap before a covered hop, whose needs filter the suggestions")
+            break
 
 
 def test_potential_suggestion_respects_next_condition(toy5g):
@@ -464,6 +546,13 @@ class _EmptyDraws:
         return frozenset()
 
 
+def _or_bits(bits, ids):
+    mask = 0
+    for i in ids:
+        mask |= bits[i]
+    return mask
+
+
 def _subset(data, items, max_size, label):
     # sampled_from refuses an empty list, as in a scenario with no attacks.
     strategy = st.frozensets(st.sampled_from(items), max_size=max_size) if items else st.just(frozenset())
@@ -502,15 +591,19 @@ def test_walk_and_successor_step_apply_the_same_rules(seed, coherent, semantics,
     # Unrestricted enumeration walks to every object.
     goal = frozenset(doc.targets) if to_goal else frozenset(o.id for o in doc.objects)
     walked = list(chains_module._walk(graph, entry, goal, cfg, blocked))
+    by_id = oracles.oracle_edges(doc)
     for edges, grants, fired, affected, end, pair, cost, threat, sig in walked:
         chain = chain_from_edges(graph, edges, cfg, entry)
         assert (chain.total_cost, chain.total_threat, chain.final_grants) == (cost, threat, tuple(sorted(grants)))
-        assert is_valid_chain(graph, edges, cfg, entry).states[-1].fired == fired
-        assert not set(fired) & blocked
+        fired_ids = is_valid_chain(graph, edges, cfg, entry).states[-1].fired
+        assert oracles.replay(doc, by_id, edges, semantics, entry) == (grants, fired_ids)
+        assert fired == _or_bits(graph._attack_bits, fired_ids)
+        assert not set(fired_ids) & blocked
         last = graph.edge(edges[-1])
         assert (end, pair) == (last.to_id, Grant(last.to_id, last.permission))
-        assert affected == tuple(graph.edge(e).to_id for e in edges)
-        assert sig == chain_signature(graph, chain)
+        assert affected == _or_bits(graph._object_bits, [graph.edge(e).to_id for e in edges])
+        assert affected.bit_count() == len(edges)
+        assert sig == oracles.chain_signature(doc, edges)
         assert end in goal
     assert len({p[0] for p in walked}) == len(walked)
     if to_goal and goal:

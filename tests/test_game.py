@@ -23,7 +23,7 @@ from stratagraph import canon
 from stratagraph.chains import AttackChain
 from stratagraph.cli import main
 from stratagraph.config import EngineConfig
-from stratagraph.defense import _budget_choice, _choose, _kernel, _target_rows, chain_signature, neutralized_attacks
+from stratagraph.defense import _budget_choice, _choose, _kernel, _target_rows, neutralized_attacks
 from stratagraph.game import _Frontier
 from stratagraph.model import Grant
 
@@ -428,7 +428,7 @@ def test_target_rows_plan_like_the_per_chain_kernel(seed, objective, limit, non_
     )
     goal = frozenset(doc.targets)
     found = _target_rows(graph, foothold, goal, blocked, config)
-    signatures = [chain_signature(graph, c) for c in chains]
+    signatures = [oracles.chain_signature(doc, c.edges) for c in chains]
     assert found == [(c.edges, sig, c.total_threat) for c, sig in zip(chains, signatures)]
     weights = [1.0 if objective == "count" else c.total_threat for c in chains]
     rows = _kernel(zip(signatures, weights))

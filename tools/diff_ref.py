@@ -42,6 +42,12 @@ Inputs, all generated from this checkout:
   path))` of every scenario above. Each scenario is written by this
   checkout's serializer, so a serializer drift would change both sides'
   inputs alike and show nowhere else;
+- the fixtures toy5g, strictmode and minichain (`fixture_commands`), under
+  both semantics and both threat aggregations: `chains --unrestricted`,
+  `min_cost`, `max_threat` and `risk`. Some toy5g chains fire A1 twice,
+  through both of its edges, and the second firing adds nothing to the
+  chain's fired attacks, cost or threat; the other two fixtures hold a
+  multi-result attack and the strict-semantics case;
 - a length limit of 100,000 (`long_limit_commands`): `chains
   --unrestricted`, `risk` and a reactive `simulate` of 3 runs on toy5g
   and on one `tests/genscen.py` scenario, far beyond their longest chain;
@@ -267,6 +273,25 @@ def signed_zero_commands(inputs: Path) -> list[list[str]]:
     return commands
 
 
+def fixture_commands(inputs: Path) -> list[list[str]]:
+    """Small fixtures, among them chains that re-fire an attack, under each semantics and threat aggregation."""
+    commands = []
+    for semantics in ("accumulated", "strict"):
+        for agg in ("sum", "max"):
+            config = inputs / f"fixture-{semantics}-{agg}.config"
+            config.write_text(json.dumps({"semantics": semantics, "threat_agg": agg}) + "\n", encoding="utf-8")
+            for name in ("toy5g", "strictmode", "minichain"):
+                path = ROOT / "tests" / "fixtures" / f"{name}.scenario"
+                common = ["--scenario", str(path), "--config", str(config), "--format", "json"]
+                commands += [
+                    ["chains", *common, "--unrestricted"],
+                    ["chains", *common, "--objective", "min_cost"],
+                    ["chains", *common, "--objective", "max_threat"],
+                    ["risk", *common],
+                ]
+    return commands
+
+
 def long_limit_commands(inputs: Path) -> list[list[str]]:
     """Walks to every object and reactive games with a length limit far beyond the longest chain."""
     genscen = inputs / "genscen-random-0.scenario"  # written by genscen_commands
@@ -440,7 +465,7 @@ def main(argv=None) -> int:
         inputs = tmp / "inputs"
         inputs.mkdir()
         commands = bench_commands(inputs) + genscen_commands(inputs) + large_number_commands(inputs)
-        commands += signed_zero_commands(inputs)
+        commands += signed_zero_commands(inputs) + fixture_commands(inputs)
         commands += long_limit_commands(inputs) + coverage_commands(inputs)
         commands += serializer_commands(inputs) + shape_commands(inputs) + error_commands(inputs)
 
