@@ -169,17 +169,18 @@ class AttackGraph(_AttackGraphFields):
 def build_base_graph(doc: ScenarioDoc) -> HierarchicalGraph:
     require_valid(doc)
     layers = {o.id: o.layer for o in doc.objects}
-    intra = tuple(e for e in doc.relationships if layers[e.from_id] == layers[e.to_id])
-    vertical = tuple(e for e in doc.relationships if layers[e.from_id] != layers[e.to_id])
+    intra: list[RelationshipEdge] = []
+    vertical: list[RelationshipEdge] = []
     adjacency: dict[str, set[str]] = {}
     for e in doc.relationships:
+        (intra if layers[e.from_id] == layers[e.to_id] else vertical).append(e)
         adjacency.setdefault(e.from_id, set()).add(e.to_id)
         if not e.directed:
             adjacency.setdefault(e.to_id, set()).add(e.from_id)
     return HierarchicalGraph(
         layers=layers,
-        intra_edges=intra,
-        vertical_edges=vertical,
+        intra_edges=tuple(intra),
+        vertical_edges=tuple(vertical),
         adjacency={k: tuple(sorted(v)) for k, v in adjacency.items()},
         doc=doc,
     )
@@ -196,24 +197,27 @@ def build_attack_graph(doc: ScenarioDoc, base: HierarchicalGraph) -> AttackGraph
         for aid in d.d_results:
             attack_defenses[aid] |= defense_bits[d.id]
     edges = []
-    for record in doc.attacks:
-        condition, results = frozenset(record.condition), frozenset(record.a_results)
-        shared = (record.cost, record.severity, record.detect_prob, condition, results, attack_defenses[record.id])
-        for i, result in enumerate(record.a_results):
-            head = (f"{record.id}#{i}", record.id, record.object, result.object, result.permission)
-            edges.append(AttackEdge(*head, *shared, record.entry_only, result))
+    make = AttackEdge._make
+    for aid, obj, condition, _, a_results, cost, severity, detect_prob, entry_only in doc.attacks:
+        defense_mask = attack_defenses[aid]
+        shared = (cost, severity, detect_prob, frozenset(condition), frozenset(a_results), defense_mask, entry_only)
+        for i, result in enumerate(a_results):
+            # *result is the edge's to_id and permission; the edge ends with result itself, its grant.
+            edges.append(make((f"{aid}#{i}", aid, obj, *result, *shared, result)))
     edges.sort(key=lambda e: e.edge_id)
+    by_id: dict[str, AttackEdge] = {}
     by_from: dict[str, list[AttackEdge]] = {}
     by_to: dict[str, list[AttackEdge]] = {}
     by_attack: dict[str, list[AttackEdge]] = {}
     for e in edges:
+        by_id[e.edge_id] = e
         by_from.setdefault(e.from_id, []).append(e)
         by_to.setdefault(e.to_id, []).append(e)
         by_attack.setdefault(e.attack_id, []).append(e)
     return AttackGraph(
         base=base,
         edges=tuple(edges),
-        by_id={e.edge_id: e for e in edges},
+        by_id=by_id,
         by_from={k: tuple(v) for k, v in by_from.items()},
         by_to={k: tuple(v) for k, v in by_to.items()},
         by_attack={k: tuple(v) for k, v in by_attack.items()},

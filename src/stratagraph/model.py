@@ -154,15 +154,7 @@ class DefenseRecord(NamedTuple):
     d_results: tuple[str, ...] = ()
 
 
-class ScenarioDoc(NamedTuple):
-    """A fully parsed scenario file. Parsing does not validate semantics;
-    run validate_scenario to get the violation report.
-
-    unknown_keys takes part in equality like every other field, so a doc
-    parsed with an unknown key equals its serialized round trip only after
-    _replace(unknown_keys=()).
-    """
-
+class _ScenarioFields(NamedTuple):
     objects: tuple[ObjectRecord, ...] = ()
     relationships: tuple[RelationshipEdge, ...] = ()
     attacks: tuple[AttackRecord, ...] = ()
@@ -173,11 +165,22 @@ class ScenarioDoc(NamedTuple):
     # Unknown keys seen while parsing; reported as warnings, never persisted.
     unknown_keys: tuple[str, ...] = ()
 
-    def object_ids(self) -> frozenset[str]:
-        return frozenset(o.id for o in self.objects)
 
-    def object_by_id(self) -> dict[str, ObjectRecord]:
-        return {o.id: o for o in self.objects}
+class ScenarioDoc(_ScenarioFields):
+    """A fully parsed scenario file. Parsing does not validate semantics;
+    run validate_scenario to get the violation report.
+
+    A named tuple subclass without __slots__, so each doc has a __dict__,
+    where validate_scenario keeps the doc's report, the way AttackGraph
+    keeps its indexes: every later validation of the same doc object, such
+    as the one build_base_graph runs, returns that report, and it dies with
+    the doc. A doc must therefore hold tuples, as parse_scenario builds it,
+    and must never be mutated; _replace makes a new doc, validated afresh.
+
+    unknown_keys takes part in equality like every other field, so a doc
+    parsed with an unknown key equals its serialized round trip only after
+    _replace(unknown_keys=()).
+    """
 
     def attack_by_id(self) -> dict[str, AttackRecord]:
         return {a.id: a for a in self.attacks}

@@ -7,6 +7,8 @@ record's keys, types and defaults, and of the order its checks run; one loop
 reads every record by its table. Semantic rules (dangling references,
 duplicate ids, taxonomy membership, numeric ranges) live in
 validate_scenario, which reports violations as data instead of raising.
+The doc keeps its report, so every later validation of the same doc
+object, such as require_valid's in build_base_graph, costs one lookup.
 """
 
 from __future__ import annotations
@@ -47,46 +49,64 @@ TOTAL_LIMIT = sys.float_info.max / 2
 # check is a type the value must have, or a converter that checks the value
 # and returns what the record holds. A default is what a record holds when
 # its key is missing; _REQUIRED marks a key without one.
+#
+# An error names its place relative to the value being checked: "" for the
+# value itself, ".key" or "[i]" below it, then ": " and the fault. Each
+# caller puts the value's own place in front (_within), so a place is
+# formatted only when a check fails.
 
 _REQUIRED = object()
+_MISSING = object()
 
 
-def _expect(value, kind: type, where: str):
-    if not isinstance(value, kind):
-        raise ParseError(f"{where}: expected {kind.__name__}, got {type(value).__name__}")
-    return value
+def _mismatch(place: str, kind: type, value) -> ParseError:
+    return ParseError(f"{place}: expected {kind.__name__}, got {type(value).__name__}")
 
 
-def _number(value, where: str) -> float:
+def _within(place: str, exc: Exception) -> Exception:
+    """exc again, of the same type, with place put in front of the place its message names."""
+    return type(exc)(f"{place}{exc}")
+
+
+def _number(value) -> float:
+    if type(value) is float:  # as json.loads reads every number with a point or exponent
+        return value
     # bool is an int subclass; reject it explicitly.
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{where}: expected number, got {type(value).__name__}")
+        raise ParseError(f": expected number, got {type(value).__name__}")
     try:
         return float(value)
     except OverflowError:
         # Caught in parse_scenario, which names the file.
-        raise OverflowError(f"{where}: integer too large for a float") from None
+        raise OverflowError(": integer too large for a float") from None
 
 
-def _grants(value, where: str) -> tuple[Grant, ...]:
-    _expect(value, list, where)
+def _grants(value) -> tuple[Grant, ...]:
+    if not isinstance(value, list):
+        raise _mismatch("", list, value)
     grants = []
     for i, raw in enumerate(value):
-        here = f"{where}[{i}]"
-        (obj, perm), extra = _fields(raw, here, _GRANT)
-        if extra:
-            raise ParseError(f"{here}: unexpected keys {extra}")
+        try:
+            (obj, perm), extra = _fields(raw, _GRANT)
+            if extra:
+                raise ParseError(f": unexpected keys {extra}")
+        except ParseError as exc:
+            raise _within(f"[{i}]", exc) from None
         grants.append(Grant(obj, normalize_permission(perm)))
     return tuple(grants)
 
 
-def _sorted_grants(value, where: str) -> tuple[Grant, ...]:
-    return tuple(sorted(_grants(value, where)))
+def _sorted_grants(value) -> tuple[Grant, ...]:
+    return tuple(sorted(_grants(value)))
 
 
-def _strings(value, where: str) -> tuple[str, ...]:
-    _expect(value, list, where)
-    return tuple(_expect(s, str, f"{where}[{i}]") for i, s in enumerate(value))
+def _strings(value) -> tuple[str, ...]:
+    if not isinstance(value, list):
+        raise _mismatch("", list, value)
+    for i, s in enumerate(value):
+        if not isinstance(s, str):
+            raise _mismatch(f"[{i}]", str, s)
+    return tuple(value)
 
 
 _GRANT = (("object", str, _REQUIRED), ("permission", str, _REQUIRED))
@@ -113,36 +133,54 @@ _DEFENSE = (
 _SECTIONS = frozenset(("objects", "relationships", "attacks", "defenses", "entry_grants", "targets", "extensions"))
 
 
-def _fields(raw, where: str, fields) -> tuple[list, list]:
+def _fields(raw, fields) -> tuple[list, list]:
     """raw's values in table order, and the keys the table lacks, sorted."""
-    _expect(raw, dict, where)
+    if not isinstance(raw, dict):
+        raise _mismatch("", dict, raw)
     values = []
     found = 0
     for key, check, default in fields:
-        if key not in raw:
+        value = raw.get(key, _MISSING)
+        if value is _MISSING:
             if default is _REQUIRED:
-                raise ParseError(f"{where}: missing required key {key!r}")
+                raise ParseError(f": missing required key {key!r}")
             values.append(default)
             continue
         found += 1
-        value = raw[key]
         if type(check) is not type:
-            value = check(value, f"{where}.{key}")
+            try:
+                value = check(value)
+            except (ParseError, OverflowError) as exc:
+                raise _within(f".{key}", exc) from None
         elif not isinstance(value, check):
-            _expect(value, check, f"{where}.{key}")
+            raise _mismatch(f".{key}", check, value)
         values.append(value)
     if len(raw) == found:
         return values, []
     return values, sorted(raw.keys() - {key for key, _, _ in fields})
 
 
+def _section(data: dict, section: str, check):
+    """check's value of one top-level section, an empty list when it is missing."""
+    try:
+        return check(data.get(section, []))
+    except ParseError as exc:
+        raise _within(section, exc) from None
+
+
 def _records(data: dict, section: str, fields, make, unknown: list[str]) -> tuple:
     """The records of one section, built by make from their values; unknown gains their extra keys."""
+    raws = data.get(section, [])
+    if not isinstance(raws, list):
+        raise _mismatch(section, list, raws)
     records = []
-    for i, raw in enumerate(_expect(data.get(section, []), list, section)):
-        where = f"{section}[{i}]"
-        values, extra = _fields(raw, where, fields)
-        unknown += [f"{where}.{key}" for key in extra]
+    for i, raw in enumerate(raws):
+        try:
+            values, extra = _fields(raw, fields)
+        except (ParseError, OverflowError) as exc:
+            raise _within(f"{section}[{i}]", exc) from None
+        if extra:
+            unknown += [f"{section}[{i}].{key}" for key in extra]
         records.append(make(*values))
     return tuple(records)
 
@@ -159,7 +197,8 @@ def parse_scenario(text: str, source: str = "<string>") -> ScenarioDoc:
         raise ParseError(f"{source}: JSON nested too deeply") from exc
     except ValueError as exc:  # an integer literal longer than int() converts
         raise ParseError(f"{source}: {exc}") from exc
-    _expect(data, dict, source)
+    if not isinstance(data, dict):
+        raise _mismatch(source, dict, data)
     try:
         return _parse_document(data)
     except (ParseError, OverflowError) as exc:
@@ -177,9 +216,9 @@ def _parse_document(data: dict) -> ScenarioDoc:
         defenses=_records(
             data, "defenses", _DEFENSE, lambda d_results, *rest: DefenseRecord(*rest, d_results), unknown
         ),
-        entry_grants=_sorted_grants(data.get("entry_grants", []), "entry_grants"),
-        targets=tuple(sorted(_strings(data.get("targets", []), "targets"))),
-        extensions=_strings(data.get("extensions", []), "extensions"),
+        entry_grants=_section(data, "entry_grants", _sorted_grants),
+        targets=tuple(sorted(_section(data, "targets", _strings))),
+        extensions=_section(data, "extensions", _strings),
         unknown_keys=(*unknown, *sorted(data.keys() - _SECTIONS)),
     )
 
@@ -232,10 +271,15 @@ def serialize_scenario(doc: ScenarioDoc) -> str:
 
 # --- validation --------------------------------------------------------------
 
-def _check_token(problems, record_class: str, record_id: str, token: str, what: str):
-    msg = permission_problems(token)
-    if msg:
-        problems.append(Violation("error", record_class, record_id, f"{what}: {msg}"))
+_FLOAT_MAX = sys.float_info.max
+
+
+class _TokenProblems(dict):
+    """Permission token -> permission_problems(token), each token checked on its first lookup only."""
+
+    def __missing__(self, token):
+        self[token] = problem = permission_problems(token)
+        return problem
 
 
 def _check_number(problems, record_class: str, record_id: str, name: str, value: float, upper: float | None = None):
@@ -251,7 +295,7 @@ def _check_number(problems, record_class: str, record_id: str, name: str, value:
 def _check_total(problems, record_id: str, what: str, values) -> None:
     """Report a scenario whose finite values sum (exactly) to TOTAL_LIMIT or more."""
     try:
-        total = math.fsum(v for v in values if math.isfinite(v))
+        total = math.fsum(filter(math.isfinite, values))
     except OverflowError:
         total = math.inf  # the exact sum is beyond the largest float
     if total >= TOTAL_LIMIT:
@@ -274,11 +318,26 @@ def validate_scenario(doc: ScenarioDoc) -> tuple[Violation, ...]:
     "warning" flag suspicious-but-legal constructs (unknown file keys, attack
     edges with no underlying relationship) and do not make the scenario
     invalid.
+
+    The doc keeps its report (see ScenarioDoc): a second call on the same
+    doc object, such as require_valid's in build_base_graph, returns the
+    same tuple without checking again.
     """
+    report = vars(doc).get("_report")
+    if report is None:
+        report = vars(doc)["_report"] = _violations(doc)
+    return report
+
+
+def _violations(doc: ScenarioDoc) -> tuple[Violation, ...]:
+    # Each check is a plain test that passes on a valid record; a Violation
+    # and its message are made only when it fails. The report is sorted on
+    # every field, so the order in which violations are found is free.
     out: list[Violation] = []
-    ids = doc.object_ids()
-    by_id = doc.object_by_id()
-    categories = doc.allowed_categories()
+    layer_of = {o.id: o.layer for o in doc.objects}
+    ids = layer_of.keys()
+    categories = frozenset(doc.allowed_categories())
+    token_problems = _TokenProblems()
 
     seen: set[str] = set()
     for o in doc.objects:
@@ -292,63 +351,65 @@ def validate_scenario(doc: ScenarioDoc) -> tuple[Violation, ...]:
         if o.category not in categories:
             out.append(Violation("error", "object", o.id, f"unknown category {o.category!r}"))
 
+    # Both orientations of every relationship: a pair is in it exactly when
+    # some relationship joins the two objects, directed or not.
+    linked = set()
     for i, r in enumerate(doc.relationships):
-        rid = f"relationships[{i}]"
-        missing = [x for x in (r.from_id, r.to_id) if x not in ids]
-        for x in missing:
-            out.append(Violation("error", "relationship", rid, f"endpoint {x!r} does not exist"))
-        if not missing and by_id[r.from_id].layer != by_id[r.to_id].layer and r.kind not in VERTICAL_KINDS:
+        linked.add((r.from_id, r.to_id))
+        linked.add((r.to_id, r.from_id))
+        if r.from_id not in ids or r.to_id not in ids:
+            for x in (r.from_id, r.to_id):
+                if x not in ids:
+                    message = f"endpoint {x!r} does not exist"
+                    out.append(Violation("error", "relationship", f"relationships[{i}]", message))
+        elif layer_of[r.from_id] != layer_of[r.to_id] and r.kind not in VERTICAL_KINDS:
             out.append(
                 Violation(
                     "error",
                     "relationship",
-                    rid,
+                    f"relationships[{i}]",
                     f"vertical edge {r.from_id}->{r.to_id} has kind {r.kind!r}, expected one of {VERTICAL_KINDS}",
                 )
             )
 
-    # Both orientations of every relationship: a pair is in it exactly when
-    # some relationship joins the two objects, directed or not.
-    linked = set()
-    for r in doc.relationships:
-        linked.add((r.from_id, r.to_id))
-        linked.add((r.to_id, r.from_id))
-
-    seen = set()
+    attack_ids: set[str] = set()
     for a in doc.attacks:
-        if a.id in seen:
+        if a.id in attack_ids:
             out.append(Violation("error", "attack", a.id, f"duplicate attack id {a.id!r}"))
-        seen.add(a.id)
-        if a.object not in ids:
+        attack_ids.add(a.id)
+        attacked = a.object in ids
+        if not attacked:
             out.append(Violation("error", "attack", a.id, f"attacked object {a.object!r} does not exist"))
         if not a.a_results:
             out.append(Violation("error", "attack", a.id, "a_results is empty"))
         for g in a.a_results:
             if g.object not in ids:
                 out.append(Violation("error", "attack", a.id, f"a_result object {g.object!r} does not exist"))
-            _check_token(out, "attack", a.id, g.permission, f"a_result on {g.object!r}")
+            # Warn when an attack edge jumps between objects no relationship
+            # connects; self-loop effects are always plausible.
+            elif attacked and g.object != a.object and (a.object, g.object) not in linked:
+                out.append(
+                    Violation(
+                        "warning",
+                        "attack",
+                        a.id,
+                        f"edge {a.object}->{g.object} has no relationship counterpart in the base graph",
+                    )
+                )
+            if problem := token_problems[g.permission]:
+                out.append(Violation("error", "attack", a.id, f"a_result on {g.object!r}: {problem}"))
         for g in a.condition:
             if g.object not in ids:
                 out.append(Violation("error", "attack", a.id, f"condition object {g.object!r} does not exist"))
-            _check_token(out, "attack", a.id, g.permission, f"condition on {g.object!r}")
-        _check_number(out, "attack", a.id, "cost", a.cost)
-        _check_number(out, "attack", a.id, "severity", a.severity)
-        _check_number(out, "attack", a.id, "detect_prob", a.detect_prob, upper=1.0)
-        # Warn when an attack edge jumps between objects no relationship
-        # connects; self-loop effects are always plausible.
-        for g in a.a_results:
-            if g.object in ids and a.object in ids and g.object != a.object:
-                if (a.object, g.object) not in linked:
-                    out.append(
-                        Violation(
-                            "warning",
-                            "attack",
-                            a.id,
-                            f"edge {a.object}->{g.object} has no relationship counterpart in the base graph",
-                        )
-                    )
+            if problem := token_problems[g.permission]:
+                out.append(Violation("error", "attack", a.id, f"condition on {g.object!r}: {problem}"))
+        if not 0.0 <= a.cost <= _FLOAT_MAX:
+            _check_number(out, "attack", a.id, "cost", a.cost)
+        if not 0.0 <= a.severity <= _FLOAT_MAX:
+            _check_number(out, "attack", a.id, "severity", a.severity)
+        if not 0.0 <= a.detect_prob <= 1.0:
+            _check_number(out, "attack", a.id, "detect_prob", a.detect_prob, upper=1.0)
 
-    attack_ids = {a.id for a in doc.attacks}
     seen = set()
     for d in doc.defenses:
         if d.id in seen:
@@ -359,7 +420,8 @@ def validate_scenario(doc: ScenarioDoc) -> tuple[Violation, ...]:
         for aid in d.d_results:
             if aid not in attack_ids:
                 out.append(Violation("error", "defense", d.id, f"d_result attack {aid!r} does not exist"))
-        _check_number(out, "defense", d.id, "cost", d.cost)
+        if not 0.0 <= d.cost <= _FLOAT_MAX:
+            _check_number(out, "defense", d.id, "cost", d.cost)
 
     _check_total(out, "attacks", "attack costs", (a.cost for a in doc.attacks))
     _check_total(out, "attacks", "attack severities", (a.severity for a in doc.attacks))
@@ -368,7 +430,9 @@ def validate_scenario(doc: ScenarioDoc) -> tuple[Violation, ...]:
     for g in doc.entry_grants:
         if g.object not in ids:
             out.append(Violation("error", "scenario", "entry_grants", f"entry grant object {g.object!r} does not exist"))
-        _check_token(out, "scenario", "entry_grants", g.permission, f"entry grant on {g.object!r}")
+        if problem := token_problems[g.permission]:
+            message = f"entry grant on {g.object!r}: {problem}"
+            out.append(Violation("error", "scenario", "entry_grants", message))
     for t in doc.targets:
         if t not in ids:
             out.append(Violation("error", "scenario", "targets", f"target {t!r} does not exist"))
@@ -383,4 +447,3 @@ def require_valid(doc: ScenarioDoc) -> None:
     errors = [v for v in validate_scenario(doc) if v.severity == "error"]
     if errors:
         raise InvalidScenarioError(errors)
-

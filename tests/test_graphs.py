@@ -1,4 +1,6 @@
 
+import json
+
 import pytest
 
 import stratagraph.scenario
@@ -12,6 +14,7 @@ from stratagraph import (
     graphs_to_dot,
     load_scenario,
     parse_scenario,
+    validate_scenario,
 )
 from stratagraph import canon
 from stratagraph.graphs import graphs_to_dict
@@ -173,6 +176,34 @@ def test_attack_graph_revalidates_only_other_docs(toy5g, monkeypatch):
     with pytest.raises(ValueError, match="another scenario document"):
         build_attack_graph(twin, base)
     assert calls == [doc]
+
+
+def test_library_flow_validates_once(fixtures_dir, monkeypatch):
+    # validate_scenario, then build_base_graph and build_attack_graph, as the
+    # README's library flow runs them: the doc keeps its report, so the
+    # per-record checks run once, each distinct permission token is checked
+    # once, and an equal twin from _replace() is checked afresh.
+    checked, tokens = [], []
+    violations, problems = stratagraph.scenario._violations, stratagraph.scenario.permission_problems
+    monkeypatch.setattr(stratagraph.scenario, "_violations", lambda d: checked.append(d) or violations(d))
+    monkeypatch.setattr(stratagraph.scenario, "permission_problems", lambda t: tokens.append(t) or problems(t))
+    data = json.loads((fixtures_dir / "toy5g.scenario").read_text())
+    data["frobnicate"] = 1  # a warning, so the report is a tuple of its own
+    doc = parse_scenario(json.dumps(data))
+    report = validate_scenario(doc)
+    assert [v.message for v in report] == ["unknown key 'frobnicate' ignored"]
+    build_attack_graph(doc, build_base_graph(doc))
+    assert validate_scenario(doc) is validate_scenario(doc) is report
+    assert checked == [doc]
+    grants = [*doc.entry_grants, *(g for a in doc.attacks for g in (*a.condition, *a.a_results))]
+    assert len(grants) > len({g.permission for g in grants})
+    assert sorted(tokens) == sorted({g.permission for g in grants})
+    twin = doc._replace()
+    twin_report = validate_scenario(twin)
+    assert twin_report == report and twin_report is not report
+    assert len(checked) == 2 and checked[1] is twin
+    build_base_graph(twin)
+    assert len(checked) == 2
 
 
 def test_attack_graph_needs_the_doc_of_its_base(toy5g, minichain):

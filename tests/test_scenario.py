@@ -14,6 +14,7 @@ from stratagraph import (
     validate_scenario,
 )
 
+import faults
 import oracles
 from genscen import random_scenario
 
@@ -61,131 +62,73 @@ def test_toy5g_validates_clean(toy5g):
     assert validate_scenario(doc) == ()
 
 
-def _edit(doc, section: str, index: int, **fields):
-    """doc with fields replaced in record index of section (one past the end appends a copy of the last)."""
-    records = list(getattr(doc, section))
-    if index == len(records):
-        records.append(records[-1])
-    records[index] = records[index]._replace(**fields)
-    return doc._replace(**{section: tuple(records)})
-
-
-BELOW_LIMIT = "they must stay below 8.98847e+307, half the largest float, so that no chain or plan total overflows"
-# SL1 (objects[4]) is the one toy5g object nothing refers to; A3 (attacks[2])
-# and D2 (defenses[1]) act on HV1 alone.
-VALIDATION_RULES = {
-    "object id empty": (
-        lambda d: _edit(d, "objects", 4, id=""), ("error", "object", "", "object id '' is empty or padded")
-    ),
-    "object id padded": (
-        lambda d: _edit(d, "objects", 4, id="SL1 "), ("error", "object", "SL1 ", "object id 'SL1 ' is empty or padded")
-    ),
-    "duplicate object id": (lambda d: _edit(d, "objects", 6, id="SL1"), ("error", "object", "SL1", "duplicate object id 'SL1'")),
-    "unknown layer": (
-        lambda d: _edit(d, "objects", 4, layer="cloud"),
-        (
-            "error", "object", "SL1",
-            "unknown layer 'cloud' (expected one of ('physical', 'virtual', 'service', 'application'))",
-        ),
-    ),
-    "unknown category": (
-        lambda d: _edit(d, "objects", 4, category="router"), ("error", "object", "SL1", "unknown category 'router'")
-    ),
-    "relationship endpoint": (
-        lambda d: _edit(d, "relationships", 5, from_id="SL1", to_id="GHOST"),
-        ("error", "relationship", "relationships[5]", "endpoint 'GHOST' does not exist"),
-    ),
-    "vertical edge kind": (
-        lambda d: _edit(d, "relationships", 5, from_id="SL1", to_id="APP1", kind="connectivity"),
-        (
-            "error", "relationship", "relationships[5]",
-            "vertical edge SL1->APP1 has kind 'connectivity', expected one of"
-            " ('functional-support', 'resource-sharing', 'management', 'orchestration')",
-        ),
-    ),
-    "duplicate attack id": (lambda d: _edit(d, "attacks", 5, id="A3"), ("error", "attack", "A3", "duplicate attack id 'A3'")),
-    "attacked object": (
-        lambda d: _edit(d, "attacks", 2, object="GHOST"), ("error", "attack", "A3", "attacked object 'GHOST' does not exist")
-    ),
-    "empty a_results": (lambda d: _edit(d, "attacks", 2, a_results=()), ("error", "attack", "A3", "a_results is empty")),
-    "a_result object": (
-        lambda d: _edit(d, "attacks", 2, a_results=(Grant("GHOST", "execute"),)),
-        ("error", "attack", "A3", "a_result object 'GHOST' does not exist"),
-    ),
-    "a_result permission empty": (
-        lambda d: _edit(d, "attacks", 2, a_results=(Grant("HV1", ""),)),
-        ("error", "attack", "A3", "a_result on 'HV1': permission is empty"),
-    ),
-    "a_result permission case": (
-        lambda d: _edit(d, "attacks", 2, a_results=(Grant("HV1", "EXECUTE"),)),
-        ("error", "attack", "A3", "a_result on 'HV1': permission 'EXECUTE' is not lowercase"),
-    ),
-    "condition object": (
-        lambda d: _edit(d, "attacks", 2, condition=(Grant("GHOST", "read"),)),
-        ("error", "attack", "A3", "condition object 'GHOST' does not exist"),
-    ),
-    "condition permission whitespace": (
-        lambda d: _edit(d, "attacks", 2, condition=(Grant("HV1", "re ad"),)),
-        ("error", "attack", "A3", "condition on 'HV1': permission 're ad' contains whitespace"),
-    ),
-    "attack cost negative": (lambda d: _edit(d, "attacks", 2, cost=-1.0), ("error", "attack", "A3", "cost -1.0 is negative")),
-    "attack severity not finite": (
-        lambda d: _edit(d, "attacks", 2, severity=math.nan), ("error", "attack", "A3", "severity nan is not a finite number")
-    ),
-    "detect_prob range": (
-        lambda d: _edit(d, "attacks", 2, detect_prob=1.5), ("error", "attack", "A3", "detect_prob 1.5 outside [0, 1]")
-    ),
-    "no relationship counterpart": (
-        lambda d: _edit(d, "attacks", 2, a_results=(Grant("SL1", "read"),)),
-        ("warning", "attack", "A3", "edge HV1->SL1 has no relationship counterpart in the base graph"),
-    ),
-    "duplicate defense id": (
-        lambda d: _edit(d, "defenses", 4, id="D2"), ("error", "defense", "D2", "duplicate defense id 'D2'")
-    ),
-    "empty d_results": (lambda d: _edit(d, "defenses", 1, d_results=()), ("error", "defense", "D2", "d_results is empty")),
-    "d_result attack": (
-        lambda d: _edit(d, "defenses", 1, d_results=("A9",)), ("error", "defense", "D2", "d_result attack 'A9' does not exist")
-    ),
-    "defense cost not finite": (
-        lambda d: _edit(d, "defenses", 1, cost=math.inf), ("error", "defense", "D2", "cost inf is not a finite number")
-    ),
-    "attack cost total": (
-        lambda d: _edit(d, "attacks", 2, cost=1e308),
-        ("error", "scenario", "attacks", f"attack costs sum to 1e+308; {BELOW_LIMIT}"),
-    ),
-    "attack severity total beyond a float": (
-        lambda d: _edit(_edit(d, "attacks", 2, severity=1.7e308), "attacks", 3, severity=1.7e308),
-        ("error", "scenario", "attacks", f"attack severities sum to more than the largest float; {BELOW_LIMIT}"),
-    ),
-    "defense cost total": (
-        lambda d: _edit(d, "defenses", 1, cost=1e308),
-        ("error", "scenario", "defenses", f"defense costs sum to 1e+308; {BELOW_LIMIT}"),
-    ),
-    "entry grant object": (
-        lambda d: d._replace(entry_grants=(Grant("GHOST", "read"),)),
-        ("error", "scenario", "entry_grants", "entry grant object 'GHOST' does not exist"),
-    ),
-    "entry grant permission case": (
-        lambda d: d._replace(entry_grants=(Grant("CH1", "Read"),)),
-        ("error", "scenario", "entry_grants", "entry grant on 'CH1': permission 'Read' is not lowercase"),
-    ),
-    "target": (
-        lambda d: d._replace(targets=("GHOST",)), ("error", "scenario", "targets", "target 'GHOST' does not exist")
-    ),
-    "unknown key": (
-        lambda d: d._replace(unknown_keys=("frobnicate",)),
-        ("warning", "scenario", "unknown_keys", "unknown key 'frobnicate' ignored"),
-    ),
-}
-
-
-@pytest.mark.parametrize("rule", sorted(VALIDATION_RULES))
+@pytest.mark.parametrize("rule", sorted(faults.VALIDATION_RULES))
 def test_each_validation_rule_gives_its_exact_violation(toy5g, rule):
     # One fault in the otherwise clean toy5g doc gives exactly its own
     # violation: severity, record class, record id and message.
     doc, _, _ = toy5g
-    mutate, expected = VALIDATION_RULES[rule]
+    mutate, expected = faults.VALIDATION_RULES[rule]
     assert validate_scenario(mutate(doc)) == (expected,)
+
+
+def test_each_bad_token_occurrence_reports_its_own_violation(toy5g):
+    # Two attacks and the entry grants share the same malformed tokens. Each
+    # distinct token is checked once, and every occurrence still reports its
+    # own violation; the duplicated entry grant reports twice.
+    doc, _, _ = toy5g
+    doc = faults.repeated_bad_tokens(doc)
+    empty, case, space = "permission is empty", "permission 'Read' is not lowercase", "permission 'ro ot' contains whitespace"
+    assert [v[1:] for v in validate_scenario(doc)] == [
+        ("attack", "A3", f"a_result on 'HV1': {case}"),
+        ("attack", "A3", f"condition on 'HV1': {space}"),
+        ("attack", "A3", f"condition on 'HV1': {empty}"),
+        ("attack", "A4", f"a_result on 'APP1': {space}"),
+        ("attack", "A4", f"a_result on 'APP1': {empty}"),
+        ("attack", "A4", f"condition on 'UE1': {case}"),
+        ("scenario", "entry_grants", f"entry grant on 'CH1': {case}"),
+        ("scenario", "entry_grants", f"entry grant on 'CH1': {case}"),
+        ("scenario", "entry_grants", f"entry grant on 'CH1': {space}"),
+        ("scenario", "entry_grants", f"entry grant on 'CH1': {empty}"),
+    ]
+    assert {v.severity for v in validate_scenario(doc)} == {"error"}
+
+
+# (record, field) -> value -> the one message it gives, or None for none.
+NUMBER_MESSAGES = {
+    ("attacks", "cost"): {
+        -1.0: "cost -1.0 is negative", math.nan: "cost nan is not a finite number",
+        math.inf: "cost inf is not a finite number", -math.inf: "cost -inf is not a finite number",
+        1.0000001: None, -0.0: None,
+    },
+    ("attacks", "severity"): {
+        -1.0: "severity -1.0 is negative", math.nan: "severity nan is not a finite number",
+        math.inf: "severity inf is not a finite number", -math.inf: "severity -inf is not a finite number",
+        1.0000001: None, -0.0: None,
+    },
+    ("attacks", "detect_prob"): {
+        -1.0: "detect_prob -1.0 outside [0, 1]", math.nan: "detect_prob nan is not a finite number",
+        math.inf: "detect_prob inf is not a finite number", -math.inf: "detect_prob -inf is not a finite number",
+        1.0000001: "detect_prob 1.0000001 outside [0, 1]", -0.0: None,
+    },
+    ("defenses", "cost"): {
+        -1.0: "cost -1.0 is negative", math.nan: "cost nan is not a finite number",
+        math.inf: "cost inf is not a finite number", -math.inf: "cost -inf is not a finite number",
+        1.0000001: None, -0.0: None,
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "section, field, value",
+    [(*key, value) for key, messages in NUMBER_MESSAGES.items() for value in messages],
+    ids=lambda x: repr(x) if isinstance(x, float) else x,
+)
+def test_number_checks_keep_their_messages(toy5g, section, field, value):
+    doc, _, _ = toy5g
+    record_id = getattr(doc, section)[1].id
+    message = NUMBER_MESSAGES[section, field][value]
+    expected = () if message is None else (("error", section[:-1], record_id, message),)
+    assert validate_scenario(faults.edit(doc, section, 1, **{field: value})) == expected
 
 
 def test_dangling_a_result_names_the_object(toy5g):

@@ -63,6 +63,12 @@ Inputs, all generated from this checkout:
   cost, `2**2000` as a severity, a grant with an extra key, a record that
   is not an object, a section that is not a list, a target that is not a
   string, and an unknown nested key, which warns and exits 0;
+- semantic faults (`semantic_commands`): `validate` in JSON and in text,
+  and `chains`, of toy5g with each fault of the validation tests'
+  `VALIDATION_RULES` (`tests/faults.py`), and of one doc whose attacks and entry grants repeat
+  the same malformed permission tokens and whose numbers are negative,
+  NaN, infinite, just above 1 or -0.0. The invalid ones exit 2, `chains`
+  with the report's errors on stderr;
 - error paths (`error_commands`): `--version`, `--help` of the tool and of
   each subcommand, an unknown or missing subcommand, a missing or malformed
   scenario file, a missing `--config`, an infeasible cut, unknown ids,
@@ -74,6 +80,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -391,6 +398,48 @@ def shape_commands(inputs: Path) -> list[list[str]]:
     return commands
 
 
+def _plain(value):
+    """value with every Grant written as its dict, as a scenario file holds it."""
+    from stratagraph import Grant
+
+    if isinstance(value, Grant):
+        return value.as_dict()
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return value
+
+
+def semantic_commands(inputs: Path) -> list[list[str]]:
+    """`validate` and `chains` of toy5g with one semantic fault each, and with many at once.
+
+    The faults are those of the validation tests (`tests/faults.py`). Each
+    doc is written with json.dumps, which keeps every float exact and
+    writes NaN and the infinities as JSON's parser reads them back.
+    """
+    from faults import VALIDATION_RULES, edit, repeated_bad_tokens
+
+    from stratagraph import load_scenario
+    from stratagraph.scenario import scenario_to_dict
+
+    toy = load_scenario(ROOT / "tests" / "fixtures" / "toy5g.scenario")
+    docs = {name.replace(" ", "-"): mutate(toy) for name, (mutate, _) in VALIDATION_RULES.items()}
+    # Shared malformed tokens, and numbers out of range, just above 1 or -0.0.
+    doc = repeated_bad_tokens(toy)
+    doc = edit(doc, "attacks", 2, cost=-1.0, severity=math.nan, detect_prob=1.0000001)
+    doc = edit(doc, "attacks", 3, cost=math.inf, severity=-0.0, detect_prob=-math.inf)
+    docs["repeated-tokens-and-numbers"] = edit(edit(doc, "defenses", 1, cost=-math.inf), "defenses", 2, cost=-0.0)
+    commands = []
+    for name, doc in docs.items():
+        data = {**_plain(scenario_to_dict(doc)), **dict.fromkeys(doc.unknown_keys, 1)}
+        path = str(inputs / f"semantic-{name}.scenario")
+        Path(path).write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
+        commands += [["validate", "--scenario", path, "--format", fmt] for fmt in ("json", "text")]
+        commands.append(["chains", "--scenario", path])
+    return commands
+
+
 def error_commands(inputs: Path) -> list[list[str]]:
     """Help, usage and error paths: moving an import can change these and no success output."""
     fixtures = ROOT / "tests" / "fixtures"
@@ -467,7 +516,8 @@ def main(argv=None) -> int:
         commands = bench_commands(inputs) + genscen_commands(inputs) + large_number_commands(inputs)
         commands += signed_zero_commands(inputs) + fixture_commands(inputs)
         commands += long_limit_commands(inputs) + coverage_commands(inputs)
-        commands += serializer_commands(inputs) + shape_commands(inputs) + error_commands(inputs)
+        commands += serializer_commands(inputs) + shape_commands(inputs) + semantic_commands(inputs)
+        commands += error_commands(inputs)
 
         def both(argv):
             return run(ROOT / "src", argv, inputs), run(ref_src, argv, inputs)
