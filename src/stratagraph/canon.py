@@ -5,7 +5,7 @@ dumps(), and identical values always render to identical bytes on any
 platform. The contract:
 
 - dict keys are sorted, and every key must be a str (else TypeError);
-- containers open on their own line, items indented by `indent` spaces per
+- containers open on their own line, items indented by two spaces per
   level, with no trailing whitespace;
 - strings are pure ASCII: anything else is \\u-escaped as json.dumps does;
 - floats use 6 significant digits, and -0.0 is folded to 0.0;
@@ -47,8 +47,8 @@ def format_float(x: float) -> str:
     return format(x, ".6g")
 
 
-def dumps(value, indent: int = 2, end: str = "") -> str:
-    """The canonical JSON text of value, followed by end."""
+def dumps(value) -> str:
+    """The canonical JSON text of value."""
     parts: list[str] = []
     append = parts.append
     strings: dict[str, str] = {}  # exact str -> its JSON form
@@ -60,8 +60,8 @@ def dumps(value, indent: int = 2, end: str = "") -> str:
 
     def add_level() -> None:
         k = len(levels)
-        pad = " " * (indent * (k + 1))
-        close = "\n" + " " * (indent * k)
+        pad = "  " * (k + 1)
+        close = "\n" + "  " * k
         levels.append((",\n" + pad, "[\n" + pad, close + "]", "{\n" + pad, close + "}", {}))
 
     def grant_text(value: Grant, level: int, grants: dict[Grant, str]) -> str:
@@ -173,7 +173,6 @@ def dumps(value, indent: int = 2, end: str = "") -> str:
                 render(item, level + 1)
         append(close_list)
 
-    add_level()  # a non-int indent fails here, whatever the value
+    add_level()
     render(value, 0)
-    append(end)
     return "".join(parts)

@@ -17,24 +17,23 @@ appear on the chain.
 The rules run over the attack edges (`AttackGraph.edges`, grouped by
 from-object in `AttackGraph.by_from`), each of which carries what a step
 reads: to object, condition, attack, results, cost, severity, the
-attack's defense mask, entry_only and the pair the edge grants. `_walk`,
-the one depth-first walk that yields every chain enumeration emits as a
-bare prefix tuple, applies the rules in its own loop. For each (end,
-room) it meets, the object a prefix ends on and the edges left after the
-next step, `_step_table` settles once what depends only on that key:
-adjacency, blocked attacks, entry_only and whether a step's end is a
-goal or can still reach one. Its entries are plain tuples, an
-edge's fields followed by two bits and those flags, which the loop
-unpacks in one go:
-CPython unpacks an exact tuple several times faster than a named tuple.
+attack's defense mask, entry_only, the pair the edge grants, and the bits
+of its to object and its attack. `_walk`, the one depth-first walk that
+yields every chain enumeration emits as a bare prefix tuple, applies the
+rules in its own loop. For each (end, room) it meets, the object a
+prefix ends on and the edges left after the next step, `_step_table`
+settles once what depends only on that key: adjacency, blocked attacks,
+entry_only and whether a step's end is a goal or can still reach one.
+Its entries are plain tuples, an edge's fields followed by those flags,
+which the loop unpacks in one go: CPython unpacks an exact tuple several
+times faster than a named tuple.
 The loop then tests only the simple-path guard and the condition, and
 fires the attack. Each prefix carries its cost, threat and defense
 signature (the OR of its attacks' defense masks), so a finished chain is
 never re-summed. It holds its affected objects and its fired attacks as
-two int masks, one bit per object and per attack (`AttackGraph`'s
-`_object_bits` and `_attack_bits`, which each table entry carries after
-the edge's fields), so the simple-path guard and the re-fire test are one
-AND each, and a step ORs its bits in.
+two int masks, the OR of its edges' `to_bit`s and `attack_bit`s, so the
+simple-path guard and the re-fire test are one AND each, and a step ORs
+its bits in.
 
 `_successors` applies the same rules to one prefix at a time, naming the
 first rule each rejected candidate breaks: the validity check feeds it one
@@ -69,23 +68,24 @@ grow along a chain, Ammann, Wijesekera & Kaushik, CCS 2002), so the
 distance never exceeds what any valid chain needs, and the prune drops no
 chain.
 
-A walk given via grants, the grants won since an earlier walk, yields only
-the chains that are new: valid now and invalid under the old grants. The
-reactive defender walks so, because every other chain is one it found
-before. A chain is new exactly when one of its steps has a condition the
-old grants fail: the old entry plus what the chain earned so far under
-accumulated semantics, plus the previous pair under strict. So a prefix
-stays pending, carrying that old pool, while the old pool satisfies each
-step it takes, also a via step (one whose condition holds a via grant,
-listed by `AttackGraph.needed_by`): a chain can earn a won grant itself. A
-pending prefix is never emitted. The first step that only the old pool
-plus the won grants satisfy is a via step, and it moves the prefix to the
-full walk with the won grants added. A pending prefix is extended only
-while its end can reach a goal through a via step in the length left. The
-same backward search, seeded from the via edges instead of the goals,
-gives that distance: each via edge joins it at one more than the edges
-its end still needs by the goal search. It ignores the same rules, so it
-is sound too, and it is never below the goal distance, so a pending step
+A walk given via grants, the grants won since an earlier walk, yields
+only the chains that are new: valid now and invalid under the old
+grants. The reactive defender walks so, because every other chain is one
+it found before. A chain is new exactly when one of its steps has a
+condition the old grants fail: the old entry plus what the chain earned
+so far under accumulated semantics, plus the previous pair under strict.
+So a prefix stays pending, carrying that old pool, while the old pool
+satisfies each step it takes, also a via step (one whose condition holds
+a via grant: an edge of an attack that `AttackGraph.needed_by` lists for
+a won grant): a chain can earn a won grant itself. A pending prefix is
+never emitted. The first step that only the old pool plus the won grants
+satisfy is a via step, and it moves the prefix to the full walk with the
+won grants added. A pending prefix is extended only while its end can
+reach a goal through a via step in the length left. The same backward
+search, seeded from the via edges instead of the goals, gives that
+distance: each via edge joins it at one more than the edges its end
+still needs by the goal search. It ignores the same rules, so it is
+sound too, and it is never below the goal distance, so a pending step
 table is a filter of the full one for the same (end, room)
 (`_pending_table`).
 
@@ -176,13 +176,13 @@ def _root(entry: frozenset[Grant], config: EngineConfig) -> tuple:
 
     A prefix is a plain tuple (edges, grants, fired, affected, end, pair,
     cost, threat, signature): edge ids, grants held (frozenset), the fired
-    attacks and the affected objects as int masks (the OR of their bits in
-    graph._attack_bits and graph._object_bits), the object the last edge
-    affected and the pair Grant it granted (both None before the first
-    step), the chain's cost and threat so far, and its defense signature,
-    the OR of the fired attacks' defense masks. Both masks start at 0, so
-    fired is 0 exactly when nothing has fired. An empty chain reports int 0
-    cost and threat, or 0.0 threat under threat_agg "max".
+    attacks and the affected objects as int masks (the OR of its edges'
+    attack_bit and to_bit), the object the last edge affected and the pair
+    Grant it granted (both None before the first step), the chain's cost and
+    threat so far, and its defense signature, the OR of the fired attacks'
+    defense masks. Both masks start at 0, so fired is 0 exactly when nothing
+    has fired. An empty chain reports int 0 cost and threat, or 0.0 threat
+    under threat_agg "max".
     """
     return ((), entry, 0, 0, None, None, 0, 0.0 if config.threat_agg == "max" else 0, 0)
 
@@ -205,11 +205,9 @@ def _successors(graph: AttackGraph, prefix, candidates, entry, config: EngineCon
     if candidates is None:
         candidates = graph.edges if end is None else graph.by_from.get(end, ())
     use_max = config.threat_agg == "max"
-    object_bits, attack_bits = graph._object_bits, graph._attack_bits
     out = []
     for edge in candidates:
-        to, attack_id = edge.to_id, edge.attack_id
-        to_bit, attack_bit = object_bits[to], attack_bits[attack_id]
+        to, attack_id, to_bit, attack_bit = edge.to_id, edge.attack_id, edge.to_bit, edge.attack_bit
         if end is not None and edge.from_id != end:
             fault = "not adjacent: previous edge ends at {end}, this one starts at {edge.from_id}"
         elif to_bit & affected:
@@ -271,7 +269,7 @@ def _replay(graph, edge_ids, config, entry_grants) -> tuple[ChainCheck, tuple]:
         step = _successors(graph, prefix, (edge,), entry, config, frozenset(), why)
         if not step:
             return ChainCheck(False, tuple(states), failed_index=i, reason=why[0]), prefix
-        if not prefix[2] & graph._attack_bits[edge.attack_id]:
+        if not prefix[2] & edge.attack_bit:
             fired += (edge.attack_id,)
         prefix = step[0]
         states.append(AttackerState(tuple(sorted(prefix[1])), fired))
@@ -373,14 +371,12 @@ def _walk_context(graph: AttackGraph, goal: frozenset[str], blocked, context) ->
 def _step_table(graph: AttackGraph, end, room: int, goal: frozenset[str], dist, blocked) -> list[tuple]:
     """The steps worth trying from end with room edges left after them.
 
-    One entry per step, the plain tuple of the edge's fields followed by
-    (to_bit, attack_bit, emit, extend, None), which _walk unpacks in one
-    go. The edge's fields and bits are its row in graph._step_rows; the two
-    bits are the step's object and attack in graph._object_bits and
-    graph._attack_bits, which _walk's masks are made of. Adjacency,
-    blocked attacks, entry_only and goal reach are settled here once per
-    (end, room), so the walk tests only the simple-path guard and the
-    condition.
+    One entry per step, the plain tuple of the edge's fields, its to_bit
+    and attack_bit last, followed by (emit, extend, None), which _walk
+    unpacks in one go. The steps are the edges _successors would try:
+    every edge from end, or every edge for end None. Adjacency, blocked
+    attacks, entry_only and goal reach are settled here once per (end,
+    room), so the walk tests only the simple-path guard and the condition.
     end None is the empty chain's end, where every edge is adjacent and
     entry_only steps may fire. emit says whether a chain ending on the
     step's object is yielded, that is whether the object is a goal; extend
@@ -392,14 +388,14 @@ def _step_table(graph: AttackGraph, end, room: int, goal: frozenset[str], dist, 
     under the same blocked set.
     """
     table = []
-    for row in graph._step_rows.get(end, ()):  # row[1] is the attack id, row[3] the to object, row[11] entry_only
-        if row[1] in blocked or row[11] and end is not None:
+    for edge in graph.edges if end is None else graph.by_from.get(end, ()):
+        if edge.attack_id in blocked or edge.entry_only and end is not None:
             continue
-        to = row[3]
+        to = edge.to_id
         emit = to in goal
         extend = dist.get(to, room + 1) <= room
         if emit or extend:
-            table.append(row + (emit, extend, None))
+            table.append(edge + (emit, extend, None))  # a plain tuple: tuple + tuple drops the named type
     return table
 
 
@@ -407,7 +403,7 @@ def _pending_table(full: list[tuple], room: int, opened, ahead) -> list[tuple]:
     """A via walk's table for a pending prefix, filtered from the full table of its (end, room).
 
     A pending prefix has taken no new step: its old pool met every
-    condition so far. Each entry is the full entry's edge fields and bits
+    condition so far. Each entry is the full entry's edge fields
     followed by (False, stay, move):
     - a step the old pool satisfies keeps the prefix pending, a via step
       too. It is never emitted, and stay says whether it is pushed back
@@ -473,7 +469,8 @@ def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfi
     else:
         old = entry - via
         won = entry - old
-        via_edges = {e for g in won for e in graph.needed_by.get(g, ())}
+        needed_by, by_attack = graph.needed_by, graph.by_attack
+        via_edges = {e for g in won for aid in needed_by.get(g, ()) for e in by_attack.get(aid, ())}
         limit = max_len - 1
         joins: dict[int, list[str]] = {}  # level -> objects a via edge reaches a goal from in that many edges
         for e in via_edges:

@@ -142,21 +142,17 @@ class GameTrace(NamedTuple):
 class _Frontier:
     """The attacks whose conditions the attacker's grants meet, in attack-id order.
 
-    Each attack keeps a count of its unmet condition grants, and an index
-    maps each grant to the attacks that need it, so a new grant touches
-    only those attacks instead of every attack in the catalog.
+    Each attack keeps a count of its unmet condition grants, and the
+    graph's needed_by lists the attacks each grant is a condition of, so
+    a new grant touches only those attacks instead of every attack in the
+    catalog.
     """
 
     def __init__(self, graph: AttackGraph, grants):
-        self.attacks = graph.sorted_attacks
-        self.unmet = []
-        self.needed_by: dict[Grant, list[int]] = {}
-        for i, record in enumerate(self.attacks):
-            needs = set(record.condition)
-            self.unmet.append(len(needs))
-            for need in needs:
-                self.needed_by.setdefault(need, []).append(i)
-        self.ready = [i for i, n in enumerate(self.unmet) if not n]  # ascending
+        self.attacks = graph.attacks
+        self.needed_by = graph.needed_by
+        self.unmet = {record.id: len(frozenset(record.condition)) for record in graph.sorted_attacks}
+        self.ready = [aid for aid, n in self.unmet.items() if not n]  # ascending
         self.held: set[Grant] = set()  # the attacker's grants
         self.grant(grants)
 
@@ -165,10 +161,10 @@ class _Frontier:
         unmet, ready = self.unmet, self.ready
         for g in set(grants) - self.held:
             self.held.add(g)
-            for i in self.needed_by.get(g, ()):
-                unmet[i] -= 1
-                if not unmet[i]:
-                    insort(ready, i)
+            for aid in self.needed_by.get(g, ()):
+                unmet[aid] -= 1
+                if not unmet[aid]:
+                    insort(ready, aid)
 
     def candidates(self, fired: list[str], neutralized: frozenset[str]) -> list[AttackRecord]:
         """The ready attacks neither fired nor neutralized, entry_only ones only before the first firing.
@@ -176,13 +172,13 @@ class _Frontier:
         Each exclusion is final (fired and neutralized only grow), so the
         excluded attacks leave the ready list for good.
         """
-        keep = []
-        for i in self.ready:
-            record = self.attacks[i]
-            if record.id not in fired and record.id not in neutralized and not (record.entry_only and fired):
-                keep.append(i)
-        self.ready = keep
-        return [self.attacks[i] for i in keep]
+        attacks = self.attacks
+        self.ready = [
+            aid
+            for aid in self.ready
+            if aid not in fired and aid not in neutralized and not (attacks[aid].entry_only and fired)
+        ]
+        return [attacks[aid] for aid in self.ready]
 
 
 def _compromised(grants, targets, permissions) -> bool:

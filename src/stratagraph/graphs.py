@@ -8,24 +8,22 @@ affected object, so a record with k results contributes exactly k edges.
 
 Each attack edge also carries what a chain step reads off its attack
 record and the defense index (condition, results, defense mask,
-entry_only and the pair it grants), filled once when the graph is built,
-so the chain walk reads one edge and nothing else (see chains.py). Five
-indexes are built on first use, once per graph: `needed_by` maps each
-grant to the edges of the attacks whose condition holds it, and the
-reactive defender finds through it the steps a newly won grant opens;
-`same_category_attacks` groups the catalog by the category of the
-attacked object, and potential chains draw their suggestions from it;
-`_object_bits` and `_attack_bits` give each object and each attack its
-own bit, so a chain prefix holds its affected objects and fired attacks
-as two int masks, and `_step_rows` holds each edge as the plain tuple of
-its fields followed by its two bits, the start of every step-table entry.
-They are not edge fields, so a command that never walks a chain never
-builds them.
+entry_only and the pair it grants), and the two bits the walk's masks are
+made of: its to object's bit, objects in base.layers order, and its
+attack's bit, attacks in doc.attacks order. All are filled once when the
+graph is built, so the chain walk reads one edge and nothing else (see
+chains.py). Two indexes are built on first use, once per graph:
+`needed_by` maps each grant to the ids of the attacks whose condition
+holds it, and the reactive defender finds through it the steps a newly
+won grant opens, while the game readies through it the attacks a grant
+completes; `same_category_attacks` groups the catalog by the category of
+the attacked object, and potential chains draw their suggestions from it.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from operator import attrgetter
 from typing import NamedTuple
 
 from .model import AttackRecord, DefenseRecord, Grant, RelationshipEdge, ScenarioDoc, UnknownIdError
@@ -65,6 +63,8 @@ class AttackEdge(NamedTuple):
     defense_mask: int  # the defenses neutralizing the attack (see defense_bits)
     entry_only: bool
     grant: Grant  # Grant(to_id, permission), the pair this edge grants
+    to_bit: int  # to_id's single bit: the walk's affected mask is an OR of these
+    attack_bit: int  # attack_id's single bit: the walk's fired mask is an OR of these
 
     def as_dict(self) -> dict:
         return {
@@ -108,37 +108,13 @@ class AttackGraph(_AttackGraphFields):
         return self.base.doc
 
     @cached_property
-    def needed_by(self) -> dict[Grant, tuple[AttackEdge, ...]]:
-        """Grant -> the edges of the attacks whose condition holds it, in edge-id order."""
-        needed: dict[Grant, list[AttackEdge]] = {}
-        for e in self.edges:
-            for need in e.condition:
-                needed.setdefault(need, []).append(e)
-        return {g: tuple(edges) for g, edges in needed.items()}
-
-    @cached_property
-    def _object_bits(self) -> dict[str, int]:
-        """Object id -> its single bit, in base.layers order: the walk's affected mask."""
-        return {oid: 1 << k for k, oid in enumerate(self.base.layers)}
-
-    @cached_property
-    def _attack_bits(self) -> dict[str, int]:
-        """Attack id -> its single bit, in doc.attacks order: the walk's fired mask."""
-        return {a.id: 1 << k for k, a in enumerate(self.doc.attacks)}
-
-    @cached_property
-    def _step_rows(self) -> dict[str | None, tuple[tuple, ...]]:
-        """From object -> its edges as plain tuples, each edge's fields followed by (to_bit, attack_bit).
-
-        None maps to every edge. The walk's step tables copy these rows, so
-        no table build looks a bit up.
-        """
-        object_bits, attack_bits = self._object_bits, self._attack_bits
-        every = tuple(e + (object_bits[e.to_id], attack_bits[e.attack_id]) for e in self.edges)
-        rows: dict[str | None, list[tuple]] = {}
-        for row in every:
-            rows.setdefault(row[2], []).append(row)  # row[2] is the from object
-        return {None: every, **{k: tuple(v) for k, v in rows.items()}}
+    def needed_by(self) -> dict[Grant, tuple[str, ...]]:
+        """Grant -> the ids of the attacks whose condition holds it, in id order."""
+        needed: dict[Grant, list[str]] = {}
+        for record in self.sorted_attacks:
+            for need in frozenset(record.condition):
+                needed.setdefault(need, []).append(record.id)
+        return {g: tuple(ids) for g, ids in needed.items()}
 
     @cached_property
     def same_category_attacks(self) -> dict[str, tuple[AttackRecord, ...]]:
@@ -190,40 +166,41 @@ def build_attack_graph(doc: ScenarioDoc, base: HierarchicalGraph) -> AttackGraph
     """The attack graph of doc on its base graph, which build_base_graph(doc) validated."""
     if base.doc is not doc:
         raise ValueError("the base graph was built from another scenario document")
-    sorted_defenses = tuple(sorted(doc.defenses, key=lambda d: d.id))
+    # Sort keys are attrgetters, which cost no Python call per record as a lambda does.
+    sorted_defenses = tuple(sorted(doc.defenses, key=attrgetter("id")))
     defense_bits = {d.id: 1 << k for k, d in enumerate(sorted_defenses)}
     attack_defenses = {a.id: 0 for a in doc.attacks}
     for d in sorted_defenses:
         for aid in d.d_results:
             attack_defenses[aid] |= defense_bits[d.id]
+    object_bits = {oid: 1 << k for k, oid in enumerate(base.layers)}
     edges = []
     make = AttackEdge._make
-    for aid, obj, condition, _, a_results, cost, severity, detect_prob, entry_only in doc.attacks:
+    for k, (aid, obj, condition, _, a_results, cost, severity, detect_prob, entry_only) in enumerate(doc.attacks):
         defense_mask = attack_defenses[aid]
         shared = (cost, severity, detect_prob, frozenset(condition), frozenset(a_results), defense_mask, entry_only)
+        attack_bit = 1 << k
         for i, result in enumerate(a_results):
-            # *result is the edge's to_id and permission; the edge ends with result itself, its grant.
-            edges.append(make((f"{aid}#{i}", aid, obj, *result, *shared, result)))
-    edges.sort(key=lambda e: e.edge_id)
-    by_id: dict[str, AttackEdge] = {}
+            # *result is the edge's to_id and permission; result itself is its grant.
+            edges.append(make((f"{aid}#{i}", aid, obj, *result, *shared, result, object_bits[result.object], attack_bit)))
+    edges.sort(key=attrgetter("edge_id"))
     by_from: dict[str, list[AttackEdge]] = {}
     by_to: dict[str, list[AttackEdge]] = {}
     by_attack: dict[str, list[AttackEdge]] = {}
     for e in edges:
-        by_id[e.edge_id] = e
         by_from.setdefault(e.from_id, []).append(e)
         by_to.setdefault(e.to_id, []).append(e)
         by_attack.setdefault(e.attack_id, []).append(e)
     return AttackGraph(
         base=base,
         edges=tuple(edges),
-        by_id=by_id,
+        by_id={e.edge_id: e for e in edges},
         by_from={k: tuple(v) for k, v in by_from.items()},
         by_to={k: tuple(v) for k, v in by_to.items()},
         by_attack={k: tuple(v) for k, v in by_attack.items()},
-        attacks=doc.attack_by_id(),
-        sorted_attacks=tuple(sorted(doc.attacks, key=lambda a: a.id)),
-        defenses=doc.defense_by_id(),
+        attacks={a.id: a for a in doc.attacks},
+        sorted_attacks=tuple(sorted(doc.attacks, key=attrgetter("id"))),
+        defenses={d.id: d for d in doc.defenses},
         sorted_defenses=sorted_defenses,
         defense_bits=defense_bits,
         attack_defenses=attack_defenses,

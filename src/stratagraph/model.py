@@ -174,22 +174,15 @@ class ScenarioDoc(_ScenarioFields):
     where validate_scenario keeps the doc's report, the way AttackGraph
     keeps its indexes: every later validation of the same doc object, such
     as the one build_base_graph runs, returns that report, and it dies with
-    the doc. A doc must therefore hold tuples, as parse_scenario builds it,
-    and must never be mutated; _replace makes a new doc, validated afresh.
+    the doc. It keeps the report only when all eight fields are tuples, as
+    parse_scenario builds them; a doc with a list field is checked on every
+    call. Record fields hold tuples too, and a doc is never mutated;
+    _replace makes a new doc, validated afresh.
 
     unknown_keys takes part in equality like every other field, so a doc
     parsed with an unknown key equals its serialized round trip only after
     _replace(unknown_keys=()).
     """
-
-    def attack_by_id(self) -> dict[str, AttackRecord]:
-        return {a.id: a for a in self.attacks}
-
-    def defense_by_id(self) -> dict[str, DefenseRecord]:
-        return {d.id: d for d in self.defenses}
-
-    def allowed_categories(self) -> tuple[str, ...]:
-        return CATEGORIES + self.extensions
 
 
 class Violation(NamedTuple):

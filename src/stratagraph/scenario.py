@@ -7,8 +7,8 @@ record's keys, types and defaults, and of the order its checks run; one loop
 reads every record by its table. Semantic rules (dangling references,
 duplicate ids, taxonomy membership, numeric ranges) live in
 validate_scenario, which reports violations as data instead of raising.
-The doc keeps its report, so every later validation of the same doc
-object, such as require_valid's in build_base_graph, costs one lookup.
+A doc of tuples keeps its report, so every later validation of the same
+doc object, such as require_valid's in build_base_graph, costs one lookup.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from pathlib import Path
 
 from . import canon
 from .model import (
+    CATEGORIES,
     LAYERS,
     VERTICAL_KINDS,
     AttackRecord,
@@ -266,7 +267,7 @@ def scenario_to_dict(doc: ScenarioDoc) -> dict:
 
 def serialize_scenario(doc: ScenarioDoc) -> str:
     """Render a scenario back to canonical JSON text (unknown keys dropped)."""
-    return canon.dumps(scenario_to_dict(doc), end="\n")
+    return canon.dumps(scenario_to_dict(doc)) + "\n"
 
 
 # --- validation --------------------------------------------------------------
@@ -319,13 +320,17 @@ def validate_scenario(doc: ScenarioDoc) -> tuple[Violation, ...]:
     edges with no underlying relationship) and do not make the scenario
     invalid.
 
-    The doc keeps its report (see ScenarioDoc): a second call on the same
-    doc object, such as require_valid's in build_base_graph, returns the
-    same tuple without checking again.
+    A doc whose eight fields are all tuples keeps its report (see
+    ScenarioDoc): a second call on the same doc object, such as
+    require_valid's in build_base_graph, returns the same tuple without
+    checking again. A doc with any other field, such as a list a caller
+    may still append to, is checked on every call.
     """
     report = vars(doc).get("_report")
     if report is None:
-        report = vars(doc)["_report"] = _violations(doc)
+        report = _violations(doc)
+        if all(type(field) is tuple for field in doc):
+            vars(doc)["_report"] = report
     return report
 
 
@@ -336,7 +341,7 @@ def _violations(doc: ScenarioDoc) -> tuple[Violation, ...]:
     out: list[Violation] = []
     layer_of = {o.id: o.layer for o in doc.objects}
     ids = layer_of.keys()
-    categories = frozenset(doc.allowed_categories())
+    categories = frozenset(CATEGORIES + doc.extensions)
     token_problems = _TokenProblems()
 
     seen: set[str] = set()

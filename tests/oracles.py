@@ -539,9 +539,9 @@ def _reference_format_float(x: float) -> str:
     return format(x, ".6g")
 
 
-def _reference_render(value, indent: int, level: int, parts: list[str]) -> None:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+def _reference_render(value, level: int, parts: list[str]) -> None:
+    pad = "  " * (level + 1)
+    close_pad = "  " * level
     if value is None:
         parts.append("null")
     elif value is True:
@@ -566,7 +566,7 @@ def _reference_render(value, indent: int, level: int, parts: list[str]) -> None:
             parts.append(pad)
             parts.append(json.dumps(key, ensure_ascii=True))
             parts.append(": ")
-            _reference_render(value[key], indent, level + 1, parts)
+            _reference_render(value[key], level + 1, parts)
             parts.append(",\n" if i + 1 < len(keys) else "\n")
         parts.append(close_pad + "}")
     elif isinstance(value, (list, tuple)):
@@ -579,19 +579,19 @@ def _reference_render(value, indent: int, level: int, parts: list[str]) -> None:
         parts.append("[\n")
         for i, item in enumerate(value):
             parts.append(pad)
-            _reference_render(item, indent, level + 1, parts)
+            _reference_render(item, level + 1, parts)
             parts.append(",\n" if i + 1 < len(value) else "\n")
         parts.append(close_pad + "]")
     else:
         raise TypeError(f"cannot render {type(value).__name__} canonically")
 
 
-def reference_dumps(value, indent: int = 2) -> str:
+def reference_dumps(value) -> str:
     """Canonical JSON by the original one-value-at-a-time renderer.
 
     One recursive call and one json.dumps per value, no memo: the referee
     for the engine's canon.dumps, which must match it byte for byte.
     """
     parts: list[str] = []
-    _reference_render(value, indent, 0, parts)
+    _reference_render(value, 0, parts)
     return "".join(parts)

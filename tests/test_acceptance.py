@@ -71,7 +71,7 @@ def test_criterion_1_worked_example_two_edges(multiedge, golden_check):
     edges = [(e.from_id, e.to_id, e.permission) for e in graph.edges]
     assert edges == [("O1", "O2", "read"), ("O1", "O3", "execute")]
     assert len(graph.edges) == 2
-    golden_check("multiedge_graph.json", canon.dumps(graphs_to_dict(graph), end="\n"))
+    golden_check("multiedge_graph.json", canon.dumps(graphs_to_dict(graph)) + "\n")
     print("criterion 1 PASS: worked example yields exactly the two expected edges, golden stable")
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+from functools import cached_property
 
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings
@@ -20,6 +21,7 @@ from stratagraph import (
 )
 from stratagraph import chains as chains_module
 from stratagraph.config import EngineConfig
+from stratagraph.graphs import AttackGraph
 from stratagraph.model import Grant
 
 import oracles
@@ -133,27 +135,24 @@ def test_a_re_fired_attack_counts_once(toy5g, agg, threat):
 
 
 def test_bit_indexes_give_each_object_and_attack_its_own_bit(toy5g):
-    # The walk's affected and fired masks are ORs of these bits, so each
-    # must be one bit of its own, and every step-table entry starts with
-    # its edge's row: the edge's fields and its two bits. All three indexes
-    # are built on first use only, so a command that never walks never
-    # builds them.
+    # The walk's affected and fired masks are ORs of the edges' to_bit and
+    # attack_bit, so each object and each attack must have one bit of its
+    # own, 1 << its place in base.layers or doc.attacks, and every edge into
+    # an object or of an attack must carry that bit. The bits are edge
+    # fields, so the graph builds no side table for them: its only lazily
+    # built indexes are needed_by and same_category_attacks.
+    assert sorted(name for name, v in vars(AttackGraph).items() if isinstance(v, cached_property)) == [
+        "needed_by",
+        "same_category_attacks",
+    ]
     graphs = [toy5g[2]]
     for seed in range(30):
         doc = random_scenario(seed, max_objects=7, max_edges=14)
         graphs.append(build_attack_graph(doc, build_base_graph(doc)))
     for graph in graphs:
-        assert not {"_object_bits", "_attack_bits", "_step_rows"} & set(vars(graph))
-        doc = graph.doc
-        for bits, ids in ((graph._object_bits, [o.id for o in doc.objects]), (graph._attack_bits, [a.id for a in doc.attacks])):
-            assert sorted(bits) == sorted(ids)
-            assert all(bit > 0 and bit & (bit - 1) == 0 for bit in bits.values())
-            assert len(set(bits.values())) == len(ids)
-        rows = {None: graph.edges, **graph.by_from}
-        assert graph._step_rows == {
-            end: tuple((*e, graph._object_bits[e.to_id], graph._attack_bits[e.attack_id]) for e in edges)
-            for end, edges in rows.items()
-        }
+        object_bits, attack_bits = _object_bit_map(graph), _attack_bit_map(graph)
+        for e in graph.edges:
+            assert (e.to_bit, e.attack_bit) == (object_bits[e.to_id], attack_bits[e.attack_id])
 
 
 def test_toy5g_enumeration_matches_frozen_oracle(toy5g):
@@ -198,6 +197,13 @@ def test_search_min_cost_and_max_threat(toy5g):
     nastiest = search_chain(graph, ChainObjective("max_threat"))
     assert nastiest.edges == ("A1#0", "A2#1", "A5#0")
     assert nastiest.total_threat == 11.0
+    with pytest.raises(ValueError, match="^unknown objective kind 'cheapest'$"):
+        search_chain(graph, ChainObjective("cheapest"))
+    # A scenario without targets has no chain to search for, under either objective.
+    untargeted = graph.doc._replace(targets=())
+    untargeted_graph = build_attack_graph(untargeted, build_base_graph(untargeted))
+    for kind in ("min_cost", "max_threat"):
+        assert search_chain(untargeted_graph, ChainObjective(kind)) is None
 
 
 def test_search_single_chain_wins_both_objectives(minichain):
@@ -553,6 +559,16 @@ def _or_bits(bits, ids):
     return mask
 
 
+def _object_bit_map(graph):
+    """Object id -> its bit, by its place in base.layers."""
+    return {oid: 1 << k for k, oid in enumerate(graph.base.layers)}
+
+
+def _attack_bit_map(graph):
+    """Attack id -> its bit, by its place in doc.attacks."""
+    return {a.id: 1 << k for k, a in enumerate(graph.doc.attacks)}
+
+
 def _subset(data, items, max_size, label):
     # sampled_from refuses an empty list, as in a scenario with no attacks.
     strategy = st.frozensets(st.sampled_from(items), max_size=max_size) if items else st.just(frozenset())
@@ -597,11 +613,11 @@ def test_walk_and_successor_step_apply_the_same_rules(seed, coherent, semantics,
         assert (chain.total_cost, chain.total_threat, chain.final_grants) == (cost, threat, tuple(sorted(grants)))
         fired_ids = is_valid_chain(graph, edges, cfg, entry).states[-1].fired
         assert oracles.replay(doc, by_id, edges, semantics, entry) == (grants, fired_ids)
-        assert fired == _or_bits(graph._attack_bits, fired_ids)
+        assert fired == _or_bits(_attack_bit_map(graph), fired_ids)
         assert not set(fired_ids) & blocked
         last = graph.edge(edges[-1])
         assert (end, pair) == (last.to_id, Grant(last.to_id, last.permission))
-        assert affected == _or_bits(graph._object_bits, [graph.edge(e).to_id for e in edges])
+        assert affected == _or_bits(_object_bit_map(graph), [graph.edge(e).to_id for e in edges])
         assert affected.bit_count() == len(edges)
         assert sig == oracles.chain_signature(doc, edges)
         assert end in goal

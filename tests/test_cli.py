@@ -156,6 +156,19 @@ def test_defend_modes(capsys, fixtures_dir):
     assert json.loads(out)["chosen"] == ["D4"]
     code, _, _ = run_cli(capsys, "defend", "--mode", "budget", "--scenario", scen(fixtures_dir, "toy5g"))
     assert code == 1  # --budget required
+    # Coverage of the cheapest chain needs a chain: none reaches APP1 in one edge.
+    code, out, err = run_cli(
+        capsys, "defend", "--mode", "coverage", "--max-len", "1", "--scenario", scen(fixtures_dir, "toy5g")
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: no valid chain reaches the targets; pass --chain to cover an explicit chain\n"
+    # U1 has no defense, so the text plan names it after the plan itself.
+    code, out, _ = run_cli(
+        capsys, "defend", "--mode", "coverage", "--scenario", scen(fixtures_dir, "undefendable_feasible")
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "chosen: DU2"
+    assert out.splitlines()[-1] == "uncovered attacks: U1"
 
 
 def test_risk_output(capsys, fixtures_dir):
@@ -178,6 +191,10 @@ def test_potential_output(capsys, fixtures_dir):
     assert payload["potential_chains"][0]["missing_hops"] == [
         {"from": "PH", "to": "PV", "suggested_attacks": ["G9"]}
     ]
+    code, out, _ = run_cli(
+        capsys, "potential", "--scenario", scen(fixtures_dir, "toy5g"), "--from", "UE1", "--to", "UE1"
+    )
+    assert (code, out) == (0, "no potential chains\n")
 
 
 def test_graph_json_and_dot(capsys, fixtures_dir):
@@ -202,6 +219,12 @@ def test_simulate_runs(capsys, fixtures_dir):
     assert payload["summary"]["runs"] == 3
     assert len(payload["traces"]) == 3
     assert payload["summary"]["outcomes"] == {"target_compromised": 3}
+    code, out, _ = run_cli(
+        capsys,
+        "simulate", "--scenario", scen(fixtures_dir, "toy5g"), "--compromise-permission", "root", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["config"]["compromise_permissions"] == ["root"]
 
 
 def test_config_file_overrides(capsys, fixtures_dir, tmp_path):

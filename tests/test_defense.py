@@ -324,6 +324,12 @@ def test_cut_rejects_unknown_targets(toy5g):
         plan_cut(graph, targets=["GHOST"])
     with pytest.raises(UnknownIdError, match="^unknown target 'GHOST'$"):
         plan_cut(graph, targets=["APP1", "GHOST"])
+    # No target at all, given or the scenario's, leaves nothing to cut.
+    with pytest.raises(ValueError, match="^plan_cut requires at least one target$"):
+        plan_cut(graph, targets=[])
+    untargeted = graph.doc._replace(targets=())
+    with pytest.raises(ValueError, match="^plan_cut requires at least one target$"):
+        plan_cut(build_attack_graph(untargeted, build_base_graph(untargeted)))
 
 
 def test_cut_with_custom_entry_and_targets(toy5g):

@@ -102,14 +102,13 @@ def test_full_budget_reactive_defender_starves_attacker(toy5g):
 
 
 def test_per_turn_budget_respected(toy5g):
-    doc, _, graph = toy5g
-    by_id = doc.defense_by_id()
+    _, _, graph = toy5g
     for budget in (0.0, 2.5, 3.0, 5.0):
         trace = run_game(
             graph, GameConfig(max_turns=12, defender_policy="reactive_cut", defender_budget_per_turn=budget)
         )
         for turn in trace.turns:
-            assert sum(by_id[d].cost for d in turn.defenses) <= budget + 1e-9
+            assert sum(graph.defenses[d].cost for d in turn.defenses) <= budget + 1e-9
 
 
 def test_grants_snapshots_monotone(toy5g):
@@ -177,6 +176,8 @@ def test_bad_config_rejected(minichain):
         run_game(graph, GameConfig(attacker_policy="psychic"))
     with pytest.raises(ConfigError):
         run_game(graph, GameConfig(defender_budget_per_turn=-1.0))
+    with pytest.raises(ConfigError, match="^runs must be >= 1$"):
+        run_batch(graph, GameConfig(), runs=0)
 
 
 def test_missing_entry_or_targets_rejected(minichain):
@@ -356,7 +357,7 @@ def test_reactive_defender_keeps_its_walk_context_while_the_blocked_set_holds(mo
         assert dist == oracles.reference_distances(graph.doc, goal, blocked)
         where = {id(table): at for at, table in tables.items()}
         won = entry - last[0]
-        opened = {e.edge_id for g in won for e in graph.needed_by.get(g, ())}
+        opened = {f"{a.id}#{i}" for a in graph.doc.attacks if won & set(a.condition) for i in range(len(a.a_results))}
         ahead = oracles.reference_distances(graph.doc, goal, blocked, won, config.max_len - 1)
         for full, room, got_opened, got_ahead, table in pending:
             end, at_room = where[id(full)]

@@ -95,7 +95,7 @@ def test_builds_are_deterministic(toy5g, fixtures_dir):
     doc2 = load_scenario(fixtures_dir / "toy5g.scenario")
     base2 = build_base_graph(doc2)
     graph2 = build_attack_graph(doc2, base2)
-    assert canon.dumps(graphs_to_dict(graph), end="\n") == canon.dumps(graphs_to_dict(graph2), end="\n")
+    assert canon.dumps(graphs_to_dict(graph)) == canon.dumps(graphs_to_dict(graph2))
     assert graphs_to_dot(graph) == graphs_to_dot(graph2)
 
 
@@ -206,6 +206,18 @@ def test_library_flow_validates_once(fixtures_dir, monkeypatch):
     assert len(checked) == 2
 
 
+def test_a_doc_with_a_list_field_is_checked_on_every_call(fixtures_dir):
+    # A doc built by hand may hold a list, which can change after it was
+    # validated: such a doc keeps no report, so a later call sees the change
+    # and build_base_graph refuses what the list now names.
+    doc = load_scenario(fixtures_dir / "toy5g.scenario")._replace(targets=["APP1"])
+    assert validate_scenario(doc) == ()
+    doc.targets.append("GHOST")
+    assert [v.message for v in validate_scenario(doc)] == ["target 'GHOST' does not exist"]
+    with pytest.raises(InvalidScenarioError):
+        build_base_graph(doc)
+
+
 def test_attack_graph_needs_the_doc_of_its_base(toy5g, minichain):
     doc, base, graph = toy5g
     assert graph.doc is doc and graph.base.doc is doc
@@ -245,13 +257,15 @@ def test_attack_defense_index_matches_d_results(toy5g, hitting_trio):
 
 
 def test_step_records_compile_every_edge(toy5g, strictmode):
-    # The chain walk reads an attack edge in place of its attack record and
-    # the defense index, so each edge must hold those fields, in the order
-    # the walk unpacks them, and the graph must list and group the edges
-    # the way the walk's step tables take them.
+    # The chain walk reads an attack edge in place of its attack record,
+    # the defense index and the bits of its masks, so each edge must hold
+    # those fields, in the order the walk unpacks them, and the graph must
+    # list and group the edges the way the walk's step tables take them.
+    # needed_by lists, for each grant, the attacks whose condition holds
+    # it, in id order: the via walk reads their edges through by_attack.
     assert AttackEdge._fields == (
         "edge_id", "attack_id", "from_id", "to_id", "permission", "cost", "severity", "detect_prob",
-        "condition", "results", "defense_mask", "entry_only", "grant",
+        "condition", "results", "defense_mask", "entry_only", "grant", "to_bit", "attack_bit",
     )
     graphs = [toy5g[2], strictmode[2]]
     for seed in range(50):
@@ -260,6 +274,8 @@ def test_step_records_compile_every_edge(toy5g, strictmode):
     for graph in graphs:
         ids = [f"{a.id}#{i}" for a in graph.doc.attacks for i in range(len(a.a_results))]
         assert [e.edge_id for e in graph.edges] == sorted(ids)
+        objects = list(graph.base.layers)
+        attacks = [a.id for a in graph.doc.attacks]
         for e in graph.edges:
             a = graph.attacks[e.attack_id]
             i = int(e.edge_id.rpartition("#")[2])
@@ -277,8 +293,17 @@ def test_step_records_compile_every_edge(toy5g, strictmode):
                 graph.attack_defenses[a.id],
                 a.entry_only,
                 Grant(e.to_id, e.permission),
+                1 << objects.index(e.to_id),
+                1 << attacks.index(a.id),
             )
             assert graph.by_id[e.edge_id] is e
         assert graph.by_from == {
             obj: tuple(e for e in graph.edges if e.from_id == obj) for obj in {e.from_id for e in graph.edges}
+        }
+        assert graph.by_attack == {
+            aid: tuple(e for e in graph.edges if e.attack_id == aid) for aid in {e.attack_id for e in graph.edges}
+        }
+        needs = {g for a in graph.doc.attacks for g in a.condition}
+        assert graph.needed_by == {
+            g: tuple(sorted(a.id for a in graph.doc.attacks if g in a.condition)) for g in needs
         }

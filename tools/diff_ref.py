@@ -57,6 +57,11 @@ Inputs, all generated from this checkout:
   there), a chain whose first edge's condition the entry grants do not
   hold, and an unknown edge id. A failing chain prints the reason its
   replay stops;
+- output branches the lists above miss (`branch_commands`), in JSON and
+  in text: `potential` between two objects no gap separates, coverage of
+  toy5g at `--max-len 1`, where no chain reaches a target (exit 1),
+  coverage of the `undefendable_feasible` fixture, whose plan leaves an
+  attack uncovered, and `simulate --compromise-permission root`;
 - shape faults (`shape_commands`): `validate --scenario` of toy5g with one
   fault each: a missing required key in each record kind, an empty `{}`
   record in each section, a wrong type for each kind of check, `true` as a
@@ -333,6 +338,19 @@ def coverage_commands(inputs: Path) -> list[list[str]]:
     return commands
 
 
+def branch_commands(inputs: Path) -> list[list[str]]:
+    """Output branches no other list reaches, each in JSON and in text."""
+    fixtures = ROOT / "tests" / "fixtures"
+    toy, undefendable = (str(fixtures / f"{name}.scenario") for name in ("toy5g", "undefendable_feasible"))
+    runs = [
+        ["potential", "--scenario", toy, "--from", "UE1", "--to", "UE1"],
+        ["defend", "--scenario", toy, "--mode", "coverage", "--max-len", "1"],
+        ["defend", "--scenario", undefendable, "--mode", "coverage"],
+        ["simulate", "--scenario", toy, "--compromise-permission", "root"],
+    ]
+    return [[*argv, "--format", fmt] for argv in runs for fmt in ("json", "text")]
+
+
 SERIALIZE = (
     "import sys; from stratagraph.scenario import load_scenario, serialize_scenario;"
     " sys.stdout.write(serialize_scenario(load_scenario(sys.argv[1])))"
@@ -515,7 +533,7 @@ def main(argv=None) -> int:
         inputs.mkdir()
         commands = bench_commands(inputs) + genscen_commands(inputs) + large_number_commands(inputs)
         commands += signed_zero_commands(inputs) + fixture_commands(inputs)
-        commands += long_limit_commands(inputs) + coverage_commands(inputs)
+        commands += long_limit_commands(inputs) + coverage_commands(inputs) + branch_commands(inputs)
         commands += serializer_commands(inputs) + shape_commands(inputs) + semantic_commands(inputs)
         commands += error_commands(inputs)
 
