@@ -50,7 +50,7 @@ The walk's readers build an AttackChain only for a chain they print:
   canonical (length, edge ids) order; `search_chain` under `max_threat`
   packages only its winner;
 - `defense.risk_assess` keeps each end object's chain count, maximum
-  threat and minimum cost, resolving ties in canonical order;
+  threat and minimum cost;
 - `defense._target_rows`, the row source of both planners and the
   reactive defender, keeps each chain's edge ids, signature and threat.
 
@@ -112,9 +112,6 @@ class AttackerState(NamedTuple):
     grants: tuple[Grant, ...]
     fired: tuple[str, ...]
 
-    def as_dict(self) -> dict:
-        return {"grants": list(self.grants), "fired": list(self.fired)}
-
 
 class AttackChain(NamedTuple):
     edges: tuple[str, ...]
@@ -171,7 +168,7 @@ def _entry_grants(graph: AttackGraph, entry_grants) -> frozenset[Grant]:
     return frozenset(entry)
 
 
-def _root(entry: frozenset[Grant], config: EngineConfig) -> tuple:
+def _root(entry: frozenset[Grant]) -> tuple:
     """The empty chain prefix.
 
     A prefix is a plain tuple (edges, grants, fired, affected, end, pair,
@@ -180,11 +177,12 @@ def _root(entry: frozenset[Grant], config: EngineConfig) -> tuple:
     attack_bit and to_bit), the object the last edge affected and the pair
     Grant it granted (both None before the first step), the chain's cost and
     threat so far, and its defense signature, the OR of the fired attacks'
-    defense masks. Both masks start at 0, so fired is 0 exactly when nothing
-    has fired. An empty chain reports int 0 cost and threat, or 0.0 threat
-    under threat_agg "max".
+    defense masks. Both masks start at 0. Cost and threat start at 0.0, and
+    the attack edges hold floats, so every total is a float; since no
+    severity is negative, the first fired attack's severity is also the
+    maximum under threat_agg "max".
     """
-    return ((), entry, 0, 0, None, None, 0, 0.0 if config.threat_agg == "max" else 0, 0)
+    return ((), entry, 0, 0, None, None, 0.0, 0.0, 0)
 
 
 def _successors(graph: AttackGraph, prefix, candidates, entry, config: EngineConfig, blocked, why=None) -> list:
@@ -224,7 +222,7 @@ def _successors(graph: AttackGraph, prefix, candidates, entry, config: EngineCon
                 out.append((path, grants, fired, affected | to_bit, to, edge.grant, cost, threat, sig))
                 continue
             if use_max:
-                new_threat = edge.severity if not fired or edge.severity > threat else threat
+                new_threat = edge.severity if edge.severity > threat else threat
             else:
                 new_threat = threat + edge.severity
             out.append(
@@ -261,7 +259,7 @@ def _replay(graph, edge_ids, config, entry_grants) -> tuple[ChainCheck, tuple]:
     """
     entry = _entry_grants(graph, entry_grants)
     edges = [graph.edge(eid) for eid in edge_ids]  # raises on an unknown id before any step
-    prefix = _root(entry, config)
+    prefix = _root(entry)
     fired: tuple[str, ...] = ()
     states = [AttackerState(tuple(sorted(entry)), fired)]
     for i, edge in enumerate(edges):
@@ -286,8 +284,8 @@ def is_valid_chain(
 
     On failure the check carries the first failing index and a reason; on
     success it carries the full attacker-state trace (entry state first).
-    entry_grants overrides the scenario's foothold (the simulation replays
-    from the attacker's current grants).
+    entry_grants overrides the scenario's foothold, so a chain can be
+    checked from any set of grants an attacker holds.
     """
     return _replay(graph, edge_ids, config, entry_grants)[0]
 
@@ -464,7 +462,7 @@ def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfi
     stack = []  # prefixes every further step may extend (a full walk's)
     push = stack.append
     if via is None:
-        stack.append(_root(entry, config))
+        stack.append(_root(entry))
         phases = [(stack, tables, full_table, entry)]
     else:
         old = entry - via
@@ -483,7 +481,7 @@ def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfi
         def pending_table(end, room):
             return _pending_table(full_table(end, room), room, opened, ahead)
 
-        phases = [([_root(old, config)], {}, pending_table, old), (stack, tables, full_table, entry)]
+        phases = [([_root(old)], {}, pending_table, old), (stack, tables, full_table, entry)]
     for todo, own, build, base in phases:
         keep = todo.append
         pop = todo.pop
@@ -517,7 +515,7 @@ def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfi
                     prefix = (edges + (edge_id,), held, fired, affected | to_bit, to, step_pair, cost, threat, sig)
                 else:
                     if use_max:
-                        new_threat = severity if not fired or severity > threat else threat
+                        new_threat = severity if severity > threat else threat
                     else:
                         new_threat = threat + severity
                     prefix = (
@@ -591,7 +589,7 @@ def search_chain(
         raise ValueError(f"unknown objective kind {objective.kind!r}")
 
     max_len = config.max_len
-    heap: list = [(0, 0, (), _root(entry, config))]
+    heap: list = [(0, 0, (), _root(entry))]
     seen: set = set()
     while heap:
         _, length, _, prefix = heapq.heappop(heap)

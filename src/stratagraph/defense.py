@@ -98,21 +98,22 @@ def neutralized_attacks(graph: AttackGraph, chosen) -> frozenset[str]:
     return frozenset(a for a, m in graph.attack_defenses.items() if m & mask)
 
 
-def _neutralized_edges(graph: AttackGraph, attacks: frozenset[str]) -> tuple[str, ...]:
-    return tuple(sorted(e.edge_id for a in attacks for e in graph.by_attack.get(a, ())))
-
-
 def chain_attacks(graph: AttackGraph, chain: AttackChain) -> frozenset[str]:
     return frozenset(graph.edge(eid).attack_id for eid in chain.edges)
 
 
 def _finish_plan(graph, chosen, surviving_count, sample, optimal, uncovered=()) -> DefensePlan:
-    """The plan for a chosen set that leaves surviving_count chains, sample the first of them."""
+    """The plan for a chosen set that leaves surviving_count chains, sample the first of them.
+
+    The cost sums from 0.0, so it is a float like every other total; the
+    neutralized edges are read off graph.edges, which is in id order.
+    """
     chosen = tuple(sorted(chosen))
+    mask = graph.defense_mask(chosen)
     return DefensePlan(
         chosen=chosen,
-        total_cost=sum(graph.defenses[d].cost for d in chosen),
-        neutralized_edges=_neutralized_edges(graph, neutralized_attacks(graph, chosen)),
+        total_cost=sum((graph.defenses[d].cost for d in chosen), 0.0),
+        neutralized_edges=tuple(e.edge_id for e in graph.edges if e.defense_mask & mask),
         surviving_count=surviving_count,
         surviving_sample=tuple(sample),
         optimal=optimal,
@@ -455,31 +456,26 @@ def risk_assess(
 
     The chains are never built: the chain walk takes every object as a
     goal, and each prefix it emits updates its end object's count, maximum
-    threat and minimum cost. Of tied values the first chain in canonical
-    (length, edge ids) order wins, as max and min over the enumerated
-    chains would pick it; the winner's type (int or float) is what gets
-    printed.
+    threat and minimum cost. Every total is a float (see
+    chains._root), so tied values print alike whichever chain gave them.
     """
-    # object id -> [count, max threat, its edges, min cost, its edges]
-    stats: dict[str, list] = {}
+    stats: dict[str, list] = {}  # object id -> [count, max threat, min cost]
     doc = graph.doc
     if doc.entry_grants:
         walk = _walk(graph, frozenset(doc.entry_grants), _resolve_targets(graph, None), config, frozenset())
-        for edges, _, _, _, end, _, cost, threat, _ in walk:
+        for _, _, _, _, end, _, cost, threat, _ in walk:
             s = stats.get(end)
             if s is None:
-                stats[end] = [1, threat, edges, cost, edges]
+                stats[end] = [1, threat, cost]
                 continue
             s[0] += 1
-            if threat > s[1] or threat == s[1] and (len(edges), edges) < (len(s[2]), s[2]):
+            if threat > s[1]:
                 s[1] = threat
-                s[2] = edges
-            if cost < s[3] or cost == s[3] and (len(edges), edges) < (len(s[4]), s[4]):
-                s[3] = cost
-                s[4] = edges
+            if cost < s[2]:
+                s[2] = cost
     rows = []
     for o in doc.objects:
         s = stats.get(o.id)
-        rows.append(RiskRow(o.id, 0, 0.0, None) if s is None else RiskRow(o.id, s[0], s[1], s[3]))
+        rows.append(RiskRow(o.id, 0, 0.0, None) if s is None else RiskRow(o.id, *s))
     rows.sort(key=lambda r: (-r.max_chain_threat, r.object))
     return tuple(rows)

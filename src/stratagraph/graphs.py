@@ -10,14 +10,17 @@ Each attack edge also carries what a chain step reads off its attack
 record and the defense index (condition, results, defense mask,
 entry_only and the pair it grants), and the two bits the walk's masks are
 made of: its to object's bit, objects in base.layers order, and its
-attack's bit, attacks in doc.attacks order. All are filled once when the
-graph is built, so the chain walk reads one edge and nothing else (see
-chains.py). Two indexes are built on first use, once per graph:
-`needed_by` maps each grant to the ids of the attacks whose condition
-holds it, and the reactive defender finds through it the steps a newly
-won grant opens, while the game readies through it the attacks a grant
-completes; `same_category_attacks` groups the catalog by the category of
-the attacked object, and potential chains draw their suggestions from it.
+attack's bit, attacks in doc.attacks order. Its cost, severity and
+detect_prob are floats, as parse_scenario makes them, also when a doc
+built by hand holds ints, so every total summed from them is a float.
+All are filled once when the graph is built, so the chain walk reads one
+edge and nothing else (see chains.py). Two indexes are built on first
+use, once per graph: `needed_by` maps each grant to the ids of the
+attacks whose condition holds it, and the reactive defender finds through
+it the steps a newly won grant opens, while the game readies through it
+the attacks a grant completes; `same_category_attacks` groups the catalog
+by the category of the attacked object, and potential chains draw their
+suggestions from it.
 """
 
 from __future__ import annotations
@@ -177,8 +180,10 @@ def build_attack_graph(doc: ScenarioDoc, base: HierarchicalGraph) -> AttackGraph
     edges = []
     make = AttackEdge._make
     for k, (aid, obj, condition, _, a_results, cost, severity, detect_prob, entry_only) in enumerate(doc.attacks):
-        defense_mask = attack_defenses[aid]
-        shared = (cost, severity, detect_prob, frozenset(condition), frozenset(a_results), defense_mask, entry_only)
+        shared = (
+            float(cost), float(severity), float(detect_prob),
+            frozenset(condition), frozenset(a_results), attack_defenses[aid], entry_only,
+        )
         attack_bit = 1 << k
         for i, result in enumerate(a_results):
             # *result is the edge's to_id and permission; result itself is its grant.

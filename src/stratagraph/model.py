@@ -171,13 +171,15 @@ class ScenarioDoc(_ScenarioFields):
     run validate_scenario to get the violation report.
 
     A named tuple subclass without __slots__, so each doc has a __dict__,
-    where validate_scenario keeps the doc's report, the way AttackGraph
-    keeps its indexes: every later validation of the same doc object, such
-    as the one build_base_graph runs, returns that report, and it dies with
-    the doc. It keeps the report only when all eight fields are tuples, as
-    parse_scenario builds them; a doc with a list field is checked on every
-    call. Record fields hold tuples too, and a doc is never mutated;
-    _replace makes a new doc, validated afresh.
+    where validate_scenario keeps the report of a doc that parse_scenario
+    made, the way AttackGraph keeps its indexes: every later validation of
+    the same doc object, such as the one build_base_graph runs, returns
+    that report, and it dies with the doc. parse_scenario builds every
+    field and record of tuples, so its doc never changes. A doc built by
+    hand may hold a list anywhere, and _replace makes a new doc: both are
+    checked on every call. parse_scenario makes every number a float; a
+    doc built by hand may hold ints, which build_attack_graph converts, so
+    every chain, risk and plan total is a float either way.
 
     unknown_keys takes part in equality like every other field, so a doc
     parsed with an unknown key equals its serialized round trip only after

@@ -7,8 +7,9 @@ record's keys, types and defaults, and of the order its checks run; one loop
 reads every record by its table. Semantic rules (dangling references,
 duplicate ids, taxonomy membership, numeric ranges) live in
 validate_scenario, which reports violations as data instead of raising.
-A doc of tuples keeps its report, so every later validation of the same
-doc object, such as require_valid's in build_base_graph, costs one lookup.
+A doc that parse_scenario made keeps its report, so every later
+validation of the same doc object, such as require_valid's in
+build_base_graph, costs one lookup.
 """
 
 from __future__ import annotations
@@ -201,9 +202,11 @@ def parse_scenario(text: str, source: str = "<string>") -> ScenarioDoc:
     if not isinstance(data, dict):
         raise _mismatch(source, dict, data)
     try:
-        return _parse_document(data)
+        doc = _parse_document(data)
     except (ParseError, OverflowError) as exc:
         raise ParseError(f"{source}: {exc}") from exc
+    vars(doc)["_report"] = None  # a parsed doc, which keeps its report once validated
+    return doc
 
 
 def _parse_document(data: dict) -> ScenarioDoc:
@@ -320,16 +323,15 @@ def validate_scenario(doc: ScenarioDoc) -> tuple[Violation, ...]:
     edges with no underlying relationship) and do not make the scenario
     invalid.
 
-    A doc whose eight fields are all tuples keeps its report (see
-    ScenarioDoc): a second call on the same doc object, such as
-    require_valid's in build_base_graph, returns the same tuple without
-    checking again. A doc with any other field, such as a list a caller
-    may still append to, is checked on every call.
+    A doc that parse_scenario made keeps its report (see ScenarioDoc): a
+    second call on the same doc object, such as require_valid's in
+    build_base_graph, returns the same tuple without checking again. Any
+    other doc, built by hand or by _replace, is checked on every call.
     """
     report = vars(doc).get("_report")
     if report is None:
         report = _violations(doc)
-        if all(type(field) is tuple for field in doc):
+        if "_report" in vars(doc):
             vars(doc)["_report"] = report
     return report
 

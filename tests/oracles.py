@@ -242,8 +242,8 @@ def reference_risk(doc, max_len, semantics="accumulated", agg="sum"):
 
     The engine's original risk_assess: group the chains by the object
     their last edge affects, then take max threat and min cost over each
-    group in canonical chain order, so of tied values the first chain's
-    (int or float) wins. Rows sort by descending threat, then object id.
+    group. Sums keep the doc's own number types, so compare by value: the
+    engine reports floats. Rows sort by descending threat, then object id.
     """
     chains = brute_chains(doc, max_len, semantics, agg=agg) if doc.entry_grants else []
     edges = oracle_edges(doc)

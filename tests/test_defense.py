@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from stratagraph import (
     AttackRecord,
     ChainObjective,
+    GameConfig,
     InfeasibleCutError,
     UnknownIdError,
     applicable_defenses,
@@ -20,8 +21,11 @@ from stratagraph import (
     plan_coverage,
     plan_cut,
     risk_assess,
+    run_batch,
     search_chain,
+    serialize_scenario,
 )
+from stratagraph import canon
 from stratagraph.config import EngineConfig
 from stratagraph.model import DefenseRecord, Grant, ObjectRecord, ScenarioDoc
 from stratagraph import chains as chains_module
@@ -446,12 +450,16 @@ def test_risk_empty_entry_is_all_zero(toy5g):
     assert all(r.chain_count == 0 and r.min_chain_cost is None for r in rows)
 
 
-def typed(rows):
-    """Risk rows with the type of each number, which canon prints differently from 1e6 up."""
-    return [
-        (r.object, r.chain_count, r.max_chain_threat, type(r.max_chain_threat), r.min_chain_cost, type(r.min_chain_cost))
-        for r in rows
-    ]
+def values(rows):
+    """Risk rows as plain values: 1000000 and 1000000.0 compare equal here."""
+    return [(r.object, r.chain_count, r.max_chain_threat, r.min_chain_cost) for r in rows]
+
+
+def assert_floats(rows):
+    """Every threat, and the cost of every reached object, is a float; an unreached object has no cost."""
+    for r in rows:
+        assert type(r.max_chain_threat) is float
+        assert type(r.min_chain_cost) is float if r.chain_count else r.min_chain_cost is None
 
 
 def millions(doc, rng, mix):
@@ -466,7 +474,10 @@ def millions(doc, rng, mix):
         as_int = mix == "int" or mix == "mixed" and rng.random() < 0.5
         return whole if as_int else float(whole)
 
-    return doc._replace(attacks=tuple(a._replace(cost=scale(a.cost), severity=scale(a.severity)) for a in doc.attacks))
+    return doc._replace(
+        attacks=tuple(a._replace(cost=scale(a.cost), severity=scale(a.severity)) for a in doc.attacks),
+        defenses=tuple(d._replace(cost=scale(d.cost)) for d in doc.defenses),
+    )
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -477,12 +488,15 @@ def millions(doc, rng, mix):
     mix=st.sampled_from(("float", "int", "mixed")),
 )
 def test_risk_matches_reference_row_for_row(seed, semantics, agg, mix):
-    # Counts, values and their int or float types must match the original
-    # risk computed over every brute-force chain, ties included.
+    # Counts and values must match the original risk computed over every
+    # brute-force chain, ties included, and every value is a float, also
+    # where the doc holds ints.
     doc = millions(random_scenario(seed, max_objects=5, max_edges=8), random.Random(seed), mix)
     graph = build_attack_graph(doc, build_base_graph(doc))
     config = EngineConfig(max_len=3, semantics=semantics, threat_agg=agg)
-    assert typed(risk_assess(graph, config)) == typed(oracles.reference_risk(doc, 3, semantics, agg))
+    rows = risk_assess(graph, config)
+    assert values(rows) == values(oracles.reference_risk(doc, 3, semantics, agg))
+    assert_floats(rows)
 
 
 def tie_scenario():
@@ -514,17 +528,58 @@ def tie_scenario():
 @pytest.mark.parametrize("agg", ["sum", "max"])
 @pytest.mark.parametrize("semantics", ["accumulated", "strict"])
 def test_risk_ties_keep_the_first_chain_in_canonical_order(semantics, agg):
+    # Every total is a float, so whichever of the tied int and float chains
+    # the walk meets first, each row prints what the first chain in
+    # canonical order gives, and what the doc's serialized file gives.
     doc = tie_scenario()
-    graph = build_attack_graph(doc, build_base_graph(doc))
-    rows = typed(risk_assess(graph, EngineConfig(semantics=semantics, threat_agg=agg)))
-    assert rows == [
-        ("c", 2, 1000000, int, 1000000, int),
-        ("d", 2, 1000000.0, float, 1000000.0, float),
-        ("e", 2, 1000000.0, float, 1000000.0, float),
-        ("a", 0, 0.0, float, None, type(None)),
-        ("b", 2, 0.0, float, 0.0, float),
+    config = EngineConfig(semantics=semantics, threat_agg=agg)
+    rows = risk_assess(build_attack_graph(doc, build_base_graph(doc)), config)
+    assert values(rows) == [
+        ("c", 2, 1e6, 1e6),
+        ("d", 2, 1e6, 1e6),
+        ("e", 2, 1e6, 1e6),
+        ("a", 0, 0.0, None),
+        ("b", 2, 0.0, 0.0),
     ]
-    assert rows == typed(oracles.reference_risk(doc, 8, semantics, agg))
+    assert_floats(rows)
+    assert values(rows) == values(oracles.reference_risk(doc, 8, semantics, agg))
+    parsed = parse_scenario(serialize_scenario(doc))
+    parsed_rows = risk_assess(build_attack_graph(parsed, build_base_graph(parsed)), config)
+    assert canon.dumps([r.as_dict() for r in rows]) == canon.dumps([r.as_dict() for r in parsed_rows])
+
+
+def test_a_doc_of_ints_prints_what_its_serialized_file_prints():
+    # A doc built in Python may hold int costs and severities where its
+    # serialized file holds floats, and canon prints 1000000 and 1e+06
+    # apart; every analysis must still print the same bytes for both.
+    game = GameConfig(defender_policy="reactive_cut", defender_budget_per_turn=2e6)
+
+    def printed(doc, config):
+        graph = build_attack_graph(doc, build_base_graph(doc))
+        runs = (
+            lambda: [c.as_dict() for c in enumerate_chains(graph, config=config)],
+            lambda: [r.as_dict() for r in risk_assess(graph, config)],
+            lambda: plan_budgeted(graph, 2e6, config=config).as_dict(),
+            lambda: plan_cut(graph, config=config).as_dict(),
+            lambda: [t.as_dict() for t in run_batch(graph, game, 2, config)],
+        )
+        out = []
+        for run in runs:
+            try:
+                out.append(canon.dumps(run()))
+            except InfeasibleCutError as exc:
+                out.append(str(exc))
+        return out
+
+    mismatched = []
+    for seed in range(40):
+        doc = millions(random_scenario(seed), random.Random(seed), "int")
+        parsed = parse_scenario(serialize_scenario(doc))
+        for agg in ("sum", "max"):
+            config = EngineConfig(max_len=4, threat_agg=agg)
+            if printed(doc, config) != printed(parsed, config):
+                mismatched.append((seed, agg))
+    assert mismatched == []
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])

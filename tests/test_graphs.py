@@ -180,9 +180,10 @@ def test_attack_graph_revalidates_only_other_docs(toy5g, monkeypatch):
 
 def test_library_flow_validates_once(fixtures_dir, monkeypatch):
     # validate_scenario, then build_base_graph and build_attack_graph, as the
-    # README's library flow runs them: the doc keeps its report, so the
-    # per-record checks run once, each distinct permission token is checked
-    # once, and an equal twin from _replace() is checked afresh.
+    # README's library flow runs them: the parsed doc keeps its report, so
+    # the per-record checks run once and each distinct permission token is
+    # checked once. An equal twin from _replace() keeps no report: it is
+    # checked on every call.
     checked, tokens = [], []
     violations, problems = stratagraph.scenario._violations, stratagraph.scenario.permission_problems
     monkeypatch.setattr(stratagraph.scenario, "_violations", lambda d: checked.append(d) or violations(d))
@@ -203,7 +204,7 @@ def test_library_flow_validates_once(fixtures_dir, monkeypatch):
     assert twin_report == report and twin_report is not report
     assert len(checked) == 2 and checked[1] is twin
     build_base_graph(twin)
-    assert len(checked) == 2
+    assert len(checked) == 3 and checked[2] is twin
 
 
 def test_a_doc_with_a_list_field_is_checked_on_every_call(fixtures_dir):
@@ -214,6 +215,20 @@ def test_a_doc_with_a_list_field_is_checked_on_every_call(fixtures_dir):
     assert validate_scenario(doc) == ()
     doc.targets.append("GHOST")
     assert [v.message for v in validate_scenario(doc)] == ["target 'GHOST' does not exist"]
+    with pytest.raises(InvalidScenarioError):
+        build_base_graph(doc)
+
+
+def test_a_doc_with_a_list_in_a_record_is_checked_on_every_call(fixtures_dir):
+    # Only a parsed doc keeps its report. A doc whose eight fields are
+    # tuples may still hold a list inside a record: a later append to it
+    # must fail validation, not the attack graph's build.
+    doc = load_scenario(fixtures_dir / "toy5g.scenario")
+    first = doc.attacks[0]._replace(a_results=list(doc.attacks[0].a_results))
+    doc = doc._replace(attacks=(first, *doc.attacks[1:]))
+    assert validate_scenario(doc) == ()
+    first.a_results.append(Grant("GHOST", "read"))
+    assert [v.message for v in validate_scenario(doc)] == ["a_result object 'GHOST' does not exist"]
     with pytest.raises(InvalidScenarioError):
         build_base_graph(doc)
 
