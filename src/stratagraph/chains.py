@@ -16,11 +16,11 @@ appear on the chain.
 
 The rules run over the attack edges (`AttackGraph.edges`, grouped by
 from-object in `AttackGraph.by_from`), each of which carries what a step
-reads: to object, condition, attack, results, cost, severity, the
-attack's defense mask, entry_only, the pair the edge grants, and the bits
-of its to object and its attack. `_walk`, the one depth-first walk that
-yields every chain enumeration emits as a bare prefix tuple, applies the
-rules in its own loop. For each (end, room) it meets, the object a
+reads: to object, attack, the masks of its attack's condition and
+results, cost, severity, the attack's defense mask, entry_only, and the
+bits of the pair the edge grants, of its to object and of its attack.
+`_walk`, the one depth-first walk that yields every chain enumeration
+emits as a bare prefix tuple, applies the rules in its own loop. For each (end, room) it meets, the object a
 prefix ends on and the edges left after the next step, `_step_table`
 settles once what depends only on that key: adjacency, blocked attacks,
 entry_only and whether a step's end is a goal or can still reach one.
@@ -33,7 +33,13 @@ signature (the OR of its attacks' defense masks), so a finished chain is
 never re-summed. It holds its affected objects and its fired attacks as
 two int masks, the OR of its edges' `to_bit`s and `attack_bit`s, so the
 simple-path guard and the re-fire test are one AND each, and a step ORs
-its bits in.
+its bits in. Its grants are a third mask over `AttackGraph.grant_bits`,
+and its pair is that pair's bit: a condition holds when `need & pool ==
+need`, firing ORs the attack's result mask in, and the strict pool is the
+entry mask OR the pair's bit. The walk converts its entry and via grants
+to masks once per call. An entry grant the doc does not name has no bit,
+and no condition needs it, so only a chain that is packaged adds it back
+to the grants its mask decodes to (`_foothold`).
 
 `_successors` applies the same rules to one prefix at a time, naming the
 first rule each rejected candidate breaks: the validity check feeds it one
@@ -168,38 +174,61 @@ def _entry_grants(graph: AttackGraph, entry_grants) -> frozenset[Grant]:
     return frozenset(entry)
 
 
-def _root(entry: frozenset[Grant]) -> tuple:
-    """The empty chain prefix.
+def _foothold(graph: AttackGraph, grants) -> tuple[int, tuple[Grant, ...]]:
+    """grants as (the OR of their bits, those that have no bit).
+
+    A grant has a bit when the doc names it (AttackGraph.grant_bits). One
+    that has none is in no condition, so only a packaged chain or state
+    lists it (_decode).
+    """
+    bits = graph.grant_bits
+    mask = 0
+    extra = []
+    for g in grants:
+        bit = bits.get(g)
+        if bit is None:
+            extra.append(g)
+        else:
+            mask |= bit
+    return mask, tuple(extra)
+
+
+def _decode(graph: AttackGraph, mask: int, extra: tuple[Grant, ...]) -> tuple[Grant, ...]:
+    """The sorted grants of a prefix's mask, with extra, the entry grants that have no bit."""
+    held = graph.grants_of(mask)
+    return tuple(sorted(held + extra)) if extra else held
+
+
+def _root(entry: int) -> tuple:
+    """The empty chain prefix from the entry grants' mask.
 
     A prefix is a plain tuple (edges, grants, fired, affected, end, pair,
-    cost, threat, signature): edge ids, grants held (frozenset), the fired
-    attacks and the affected objects as int masks (the OR of its edges'
-    attack_bit and to_bit), the object the last edge affected and the pair
-    Grant it granted (both None before the first step), the chain's cost and
-    threat so far, and its defense signature, the OR of the fired attacks'
-    defense masks. Both masks start at 0. Cost and threat start at 0.0, and
+    cost, threat, signature): edge ids, the grants held, the fired attacks
+    and the affected objects as int masks (the grant bits held, and the OR
+    of its edges' attack_bit and to_bit), the object the last edge affected
+    (None before the first step) and the bit of the pair it granted (0
+    before the first step), the chain's cost and threat so far, and its
+    defense signature, the OR of the fired attacks' defense masks. The
+    fired and affected masks start at 0. Cost and threat start at 0.0, and
     the attack edges hold floats, so every total is a float; since no
     severity is negative, the first fired attack's severity is also the
     maximum under threat_agg "max".
     """
-    return ((), entry, 0, 0, None, None, 0.0, 0.0, 0)
+    return ((), entry, 0, 0, None, 0, 0.0, 0.0, 0)
 
 
 def _successors(graph: AttackGraph, prefix, candidates, entry, config: EngineConfig, blocked, why=None) -> list:
     """The valid one-edge extensions of prefix, one attack edge at a time.
 
-    candidates=None tries every edge adjacent to the prefix's end (every
-    edge for the empty prefix). When why is a list, the reason each
-    rejected candidate fails is appended to it, naming the first rule it
-    breaks. Cost and threat grow by each newly fired attack in firing
+    entry is the entry grants' mask. candidates=None tries every edge
+    adjacent to the prefix's end (every edge for the empty prefix). When
+    why is a list, the reason each rejected candidate fails is appended to
+    it, naming the first rule it breaks. Cost and threat grow by each newly fired attack in firing
     order, as a sum over fired attacks would (or a max of severities under
     threat_agg "max"). _walk applies the same rules inline.
     """
     edges, grants, fired, affected, end, pair, cost, threat, sig = prefix
-    if config.semantics == "strict":
-        pool = entry if pair is None else entry | {pair}
-    else:
-        pool = grants
+    pool = entry | pair if config.semantics == "strict" else grants
     if candidates is None:
         candidates = graph.edges if end is None else graph.by_from.get(end, ())
     use_max = config.threat_agg == "max"
@@ -214,12 +243,12 @@ def _successors(graph: AttackGraph, prefix, candidates, entry, config: EngineCon
             fault = "attack {edge.attack_id} is entry-only and cannot fire mid-chain"
         elif attack_id in blocked:
             fault = "attack {edge.attack_id} is blocked"
-        elif not edge.condition <= pool:
+        elif edge.need_mask & pool != edge.need_mask:
             fault = "unsatisfied <{need.object}, {need.permission}>"
         else:
             path = edges + (edge.edge_id,)
             if attack_bit & fired:
-                out.append((path, grants, fired, affected | to_bit, to, edge.grant, cost, threat, sig))
+                out.append((path, grants, fired, affected | to_bit, to, edge.grant_bit, cost, threat, sig))
                 continue
             if use_max:
                 new_threat = edge.severity if edge.severity > threat else threat
@@ -228,11 +257,11 @@ def _successors(graph: AttackGraph, prefix, candidates, entry, config: EngineCon
             out.append(
                 (
                     path,
-                    grants | edge.results,
+                    grants | edge.result_mask,
                     fired | attack_bit,
                     affected | to_bit,
                     to,
-                    edge.grant,
+                    edge.grant_bit,
                     cost + edge.cost,
                     new_threat,
                     sig | edge.defense_mask,
@@ -241,14 +270,16 @@ def _successors(graph: AttackGraph, prefix, candidates, entry, config: EngineCon
             continue
         if why is not None:
             # The first unmet grant in the attack record's condition order.
-            need = next((n for n in graph.attacks[attack_id].condition if n not in pool), None)
+            bits = graph.grant_bits
+            need = next((n for n in graph.attacks[attack_id].condition if not bits[n] & pool), None)
             why.append(fault.format(end=end, to=to, edge=edge, need=need))
     return out
 
 
-def _chain(prefix) -> AttackChain:
+def _chain(graph: AttackGraph, prefix, extra: tuple[Grant, ...]) -> AttackChain:
+    """The chain of a walk's prefix; extra is the entry grants that have no bit (_foothold)."""
     edges, grants, _, _, _, _, cost, threat, _ = prefix
-    return AttackChain(edges=edges, total_cost=cost, total_threat=threat, final_grants=tuple(sorted(grants)))
+    return AttackChain(edges=edges, total_cost=cost, total_threat=threat, final_grants=_decode(graph, grants, extra))
 
 
 def _replay(graph, edge_ids, config, entry_grants) -> tuple[ChainCheck, tuple]:
@@ -256,21 +287,24 @@ def _replay(graph, edge_ids, config, entry_grants) -> tuple[ChainCheck, tuple]:
 
     The states list the fired attacks in firing order, which the prefix's
     fired mask does not keep: a step adds its attack when its bit is new.
+    Each state's grants are its prefix's mask decoded, with the entry
+    grants that have no bit (_foothold).
     """
     entry = _entry_grants(graph, entry_grants)
     edges = [graph.edge(eid) for eid in edge_ids]  # raises on an unknown id before any step
-    prefix = _root(entry)
+    mask, extra = _foothold(graph, entry)
+    prefix = _root(mask)
     fired: tuple[str, ...] = ()
     states = [AttackerState(tuple(sorted(entry)), fired)]
     for i, edge in enumerate(edges):
         why: list[str] = []
-        step = _successors(graph, prefix, (edge,), entry, config, frozenset(), why)
+        step = _successors(graph, prefix, (edge,), mask, config, frozenset(), why)
         if not step:
             return ChainCheck(False, tuple(states), failed_index=i, reason=why[0]), prefix
         if not prefix[2] & edge.attack_bit:
             fired += (edge.attack_id,)
         prefix = step[0]
-        states.append(AttackerState(tuple(sorted(prefix[1])), fired))
+        states.append(AttackerState(_decode(graph, prefix[1], extra), fired))
     return ChainCheck(True, tuple(states)), prefix
 
 
@@ -300,7 +334,8 @@ def chain_from_edges(
     check, prefix = _replay(graph, edge_ids, config, entry_grants)
     if not check.valid:
         raise ValueError(f"not a valid chain at index {check.failed_index}: {check.reason}")
-    return _chain(prefix)
+    # The last state's grants are the chain's final grants.
+    return AttackChain(prefix[0], prefix[6], prefix[7], check.states[-1].grants)
 
 
 def _resolve_targets(graph: AttackGraph, targets) -> frozenset[str]:
@@ -369,18 +404,19 @@ def _walk_context(graph: AttackGraph, goal: frozenset[str], blocked, context) ->
 def _step_table(graph: AttackGraph, end, room: int, goal: frozenset[str], dist, blocked) -> list[tuple]:
     """The steps worth trying from end with room edges left after them.
 
-    One entry per step, the plain tuple of the edge's fields, its to_bit
-    and attack_bit last, followed by (emit, extend, None), which _walk
-    unpacks in one go. The steps are the edges _successors would try:
-    every edge from end, or every edge for end None. Adjacency, blocked
-    attacks, entry_only and goal reach are settled here once per (end,
-    room), so the walk tests only the simple-path guard and the condition.
-    end None is the empty chain's end, where every edge is adjacent and
-    entry_only steps may fire. emit says whether a chain ending on the
-    step's object is yielded, that is whether the object is a goal; extend
-    says whether the walk pushes the step to be extended, that is whether
-    its end can still reach a goal within room edges (dist). A step that
-    does neither is left out. The last field is a pending table's move (see
+    One entry per step, the plain tuple of the edge's fields (its need,
+    result and pair masks among them, its to_bit and attack_bit last),
+    followed by (emit, extend, None), which _walk unpacks in one go. The
+    steps are the edges _successors would try: every edge from end, or
+    every edge for end None. Adjacency, blocked attacks, entry_only and
+    goal reach are settled here once per (end, room), so the walk tests
+    only the simple-path guard and the condition. end None is the empty
+    chain's end, where every edge is adjacent and entry_only steps may
+    fire. emit says whether a chain ending on the step's object is
+    yielded, that is whether the object is a goal; extend says whether the
+    walk pushes the step to be extended, that is whether its end can still
+    reach a goal within room edges (dist). A step that does neither is
+    left out. The last field is a pending table's move (see
     _pending_table); a full table has none. The table holds flags only, no
     stack, so one walk context can keep it for every walk to the same goal
     under the same blocked set.
@@ -434,9 +470,12 @@ def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfi
     expanded (see the module docstring). One loop serves both semantics:
     _step_table settles what depends only on (end, room), and the loop
     applies the simple-path guard and the condition itself, as _successors
-    does. context, a dict the caller keeps, lets walks to the same goal
-    under the same blocked set share their goal distances and step tables
-    (_walk_context).
+    does: a condition holds when its need mask ANDed with the pool is the
+    need mask, and firing ORs the result mask into the grants. entry and
+    via are grant sets, converted to masks once here; a prefix's grants are
+    a mask and its pair a bit (_root). context, a dict the caller keeps,
+    lets walks to the same goal under the same blocked set share their goal
+    distances and step tables (_walk_context).
 
     via, the grants won since an earlier walk from entry - via, yields only
     the chains that are new: invalid under the old grants (see the module
@@ -446,7 +485,8 @@ def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfi
     satisfies keeps it pending, and a step only the old pool plus the won
     grants satisfy moves it to the full walk's stack, the won grants added
     to its grants (_pending_table). The pending stack is drained first, as
-    it feeds the other. Without via there is no pending stack.
+    it feeds the other; each phase says whether its prefixes are pending.
+    Without via there is no pending stack.
     """
     max_len = config.max_len
     strict = config.semantics == "strict"
@@ -461,12 +501,14 @@ def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfi
 
     stack = []  # prefixes every further step may extend (a full walk's)
     push = stack.append
+    entry_mask = _foothold(graph, entry)[0]
     if via is None:
-        stack.append(_root(entry))
-        phases = [(stack, tables, full_table, entry)]
+        stack.append(_root(entry_mask))
+        phases = [(stack, tables, full_table, entry_mask, False)]
     else:
         old = entry - via
         won = entry - old
+        won_mask = _foothold(graph, won)[0]
         needed_by, by_attack = graph.needed_by, graph.by_attack
         via_edges = {e for g in won for aid in needed_by.get(g, ()) for e in by_attack.get(aid, ())}
         limit = max_len - 1
@@ -481,8 +523,9 @@ def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfi
         def pending_table(end, room):
             return _pending_table(full_table(end, room), room, opened, ahead)
 
-        phases = [([_root(old)], {}, pending_table, old), (stack, tables, full_table, entry)]
-    for todo, own, build, base in phases:
+        old_mask = _foothold(graph, old)[0]
+        phases = [([_root(old_mask)], {}, pending_table, old_mask, True), (stack, tables, full_table, entry_mask, False)]
+    for todo, own, build, base, pending in phases:
         keep = todo.append
         pop = todo.pop
         while todo:
@@ -491,22 +534,19 @@ def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfi
             table = own.get((end, room))
             if table is None:
                 table = own[end, room] = build(end, room)
-            if not strict:
-                pool = grants
-            else:
-                pool = base if pair is None else base | {pair}
-            if base is not entry:  # a pending prefix; a move takes the won grants too
-                raised = grants | won
-                wider = raised if not strict else entry if pair is None else entry | {pair}
+            pool = base | pair if strict else grants
+            if pending:  # a move takes the won grants too
+                raised = grants | won_mask
+                wider = entry_mask | pair if strict else raised
             for (
                 edge_id, _, _, to, _, step_cost, severity, _,
-                condition, results, mask, _, step_pair, to_bit, attack_bit, emit, extend, move,
+                need, results, mask, _, step_pair, to_bit, attack_bit, emit, extend, move,
             ) in table:
                 if to_bit & affected:
                     continue
-                if condition <= pool:
+                if need & pool == need:
                     held, into = grants, keep
-                elif move is not None and condition <= wider:
+                elif move is not None and need & wider == need:
                     # Only the won grants open this step: the chain is new.
                     (emit, extend), held, into = move, raised, push
                 else:
@@ -554,7 +594,14 @@ def enumerate_chains(
     """
     entry = _entry_grants(graph, entry_grants)
     goal = _resolve_targets(graph, targets)
-    results = [_chain(step) for step in _walk(graph, entry, goal, config, blocked_attacks)]
+    extra = _foothold(graph, entry)[1]
+    decoded: dict[int, tuple[Grant, ...]] = {}  # grant mask -> its grants, shared by the chains that hold it
+    results = []
+    for edges, grants, _, _, _, _, cost, threat, _ in _walk(graph, entry, goal, config, blocked_attacks):
+        final = decoded.get(grants)
+        if final is None:
+            final = decoded[grants] = _decode(graph, grants, extra)
+        results.append(AttackChain(edges, cost, threat, final))
     results.sort(key=AttackChain.sort_key)
     return tuple(results)
 
@@ -576,6 +623,7 @@ def search_chain(
     (length, lexicographic edge ids) in both modes.
     """
     entry = _entry_grants(graph, entry_grants)
+    mask, extra = _foothold(graph, entry)
     target = objective.target
     goal = _resolve_targets(graph, graph.doc.targets if target is None else (target,))
     if not goal:
@@ -584,20 +632,20 @@ def search_chain(
     if objective.kind == "max_threat":
         walk = _walk(graph, entry, goal, config, blocked_attacks)
         best = min(walk, key=lambda step: (-step[7], len(step[0]), step[0]), default=None)
-        return None if best is None else _chain(best)
+        return None if best is None else _chain(graph, best, extra)
     if objective.kind != "min_cost":
         raise ValueError(f"unknown objective kind {objective.kind!r}")
 
     max_len = config.max_len
-    heap: list = [(0, 0, (), _root(entry))]
+    heap: list = [(0, 0, (), _root(mask))]
     seen: set = set()
     while heap:
         _, length, _, prefix = heapq.heappop(heap)
         end = prefix[4]
         if end is not None:
             if end in goal:
-                return _chain(prefix)
-            # Two prefixes landing on the same (pair, fired, affected)
+                return _chain(graph, prefix, extra)
+            # Two prefixes landing on the same (pair bit, fired, affected)
             # state have identical continuations; the first pop dominates
             # in the full (cost, length, lexicographic) order.
             key = (prefix[5], prefix[2], prefix[3])
@@ -605,7 +653,7 @@ def search_chain(
                 continue
             seen.add(key)
         if length < max_len:
-            for step in _successors(graph, prefix, None, entry, config, blocked_attacks):
+            for step in _successors(graph, prefix, None, mask, config, blocked_attacks):
                 heapq.heappush(heap, (step[6], length + 1, step[0], step))
     return None
 

@@ -155,9 +155,9 @@ def _target_rows(graph: AttackGraph, entry, goal, blocked, config: EngineConfig,
     In canonical (length, edge ids) order; the signature is the one the
     walk carries on each prefix. goal is a set of object ids, every object
     when plan_budgeted plans on a scenario that names no target. No walk
-    prefix is kept, since the garbage collector would traverse its grant
-    set on every pass. context is the walk context a caller keeps across
-    walks (chains._walk_context).
+    prefix is kept: a row holds only the three fields the planners read.
+    context is the walk context a caller keeps across walks
+    (chains._walk_context).
     """
     found = [(p[0], p[8], p[7]) for p in _walk(graph, entry, goal, config, blocked, None, context)]
     found.sort(key=_row_order)

@@ -7,15 +7,18 @@ attack record becomes one directed edge from the attacked object to the
 affected object, so a record with k results contributes exactly k edges.
 
 Each attack edge also carries what a chain step reads off its attack
-record and the defense index (condition, results, defense mask,
-entry_only and the pair it grants), and the two bits the walk's masks are
-made of: its to object's bit, objects in base.layers order, and its
-attack's bit, attacks in doc.attacks order. Its cost, severity and
-detect_prob are floats, as parse_scenario makes them, also when a doc
-built by hand holds ints, so every total summed from them is a float.
-All are filled once when the graph is built, so the chain walk reads one
-edge and nothing else (see chains.py). Two indexes are built on first
-use, once per graph: `needed_by` maps each grant to the ids of the
+record and the defense index (the masks of its attack's condition and
+results, the defense mask, entry_only and the bit of the pair it grants),
+and the two bits the walk's other masks are made of: its to object's bit,
+objects in base.layers order, and its attack's bit, attacks in doc.attacks
+order. Each grant of the doc has one bit (grant_bits), in first-seen
+order: the entry grants first, then each attack's condition and results in
+record order; grants_of decodes a mask back to its sorted grants. Its
+cost, severity and detect_prob are floats, as parse_scenario makes them,
+also when a doc built by hand holds ints, so every total summed from them
+is a float. All are filled once when the graph is built, so the chain walk
+reads one edge and nothing else (see chains.py). Two indexes are built on
+first use, once per graph: `needed_by` maps each grant to the ids of the
 attacks whose condition holds it, and the reactive defender finds through
 it the steps a newly won grant opens, while the game readies through it
 the attacks a grant completes; `same_category_attacks` groups the catalog
@@ -61,11 +64,11 @@ class AttackEdge(NamedTuple):
     cost: float
     severity: float
     detect_prob: float
-    condition: frozenset[Grant]  # the attack's condition
-    results: frozenset[Grant]  # all of the attack's a_results, granted when it fires
+    need_mask: int  # the OR of the bits of the attack's condition grants (see grant_bits)
+    result_mask: int  # the OR of the bits of all of the attack's a_results, granted when it fires
     defense_mask: int  # the defenses neutralizing the attack (see defense_bits)
     entry_only: bool
-    grant: Grant  # Grant(to_id, permission), the pair this edge grants
+    grant_bit: int  # the bit of Grant(to_id, permission), the pair this edge grants
     to_bit: int  # to_id's single bit: the walk's affected mask is an OR of these
     attack_bit: int  # attack_id's single bit: the walk's fired mask is an OR of these
 
@@ -96,6 +99,9 @@ class _AttackGraphFields(NamedTuple):
     sorted_defenses: tuple[DefenseRecord, ...]  # by id
     defense_bits: dict[str, int]  # defense id -> its single bit
     attack_defenses: dict[str, int]  # attack id -> mask of the defenses neutralizing it
+    # Grant sets are bitmasks in first-seen order: bit k is grants_by_bit[k].
+    grants_by_bit: tuple[Grant, ...]
+    grant_bits: dict[Grant, int]  # grant -> its single bit
 
 
 class AttackGraph(_AttackGraphFields):
@@ -131,6 +137,17 @@ class AttackGraph(_AttackGraphFields):
             groups.setdefault(category[record.object], []).append(record)
         shared = {c: tuple(records) for c, records in groups.items()}
         return {oid: shared.get(c, ()) for oid, c in category.items()}
+
+    def grants_of(self, mask: int) -> tuple[Grant, ...]:
+        """The grants whose bits mask holds, in Grant order."""
+        grants = self.grants_by_bit
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(grants[low.bit_length() - 1])
+            mask ^= low
+        out.sort()
+        return tuple(out)
 
     def edge(self, edge_id: str) -> AttackEdge:
         found = self.by_id.get(edge_id)
@@ -177,17 +194,28 @@ def build_attack_graph(doc: ScenarioDoc, base: HierarchicalGraph) -> AttackGraph
         for aid in d.d_results:
             attack_defenses[aid] |= defense_bits[d.id]
     object_bits = {oid: 1 << k for k, oid in enumerate(base.layers)}
+    grant_bits = {g: 1 << k for k, g in enumerate(dict.fromkeys(doc.entry_grants))}
     edges = []
     make = AttackEdge._make
     for k, (aid, obj, condition, _, a_results, cost, severity, detect_prob, entry_only) in enumerate(doc.attacks):
-        shared = (
-            float(cost), float(severity), float(detect_prob),
-            frozenset(condition), frozenset(a_results), attack_defenses[aid], entry_only,
-        )
+        # Grant bits are given inline: this loop is most of a topology-L
+        # build, and a helper would add a call per attack to it.
+        need = gained = 0
+        for g in condition:
+            bit = grant_bits.get(g)
+            if bit is None:
+                bit = grant_bits[g] = 1 << len(grant_bits)
+            need |= bit
+        for g in a_results:
+            bit = grant_bits.get(g)
+            if bit is None:
+                bit = grant_bits[g] = 1 << len(grant_bits)
+            gained |= bit
+        shared = (float(cost), float(severity), float(detect_prob), need, gained, attack_defenses[aid], entry_only)
         attack_bit = 1 << k
         for i, result in enumerate(a_results):
-            # *result is the edge's to_id and permission; result itself is its grant.
-            edges.append(make((f"{aid}#{i}", aid, obj, *result, *shared, result, object_bits[result.object], attack_bit)))
+            # *result is the edge's to_id and permission.
+            edges.append(make((f"{aid}#{i}", aid, obj, *result, *shared, grant_bits[result], object_bits[result.object], attack_bit)))
     edges.sort(key=attrgetter("edge_id"))
     by_from: dict[str, list[AttackEdge]] = {}
     by_to: dict[str, list[AttackEdge]] = {}
@@ -209,6 +237,8 @@ def build_attack_graph(doc: ScenarioDoc, base: HierarchicalGraph) -> AttackGraph
         sorted_defenses=sorted_defenses,
         defense_bits=defense_bits,
         attack_defenses=attack_defenses,
+        grants_by_bit=tuple(grant_bits),
+        grant_bits=grant_bits,
     )
 
 

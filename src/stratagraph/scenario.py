@@ -287,8 +287,17 @@ class _TokenProblems(dict):
 
 
 def _check_number(problems, record_class: str, record_id: str, name: str, value: float, upper: float | None = None):
-    """Report a NaN or infinite value, else one below 0 (or outside [0, upper])."""
-    if not math.isfinite(value):
+    """Report a NaN or infinite value, else one below 0 (or outside [0, upper]).
+
+    An int beyond the float range, which only a doc built by hand can hold,
+    is reported too: math.isfinite cannot convert it.
+    """
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        problems.append(Violation("error", record_class, record_id, f"{name} is an integer too large for a float"))
+        return
+    if not finite:
         problems.append(Violation("error", record_class, record_id, f"{name} {value} is not a finite number"))
     elif upper is not None and not 0.0 <= value <= upper:
         problems.append(Violation("error", record_class, record_id, f"{name} {value} outside [0, {upper:g}]"))
@@ -297,9 +306,13 @@ def _check_number(problems, record_class: str, record_id: str, name: str, value:
 
 
 def _check_total(problems, record_id: str, what: str, values) -> None:
-    """Report a scenario whose finite values sum (exactly) to TOTAL_LIMIT or more."""
+    """Report a scenario whose finite values sum (exactly) to TOTAL_LIMIT or more.
+
+    The range test leaves out NaN, the infinities and ints beyond the float
+    range, each of which _check_number reports.
+    """
     try:
-        total = math.fsum(filter(math.isfinite, values))
+        total = math.fsum(v for v in values if -_FLOAT_MAX <= v <= _FLOAT_MAX)
     except OverflowError:
         total = math.inf  # the exact sum is beyond the largest float
     if total >= TOTAL_LIMIT:

@@ -138,9 +138,14 @@ def test_bit_indexes_give_each_object_and_attack_its_own_bit(toy5g):
     # The walk's affected and fired masks are ORs of the edges' to_bit and
     # attack_bit, so each object and each attack must have one bit of its
     # own, 1 << its place in base.layers or doc.attacks, and every edge into
-    # an object or of an attack must carry that bit. The bits are edge
-    # fields, so the graph builds no side table for them: its only lazily
-    # built indexes are needed_by and same_category_attacks.
+    # an object or of an attack must carry that bit. Its grant masks are ORs
+    # of grant bits, so each grant the doc names must have one bit of its
+    # own, 1 << its place in first-seen order (entry grants, then each
+    # attack's condition and results), which grants_of decodes back, and
+    # every edge's need, result and pair masks must be ORs of those bits.
+    # The object and attack bits are edge fields, so the graph builds no
+    # side table for them: its only lazily built indexes are needed_by and
+    # same_category_attacks.
     assert sorted(name for name, v in vars(AttackGraph).items() if isinstance(v, cached_property)) == [
         "needed_by",
         "same_category_attacks",
@@ -150,9 +155,17 @@ def test_bit_indexes_give_each_object_and_attack_its_own_bit(toy5g):
         doc = random_scenario(seed, max_objects=7, max_edges=14)
         graphs.append(build_attack_graph(doc, build_base_graph(doc)))
     for graph in graphs:
-        object_bits, attack_bits = _object_bit_map(graph), _attack_bit_map(graph)
+        object_bits, attack_bits, grant_bits = _object_bit_map(graph), _attack_bit_map(graph), _grant_bit_map(graph)
         for e in graph.edges:
             assert (e.to_bit, e.attack_bit) == (object_bits[e.to_id], attack_bits[e.attack_id])
+            a = graph.attacks[e.attack_id]
+            assert e.need_mask == _or_bits(grant_bits, a.condition)
+            assert e.result_mask == _or_bits(grant_bits, a.a_results)
+            assert e.grant_bit == grant_bits[Grant(e.to_id, e.permission)]
+        assert list(graph.grant_bits.items()) == list(grant_bits.items())
+        for g, bit in grant_bits.items():
+            assert graph.grants_of(bit) == (g,)
+        assert graph.grants_of(sum(grant_bits.values())) == tuple(sorted(grant_bits))
 
 
 def test_toy5g_enumeration_matches_frozen_oracle(toy5g):
@@ -569,6 +582,13 @@ def _attack_bit_map(graph):
     return {a.id: 1 << k for k, a in enumerate(graph.doc.attacks)}
 
 
+def _grant_bit_map(graph):
+    """Grant -> its bit, by its first place among the entry grants, then each attack's condition and results."""
+    doc = graph.doc
+    named = [*doc.entry_grants, *(g for a in doc.attacks for g in (*a.condition, *a.a_results))]
+    return {g: 1 << k for k, g in enumerate(dict.fromkeys(named))}
+
+
 def _subset(data, items, max_size, label):
     # sampled_from refuses an empty list, as in a scenario with no attacks.
     strategy = st.frozensets(st.sampled_from(items), max_size=max_size) if items else st.just(frozenset())
@@ -592,7 +612,11 @@ def test_walk_and_successor_step_apply_the_same_rules(seed, coherent, semantics,
     # which chain_from_edges and min-cost search step with, applies them
     # again. Every prefix the walk yields must replay through the step
     # with its cost, threat, final grants, fired attacks and signature,
-    # and the min-cost search must find the walk's cheapest chain.
+    # and the min-cost search must find the walk's cheapest chain. The
+    # walk's grants are a mask and its pair a bit, decoded through the
+    # graph. The entry may hold grants no attack names, which have no bit
+    # unless the scenario's own entry grants hold them: the packaged chain
+    # and the referee's replay still hold them.
     doc = coherent_scenario(seed) if coherent else random_scenario(seed, max_objects=6, max_edges=14)
     ids = [a.id for a in doc.attacks]
     entry_only = _subset(data, ids, len(ids) // 3, "entry_only")
@@ -602,21 +626,25 @@ def test_walk_and_successor_step_apply_the_same_rules(seed, coherent, semantics,
     # A foothold like the reactive defender's: the entry grants plus some
     # effects of attacks fired earlier.
     effects = sorted({g for a in doc.attacks for g in a.a_results})
-    entry = frozenset(doc.entry_grants) | _subset(data, effects, 2, "won")
+    named = {g for a in doc.attacks for g in (*a.condition, *a.a_results)}
+    unnamed = [g for o in doc.objects for p in (*PERMS, "audit") if (g := Grant(o.id, p)) not in named]
+    entry = frozenset(doc.entry_grants) | _subset(data, effects, 2, "won") | _subset(data, unnamed, 2, "unnamed")
+    stray = entry - set(graph.grant_bits)  # the entry grants that have no bit
     cfg = EngineConfig(semantics=semantics, max_len=max_len, threat_agg=agg)
     # Unrestricted enumeration walks to every object.
     goal = frozenset(doc.targets) if to_goal else frozenset(o.id for o in doc.objects)
     walked = list(chains_module._walk(graph, entry, goal, cfg, blocked))
     by_id = oracles.oracle_edges(doc)
     for edges, grants, fired, affected, end, pair, cost, threat, sig in walked:
+        held = frozenset(graph.grants_of(grants)) | stray
         chain = chain_from_edges(graph, edges, cfg, entry)
-        assert (chain.total_cost, chain.total_threat, chain.final_grants) == (cost, threat, tuple(sorted(grants)))
+        assert (chain.total_cost, chain.total_threat, chain.final_grants) == (cost, threat, tuple(sorted(held)))
         fired_ids = is_valid_chain(graph, edges, cfg, entry).states[-1].fired
-        assert oracles.replay(doc, by_id, edges, semantics, entry) == (grants, fired_ids)
+        assert oracles.replay(doc, by_id, edges, semantics, entry) == (held, fired_ids)
         assert fired == _or_bits(_attack_bit_map(graph), fired_ids)
         assert not set(fired_ids) & blocked
         last = graph.edge(edges[-1])
-        assert (end, pair) == (last.to_id, Grant(last.to_id, last.permission))
+        assert (end, graph.grants_of(pair)) == (last.to_id, (Grant(last.to_id, last.permission),))
         assert affected == _or_bits(_object_bit_map(graph), [graph.edge(e).to_id for e in edges])
         assert affected.bit_count() == len(edges)
         assert sig == oracles.chain_signature(doc, edges)
@@ -626,6 +654,34 @@ def test_walk_and_successor_step_apply_the_same_rules(seed, coherent, semantics,
         best = min(walked, key=lambda p: (p[6], len(p[0]), p[0]), default=None)
         want = None if best is None else chain_from_edges(graph, best[0], cfg, entry)
         assert search_chain(graph, ChainObjective("min_cost"), cfg, blocked, entry) == want
+
+
+@pytest.mark.parametrize("semantics", ["accumulated", "strict"])
+def test_an_entry_grant_no_attack_names_stays_held(toy5g, semantics):
+    # An entry grant that no attack names has no bit, so the walk's grant
+    # masks leave it out, yet the attacker holds it all along: every state
+    # is_valid_chain lists and the final grants of every chain, whether
+    # enumerated, replayed by chain_from_edges or found by either search
+    # objective, must hold it, as the referee's replay by definition does.
+    doc, _, graph = toy5g
+    stray = {Grant("APP1", "execute"), Grant("UE1", "write")}
+    assert not stray & set(graph.grant_bits)
+    entry = frozenset(doc.entry_grants) | stray
+    cfg = EngineConfig(semantics=semantics)
+    by_id = oracles.oracle_edges(doc)
+    found = enumerate_chains(graph, targets=doc.targets, config=cfg, entry_grants=entry)
+    assert found
+    for chain in found:
+        assert chain.final_grants == tuple(sorted(oracles.replay(doc, by_id, chain.edges, semantics, entry)[0]))
+        assert chain_from_edges(graph, chain.edges, cfg, entry) == chain
+        states = is_valid_chain(graph, chain.edges, cfg, entry).states
+        assert len(states) == len(chain.edges) + 1
+        for k, state in enumerate(states):
+            want = oracles.replay(doc, by_id, chain.edges[:k], semantics, entry)[0]
+            assert state.grants == tuple(sorted(want))
+    for kind in ("min_cost", "max_threat"):
+        best = search_chain(graph, ChainObjective(kind), cfg, entry_grants=entry)
+        assert best in found and stray <= set(best.final_grants)
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -280,7 +280,7 @@ def test_step_records_compile_every_edge(toy5g, strictmode):
     # it, in id order: the via walk reads their edges through by_attack.
     assert AttackEdge._fields == (
         "edge_id", "attack_id", "from_id", "to_id", "permission", "cost", "severity", "detect_prob",
-        "condition", "results", "defense_mask", "entry_only", "grant", "to_bit", "attack_bit",
+        "need_mask", "result_mask", "defense_mask", "entry_only", "grant_bit", "to_bit", "attack_bit",
     )
     graphs = [toy5g[2], strictmode[2]]
     for seed in range(50):
@@ -291,6 +291,11 @@ def test_step_records_compile_every_edge(toy5g, strictmode):
         assert [e.edge_id for e in graph.edges] == sorted(ids)
         objects = list(graph.base.layers)
         attacks = [a.id for a in graph.doc.attacks]
+        bits = graph.grant_bits
+
+        def mask(grants):
+            return sum({bits[g] for g in grants})
+
         for e in graph.edges:
             a = graph.attacks[e.attack_id]
             i = int(e.edge_id.rpartition("#")[2])
@@ -303,11 +308,11 @@ def test_step_records_compile_every_edge(toy5g, strictmode):
                 a.cost,
                 a.severity,
                 a.detect_prob,
-                frozenset(a.condition),
-                frozenset(a.a_results),
+                mask(a.condition),
+                mask(a.a_results),
                 graph.attack_defenses[a.id],
                 a.entry_only,
-                Grant(e.to_id, e.permission),
+                bits[Grant(e.to_id, e.permission)],
                 1 << objects.index(e.to_id),
                 1 << attacks.index(a.id),
             )

@@ -131,6 +131,19 @@ def test_number_checks_keep_their_messages(toy5g, section, field, value):
     assert validate_scenario(faults.edit(doc, section, 1, **{field: value})) == expected
 
 
+@pytest.mark.parametrize("section, field", list(NUMBER_MESSAGES))
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+def test_an_int_beyond_the_float_range_is_an_error(toy5g, section, field, sign):
+    # The parser refuses an int too large for a float, but a doc built by
+    # hand can hold one. Validation reports it once, as an error on its
+    # record, and neither the number check nor the total check raises
+    # OverflowError.
+    doc, _, _ = toy5g
+    record_id = getattr(doc, section)[1].id
+    expected = (("error", section[:-1], record_id, f"{field} is an integer too large for a float"),)
+    assert validate_scenario(faults.edit(doc, section, 1, **{field: sign * 10**400})) == expected
+
+
 def test_dangling_a_result_names_the_object(toy5g):
     doc, _, _ = toy5g
     attacks = list(doc.attacks)

@@ -51,6 +51,13 @@ Inputs, all generated from this checkout:
 - a length limit of 100,000 (`long_limit_commands`): `chains
   --unrestricted`, `risk` and a reactive `simulate` of 3 runs on toy5g
   and on one `tests/genscen.py` scenario, far beyond their longest chain;
+- two scenarios written here (`grant_bit_commands`), under both
+  semantics: one whose entry grants include a grant no condition or result
+  names, and one where several attacks grant different permissions on one
+  object, so the attack graph's grant bits (first-seen order) are not in
+  `Grant` order. Each runs `chains` (to the targets, `--unrestricted`,
+  `min_cost` and `max_threat`), `risk`, `defend` (cut, budget, and
+  coverage of a given chain) and a reactive `simulate`;
 - explicit chains (`coverage_commands`): `defend --mode coverage --chain`
   on toy5g and on the reactive-sim-M bench workload at seed 1, with a
   valid chain, the same chain without its second edge (its replay stops
@@ -318,6 +325,106 @@ def long_limit_commands(inputs: Path) -> list[list[str]]:
     return commands
 
 
+def _grant_bit_docs() -> dict:
+    """name -> (scenario doc, chains to its target) for grant_bit_commands.
+
+    The first chain of each is valid under both semantics, the second only
+    under accumulated semantics.
+    """
+    from stratagraph.model import AttackRecord, DefenseRecord, Grant, ObjectRecord, RelationshipEdge, ScenarioDoc
+
+    def attack(aid, obj, condition, results, cost, severity, detect_prob=1.0):
+        need, got = (tuple(Grant(*g) for g in grants) for grants in (condition, results))
+        return AttackRecord(aid, obj, need, "", got, float(cost), float(severity), detect_prob)
+
+    layers = (("physical", "hardware-device"), ("virtual", "virtual-entity"), ("service", "os"))
+    layers += (("application", "application-software"), ("application", "protocol"))
+
+    def objects(prefix):
+        return tuple(ObjectRecord(f"{prefix}{k}", layer, category) for k, (layer, category) in enumerate(layers))
+
+    def links(prefix, pairs):
+        return tuple(RelationshipEdge(f"{prefix}{a}", f"{prefix}{b}", "management") for a, b in pairs)
+
+    # n0's read and n3's disable are entry grants that no condition or result names.
+    unnamed = ScenarioDoc(
+        objects=objects("n"),
+        relationships=links("n", ((0, 1), (1, 2), (2, 3), (2, 4), (4, 3))),
+        attacks=(
+            attack("x1", "n0", [("n0", "execute")], [("n1", "read"), ("n1", "write")], 1, 2),
+            attack("x2", "n1", [("n1", "read")], [("n2", "execute")], 2, 3, 0.5),
+            attack("x3", "n1", [("n1", "write")], [("n2", "read")], 1, 1),
+            attack("x4", "n2", [("n2", "execute")], [("n3", "read")], 3, 5),
+            attack("x5", "n2", [("n2", "read"), ("n1", "write")], [("n4", "execute")], 1, 2),
+            attack("x6", "n4", [("n4", "execute")], [("n3", "write")], 2, 4, 0.5),
+            attack("x7", "n0", [("n0", "execute")], [("n2", "read")], 4, 1),
+        ),
+        defenses=(
+            DefenseRecord("d1", 3.0, "", ("x1",)),
+            DefenseRecord("d2", 1.0, "", ("x2", "x3")),
+            DefenseRecord("d3", 2.0, "", ("x4", "x6")),
+            DefenseRecord("d4", 1.0, "", ("x7",)),
+        ),
+        entry_grants=(Grant("n0", "execute"), Grant("n3", "disable"), Grant("n0", "read")),
+        targets=("n3",),
+    )
+    # m1's write is met before its read and execute, and m3's read before
+    # its execute and write, so the bits are not in Grant order.
+    reordered = ScenarioDoc(
+        objects=objects("m"),
+        relationships=links("m", ((0, 1), (1, 2), (2, 3), (2, 4), (4, 3))),
+        attacks=(
+            attack("y1", "m0", [("m0", "write")], [("m1", "write")], 1, 1),
+            attack("y2", "m0", [("m0", "write")], [("m1", "read"), ("m1", "write")], 2, 2),
+            attack("y3", "m0", [("m0", "write")], [("m1", "execute")], 1, 3, 0.5),
+            attack("y4", "m1", [("m1", "read"), ("m1", "write")], [("m2", "disable")], 1, 2),
+            attack("y5", "m1", [("m1", "execute")], [("m2", "write")], 2, 2),
+            attack("y6", "m2", [("m2", "write")], [("m3", "read"), ("m4", "execute")], 1, 4),
+            attack("y7", "m2", [("m2", "disable")], [("m3", "write")], 3, 3, 0.5),
+            attack("y8", "m4", [("m4", "execute"), ("m1", "execute")], [("m3", "execute")], 1, 5),
+        ),
+        defenses=(
+            DefenseRecord("e1", 2.0, "", ("y1", "y2")),
+            DefenseRecord("e2", 1.0, "", ("y3",)),
+            DefenseRecord("e3", 2.0, "", ("y6", "y7")),
+            DefenseRecord("e4", 1.0, "", ("y8", "y4")),
+        ),
+        entry_grants=(Grant("m0", "write"),),
+        targets=("m3",),
+    )
+    return {
+        "unnamed-entry": (unnamed, (("x1#0", "x2#0", "x4#0"), ("x1#1", "x3#0", "x5#0", "x6#0"))),
+        "bit-order": (reordered, (("y3#0", "y5#0", "y6#0"), ("y3#0", "y5#0", "y6#1", "y8#0"))),
+    }
+
+
+def grant_bit_commands(inputs: Path) -> list[list[str]]:
+    """Scenarios whose grant bits hold an unnamed entry grant or are out of Grant order, under both semantics."""
+    from stratagraph.scenario import serialize_scenario
+
+    commands = []
+    for name, (doc, chains) in _grant_bit_docs().items():
+        path = inputs / f"grant-bits-{name}.scenario"
+        path.write_text(serialize_scenario(doc), encoding="utf-8")
+        for semantics in ("accumulated", "strict"):
+            common = ["--scenario", str(path), "--semantics", semantics, "--format", "json"]
+            commands += [
+                ["chains", *common],
+                ["chains", *common, "--unrestricted"],
+                ["chains", *common, "--objective", "min_cost"],
+                ["chains", *common, "--objective", "max_threat"],
+                ["risk", *common],
+                ["defend", *common, "--mode", "cut"],
+                ["defend", *common, "--mode", "budget", "--budget", "3"],
+                *(["defend", *common, "--mode", "coverage", "--chain", ",".join(chain)] for chain in chains),
+                [
+                    "simulate", *common, "--defender", "reactive_cut", "--budget-per-turn", "1",
+                    "--runs", "3", "--attacker", "random",
+                ],
+            ]
+    return commands
+
+
 def coverage_commands(inputs: Path) -> list[list[str]]:
     """`defend --mode coverage --chain` runs: each chain is replayed edge by edge, then covered."""
     from stratagraph import ChainObjective, build_attack_graph, build_base_graph, load_scenario, search_chain
@@ -533,7 +640,8 @@ def main(argv=None) -> int:
         inputs.mkdir()
         commands = bench_commands(inputs) + genscen_commands(inputs) + large_number_commands(inputs)
         commands += signed_zero_commands(inputs) + fixture_commands(inputs)
-        commands += long_limit_commands(inputs) + coverage_commands(inputs) + branch_commands(inputs)
+        commands += long_limit_commands(inputs) + grant_bit_commands(inputs) + coverage_commands(inputs)
+        commands += branch_commands(inputs)
         commands += serializer_commands(inputs) + shape_commands(inputs) + semantic_commands(inputs)
         commands += error_commands(inputs)
 
