@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from stratagraph.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -267,12 +270,24 @@ def test_text_tables_render(capsys, fixtures_dir):
     assert out.strip() == "no chains"
 
 
+def console_script():
+    """The `[project.scripts]` target of pyproject.toml, read without tomllib (Python 3.10 has none)."""
+    lines = (ROOT / "pyproject.toml").read_text(encoding="utf-8").splitlines()
+    start = lines.index("[project.scripts]") + 1
+    end = next((i for i in range(start, len(lines)) if lines[i].startswith("[")), len(lines))
+    (entry,) = [line for line in lines[start:end] if line.strip()]
+    name, target = (part.strip() for part in entry.split("="))
+    return name, target.strip('"')
+
+
 def test_console_script_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "stratagraph.cli", "--version"], capture_output=True, text=True
-    )
+    # The installed script imports the target and exits with its return
+    # value, as the wrapper pip writes does; run() freezes the heap first.
+    assert console_script() == ("stratagraph", "stratagraph.cli:run")
+    proc = run_entry(ENTRY_POINTS["console script"], ["--version"])
     assert proc.returncode == 0
-    assert "stratagraph" in proc.stdout
+    assert proc.stdout.startswith("stratagraph ")
+    assert proc.stderr == ""
 
 
 ANALYSIS_COMMANDS = [
@@ -719,7 +734,28 @@ def cli_env():
     return env
 
 
-def run_into_closed_pipe(argv, unbuffered):
+# Each way a process runs the CLI: the last is what the installed
+# `stratagraph` script does with its `[project.scripts]` target.
+ENTRY_POINTS = {
+    "module": ("-m", "stratagraph.cli"),
+    "package": ("-m", "stratagraph"),
+    "console script": ("-c", "import sys; from stratagraph.cli import run; sys.exit(run())"),
+}
+
+
+def run_entry(entry, argv, stdout=subprocess.PIPE, env=None):
+    """Run the CLI in a fresh interpreter through one of ENTRY_POINTS."""
+    return subprocess.run(
+        [sys.executable, *entry, *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=env or cli_env(),
+        text=True,
+        timeout=60,
+    )
+
+
+def run_into_closed_pipe(argv, unbuffered, entry=ENTRY_POINTS["module"]):
     """Run the CLI with a stdout pipe whose read end is closed before it writes."""
     env = cli_env()
     env.pop("PYTHONUNBUFFERED", None)
@@ -728,14 +764,7 @@ def run_into_closed_pipe(argv, unbuffered):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        return subprocess.run(
-            [sys.executable, "-m", "stratagraph.cli", *argv],
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            env=env,
-            text=True,
-            timeout=60,
-        )
+        return run_entry(entry, argv, stdout=write_end, env=env)
     finally:
         os.close(write_end)
 
@@ -743,10 +772,11 @@ def run_into_closed_pipe(argv, unbuffered):
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_closed_pipe_exits_1_without_an_exit_flush_error(fixtures_dir, unbuffered):
     # The write fails with EPIPE, and the interpreter's own flush at exit
-    # must not fail again with an "Exception ignored" line.
-    proc = run_into_closed_pipe(["chains", "--scenario", scen(fixtures_dir, "toy5g")], unbuffered)
-    assert proc.returncode == 1
-    assert proc.stderr == "error: cannot write output: [Errno 32] Broken pipe\n"
+    # must not fail again with an "Exception ignored" line, whichever way
+    # the process was started.
+    for name, entry in ENTRY_POINTS.items():
+        proc = run_into_closed_pipe(["chains", "--scenario", scen(fixtures_dir, "toy5g")], unbuffered, entry)
+        assert (proc.returncode, proc.stderr) == (1, "error: cannot write output: [Errno 32] Broken pipe\n"), name
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
@@ -758,6 +788,49 @@ def test_help_and_version_into_a_closed_pipe_exit_1(argv, unbuffered):
     proc = run_into_closed_pipe(argv, unbuffered)
     assert proc.returncode == 1
     assert proc.stderr == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("validate", "--scenario", "toy5g"), 0),
+        (("validate",), 1),
+        (("validate", "--scenario", "invalid"), 2),
+        (("defend", "--mode", "cut", "--scenario", "infeasible"), 3),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else f"exit {v}",
+)
+def test_every_entry_point_ends_a_process_alike(fixtures_dir, tmp_path, argv, code):
+    invalid = tmp_path / "invalid.scenario"
+    invalid.write_text('{"objects": [{"id": "x", "layer": "nowhere", "category": "os"}]}')
+    paths = {"invalid": str(invalid), **{name: scen(fixtures_dir, name) for name in ("toy5g", "infeasible")}}
+    argv = [paths.get(arg, arg) for arg in argv]
+    results = {name: run_entry(entry, argv) for name, entry in ENTRY_POINTS.items()}
+    outcomes = {(proc.returncode, proc.stdout, proc.stderr) for proc in results.values()}
+    assert len(outcomes) == 1, results
+    ((returncode, out, err),) = outcomes
+    assert returncode == code
+    assert out or err
+
+
+def test_main_leaves_the_collector_alone(capsys, fixtures_dir):
+    # Only run(), the process entry, freezes the heap; a library caller of
+    # main() keeps a normal collector whatever the command's exit code.
+    before = (gc.isenabled(), gc.get_freeze_count())
+    for argv in (["validate", "--scenario", scen(fixtures_dir, "toy5g")], ["validate"], ["--version"]):
+        main(argv)
+        assert (gc.isenabled(), gc.get_freeze_count()) == before, argv
+    capsys.readouterr()
+
+
+def test_run_freezes_the_heap_once_the_command_is_done(capsys, monkeypatch, fixtures_dir):
+    from stratagraph.cli import run
+
+    frozen = []
+    monkeypatch.setattr(sys, "argv", ["stratagraph", "validate", "--scenario", scen(fixtures_dir, "toy5g")])
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(capsys.readouterr().out))
+    assert run() == 0
+    assert frozen == ["valid\n"]
 
 
 def test_dot_with_explicit_text_format_still_prints_dot(capsys, fixtures_dir):

@@ -5,7 +5,7 @@ Run from anywhere inside a checkout:
     python3 tools/diff_ref.py --ref HEAD~1
 
 REF's `src/` is exported with `git archive` into a temporary directory (no
-worktree, no network). One list of CLI commands then runs twice, as
+worktree, no network). One list of CLI commands then runs twice, mostly as
 `python -m stratagraph.cli` subprocesses: once on this checkout's `src/`
 (uncommitted edits included) and once on REF's. Both runs read the same
 scenario files from the same directory, so paths in messages match. For
@@ -84,7 +84,9 @@ Inputs, all generated from this checkout:
 - error paths (`error_commands`): `--version`, `--help` of the tool and of
   each subcommand, an unknown or missing subcommand, a missing or malformed
   scenario file, a missing `--config`, an infeasible cut, unknown ids,
-  out-of-range flag values and refused flag pairs.
+  out-of-range flag values and refused flag pairs;
+- the package entry (`package_commands`): `python -m stratagraph` with
+  `--version` and with one command for each exit code 0-3.
 """
 
 from __future__ import annotations
@@ -472,6 +474,8 @@ def serializer_commands(inputs: Path) -> list[list[str]]:
 def describe(argv: list[str]) -> str:
     if argv[:1] == ["-c"]:
         return f"serialize_scenario(load_scenario({argv[2]!r}))"
+    if argv[:1] == ["-m"]:
+        return f"python {' '.join(argv)}"
     return f"stratagraph {' '.join(argv)}"
 
 
@@ -602,10 +606,25 @@ def error_commands(inputs: Path) -> list[list[str]]:
     return commands
 
 
+def package_commands(inputs: Path) -> list[list[str]]:
+    """`python -m stratagraph` runs, as interpreter argv: the version and one command per exit code 0-3."""
+    fixtures = ROOT / "tests" / "fixtures"
+    invalid = inputs / "package-invalid.scenario"
+    invalid.write_text('{"objects": [{"id": "x", "layer": "nowhere", "category": "os"}]}\n', encoding="utf-8")
+    runs = [
+        ["--version"],
+        ["validate", "--scenario", str(fixtures / "toy5g.scenario")],
+        ["validate"],
+        ["validate", "--scenario", str(invalid)],
+        ["defend", "--mode", "cut", "--scenario", str(fixtures / "infeasible.scenario")],
+    ]
+    return [["-m", "stratagraph", *argv] for argv in runs]
+
+
 def run(src: Path, argv: list[str], cwd: Path) -> tuple[int, str, str]:
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run(
-        [sys.executable, *(argv if argv[:1] == ["-c"] else ["-m", "stratagraph.cli", *argv])],
+        [sys.executable, *(argv if argv[:1] in (["-c"], ["-m"]) else ["-m", "stratagraph.cli", *argv])],
         cwd=cwd, env=env, capture_output=True, timeout=COMMAND_TIMEOUT_S,
     )
     return done.returncode, done.stdout.decode("utf-8", "replace"), done.stderr.decode("utf-8", "replace")
@@ -643,7 +662,7 @@ def main(argv=None) -> int:
         commands += long_limit_commands(inputs) + grant_bit_commands(inputs) + coverage_commands(inputs)
         commands += branch_commands(inputs)
         commands += serializer_commands(inputs) + shape_commands(inputs) + semantic_commands(inputs)
-        commands += error_commands(inputs)
+        commands += error_commands(inputs) + package_commands(inputs)
 
         def both(argv):
             return run(ROOT / "src", argv, inputs), run(ref_src, argv, inputs)
