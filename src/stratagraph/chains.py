@@ -20,10 +20,13 @@ reads: to object, attack, the masks of its attack's condition and
 results, cost, severity, the attack's defense mask, entry_only, and the
 bits of the pair the edge grants, of its to object and of its attack.
 `_walk`, the one depth-first walk that yields every chain enumeration
-emits as a bare prefix tuple, applies the rules in its own loop. For each (end, room) it meets, the object a
-prefix ends on and the edges left after the next step, `_step_table`
-settles once what depends only on that key: adjacency, blocked attacks,
-entry_only and whether a step's end is a goal or can still reach one.
+emits as a bare prefix tuple, applies the rules in its own loop. For each
+(end, room) it meets, the object a prefix ends on and the edges left
+after the next step, `_step_table` settles once what depends only on
+that key: adjacency, blocked attacks, entry_only and whether a step's end
+is a goal or can still reach one. The empty chain's table offers only the
+edges whose condition the entry grants meet, since no other edge can be
+a first step.
 Its entries are plain tuples, an edge's fields followed by those flags,
 which the loop unpacks in one go: CPython unpacks an exact tuple several
 times faster than a named tuple.
@@ -95,15 +98,18 @@ sound too, and it is never below the goal distance, so a pending step
 table is a filter of the full one for the same (end, room)
 (`_pending_table`).
 
-The goal distances and the full step tables depend only on the goal and
-the blocked attacks. A walk context (`_walk_context`) keeps them for a
-caller's later walks to the same goal under the same blocked set: the
-reactive defender keeps one for a game, and renews it when a new defense
-grows the blocked set.
+The goal distances and the full step tables of every end but the empty
+chain's depend only on the goal and the blocked attacks. A walk context
+(`_walk_context`) keeps them for a caller's later walks to the same goal
+under the same blocked set: the reactive defender keeps one for a game,
+and renews it when a new defense grows the blocked set. The empty
+chain's table depends on the entry grants too, so each walk builds its
+own.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 from typing import NamedTuple
 
@@ -388,7 +394,8 @@ def _walk_context(graph: AttackGraph, goal: frozenset[str], blocked, context) ->
     walk. It holds one entry, keyed by (goal, blocked), so a walk under
     another goal or blocked set starts it afresh and never reads a stale
     table. The tables map (end, room) to _step_table's table, which depends
-    on nothing else. The goal search is not capped, since the key holds no
+    on nothing else; the empty chain's table, which depends on the entry,
+    is never kept. The goal search is not capped, since the key holds no
     length.
     """
     key = (goal, blocked)
@@ -401,18 +408,17 @@ def _walk_context(graph: AttackGraph, goal: frozenset[str], blocked, context) ->
     return kept
 
 
-def _step_table(graph: AttackGraph, end, room: int, goal: frozenset[str], dist, blocked) -> list[tuple]:
-    """The steps worth trying from end with room edges left after them.
+def _step_table(edges, end, room: int, goal: frozenset[str], dist, blocked) -> list[tuple]:
+    """The steps worth trying from end, out of edges, with room edges left after them.
 
     One entry per step, the plain tuple of the edge's fields (its need,
     result and pair masks among them, its to_bit and attack_bit last),
     followed by (emit, extend, None), which _walk unpacks in one go. The
-    steps are the edges _successors would try: every edge from end, or
-    every edge for end None. Adjacency, blocked attacks, entry_only and
-    goal reach are settled here once per (end, room), so the walk tests
-    only the simple-path guard and the condition. end None is the empty
-    chain's end, where every edge is adjacent and entry_only steps may
-    fire. emit says whether a chain ending on the step's object is
+    edges are the ones from end, or for end None, the empty chain's end,
+    the ones the entry grants enable (see _walk). Blocked attacks,
+    entry_only and goal reach are settled here once per (end, room), so
+    the walk tests only the simple-path guard and the condition. At end
+    None entry_only steps may fire. emit says whether a chain ending on the step's object is
     yielded, that is whether the object is a goal; extend says whether the
     walk pushes the step to be extended, that is whether its end can still
     reach a goal within room edges (dist). A step that does neither is
@@ -422,7 +428,7 @@ def _step_table(graph: AttackGraph, end, room: int, goal: frozenset[str], dist, 
     under the same blocked set.
     """
     table = []
-    for edge in graph.edges if end is None else graph.by_from.get(end, ()):
+    for edge in edges:
         if edge.attack_id in blocked or edge.entry_only and end is not None:
             continue
         to = edge.to_id
@@ -475,7 +481,11 @@ def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfi
     via are grant sets, converted to masks once here; a prefix's grants are
     a mask and its pair a bit (_root). context, a dict the caller keeps,
     lets walks to the same goal under the same blocked set share their goal
-    distances and step tables (_walk_context).
+    distances and step tables (_walk_context). The empty chain's table is
+    built per walk from the edges the entry mask enables: that mask is the
+    empty chain's pool under both semantics, and a pending one's pool, the
+    old mask, lies within it, as does the old mask plus the won grants a
+    move tests against.
 
     via, the grants won since an earlier walk from entry - via, yields only
     the chains that are new: invalid under the old grants (see the module
@@ -492,16 +502,20 @@ def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfi
     strict = config.semantics == "strict"
     use_max = config.threat_agg == "max"
     dist, tables = _walk_context(graph, goal, blocked, context)
+    entry_mask = _foothold(graph, entry)[0]
+    enabled = [e for e in graph.edges if e.need_mask & entry_mask == e.need_mask]  # the only first steps
+    root = _step_table(enabled, None, max_len - 1, goal, dist, blocked)
 
     def full_table(end, room):
+        if end is None:
+            return root
         table = tables.get((end, room))
         if table is None:
-            table = tables[end, room] = _step_table(graph, end, room, goal, dist, blocked)
+            table = tables[end, room] = _step_table(graph.by_from.get(end, ()), end, room, goal, dist, blocked)
         return table
 
     stack = []  # prefixes every further step may extend (a full walk's)
     push = stack.append
-    entry_mask = _foothold(graph, entry)[0]
     if via is None:
         stack.append(_root(entry_mask))
         phases = [(stack, tables, full_table, entry_mask, False)]
@@ -520,11 +534,17 @@ def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfi
         ahead = _distance(graph, blocked, (), joins, limit)
         opened = {e.edge_id for e in via_edges}
 
+        pending_tables: dict = {}
+
         def pending_table(end, room):
-            return _pending_table(full_table(end, room), room, opened, ahead)
+            table = pending_tables[end, room] = _pending_table(full_table(end, room), room, opened, ahead)
+            return table
 
         old_mask = _foothold(graph, old)[0]
-        phases = [([_root(old_mask)], {}, pending_table, old_mask, True), (stack, tables, full_table, entry_mask, False)]
+        phases = [
+            ([_root(old_mask)], pending_tables, pending_table, old_mask, True),
+            (stack, tables, full_table, entry_mask, False),
+        ]
     for todo, own, build, base, pending in phases:
         keep = todo.append
         pop = todo.pop
@@ -533,7 +553,7 @@ def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfi
             room = max_len - len(edges) - 1  # edges left after the next step
             table = own.get((end, room))
             if table is None:
-                table = own[end, room] = build(end, room)
+                table = build(end, room)  # which keeps it in own, unless it is the root's
             pool = base | pair if strict else grants
             if pending:  # a move takes the won grants too
                 raised = grants | won_mask
@@ -663,10 +683,31 @@ def search_chain(
 def _base_paths(base: HierarchicalGraph, src: str, dst: str, max_len: int):
     """Simple node paths src..dst over relationship edges, at most max_len hops.
 
-    Depth first with an explicit stack, so a path may be longer than the
+    Pruned toward dst: one breadth-first search backwards from dst, over
+    the base adjacency reversed (a directed relationship is listed one way
+    only) and capped at max_len levels, gives each object the fewest hops
+    it needs to reach dst. A path is extended to n only when n can still
+    reach dst in the hops left, dist(n) <= max_len - len(path). The search
+    ignores the simple-path rule, which only removes paths, so the distance
+    never exceeds what a simple path needs and no path is lost. The walk is
+    depth first with an explicit stack, so a path may be longer than the
     interpreter's recursion limit; the result is sorted, so the visiting
     order does not show.
     """
+    into: dict[str, list[str]] = {}
+    for here, nexts in base.adjacency.items():
+        for nxt in nexts:
+            into.setdefault(nxt, []).append(here)
+    dist = {dst: 0}
+    frontier = [dst]
+    for level in range(1, max_len + 1):
+        reached = []
+        for n in frontier:
+            for p in into.get(n, ()):
+                if p not in dist:
+                    dist[p] = level
+                    reached.append(p)
+        frontier = reached
     out: list[tuple[str, ...]] = []
     stack = [(src,)]
     while stack:
@@ -675,9 +716,10 @@ def _base_paths(base: HierarchicalGraph, src: str, dst: str, max_len: int):
         if here == dst and len(path) > 1:
             out.append(path)
             continue
-        if len(path) > max_len:
-            continue
-        stack.extend(path + (nxt,) for nxt in base.adjacency.get(here, ()) if nxt not in path)
+        left = max_len - len(path)
+        stack.extend(
+            path + (nxt,) for nxt in base.adjacency.get(here, ()) if dist.get(nxt, left + 1) <= left and nxt not in path
+        )
     return sorted(out, key=lambda p: (len(p), p))
 
 
@@ -695,26 +737,44 @@ def generate_potential_chains(
     from-category (AttackGraph.same_category_attacks); when the following
     hop is covered, records must also be able to grant what that next
     attack requires on the hop's to-object.
+
+    Only paths that can still reach to_id in time are walked (_base_paths).
+    Many paths share hops, so within one call each hop's covering attacks
+    are found once per (from, to), and each missing hop's suggestions once
+    per (from, to, next). A hop builds the permission sets the next hop's
+    covering attacks need on its to-object once, and judges each distinct
+    set of permissions a record grants once against them.
     """
     base = graph.base
     for oid in (from_id, to_id):
         if oid not in base.layers:
             raise UnknownIdError(f"unknown object {oid!r}")
 
-    def covering_attacks(f: str, t: str) -> list[AttackRecord]:
-        return [graph.attacks[e.attack_id] for e in graph.by_from.get(f, ()) if e.to_id == t]
+    @functools.cache
+    def covering_attacks(f: str, t: str) -> tuple[AttackRecord, ...]:
+        return tuple(graph.attacks[e.attack_id] for e in graph.by_from.get(f, ()) if e.to_id == t)
 
+    granted: dict[str, frozenset[str]] = {}  # attack id -> the permissions its results grant
+
+    @functools.cache
     def suggestions_for(f: str, t: str, nxt: str | None) -> tuple[str, ...]:
-        next_needs = covering_attacks(t, nxt) if nxt is not None else []
+        records = graph.same_category_attacks[f]
+        next_needs = covering_attacks(t, nxt) if nxt is not None else ()
+        if not next_needs:
+            return tuple(record.id for record in records)
+        # The permissions each covering attack of the next hop needs on t.
+        wanted = {frozenset(need.permission for need in a.condition if need.object == t) for a in next_needs}
+        verdicts: dict[frozenset[str], bool] = {}
         out = []
-        for record in graph.same_category_attacks[f]:
-            if next_needs:
-                perms = {g.permission for g in record.a_results}
-                if not any(
-                    all(need.permission in perms for need in a.condition if need.object == t) for a in next_needs
-                ):
-                    continue
-            out.append(record.id)
+        for record in records:
+            perms = granted.get(record.id)
+            if perms is None:
+                perms = granted[record.id] = frozenset(g.permission for g in record.a_results)
+            ok = verdicts.get(perms)
+            if ok is None:
+                ok = verdicts[perms] = any(need <= perms for need in wanted)
+            if ok:
+                out.append(record.id)
         return tuple(out)
 
     results = []

@@ -296,6 +296,9 @@ def test_criterion_8_end_to_end_golden(capsys, fixtures_dir, golden_check):
         "toy5g_chains.json": ["chains", "--scenario", scenario, "--format", "json"],
         "toy5g_defend_cut.json": ["defend", "--mode", "cut", "--scenario", scenario, "--format", "json"],
         "toy5g_risk.json": ["risk", "--scenario", scenario, "--format", "json"],
+        "toy5g_potential.json": [
+            "potential", "--scenario", scenario, "--from", "CH1", "--to", "APP1", "--max-len", "3", "--format", "json",
+        ],
         "toy5g_simulate.json": [
             "simulate", "--scenario", scenario, "--runs", "10", "--seed", "3",
             "--attacker", "random", "--defender", "reactive_cut",
@@ -311,4 +314,4 @@ def test_criterion_8_end_to_end_golden(capsys, fixtures_dir, golden_check):
         assert capsys.readouterr().out == out and again == 0
     elapsed = time.monotonic() - start
     assert elapsed < 5.0, f"golden run took {elapsed:.2f}s"
-    print(f"criterion 8 PASS: six subcommands byte-match their goldens twice in {elapsed:.2f}s")
+    print(f"criterion 8 PASS: seven subcommands byte-match their goldens twice in {elapsed:.2f}s")

@@ -1,6 +1,9 @@
+import importlib.util
 import json
 import random
+import sys
 from functools import cached_property
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings
@@ -371,6 +374,51 @@ def test_potential_chains_match_the_brute_force_referee(seed, direction, long, d
             break
 
 
+def _bench_skeletons() -> list:
+    """(doc, potential (from, to) pair) of each bench workload's fixed skeleton, from bench/gen.py."""
+    spec = importlib.util.spec_from_file_location("bench_gen", Path(__file__).parent.parent / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault(spec.name, gen)  # dataclasses looks its module up there
+    spec.loader.exec_module(gen)
+    return [gen.skeleton(shape) for shape in gen.SHAPES.values()]
+
+
+def test_potential_chains_at_one_more_hop_keep_every_shorter_one():
+    # A metamorphic relation where the brute-force referee cannot reach:
+    # a potential chain is judged on its own path alone, so raising max_len
+    # from k to k + 1 only adds paths of k + 1 hops, and filtering those
+    # out gives the result at k again, in the same order. Checked on the
+    # bench skeletons (48 to 400 objects) from their potential pair and
+    # random pairs, and on genscen scenarios of 30 to 60 objects with some
+    # of their relationships dropped, so that paths run long.
+    rng = random.Random(29)
+    cases = []
+    for doc, pair in _bench_skeletons():
+        ids = sorted(o.id for o in doc.objects)
+        cases.append((doc, [pair, *(tuple(rng.sample(ids, 2)) for _ in range(4))], 5))
+    seed = 0
+    while len(cases) < 9:
+        seed += 1
+        doc = random_scenario(seed, max_objects=60, max_edges=200)
+        if len(doc.objects) < 30:
+            continue
+        keep = tuple(r for r in doc.relationships if rng.random() < 0.2)
+        doc = doc._replace(relationships=keep)
+        ids = [o.id for o in doc.objects]
+        cases.append((doc, [tuple(rng.sample(ids, 2)) for _ in range(6)], 6))
+    grown = 0  # (pair, k) where k + 1 hops find more than k
+    for doc, pairs, top in cases:
+        graph = build_attack_graph(doc, build_base_graph(doc))
+        for src, dst in pairs:
+            longer = generate_potential_chains(graph, src, dst, EngineConfig(max_len=top))
+            for k in range(top - 1, 0, -1):
+                shorter = generate_potential_chains(graph, src, dst, EngineConfig(max_len=k))
+                assert shorter == tuple(p for p in longer if len(p.path) <= k + 1), (src, dst, k)
+                grown += len(longer) > len(shorter) > 0
+                longer = shorter
+    assert grown > 40, grown
+
+
 def test_potential_suggestion_respects_next_condition(toy5g):
     _, _, graph = toy5g
     # Path CH1 -> UE1 -> APP1: hop CH1->UE1 has no attack edge; the next hop
@@ -523,9 +571,9 @@ def test_prune_expands_only_prefixes_that_can_reach_a_goal(monkeypatch):
     keys = []
     build = chains_module._step_table
 
-    def spy(graph, end, room, *args):
+    def spy(edges, end, room, *args):
         keys.append((end, room))
-        return build(graph, end, room, *args)
+        return build(edges, end, room, *args)
 
     monkeypatch.setattr(chains_module, "_step_table", spy)
     checked = dead_unrestricted = 0

@@ -313,7 +313,9 @@ def test_reactive_defender_keeps_its_walk_context_while_the_blocked_set_holds(mo
     # search by definition (oracles.reference_distances). Every pending
     # table of a via walk is the kept full table of its (end, room), which
     # must be what a fresh scan under the current blocked set gives,
-    # filtered by the via distances.
+    # filtered by the via distances. The empty chain's full table depends on
+    # the entry, so it is not kept: it must be a fresh scan of the edges the
+    # entry enables.
     import stratagraph.chains as chains_module
     import stratagraph.game as game_module
 
@@ -359,10 +361,17 @@ def test_reactive_defender_keeps_its_walk_context_while_the_blocked_set_holds(mo
         won = entry - last[0]
         opened = {f"{a.id}#{i}" for a in graph.doc.attacks if won & set(a.condition) for i in range(len(a.a_results))}
         ahead = oracles.reference_distances(graph.doc, goal, blocked, won, config.max_len - 1)
+        entry_mask = chains_module._foothold(graph, entry)[0]
+        enabled = [e for e in graph.edges if e.need_mask & entry_mask == e.need_mask]
         for full, room, got_opened, got_ahead, table in pending:
-            end, at_room = where[id(full)]
-            assert at_room == room and (got_opened, got_ahead) == (opened, ahead)
-            assert full == step_table(graph, end, room, goal, dist, blocked)
+            assert (got_opened, got_ahead) == (opened, ahead)
+            if room == config.max_len - 1:  # the empty chain's, built per walk and never kept
+                assert id(full) not in where
+                assert full == step_table(enabled, None, room, goal, dist, blocked)
+            else:
+                end, at_room = where[id(full)]
+                assert at_room == room
+                assert full == step_table(graph.by_from.get(end, ()), end, room, goal, dist, blocked)
             stays = {edge_id: ahead.get(to, room + 1) <= room for edge_id, _, _, to, *_ in full}
             assert table == [
                 (*edge, False, stays[edge[0]], (emit, extend) if edge[0] in opened else None)

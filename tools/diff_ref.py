@@ -24,7 +24,8 @@ Inputs, all generated from this checkout:
   semantics, under `threat_agg max`, under `budget_objective count`,
   under the `greedy_cheapest` and `max_threat` attackers, with a zero
   budget per turn and as one game of up to 40 turns, and a strict
-  `defend --mode cut`;
+  `defend --mode cut`; at seed 1 also `potential --max-len 6`, where base
+  paths are many;
 - `tests/genscen.py` scenarios, random and coherent, under both semantics,
   each with a random attacker's reactive `simulate` of 3 runs of up to
   20 turns, and one with its targets removed: there `defend --mode budget`
@@ -162,6 +163,12 @@ def bench_commands(inputs: Path) -> list[list[str]]:
             )
             bench = [argv for _, _, argv in scenario.commands(str(path), str(config))]
             commands += bench
+            if seed == 1:
+                # Base paths grow as degree ** max_len: at 6 hops a walk
+                # that does not prune toward --to pops about 270k partial
+                # paths on topology-L, and each output runs to 7-13 MB.
+                potential = next(argv for argv in bench if argv[0] == "potential")
+                commands.append([*potential, "--max-len", "6"])  # the last --max-len wins
             commands += [[*argv, "--format", "text"] for argv in bench]  # the last --format wins
             common = ["--scenario", str(path), "--config", str(config), "--format", "json"]
             commands += [
