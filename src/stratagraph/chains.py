@@ -39,10 +39,13 @@ simple-path guard and the re-fire test are one AND each, and a step ORs
 its bits in. Its grants are a third mask over `AttackGraph.grant_bits`,
 and its pair is that pair's bit: a condition holds when `need & pool ==
 need`, firing ORs the attack's result mask in, and the strict pool is the
-entry mask OR the pair's bit. The walk converts its entry and via grants
-to masks once per call. An entry grant the doc does not name has no bit,
-and no condition needs it, so only a chain that is packaged adds it back
-to the grants its mask decodes to (`_foothold`).
+entry mask OR the pair's bit. A grant mask is the only grant-set form
+inside the engine: `_walk` takes its entry and via grants as masks, and
+only the public entry points (`enumerate_chains`, `search_chain` and the
+planners and risk in defense.py) convert their Grants, once per call
+(`_foothold`). An entry grant the doc does not name has no bit, and no
+condition needs it, so only a chain that is packaged adds it back to the
+grants its mask decodes to.
 
 `_successors` applies the same rules to one prefix at a time, naming the
 first rule each rejected candidate breaks: the validity check feeds it one
@@ -61,7 +64,9 @@ The walk's readers build an AttackChain only for a chain they print:
 - `defense.risk_assess` keeps each end object's chain count, maximum
   threat and minimum cost;
 - `defense._target_rows`, the row source of both planners and the
-  reactive defender, keeps each chain's edge ids, signature and threat.
+  reactive defender, keeps each chain's edge ids, signature and threat;
+  `_chain_order` is the one canonical (length, edge ids) key of chains and
+  of those rows alike.
 
 Every walk goes to a goal set; unrestricted enumeration takes every
 object as a goal. The walk prunes by backward reachability. A reverse
@@ -101,10 +106,10 @@ table is a filter of the full one for the same (end, room)
 The goal distances and the full step tables of every end but the empty
 chain's depend only on the goal and the blocked attacks. A walk context
 (`_walk_context`) keeps them for a caller's later walks to the same goal
-under the same blocked set: the reactive defender keeps one for a game,
-and renews it when a new defense grows the blocked set. The empty
-chain's table depends on the entry grants too, so each walk builds its
-own.
+under the same blocked set: the reactive defender (defense._respond)
+keeps one in its state for a game, and renews it when a new defense grows
+the blocked set. The empty chain's table depends on the entry grants too,
+so each walk builds its own.
 """
 
 from __future__ import annotations
@@ -132,15 +137,7 @@ class AttackChain(NamedTuple):
     final_grants: tuple[Grant, ...]
 
     def as_dict(self) -> dict:
-        return {
-            "edges": list(self.edges),
-            "total_cost": self.total_cost,
-            "total_threat": self.total_threat,
-            "final_grants": list(self.final_grants),
-        }
-
-    def sort_key(self):
-        return (len(self.edges), self.edges)
+        return self._asdict()
 
 
 class ChainObjective(NamedTuple):
@@ -170,6 +167,12 @@ class PotentialChain(NamedTuple):
                 for (f, t), s in zip(self.missing_hops, self.suggestions)
             ],
         }
+
+
+def _chain_order(item) -> tuple:
+    """The canonical (length, edge ids) key of a chain or of a planner row, whose edge ids come first."""
+    edges = item[0]
+    return (len(edges), edges)
 
 
 def _entry_grants(graph: AttackGraph, entry_grants) -> frozenset[Grant]:
@@ -467,7 +470,7 @@ def _pending_table(full: list[tuple], room: int, opened, ahead) -> list[tuple]:
     return table
 
 
-def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfig, blocked, via=None, context=None):
+def _walk(graph: AttackGraph, entry: int, goal, config: EngineConfig, blocked, via: int = 0, context=None):
     """Yield every chain prefix enumeration emits, depth first, not in canonical order.
 
     The valid prefixes of at most config.max_len edges that end on a goal
@@ -478,8 +481,8 @@ def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfi
     applies the simple-path guard and the condition itself, as _successors
     does: a condition holds when its need mask ANDed with the pool is the
     need mask, and firing ORs the result mask into the grants. entry and
-    via are grant sets, converted to masks once here; a prefix's grants are
-    a mask and its pair a bit (_root). context, a dict the caller keeps,
+    via are grant masks over AttackGraph.grant_bits, as a prefix's grants
+    are, and its pair is a bit (_root). context, a dict the caller keeps,
     lets walks to the same goal under the same blocked set share their goal
     distances and step tables (_walk_context). The empty chain's table is
     built per walk from the edges the entry mask enables: that mask is the
@@ -487,8 +490,9 @@ def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfi
     old mask, lies within it, as does the old mask plus the won grants a
     move tests against.
 
-    via, the grants won since an earlier walk from entry - via, yields only
-    the chains that are new: invalid under the old grants (see the module
+    via, the mask of the grants won since an earlier walk from the old
+    grants entry & ~via, makes the walk yield only the chains that are new
+    (won grants entry & via): invalid under the old grants (see the module
     docstring). A pending prefix has taken no new step, and its pool is
     the old one: the old entry plus what it earned under accumulated
     semantics, plus the previous pair under strict. A step the old pool
@@ -496,14 +500,13 @@ def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfi
     grants satisfy moves it to the full walk's stack, the won grants added
     to its grants (_pending_table). The pending stack is drained first, as
     it feeds the other; each phase says whether its prefixes are pending.
-    Without via there is no pending stack.
+    Without via (0) there is no pending stack.
     """
     max_len = config.max_len
     strict = config.semantics == "strict"
     use_max = config.threat_agg == "max"
     dist, tables = _walk_context(graph, goal, blocked, context)
-    entry_mask = _foothold(graph, entry)[0]
-    enabled = [e for e in graph.edges if e.need_mask & entry_mask == e.need_mask]  # the only first steps
+    enabled = [e for e in graph.edges if e.need_mask & entry == e.need_mask]  # the only first steps
     root = _step_table(enabled, None, max_len - 1, goal, dist, blocked)
 
     def full_table(end, room):
@@ -516,15 +519,13 @@ def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfi
 
     stack = []  # prefixes every further step may extend (a full walk's)
     push = stack.append
-    if via is None:
-        stack.append(_root(entry_mask))
-        phases = [(stack, tables, full_table, entry_mask, False)]
+    if not via:
+        stack.append(_root(entry))
+        phases = [(stack, tables, full_table, entry, False)]
     else:
-        old = entry - via
-        won = entry - old
-        won_mask = _foothold(graph, won)[0]
+        old, won = entry & ~via, entry & via
         needed_by, by_attack = graph.needed_by, graph.by_attack
-        via_edges = {e for g in won for aid in needed_by.get(g, ()) for e in by_attack.get(aid, ())}
+        via_edges = {e for g in graph.grants_of(won) for aid in needed_by.get(g, ()) for e in by_attack.get(aid, ())}
         limit = max_len - 1
         joins: dict[int, list[str]] = {}  # level -> objects a via edge reaches a goal from in that many edges
         for e in via_edges:
@@ -540,10 +541,9 @@ def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfi
             table = pending_tables[end, room] = _pending_table(full_table(end, room), room, opened, ahead)
             return table
 
-        old_mask = _foothold(graph, old)[0]
         phases = [
-            ([_root(old_mask)], pending_tables, pending_table, old_mask, True),
-            (stack, tables, full_table, entry_mask, False),
+            ([_root(old)], pending_tables, pending_table, old, True),
+            (stack, tables, full_table, entry, False),
         ]
     for todo, own, build, base, pending in phases:
         keep = todo.append
@@ -556,8 +556,8 @@ def _walk(graph: AttackGraph, entry: frozenset[Grant], goal, config: EngineConfi
                 table = build(end, room)  # which keeps it in own, unless it is the root's
             pool = base | pair if strict else grants
             if pending:  # a move takes the won grants too
-                raised = grants | won_mask
-                wider = entry_mask | pair if strict else raised
+                raised = grants | won
+                wider = entry | pair if strict else raised
             for (
                 edge_id, _, _, to, _, step_cost, severity, _,
                 need, results, mask, _, step_pair, to_bit, attack_bit, emit, extend, move,
@@ -612,17 +612,16 @@ def enumerate_chains(
     the module docstring).
     Ordering: (length, edge-id tuple).
     """
-    entry = _entry_grants(graph, entry_grants)
     goal = _resolve_targets(graph, targets)
-    extra = _foothold(graph, entry)[1]
+    mask, extra = _foothold(graph, _entry_grants(graph, entry_grants))
     decoded: dict[int, tuple[Grant, ...]] = {}  # grant mask -> its grants, shared by the chains that hold it
     results = []
-    for edges, grants, _, _, _, _, cost, threat, _ in _walk(graph, entry, goal, config, blocked_attacks):
+    for edges, grants, _, _, _, _, cost, threat, _ in _walk(graph, mask, goal, config, blocked_attacks):
         final = decoded.get(grants)
         if final is None:
             final = decoded[grants] = _decode(graph, grants, extra)
         results.append(AttackChain(edges, cost, threat, final))
-    results.sort(key=AttackChain.sort_key)
+    results.sort(key=_chain_order)
     return tuple(results)
 
 
@@ -642,15 +641,14 @@ def search_chain(
     chain to the target and packages only the winner. Ties break by
     (length, lexicographic edge ids) in both modes.
     """
-    entry = _entry_grants(graph, entry_grants)
-    mask, extra = _foothold(graph, entry)
+    mask, extra = _foothold(graph, _entry_grants(graph, entry_grants))
     target = objective.target
     goal = _resolve_targets(graph, graph.doc.targets if target is None else (target,))
     if not goal:
         return None
 
     if objective.kind == "max_threat":
-        walk = _walk(graph, entry, goal, config, blocked_attacks)
+        walk = _walk(graph, mask, goal, config, blocked_attacks)
         best = min(walk, key=lambda step: (-step[7], len(step[0]), step[0]), default=None)
         return None if best is None else _chain(graph, best, extra)
     if objective.kind != "min_cost":

@@ -432,7 +432,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except Exception as exc:  # pragma: no cover - last-resort guard
+    except Exception as exc:  # last-resort guard
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

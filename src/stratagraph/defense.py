@@ -18,11 +18,15 @@ rows, one per distinct signature, and the planners search the rows
 instead of the chains (the minimum critical attack set view of Jha,
 Sheyner & Wing, CSFW 2002).
 plan_budgeted and the reactive defender both plan in _budget_choice:
-_target_rows -> _kernel -> _choose. The reactive defender takes _target_rows
-on the first turn of a game only; on later turns _next_rows updates the
-last turn's rows: it drops the rows a new defense breaks and adds the
-chains that are new under the grants won since, which a walk given those
-grants yields and nothing else (chains._walk's via). plan_cut weighs each
+_target_rows -> _kernel -> _choose. The reactive defender's turn is
+_respond, which alone builds and reads the defender's state between turns:
+the grants and the applied defenses of its last prediction as masks, that
+prediction's rows and the walk context of the game. The game holds the
+state and hands it back on the next turn without looking inside. The first
+prediction of a game is a fresh _target_rows walk; every later one updates
+the last rows: it drops the rows a new defense breaks and adds the chains
+that are new under the grants won since, which a walk given those grants
+yields and nothing else (chains._walk's via). plan_cut weighs each
 row by its chain count and either runs _hitting_set_exact over the rows'
 signatures or calls the shared _greedy with an infinite budget: hits per
 cost over chains is row weight per cost. An AttackChain is built only to
@@ -43,7 +47,7 @@ import sys
 from operator import itemgetter
 from typing import NamedTuple
 
-from .chains import AttackChain, _entry_grants, _resolve_targets, _walk, chain_from_edges
+from .chains import AttackChain, _chain_order, _entry_grants, _foothold, _resolve_targets, _walk, chain_from_edges
 from .config import DEFAULT_CONFIG, EngineConfig
 from .graphs import AttackGraph
 from .model import DefenseRecord, InfeasibleCutError, UnknownIdError
@@ -145,12 +149,8 @@ def plan_coverage(
     return _finish_plan(graph, chosen, len(survivors), survivors[: config.survivor_sample], True, uncovered)
 
 
-def _row_order(row) -> tuple:
-    return (len(row[0]), row[0])
-
-
-def _target_rows(graph: AttackGraph, entry, goal, blocked, config: EngineConfig, context=None) -> list[tuple]:
-    """(edge ids, signature, threat) per chain from entry to a goal object.
+def _target_rows(graph: AttackGraph, entry: int, goal, blocked, config: EngineConfig, context=None) -> list[tuple]:
+    """(edge ids, signature, threat) per chain from the entry grant mask to a goal object.
 
     In canonical (length, edge ids) order; the signature is the one the
     walk carries on each prefix. goal is a set of object ids, every object
@@ -159,20 +159,22 @@ def _target_rows(graph: AttackGraph, entry, goal, blocked, config: EngineConfig,
     context is the walk context a caller keeps across walks
     (chains._walk_context).
     """
-    found = [(p[0], p[8], p[7]) for p in _walk(graph, entry, goal, config, blocked, None, context)]
-    found.sort(key=_row_order)
+    found = [(p[0], p[8], p[7]) for p in _walk(graph, entry, goal, config, blocked, 0, context)]
+    found.sort(key=_chain_order)
     return found
 
 
-def _next_rows(graph: AttackGraph, last, entry, mask: int, goal, blocked, config: EngineConfig) -> list[tuple]:
-    """_target_rows(graph, entry, goal, blocked, config), updated from an earlier turn's rows.
+def _respond(graph: AttackGraph, last, grants: int, applied: int, goal, blocked, budget: float, config: EngineConfig):
+    """The reactive defender's turn: (the defenses it picks within budget, its state for the next turn).
 
-    last = (grants, defense mask, rows, walk context): the rows _target_rows
-    gave for those grants under the attacks the defenses in that mask
-    neutralize, with the same goal and config, and the walk context that
-    the walks of the game share. mask is the defenses applied now, and
-    blocked the attacks they neutralize. Grants and defenses only grow
-    within a game, and the rows hold then for both:
+    grants is the mask of the attacker's grants, applied the mask of the
+    defenses applied so far and blocked the attacks they neutralize. last
+    is the state the previous turn of the same game returned, or None on
+    its first prediction. The state (grants, applied, rows, walk context)
+    holds the prediction's chain rows, the _target_rows of those grants to
+    goal under blocked, and the walk context every walk of the game shares.
+    The first prediction walks afresh. Later ones update the last rows,
+    which is exact because grants and defenses only grow within a game:
     - an old chain survives unless a new defense breaks it, which its
       signature tells;
     - a chain under the new grants either was valid under the old grants
@@ -180,20 +182,24 @@ def _next_rows(graph: AttackGraph, last, entry, mask: int, goal, blocked, config
       the new chains.
     So the kept rows and the added rows share no chain. The merged rows
     are sorted into canonical order, so _kernel sums the same weights in
-    the same order as after a fresh walk.
+    the same order as after a fresh walk. Fewer grants or defenses than
+    last time break that rule, and raise RuntimeError.
     """
-    grants, old_mask, rows, context = last
-    if not grants <= entry or old_mask & ~mask:
-        raise RuntimeError("chain rows can only be updated to more grants and more defenses")
-    new = mask & ~old_mask
-    found = [row for row in rows if not row[1] & new]
-    won = entry - grants
-    if won:
-        added = [(p[0], p[8], p[7]) for p in _walk(graph, entry, goal, config, blocked, won, context)]
-        if added:
-            found += added
-            found.sort(key=_row_order)
-    return found
+    if last is None:
+        context: dict = {}
+        found = _target_rows(graph, grants, goal, blocked, config, context)
+    else:
+        held, was_applied, rows, context = last
+        if held & ~grants or was_applied & ~applied:
+            raise RuntimeError("chain rows can only be updated to more grants and more defenses")
+        new = applied & ~was_applied
+        found = [row for row in rows if not row[1] & new]
+        if grants != held:
+            added = [(p[0], p[8], p[7]) for p in _walk(graph, grants, goal, config, blocked, grants & ~held, context)]
+            if added:
+                found += added
+                found.sort(key=_chain_order)
+    return _budget_choice(graph, budget, found, config)[0], (grants, applied, found, context)
 
 
 def _kernel(pairs) -> list[tuple[int, float]]:
@@ -212,7 +218,7 @@ def _kernel(pairs) -> list[tuple[int, float]]:
 
 
 def _budget_choice(graph: AttackGraph, budget: float, found, config: EngineConfig) -> tuple[tuple[str, ...], bool]:
-    """plan_budgeted's and the reactive defender's pick from _target_rows' list: (chosen ids, optimal).
+    """plan_budgeted's and the reactive defender's pick from a _target_rows list: (chosen ids, optimal).
 
     A chain weighs its total threat, or 1.0 under budget_objective "count".
     """
@@ -245,7 +251,7 @@ def plan_budgeted(
     goal = _resolve_targets(graph, (graph.doc.targets or None) if targets is None else targets)
     if not math.isfinite(budget) or budget < 0:
         raise ValueError(f"budget must be a finite non-negative number, got {budget!r}")
-    found = _target_rows(graph, entry, goal, frozenset(), config)
+    found = _target_rows(graph, _foothold(graph, entry)[0], goal, frozenset(), config)
     chosen, optimal = _budget_choice(graph, budget, found, config)
     mask = graph.defense_mask(chosen)
     survivors = [edges for edges, sig, _ in found if not sig & mask]
@@ -368,7 +374,8 @@ def plan_cut(
     if not goal:
         raise ValueError("plan_cut requires at least one target")
     entry = _entry_grants(graph, entry_grants)
-    found = _target_rows(graph, entry, goal, frozenset(), config)
+    mask = _foothold(graph, entry)[0]
+    found = _target_rows(graph, mask, goal, frozenset(), config)
     for edges, sig, _ in found:
         if not sig:
             raise InfeasibleCutError(
@@ -385,7 +392,7 @@ def plan_cut(
     # A hitting set of the chains leaves none of them, and edge removal
     # never creates chains; walking again under the neutralized attacks
     # checks both claims.
-    remaining = sum(1 for _ in _walk(graph, entry, goal, config, neutralized_attacks(graph, chosen)))
+    remaining = sum(1 for _ in _walk(graph, mask, goal, config, neutralized_attacks(graph, chosen)))
     if remaining:
         raise RuntimeError(f"cut verification failed: {remaining} chains survive after neutralization")
     return _finish_plan(graph, chosen, 0, (), optimal=exact)
@@ -436,12 +443,7 @@ class RiskRow(NamedTuple):
     min_chain_cost: float | None
 
     def as_dict(self) -> dict:
-        return {
-            "object": self.object,
-            "chain_count": self.chain_count,
-            "max_chain_threat": self.max_chain_threat,
-            "min_chain_cost": self.min_chain_cost,
-        }
+        return self._asdict()
 
 
 def risk_assess(
@@ -462,7 +464,7 @@ def risk_assess(
     stats: dict[str, list] = {}  # object id -> [count, max threat, min cost]
     doc = graph.doc
     if doc.entry_grants:
-        walk = _walk(graph, frozenset(doc.entry_grants), _resolve_targets(graph, None), config, frozenset())
+        walk = _walk(graph, _foothold(graph, doc.entry_grants)[0], _resolve_targets(graph, None), config, frozenset())
         for _, _, _, _, end, _, cost, threat, _ in walk:
             s = stats.get(end)
             if s is None:

@@ -10,22 +10,21 @@ on a target, runs out of attacks, or the turn limit expires. Every run is a
 pure function of (scenario, config): the RNG stream derives from the seed
 alone.
 
+The attacker's grants are one mask over AttackGraph.grant_bits
+(_Frontier.held), as the chain walk's are; a turn record decodes it.
+
 Within one game the attacker's grants and the neutralized attacks only
 grow. A chain is a walk, and the chains to a target only grow with the
 grants and only shrink with the defenses (Ammann, Wijesekera & Kaushik,
-CCS 2002). So run_game keeps the defender's last prediction, the grants,
-the applied defenses' mask and the chain rows, for the length of one game,
-and each later turn updates those rows (defense._next_rows) instead of
-walking every chain again, as incremental attack-graph analysis updates a
-graph after a change (Saha, CCS 2008): it walks only the chains the grants
-won since make new. The update gives the rows a fresh walk would, in the
-same order, so the plans are the same. The first prediction of a game is a
-full walk.
-
-The prediction also holds the game's walk context (chains._walk_context):
-the goal distances and step tables that every walk of the game shares
-while the blocked set stays the same. A turn that buys a defense grows the
-blocked set, and the next walk builds them again for it.
+CCS 2002). So the defender keeps its last prediction for the length of
+one game, and each later turn updates it instead of walking every chain
+again, as incremental attack-graph analysis updates a graph after a
+change (Saha, CCS 2008): it walks only the chains the grants won since
+make new. The update gives the rows a fresh walk would, in the same order,
+so the plans are the same. defense._respond owns that prediction: run_game
+keeps the state it returns and hands it back on the next turn, without
+reading it. The state also holds the game's walk context
+(chains._walk_context), which a turn that buys a defense renews.
 """
 
 from __future__ import annotations
@@ -36,7 +35,8 @@ from bisect import insort
 from typing import NamedTuple
 
 from .config import DEFAULT_CONFIG, _Checked, EngineConfig
-from .defense import _budget_choice, _next_rows, _target_rows, neutralized_attacks
+from .chains import _foothold
+from .defense import _respond, neutralized_attacks
 from .graphs import AttackGraph
 from .model import AttackRecord, ConfigError, EmptyEntryGrantsError, Grant, permission_problems
 
@@ -91,16 +91,7 @@ class GameConfig(_Checked, _GameFields):
         return self
 
     def as_dict(self) -> dict:
-        return {
-            "max_turns": self.max_turns,
-            "attacker_policy": self.attacker_policy,
-            "defender_policy": self.defender_policy,
-            "defender_budget_per_turn": self.defender_budget_per_turn,
-            "rng_seed": self.rng_seed,
-            "compromise_permissions": list(self.compromise_permissions)
-            if self.compromise_permissions is not None
-            else None,
-        }
+        return self._asdict()
 
 
 class TurnRecord(NamedTuple):
@@ -111,13 +102,7 @@ class TurnRecord(NamedTuple):
     grants: tuple[Grant, ...]
 
     def as_dict(self) -> dict:
-        return {
-            "turn": self.turn,
-            "attack": self.attack,
-            "detected": self.detected,
-            "defenses": list(self.defenses),
-            "grants": list(self.grants),
-        }
+        return self._asdict()
 
 
 class GameTrace(NamedTuple):
@@ -129,14 +114,7 @@ class GameTrace(NamedTuple):
     fired: tuple[str, ...]
 
     def as_dict(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "turns": [t.as_dict() for t in self.turns],
-            "attacker_cost": self.attacker_cost,
-            "defender_cost": self.defender_cost,
-            "turns_elapsed": self.turns_elapsed,
-            "fired": list(self.fired),
-        }
+        return {**self._asdict(), "turns": [t.as_dict() for t in self.turns]}
 
 
 class _Frontier:
@@ -145,22 +123,24 @@ class _Frontier:
     Each attack keeps a count of its unmet condition grants, and the
     graph's needed_by lists the attacks each grant is a condition of, so
     a new grant touches only those attacks instead of every attack in the
-    catalog.
+    catalog. held is the mask of the attacker's grants.
     """
 
-    def __init__(self, graph: AttackGraph, grants):
+    def __init__(self, graph: AttackGraph, grants: int):
         self.attacks = graph.attacks
         self.needed_by = graph.needed_by
+        self.grants_of = graph.grants_of
         self.unmet = {record.id: len(frozenset(record.condition)) for record in graph.sorted_attacks}
         self.ready = [aid for aid, n in self.unmet.items() if not n]  # ascending
-        self.held: set[Grant] = set()  # the attacker's grants
+        self.held = 0
         self.grant(grants)
 
-    def grant(self, grants) -> None:
-        """Add grants to those held, readying every attack whose last unmet need they meet."""
+    def grant(self, grants: int) -> None:
+        """Add a grant mask to the one held, readying every attack whose last unmet need a new bit meets."""
         unmet, ready = self.unmet, self.ready
-        for g in set(grants) - self.held:
-            self.held.add(g)
+        new = grants & ~self.held
+        self.held |= new
+        for g in self.grants_of(new):
             for aid in self.needed_by.get(g, ()):
                 unmet[aid] -= 1
                 if not unmet[aid]:
@@ -202,20 +182,17 @@ def run_game(
     targets = frozenset(doc.targets)
     permissions = frozenset(game.compromise_permissions) if game.compromise_permissions is not None else None
 
-    frontier = _Frontier(graph, doc.entry_grants)
-    grants = frontier.held
+    if _compromised(doc.entry_grants, targets, permissions):
+        return GameTrace(OUTCOME_COMPROMISED, (), 0.0, 0.0, 0, ())
+    frontier = _Frontier(graph, _foothold(graph, doc.entry_grants)[0])
     fired: list[str] = []
     neutralized: frozenset[str] = frozenset()
-    applied_defenses: set[str] = set()
-    last = None  # the defender's last prediction: (grants, defense mask, rows, walk context)
-    context: dict = {}  # the walk context every prediction of this game shares
+    applied = 0  # the mask of the defenses applied
+    last = None  # the defender's state, which only defense._respond reads
     detected_any = False
     attacker_cost = 0.0
     defender_cost = 0.0
     turns: list[TurnRecord] = []
-
-    if _compromised(grants, targets, permissions):
-        return GameTrace(OUTCOME_COMPROMISED, (), 0.0, 0.0, 0, ())
 
     outcome = OUTCOME_TURN_LIMIT
     for turn in range(1, game.max_turns + 1):
@@ -233,32 +210,29 @@ def run_game(
 
         fired.append(pick.id)
         attacker_cost += pick.cost
-        frontier.grant(pick.a_results)
+        edges = graph.by_attack.get(pick.id)  # an attack without results has no edges
+        frontier.grant(edges[0].result_mask if edges else 0)
         detected = rng.random() < pick.detect_prob
         detected_any = detected_any or detected
 
-        if _compromised(grants, targets, permissions):
+        # Grants held before the pick compromised nothing, or the game had ended.
+        if _compromised(pick.a_results, targets, permissions):
             outcome = OUTCOME_COMPROMISED
-            turns.append(TurnRecord(turn, pick.id, detected, (), tuple(sorted(grants))))
+            turns.append(TurnRecord(turn, pick.id, detected, (), graph.grants_of(frontier.held)))
             break
 
         new_defenses: tuple[str, ...] = ()
         if game.defender_policy == "reactive_cut" and detected_any:
-            held = frozenset(grants)
-            mask = graph.defense_mask(applied_defenses)
-            if last is None:
-                found = _target_rows(graph, held, targets, neutralized, config, context)
-            else:
-                found = _next_rows(graph, last, held, mask, targets, neutralized, config)
-            last = (held, mask, found, context)
-            chosen, _ = _budget_choice(graph, game.defender_budget_per_turn, found, config)
-            new_defenses = tuple(d for d in chosen if d not in applied_defenses)
+            chosen, last = _respond(
+                graph, last, frontier.held, applied, targets, neutralized, game.defender_budget_per_turn, config
+            )
+            new_defenses = tuple(d for d in chosen if not graph.defense_bits[d] & applied)
             if new_defenses:
-                applied_defenses.update(new_defenses)
+                applied |= graph.defense_mask(new_defenses)
                 defender_cost += sum(graph.defenses[d].cost for d in new_defenses)
-                neutralized = neutralized_attacks(graph, applied_defenses)
+                neutralized |= neutralized_attacks(graph, new_defenses)
 
-        turns.append(TurnRecord(turn, pick.id, detected, new_defenses, tuple(sorted(grants))))
+        turns.append(TurnRecord(turn, pick.id, detected, new_defenses, graph.grants_of(frontier.held)))
 
     return GameTrace(
         outcome=outcome,
@@ -292,13 +266,7 @@ class GameSummary(NamedTuple):
     mean_defender_cost: float
 
     def as_dict(self) -> dict:
-        return {
-            "runs": self.runs,
-            "outcomes": dict(sorted(self.outcomes.items())),
-            "mean_turns": self.mean_turns,
-            "mean_attacker_cost": self.mean_attacker_cost,
-            "mean_defender_cost": self.mean_defender_cost,
-        }
+        return self._asdict()
 
 
 def summarize(traces) -> GameSummary:

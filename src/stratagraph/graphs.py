@@ -252,10 +252,7 @@ def graphs_to_dict(graph: AttackGraph) -> dict:
 
     return {
         "base": {
-            "nodes": [
-                {"id": o.id, "layer": o.layer, "category": o.category, "label": o.label}
-                for o in sorted(doc.objects, key=lambda o: o.id)
-            ],
+            "nodes": [o._asdict() for o in sorted(doc.objects, key=lambda o: o.id)],
             "intra_edges": rel_list(base.intra_edges),
             "vertical_edges": rel_list(base.vertical_edges),
         },

@@ -105,7 +105,7 @@ class Grant(NamedTuple):
     permission: str
 
     def as_dict(self) -> dict:
-        return {"object": self.object, "permission": self.permission}
+        return self._asdict()
 
 
 class ObjectRecord(NamedTuple):
@@ -202,9 +202,4 @@ class Violation(NamedTuple):
         return (self.record_class, self.record_id, self.severity, self.message)
 
     def as_dict(self) -> dict:
-        return {
-            "severity": self.severity,
-            "record_class": self.record_class,
-            "record_id": self.record_id,
-            "message": self.message,
-        }
+        return self._asdict()

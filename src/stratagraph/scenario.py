@@ -239,32 +239,26 @@ def load_scenario(path: str | Path) -> ScenarioDoc:
 # --- serialization -----------------------------------------------------------
 
 def scenario_to_dict(doc: ScenarioDoc) -> dict:
-    """The scenario as data for canon.dumps. Grants stay Grants, which json.dumps would write as lists."""
+    """The scenario as data for canon.dumps, which writes a tuple as a list.
+
+    Records are their fields (_asdict), an attack without its entry_only
+    when that is false, and unknown keys are dropped. Grants stay Grants,
+    which json.dumps would write as lists.
+    """
     def attack(a: AttackRecord) -> dict:
-        out = {
-            "id": a.id,
-            "object": a.object,
-            "condition": list(a.condition),
-            "method": a.method,
-            "a_results": list(a.a_results),
-            "cost": a.cost,
-            "severity": a.severity,
-            "detect_prob": a.detect_prob,
-        }
-        if a.entry_only:
-            out["entry_only"] = True
+        out = a._asdict()
+        if not a.entry_only:
+            del out["entry_only"]
         return out
 
     return {
-        "objects": [{"id": o.id, "layer": o.layer, "category": o.category, "label": o.label} for o in doc.objects],
+        "objects": [o._asdict() for o in doc.objects],
         "relationships": [r.as_dict() for r in doc.relationships],
         "attacks": [attack(a) for a in doc.attacks],
-        "defenses": [
-            {"id": d.id, "cost": d.cost, "method": d.method, "d_results": list(d.d_results)} for d in doc.defenses
-        ],
-        "entry_grants": list(doc.entry_grants),
-        "targets": list(doc.targets),
-        "extensions": list(doc.extensions),
+        "defenses": [d._asdict() for d in doc.defenses],
+        "entry_grants": doc.entry_grants,
+        "targets": doc.targets,
+        "extensions": doc.extensions,
     }
 
 

@@ -681,7 +681,7 @@ def test_walk_and_successor_step_apply_the_same_rules(seed, coherent, semantics,
     cfg = EngineConfig(semantics=semantics, max_len=max_len, threat_agg=agg)
     # Unrestricted enumeration walks to every object.
     goal = frozenset(doc.targets) if to_goal else frozenset(o.id for o in doc.objects)
-    walked = list(chains_module._walk(graph, entry, goal, cfg, blocked))
+    walked = list(chains_module._walk(graph, chains_module._foothold(graph, entry)[0], goal, cfg, blocked))
     by_id = oracles.oracle_edges(doc)
     for edges, grants, fired, affected, end, pair, cost, threat, sig in walked:
         held = frozenset(graph.grants_of(grants)) | stray
@@ -763,8 +763,12 @@ def test_backward_search_gives_the_reference_distances(seed, coherent, to_goal, 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(chains_module, "_distance", spy)
         entry = frozenset(doc.entry_grants) | won
-        list(chains_module._walk(graph, entry, goal, EngineConfig(max_len=limit + 1), blocked, won))
-    (uncapped, dist), (cap, ahead) = searches
+        mask = chains_module._foothold(graph, entry)[0]
+        via = chains_module._foothold(graph, won)[0]
+        list(chains_module._walk(graph, mask, goal, EngineConfig(max_len=limit + 1), blocked, via))
+    # A via mask of 0 is a full walk, which runs no via search: nothing
+    # was won, and the reference via distances are then empty too.
+    (uncapped, dist), (cap, ahead) = searches if via else (*searches, (limit, {}))
     assert (uncapped, cap) == (None, limit)
     assert dist == oracles.reference_distances(doc, goal, blocked)
     assert ahead == oracles.reference_distances(doc, goal, blocked, won, limit)
@@ -789,8 +793,8 @@ def test_walk_tables_hold_plain_tuples(monkeypatch):
     for seed in range(40):
         doc = random_scenario(seed, max_objects=7, max_edges=14)
         graph = build_attack_graph(doc, build_base_graph(doc))
-        entry = frozenset(doc.entry_grants)
-        won = frozenset(sorted(graph.needed_by)[::2]) - entry
+        entry = chains_module._foothold(graph, doc.entry_grants)[0]
+        won = chains_module._foothold(graph, sorted(graph.needed_by)[::2])[0] & ~entry
         for goal in (frozenset(doc.targets), frozenset(o.id for o in doc.objects)):
             for semantics in ("accumulated", "strict"):
                 cfg = EngineConfig(semantics=semantics, max_len=4)

@@ -29,7 +29,7 @@ from stratagraph import canon
 from stratagraph.config import EngineConfig
 from stratagraph.model import DefenseRecord, Grant, ObjectRecord, ScenarioDoc
 from stratagraph import chains as chains_module
-from stratagraph.defense import _choose, _next_rows, _target_rows, chain_attacks, neutralized_attacks
+from stratagraph.defense import _choose, _hitting_set_exact, _respond, _target_rows, chain_attacks, neutralized_attacks
 
 import oracles
 from genscen import coherent_scenario, random_scenario
@@ -279,6 +279,28 @@ def test_cut_infeasible_raises(fixtures_dir):
     graph = build_attack_graph(doc, build_base_graph(doc))
     with pytest.raises(InfeasibleCutError):
         plan_cut(graph)
+
+
+def test_cut_safety_nets_raise_and_the_cli_reports_an_internal_error(toy5g, fixtures_dir, monkeypatch, capsys):
+    # Two checks guard plan_cut against its own faults. A row with no
+    # defense has no cover: plan_cut refuses such a chain before searching,
+    # so the search meeting one is a broken invariant. A cut that leaves a
+    # chain fails the walk after selection. Neither is an assert, so both
+    # hold under python -O, and the CLI reports either as an internal
+    # error (exit 4) without printing a plan.
+    import stratagraph.defense as defense_module
+    from stratagraph.cli import main
+
+    _, _, graph = toy5g
+    with pytest.raises(RuntimeError, match="hitting-set search found no cover"):
+        _hitting_set_exact(graph, [(0, 1.0)])
+    monkeypatch.setattr(defense_module, "_hitting_set_exact", lambda graph, rows: ())
+    with pytest.raises(RuntimeError, match=r"^cut verification failed: \d+ chains survive after neutralization$"):
+        plan_cut(graph)
+    assert main(["defend", "--scenario", str(fixtures_dir / "toy5g.scenario"), "--mode", "cut"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: cut verification failed: ") and err.count("\n") == 1
 
 
 def test_cut_greedy_still_cuts(toy5g, hitting_trio):
@@ -592,7 +614,7 @@ def test_a_doc_of_ints_prints_what_its_serialized_file_prints():
     to_goal=st.booleans(),
     data=st.data(),
 )
-def test_next_rows_equal_a_fresh_walk_at_every_step(seed, coherent, semantics, agg, max_len, to_goal, data):
+def test_defender_rows_equal_a_fresh_walk_at_every_step(seed, coherent, semantics, agg, max_len, to_goal, data):
     # Within a game the attacker's grants and the applied defenses only
     # grow, and the reactive defender updates its last rows instead of
     # walking afresh. At every step of such a sequence the update must give
@@ -603,6 +625,8 @@ def test_next_rows_equal_a_fresh_walk_at_every_step(seed, coherent, semantics, a
     # do. The via walk must also push back a prefix that has taken no new
     # step only where its end can still reach a goal through a via step:
     # every such push of every table it builds is checked by definition.
+    # Grant sets are masks inside the engine; a grant that has no bit is in
+    # no condition, so dropping it from a mask drops no chain.
     doc = coherent_scenario(seed) if coherent else random_scenario(seed, max_objects=6, max_edges=14)
     graph = build_attack_graph(doc, build_base_graph(doc))
     cfg = EngineConfig(semantics=semantics, max_len=max_len, threat_agg=agg)
@@ -622,10 +646,13 @@ def test_next_rows_equal_a_fresh_walk_at_every_step(seed, coherent, semantics, a
         stays.extend((to, room) for _, _, _, to, *_, stay, _ in table if stay)
         return table
 
+    def mask(grants):
+        return chains_module._foothold(graph, grants)[0]
+
     grants = frozenset(doc.entry_grants)
     applied = frozenset()
-    context = {}
-    last = (grants, 0, _target_rows(graph, grants, goal, frozenset(), cfg, context), context)
+    last = _respond(graph, None, mask(grants), 0, goal, frozenset(), 0.0, cfg)[1]
+    assert last[2] == _target_rows(graph, mask(grants), goal, frozenset(), cfg)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(chains_module, "_pending_table", spy)
         for _ in range(data.draw(st.integers(1, 5), label="turns")):
@@ -636,13 +663,14 @@ def test_next_rows_equal_a_fresh_walk_at_every_step(seed, coherent, semantics, a
                 applied = frozenset(defenses)
             elif defend == "some" and defenses:
                 applied |= data.draw(st.frozensets(st.sampled_from(defenses), max_size=2), label="defended")
-            mask = graph.defense_mask(applied)
+            applied_mask = graph.defense_mask(applied)
             blocked = neutralized_attacks(graph, applied)
             via = won - grants
             stays.clear()
-            rows = _next_rows(graph, last, grants | won, mask, goal, blocked, cfg)
+            state = _respond(graph, last, mask(grants | won), applied_mask, goal, blocked, 0.0, cfg)[1]
+            rows = state[2]
             grants |= won
-            assert rows == _target_rows(graph, grants, goal, blocked, cfg)
+            assert rows == _target_rows(graph, mask(grants), goal, blocked, cfg)
             for to, room in stays:
                 steps = oracles.reference_distance(doc, to, goal, blocked, via)
                 assert steps is not None and steps <= room, (to, room)
@@ -650,7 +678,7 @@ def test_next_rows_equal_a_fresh_walk_at_every_step(seed, coherent, semantics, a
                 event("rows changed")
             if defend == "all" and any(sig for _, sig, _ in last[2]):
                 event("every breakable old row broken")
-            last = (grants, mask, rows, context)
+            last = state
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -666,8 +694,9 @@ def test_next_rows_equal_a_fresh_walk_at_every_step(seed, coherent, semantics, a
 def test_via_walk_yields_exactly_the_new_chains(seed, coherent, semantics, agg, max_len, to_goal, data):
     # A walk given the grants won since an earlier walk yields the chains
     # that are valid now and invalid under the old grants, by replay, each
-    # once, and no other chain. So the rows _next_rows adds share no edge
-    # tuple with the rows it keeps, and it needs no dedup set to merge them.
+    # once, and no other chain. So the rows the defender's update adds
+    # share no edge tuple with the rows it keeps, and it needs no dedup set
+    # to merge them.
     doc = coherent_scenario(seed) if coherent else random_scenario(seed, max_objects=6, max_edges=14)
     graph = build_attack_graph(doc, build_base_graph(doc))
     cfg = EngineConfig(semantics=semantics, max_len=max_len, threat_agg=agg)
@@ -682,21 +711,24 @@ def test_via_walk_yields_exactly_the_new_chains(seed, coherent, semantics, agg, 
     blocked = neutralized_attacks(graph, applied)
     entry = old | won
 
-    walked = list(chains_module._walk(graph, entry, goal, cfg, blocked, won))
+    old_mask, won_mask = (chains_module._foothold(graph, grants)[0] for grants in (old, won))
+    # A via mask of 0 asks for a full walk: with nothing won no chain is
+    # new, and the defender walks no via walk then.
+    walked = list(chains_module._walk(graph, old_mask | won_mask, goal, cfg, blocked, won_mask)) if won_mask else []
     yielded = [p[0] for p in walked]
     for seq in yielded:
         assert oracles.replay(doc, edges, seq, semantics, entry) is not None, seq
         assert oracles.replay(doc, edges, seq, semantics, old) is None, seq
-    fresh = [p[0] for p in chains_module._walk(graph, entry, goal, cfg, blocked)]
+    fresh = [p[0] for p in chains_module._walk(graph, old_mask | won_mask, goal, cfg, blocked)]
     new = [seq for seq in fresh if oracles.replay(doc, edges, seq, semantics, old) is None]
     assert sorted(yielded) == sorted(new)
 
-    last = (old, 0, _target_rows(graph, old, goal, frozenset(), cfg), None)
+    last = _respond(graph, None, old_mask, 0, goal, frozenset(), 0.0, cfg)[1]
     kept = [row for row in last[2] if not row[1] & mask]
     added = [(p[0], p[8], p[7]) for p in walked]
     assert not {row[0] for row in kept} & {row[0] for row in added}
     merged = sorted(kept + added, key=lambda row: (len(row[0]), row[0]))
-    assert _next_rows(graph, last, entry, mask, goal, blocked, cfg) == merged
+    assert _respond(graph, last, old_mask | won_mask, mask, goal, blocked, 0.0, cfg)[1][2] == merged
     if yielded and len(yielded) < len(fresh):
         event("old and new chains")
 
@@ -720,22 +752,25 @@ def test_via_walk_keeps_a_chain_pending_through_a_won_grant_it_earned(semantics)
     old = frozenset({Grant("a", "read")})
     doc = ScenarioDoc(objects=objects, attacks=attacks, entry_grants=tuple(old), targets=("d",))
     graph = build_attack_graph(doc, build_base_graph(doc))
-    won = frozenset({Grant("b", "read"), Grant("c", "write")})
-    walk = chains_module._walk(graph, old | won, frozenset("d"), EngineConfig(semantics=semantics), frozenset(), won)
+    won = {Grant("b", "read"), Grant("c", "write")}
+    old_mask, won_mask = (chains_module._foothold(graph, grants)[0] for grants in (old, won))
+    cfg = EngineConfig(semantics=semantics)
+    walk = chains_module._walk(graph, old_mask | won_mask, frozenset("d"), cfg, frozenset(), won_mask)
     assert sorted(p[0] for p in walk) == [("atk1#0", "atk2#0", "atk3#0"), ("atk2#0", "atk3#0"), ("atk3#0",)]
 
 
-def test_next_rows_refuses_fewer_grants_or_defenses(toy5g):
+def test_defender_refuses_fewer_grants_or_defenses(toy5g):
     # The update is exact only when grants and defenses grow; anything else
     # is a broken invariant of the caller, refused even under python -O.
     _, _, graph = toy5g
     doc = graph.doc
-    entry = frozenset(doc.entry_grants)
+    entry = chains_module._foothold(graph, doc.entry_grants)[0]
     goal = frozenset(doc.targets)
-    won = entry | {Grant("APP1", "read")}
+    won = entry | graph.grant_bits[Grant("APP1", "read")]
+    assert won != entry
     rows = _target_rows(graph, won, goal, frozenset(), EngineConfig())
     with pytest.raises(RuntimeError):
-        _next_rows(graph, (won, 0, rows, None), entry, 0, goal, frozenset(), EngineConfig())
+        _respond(graph, (won, 0, rows, {}), entry, 0, goal, frozenset(), 1.0, EngineConfig())
     mask = graph.defense_mask(["D1"])
     with pytest.raises(RuntimeError):
-        _next_rows(graph, (entry, mask, rows, None), entry, 0, goal, frozenset(), EngineConfig())
+        _respond(graph, (entry, mask, rows, {}), entry, 0, goal, frozenset(), 1.0, EngineConfig())

@@ -20,7 +20,7 @@ from stratagraph import (
     summarize,
 )
 from stratagraph import canon
-from stratagraph.chains import AttackChain
+from stratagraph.chains import AttackChain, _foothold
 from stratagraph.cli import main
 from stratagraph.config import EngineConfig
 from stratagraph.defense import _budget_choice, _choose, _kernel, _target_rows, neutralized_attacks
@@ -248,7 +248,7 @@ def test_reactive_defender_enumerates_under_engine_semantics(toy5g, monkeypatch)
     seen = []
     real = defense_module._walk
 
-    def spy(graph, entry, goal, config, blocked, via=None, context=None):
+    def spy(graph, entry, goal, config, blocked, via=0, context=None):
         seen.append((config.semantics, via))
         return real(graph, entry, goal, config, blocked, via, context)
 
@@ -257,8 +257,8 @@ def test_reactive_defender_enumerates_under_engine_semantics(toy5g, monkeypatch)
     game = GameConfig(defender_policy="reactive_cut", defender_budget_per_turn=2.0)
     trace = run_game(graph, game, config=EngineConfig(semantics="strict"))
     assert seen and {semantics for semantics, _ in seen} == {"strict"}
-    assert seen[0][1] is None
-    later = [via for _, via in seen[1:]]
+    assert seen[0][1] == 0
+    later = [frozenset(graph.grants_of(via)) for _, via in seen[1:]]
     assert later and all(via for via in later)
     grants = [frozenset(t.grants) for t in trace.turns]
     assert set(later) <= {now - before for before, now in zip(grants, grants[1:])}
@@ -286,20 +286,23 @@ def test_reactive_defender_rows_equal_a_fresh_walk_on_every_turn(seed, semantics
     doc = doc._replace(entry_grants=entry, attacks=tuple(a._replace(detect_prob=1.0) for a in doc.attacks))
     graph = rebuild(doc)
     config = EngineConfig(semantics=semantics, max_len=4)
-    real = game_module._next_rows
+    real = game_module._respond
     updates = []
 
-    def check(graph, last, entry, mask, goal, blocked, config):
-        rows = real(graph, last, entry, mask, goal, blocked, config)
+    def check(graph, last, grants, mask, goal, blocked, budget, config):
+        chosen, state = real(graph, last, grants, mask, goal, blocked, budget, config)
+        if last is None:  # the first prediction walks afresh
+            return chosen, state
+        rows = state[2]
         applied = [d.id for d in graph.sorted_defenses if mask & graph.defense_bits[d.id]]
         assert blocked == neutralized_attacks(graph, applied)
-        assert rows == _target_rows(graph, entry, goal, blocked, config)
+        assert rows == _target_rows(graph, grants, goal, blocked, config)
         updates.append(rows)
-        return rows
+        return chosen, state
 
     game = GameConfig(max_turns=8, attacker_policy=policy, defender_policy="reactive_cut", defender_budget_per_turn=budget)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(game_module, "_next_rows", check)
+        patch.setattr(game_module, "_respond", check)
         run_batch(graph, game, 2, config)
     if updates:
         event("rows updated")
@@ -324,7 +327,7 @@ def test_reactive_defender_keeps_its_walk_context_while_the_blocked_set_holds(mo
         chains_module._step_table,
         chains_module._pending_table,
     )
-    real_target, real_next = game_module._target_rows, game_module._next_rows
+    real_respond = game_module._respond
     distances = []  # the blocked set of every goal search
     pending = []  # (full, room, opened, ahead, table) of every pending table built
     blocked_sets = []  # the blocked set of every walk
@@ -342,27 +345,25 @@ def test_reactive_defender_keeps_its_walk_context_while_the_blocked_set_holds(mo
         pending.append((full, room, opened, ahead, table))
         return table
 
-    def spy_target(graph, entry, goal, blocked, config, context=None):
-        blocked_sets.append(blocked)
-        return real_target(graph, entry, goal, blocked, config, context)
-
-    def spy_next(graph, last, entry, mask, goal, blocked, config):
+    def spy_respond(graph, last, grants, applied, goal, blocked, budget, config):
         nonlocal checked
         pending.clear()
-        rows = real_next(graph, last, entry, mask, goal, blocked, config)
-        if entry == last[0]:  # nothing won, nothing walked
+        out = real_respond(graph, last, grants, applied, goal, blocked, budget, config)
+        if last is None:  # the first prediction, a full walk
+            blocked_sets.append(blocked)
+            return out
+        if grants == last[0]:  # nothing won, nothing walked
             assert not pending
-            return rows
+            return out
         blocked_sets.append(blocked)
         ((key, (dist, tables)),) = last[3].items()
         assert key == (goal, blocked)
         assert dist == oracles.reference_distances(graph.doc, goal, blocked)
         where = {id(table): at for at, table in tables.items()}
-        won = entry - last[0]
+        won = set(graph.grants_of(grants & ~last[0]))
         opened = {f"{a.id}#{i}" for a in graph.doc.attacks if won & set(a.condition) for i in range(len(a.a_results))}
         ahead = oracles.reference_distances(graph.doc, goal, blocked, won, config.max_len - 1)
-        entry_mask = chains_module._foothold(graph, entry)[0]
-        enabled = [e for e in graph.edges if e.need_mask & entry_mask == e.need_mask]
+        enabled = [e for e in graph.edges if e.need_mask & grants == e.need_mask]
         for full, room, got_opened, got_ahead, table in pending:
             assert (got_opened, got_ahead) == (opened, ahead)
             if room == config.max_len - 1:  # the empty chain's, built per walk and never kept
@@ -379,12 +380,11 @@ def test_reactive_defender_keeps_its_walk_context_while_the_blocked_set_holds(mo
                 if edge[0] in opened or stays[edge[0]]
             ]
             checked += 1
-        return rows
+        return out
 
     monkeypatch.setattr(chains_module, "_distance", spy_search)
     monkeypatch.setattr(chains_module, "_pending_table", spy_pending)
-    monkeypatch.setattr(game_module, "_target_rows", spy_target)
-    monkeypatch.setattr(game_module, "_next_rows", spy_next)
+    monkeypatch.setattr(game_module, "_respond", spy_respond)
     walks = searches = 0
     for seed in range(100):
         doc = random_scenario(seed, max_objects=8, max_edges=24)
@@ -437,7 +437,7 @@ def test_target_rows_plan_like_the_per_chain_kernel(seed, objective, limit, non_
         graph, targets=doc.targets, config=config, blocked_attacks=blocked, entry_grants=foothold
     )
     goal = frozenset(doc.targets)
-    found = _target_rows(graph, foothold, goal, blocked, config)
+    found = _target_rows(graph, _foothold(graph, foothold)[0], goal, blocked, config)
     signatures = [oracles.chain_signature(doc, c.edges) for c in chains]
     assert found == [(c.edges, sig, c.total_threat) for c, sig in zip(chains, signatures)]
     weights = [1.0 if objective == "count" else c.total_threat for c in chains]
@@ -491,7 +491,7 @@ def test_frontier_lists_the_attacks_a_full_scan_finds(seed, data):
     doc = random_scenario(seed, max_objects=6, max_edges=16)
     graph = rebuild(doc)
     grants = set(doc.entry_grants)
-    frontier = _Frontier(graph, grants)
+    frontier = _Frontier(graph, _foothold(graph, grants)[0])
     fired: list[str] = []
     neutralized: frozenset[str] = frozenset()
     producible = sorted({g for a in doc.attacks for g in a.a_results})
@@ -512,6 +512,6 @@ def test_frontier_lists_the_attacks_a_full_scan_finds(seed, data):
         else:
             won = data.draw(st.lists(st.sampled_from(producible), max_size=2), label="won")
         grants.update(won)
-        frontier.grant(won)
+        frontier.grant(_foothold(graph, won)[0])
         neutralized |= data.draw(st.frozensets(st.sampled_from(sorted(graph.attacks)), max_size=2), label="defended")
-        assert frontier.held == grants
+        assert graph.grants_of(frontier.held) == tuple(sorted(grants))

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -314,6 +316,103 @@ def test_round_trip_drops_unknown_keys():
     again = parse_scenario(serialize_scenario(doc))
     assert again != doc
     assert again == doc._replace(unknown_keys=())
+
+
+def test_diff_ref_writes_fault_docs_that_parse_back(toy5g):
+    # tools/diff_ref.py writes each semantic fault doc with json.dumps, which
+    # writes a Grant as a list unless the tool turns it into its dict first;
+    # a doc that fails to parse would make every command on it a parse error
+    # on both sides, and the comparison would check nothing. repr compares
+    # the NaN and -0.0 fields the faults hold.
+    spec = importlib.util.spec_from_file_location("diff_ref", Path(__file__).parent.parent / "tools" / "diff_ref.py")
+    diff_ref = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(diff_ref)
+    doc, _, _ = toy5g
+    docs = [mutate(doc) for mutate, _ in faults.VALIDATION_RULES.values()]
+    docs.append(faults.edit(faults.repeated_bad_tokens(doc), "attacks", 2, severity=math.nan, cost=-0.0))
+    for fault in docs:
+        assert repr(parse_scenario(diff_ref.scenario_text(fault))) == repr(fault)
+
+
+def test_serialized_bytes_of_a_small_doc():
+    # The round-trip tests cannot see what the serializer leaves out: an
+    # attack that is not entry_only must be written without the key, an
+    # entry_only one with it, and every record field once. No fixture holds
+    # an entry_only attack, so the bytes are pinned here.
+    doc = parse_scenario(
+        '{"objects": [{"id": "ue", "layer": "physical", "category": "x-probe", "label": "handset"}],'
+        ' "attacks": [{"id": "a1", "object": "ue", "a_results": [{"object": "ue", "permission": "read"}],'
+        ' "entry_only": true}, {"id": "a2", "object": "ue", "condition": [{"object": "ue", "permission": "read"}],'
+        ' "a_results": [{"object": "ue", "permission": "write"}], "cost": 2.5}],'
+        ' "entry_grants": [{"object": "ue", "permission": "execute"}], "targets": ["ue"], "extensions": ["x-probe"]}'
+    )
+    assert serialize_scenario(doc) == textwrap.dedent(
+        """\
+    {
+      "attacks": [
+        {
+          "a_results": [
+            {
+              "object": "ue",
+              "permission": "read"
+            }
+          ],
+          "condition": [],
+          "cost": 1,
+          "detect_prob": 1,
+          "entry_only": true,
+          "id": "a1",
+          "method": "",
+          "object": "ue",
+          "severity": 1
+        },
+        {
+          "a_results": [
+            {
+              "object": "ue",
+              "permission": "write"
+            }
+          ],
+          "condition": [
+            {
+              "object": "ue",
+              "permission": "read"
+            }
+          ],
+          "cost": 2.5,
+          "detect_prob": 1,
+          "id": "a2",
+          "method": "",
+          "object": "ue",
+          "severity": 1
+        }
+      ],
+      "defenses": [],
+      "entry_grants": [
+        {
+          "object": "ue",
+          "permission": "execute"
+        }
+      ],
+      "extensions": [
+        "x-probe"
+      ],
+      "objects": [
+        {
+          "category": "x-probe",
+          "id": "ue",
+          "label": "handset",
+          "layer": "physical"
+        }
+      ],
+      "relationships": [],
+      "targets": [
+        "ue"
+      ]
+    }
+    """
+    )
+    assert parse_scenario(serialize_scenario(doc)) == doc
 
 
 def test_leftover_vulnerability_catalog_is_an_unknown_key(fixtures_dir):

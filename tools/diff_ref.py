@@ -59,6 +59,11 @@ Inputs, all generated from this checkout:
   `Grant` order. Each runs `chains` (to the targets, `--unrestricted`,
   `min_cost` and `max_threat`), `risk`, `defend` (cut, budget, and
   coverage of a given chain) and a reactive `simulate`;
+- reactive games on one scenario written here (`compromise_commands`),
+  under both semantics, in JSON and in text: its entry grants already hold
+  a permission on its target, so the game ends before turn 1, and under
+  `--compromise-permission write` the winning attack grants again a grant
+  held on the target together with the one that wins;
 - explicit chains (`coverage_commands`): `defend --mode coverage --chain`
   on toy5g and on the reactive-sim-M bench workload at seed 1, with a
   valid chain, the same chain without its second edge (its replay stops
@@ -434,6 +439,47 @@ def grant_bit_commands(inputs: Path) -> list[list[str]]:
     return commands
 
 
+def compromise_commands(inputs: Path) -> list[list[str]]:
+    """Reactive games that end on an entry grant, or on a pick that grants again a grant held on the target.
+
+    The doc's entry grants hold `n2`'s read and `n2` is its target, so any
+    permission ends the game before its first turn. Under
+    `--compromise-permission write` the game is played: `z2` grants `n2`'s
+    read, held since the entry, together with its write, which wins.
+    """
+    from stratagraph.model import AttackRecord, DefenseRecord, Grant, ObjectRecord, RelationshipEdge, ScenarioDoc
+    from stratagraph.scenario import serialize_scenario
+
+    def attack(aid, obj, condition, results, cost, detect_prob):
+        need, got = (tuple(Grant(*g) for g in grants) for grants in (condition, results))
+        return AttackRecord(aid, obj, need, "", got, float(cost), 2.0, detect_prob)
+
+    doc = ScenarioDoc(
+        objects=tuple(ObjectRecord(f"n{k}", "service", "os") for k in range(4)),
+        relationships=tuple(RelationshipEdge(f"n{a}", f"n{b}", "peer") for a, b in ((0, 1), (1, 2), (0, 3), (3, 2))),
+        attacks=(
+            attack("z1", "n0", [("n0", "execute")], [("n1", "read")], 1, 0.5),
+            attack("z2", "n1", [("n1", "read")], [("n2", "read"), ("n2", "write")], 2, 0.5),
+            attack("z3", "n0", [("n0", "execute")], [("n3", "execute")], 1, 0.9),
+            attack("z4", "n3", [("n3", "execute")], [("n2", "write")], 3, 0.9),
+        ),
+        defenses=(DefenseRecord("d1", 1.0, "", ("z3",)), DefenseRecord("d2", 3.0, "", ("z2", "z4"))),
+        entry_grants=(Grant("n0", "execute"), Grant("n2", "read")),
+        targets=("n2",),
+    )
+    path = inputs / "compromise.scenario"
+    path.write_text(serialize_scenario(doc), encoding="utf-8")
+    commands = []
+    for semantics in ("accumulated", "strict"):
+        game = [
+            "simulate", "--scenario", str(path), "--semantics", semantics, "--defender", "reactive_cut",
+            "--budget-per-turn", "1", "--runs", "4", "--attacker", "random",
+        ]
+        for fmt in ("json", "text"):
+            commands += [[*game, "--format", fmt], [*game, "--compromise-permission", "write", "--format", fmt]]
+    return commands
+
+
 def coverage_commands(inputs: Path) -> list[list[str]]:
     """`defend --mode coverage --chain` runs: each chain is replayed edge by edge, then covered."""
     from stratagraph import ChainObjective, build_attack_graph, build_base_graph, load_scenario, search_chain
@@ -542,9 +588,16 @@ def _plain(value):
         return value.as_dict()
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     return value
+
+
+def scenario_text(doc) -> str:
+    """doc as json.dumps writes it, unknown keys included, so that parse_scenario reads doc back."""
+    from stratagraph.scenario import scenario_to_dict
+
+    return json.dumps({**_plain(scenario_to_dict(doc)), **dict.fromkeys(doc.unknown_keys, 1)}, indent=1) + "\n"
 
 
 def semantic_commands(inputs: Path) -> list[list[str]]:
@@ -557,7 +610,6 @@ def semantic_commands(inputs: Path) -> list[list[str]]:
     from faults import VALIDATION_RULES, edit, repeated_bad_tokens
 
     from stratagraph import load_scenario
-    from stratagraph.scenario import scenario_to_dict
 
     toy = load_scenario(ROOT / "tests" / "fixtures" / "toy5g.scenario")
     docs = {name.replace(" ", "-"): mutate(toy) for name, (mutate, _) in VALIDATION_RULES.items()}
@@ -568,9 +620,8 @@ def semantic_commands(inputs: Path) -> list[list[str]]:
     docs["repeated-tokens-and-numbers"] = edit(edit(doc, "defenses", 1, cost=-math.inf), "defenses", 2, cost=-0.0)
     commands = []
     for name, doc in docs.items():
-        data = {**_plain(scenario_to_dict(doc)), **dict.fromkeys(doc.unknown_keys, 1)}
         path = str(inputs / f"semantic-{name}.scenario")
-        Path(path).write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
+        Path(path).write_text(scenario_text(doc), encoding="utf-8")
         commands += [["validate", "--scenario", path, "--format", fmt] for fmt in ("json", "text")]
         commands.append(["chains", "--scenario", path])
     return commands
@@ -666,7 +717,8 @@ def main(argv=None) -> int:
         inputs.mkdir()
         commands = bench_commands(inputs) + genscen_commands(inputs) + large_number_commands(inputs)
         commands += signed_zero_commands(inputs) + fixture_commands(inputs)
-        commands += long_limit_commands(inputs) + grant_bit_commands(inputs) + coverage_commands(inputs)
+        commands += long_limit_commands(inputs) + grant_bit_commands(inputs) + compromise_commands(inputs)
+        commands += coverage_commands(inputs)
         commands += branch_commands(inputs)
         commands += serializer_commands(inputs) + shape_commands(inputs) + semantic_commands(inputs)
         commands += error_commands(inputs) + package_commands(inputs)
