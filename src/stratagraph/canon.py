@@ -24,11 +24,14 @@ thousands of grant entries but a few dozen distinct grants, and the
 indentation of a grant's text depends on its depth. The memos live for
 one call. Leaves of the exact built-in types str, Grant, float and int
 take an inline path in both the list loop and the dict-value loop, with
-no call per leaf; every other value (None, a bool, a container, a
-subclass such as a str or int subclass) goes through one render call and
-renders as its base type. Values that are equal as dict keys but print
-apart never share a memo entry: floats have their own memo (1 == 1.0 ==
-True), and only a grant of two exact strs is memoised.
+no call per leaf, and so do the containers a chain set nests: an exact
+list or tuple as a dict value and an exact dict as a list item go
+straight to the container loop. Every other value (None, a bool, any
+other container, a subclass such as a str, int or list subclass) goes
+through one render call and renders as its base type; a named tuple is
+the one tuple subclass refused there. Values that are equal as dict keys
+but print apart never share a memo entry: floats have their own memo (1
+== 1.0 == True), and only a grant of two exact strs is memoised.
 """
 
 from __future__ import annotations
@@ -93,15 +96,18 @@ def dumps(value) -> str:
             append(str(value))
         elif isinstance(value, float):
             append(format_float(value))
-        elif isinstance(value, (dict, list, tuple)):
+        elif isinstance(value, (dict, list)) or isinstance(value, tuple) and not hasattr(value, "_fields"):
             render_container(value, level)
         else:
+            # A named tuple other than a Grant is a record: render its
+            # as_dict(). No other type has a canonical form.
             raise TypeError(f"cannot render {type(value).__name__} canonically")
 
     def render_container(value, level: int) -> None:
-        # Both loops below take each leaf of an exact built-in type inline:
-        # a call per leaf costs more than the rest of the loop. Any other
-        # item goes through render().
+        # Both loops below take each leaf of an exact built-in type inline,
+        # and each exact container a chain set nests there: a call per item
+        # costs more than the rest of the loop. Any other item goes through
+        # render().
         if level == len(levels):
             add_level()
         sep, open_list, close_list, open_dict, close_dict, grants = levels[level]
@@ -139,13 +145,12 @@ def dumps(value) -> str:
                     append(out)
                 elif kind is int:
                     append(int.__repr__(item))
+                elif kind is list or kind is tuple:
+                    render_container(item, level + 1)
                 else:
                     render(item, level + 1)
             append(close_dict)
             return
-        if hasattr(value, "_fields"):
-            # A named tuple other than a Grant is a record; render its as_dict().
-            raise TypeError(f"cannot render {type(value).__name__} canonically")
         if not value:
             append("[]")
             return
@@ -169,6 +174,8 @@ def dumps(value) -> str:
                 append(out)
             elif kind is int:
                 append(int.__repr__(item))
+            elif kind is dict:
+                render_container(item, level + 1)
             else:
                 render(item, level + 1)
         append(close_list)

@@ -58,15 +58,17 @@ to 0.39 s, the fused loop to 0.32-0.34 s. tests/test_chains.py pins the
 two rule sites to each other.
 
 The walk's readers build an AttackChain only for a chain they print:
-- `enumerate_chains` packages each prefix and sorts the chains into
-  canonical (length, edge ids) order; `search_chain` under `max_threat`
-  packages only its winner;
+- `enumerate_chains` packages each prefix, decoding each distinct grant
+  mask once, and puts the chains into canonical (length, edge ids) order;
+  `search_chain` under `max_threat` packages only its winner;
 - `defense.risk_assess` keeps each end object's chain count, maximum
   threat and minimum cost;
 - `defense._target_rows`, the row source of both planners and the
-  reactive defender, keeps each chain's edge ids, signature and threat;
-  `_chain_order` is the one canonical (length, edge ids) key of chains and
-  of those rows alike.
+  reactive defender, keeps each chain's edge ids, signature and threat.
+`_canonical` puts chains and those rows alike into canonical order: it
+groups them by length and sorts each group with no key, since their edge
+ids come first and are never shared. Grant bits follow Grant order
+(graphs.py), so a decoded mask is sorted already.
 
 Every walk goes to a goal set; unrestricted enumeration takes every
 object as a goal. The walk prunes by backward reachability. A reverse
@@ -169,10 +171,22 @@ class PotentialChain(NamedTuple):
         }
 
 
-def _chain_order(item) -> tuple:
-    """The canonical (length, edge ids) key of a chain or of a planner row, whose edge ids come first."""
-    edges = item[0]
-    return (len(edges), edges)
+def _canonical(items) -> list:
+    """items, chains or planner rows whose edge ids come first, in canonical (length, edge ids) order.
+
+    The items are grouped by edge count, and each group sorts in natural
+    tuple order: no two items share their edge ids, so the edge ids alone
+    decide each comparison, and the sort calls no key function.
+    """
+    groups: dict[int, list] = {}
+    for item in items:
+        groups.setdefault(len(item[0]), []).append(item)
+    out = []
+    for n in sorted(groups):
+        group = groups[n]
+        group.sort()
+        out += group
+    return out
 
 
 def _entry_grants(graph: AttackGraph, entry_grants) -> frozenset[Grant]:
@@ -621,8 +635,7 @@ def enumerate_chains(
         if final is None:
             final = decoded[grants] = _decode(graph, grants, extra)
         results.append(AttackChain(edges, cost, threat, final))
-    results.sort(key=_chain_order)
-    return tuple(results)
+    return tuple(_canonical(results))
 
 
 def search_chain(

@@ -47,7 +47,7 @@ import sys
 from operator import itemgetter
 from typing import NamedTuple
 
-from .chains import AttackChain, _chain_order, _entry_grants, _foothold, _resolve_targets, _walk, chain_from_edges
+from .chains import AttackChain, _canonical, _entry_grants, _foothold, _resolve_targets, _walk, chain_from_edges
 from .config import DEFAULT_CONFIG, EngineConfig
 from .graphs import AttackGraph
 from .model import DefenseRecord, InfeasibleCutError, UnknownIdError
@@ -159,9 +159,7 @@ def _target_rows(graph: AttackGraph, entry: int, goal, blocked, config: EngineCo
     context is the walk context a caller keeps across walks
     (chains._walk_context).
     """
-    found = [(p[0], p[8], p[7]) for p in _walk(graph, entry, goal, config, blocked, 0, context)]
-    found.sort(key=_chain_order)
-    return found
+    return _canonical((p[0], p[8], p[7]) for p in _walk(graph, entry, goal, config, blocked, 0, context))
 
 
 def _respond(graph: AttackGraph, last, grants: int, applied: int, goal, blocked, budget: float, config: EngineConfig):
@@ -197,8 +195,7 @@ def _respond(graph: AttackGraph, last, grants: int, applied: int, goal, blocked,
         if grants != held:
             added = [(p[0], p[8], p[7]) for p in _walk(graph, grants, goal, config, blocked, grants & ~held, context)]
             if added:
-                found += added
-                found.sort(key=_chain_order)
+                found = _canonical(found + added)
     return _budget_choice(graph, budget, found, config)[0], (grants, applied, found, context)
 
 

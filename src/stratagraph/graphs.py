@@ -11,14 +11,15 @@ record and the defense index (the masks of its attack's condition and
 results, the defense mask, entry_only and the bit of the pair it grants),
 and the two bits the walk's other masks are made of: its to object's bit,
 objects in base.layers order, and its attack's bit, attacks in doc.attacks
-order. Each grant of the doc has one bit (grant_bits), in first-seen
-order: the entry grants first, then each attack's condition and results in
-record order; grants_of decodes a mask back to its sorted grants. Its
-cost, severity and detect_prob are floats, as parse_scenario makes them,
-also when a doc built by hand holds ints, so every total summed from them
-is a float. All are filled once when the graph is built, so the chain walk
-reads one edge and nothing else (see chains.py). Two indexes are built on
-first use, once per graph: `needed_by` maps each grant to the ids of the
+order. Each grant the doc names (entry grants, conditions and results)
+has one bit (grant_bits), in Grant order, so grants_of decodes a mask to
+its sorted grants by reading its bits from low to high, with no sort, and
+record order never sets a grant bit. An edge's cost, severity and
+detect_prob are floats, as parse_scenario makes them, also when a doc
+built by hand holds ints, so every total summed from them is a float.
+All are filled once when the graph is built, so the chain walk reads one
+edge and nothing else (see chains.py). Two indexes are built on first
+use, once per graph: `needed_by` maps each grant to the ids of the
 attacks whose condition holds it, and the reactive defender finds through
 it the steps a newly won grant opens, while the game readies through it
 the attacks a grant completes; `same_category_attacks` groups the catalog
@@ -29,6 +30,7 @@ suggestions from it.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -99,7 +101,7 @@ class _AttackGraphFields(NamedTuple):
     sorted_defenses: tuple[DefenseRecord, ...]  # by id
     defense_bits: dict[str, int]  # defense id -> its single bit
     attack_defenses: dict[str, int]  # attack id -> mask of the defenses neutralizing it
-    # Grant sets are bitmasks in first-seen order: bit k is grants_by_bit[k].
+    # Grant sets are bitmasks in Grant order: bit k is grants_by_bit[k], which is sorted.
     grants_by_bit: tuple[Grant, ...]
     grant_bits: dict[Grant, int]  # grant -> its single bit
 
@@ -139,14 +141,13 @@ class AttackGraph(_AttackGraphFields):
         return {oid: shared.get(c, ()) for oid, c in category.items()}
 
     def grants_of(self, mask: int) -> tuple[Grant, ...]:
-        """The grants whose bits mask holds, in Grant order."""
+        """The grants whose bits mask holds, in Grant order: bits low to high, as grants_by_bit is sorted."""
         grants = self.grants_by_bit
         out = []
         while mask:
             low = mask & -mask
             out.append(grants[low.bit_length() - 1])
             mask ^= low
-        out.sort()
         return tuple(out)
 
     def edge(self, edge_id: str) -> AttackEdge:
@@ -194,23 +195,22 @@ def build_attack_graph(doc: ScenarioDoc, base: HierarchicalGraph) -> AttackGraph
         for aid in d.d_results:
             attack_defenses[aid] |= defense_bits[d.id]
     object_bits = {oid: 1 << k for k, oid in enumerate(base.layers)}
-    grant_bits = {g: 1 << k for k, g in enumerate(dict.fromkeys(doc.entry_grants))}
+    attacks = doc.attacks
+    named = set(doc.entry_grants)
+    named.update(chain.from_iterable(map(attrgetter("condition"), attacks)))
+    named.update(chain.from_iterable(map(attrgetter("a_results"), attacks)))
+    grants_by_bit = tuple(sorted(named))
+    grant_bits = {g: 1 << k for k, g in enumerate(grants_by_bit)}
     edges = []
     make = AttackEdge._make
-    for k, (aid, obj, condition, _, a_results, cost, severity, detect_prob, entry_only) in enumerate(doc.attacks):
-        # Grant bits are given inline: this loop is most of a topology-L
-        # build, and a helper would add a call per attack to it.
+    for k, (aid, obj, condition, _, a_results, cost, severity, detect_prob, entry_only) in enumerate(attacks):
+        # Masks are ORed inline: this loop is most of a topology-L build,
+        # and a helper would add a call per attack to it.
         need = gained = 0
         for g in condition:
-            bit = grant_bits.get(g)
-            if bit is None:
-                bit = grant_bits[g] = 1 << len(grant_bits)
-            need |= bit
+            need |= grant_bits[g]
         for g in a_results:
-            bit = grant_bits.get(g)
-            if bit is None:
-                bit = grant_bits[g] = 1 << len(grant_bits)
-            gained |= bit
+            gained |= grant_bits[g]
         shared = (float(cost), float(severity), float(detect_prob), need, gained, attack_defenses[aid], entry_only)
         attack_bit = 1 << k
         for i, result in enumerate(a_results):
@@ -237,7 +237,7 @@ def build_attack_graph(doc: ScenarioDoc, base: HierarchicalGraph) -> AttackGraph
         sorted_defenses=sorted_defenses,
         defense_bits=defense_bits,
         attack_defenses=attack_defenses,
-        grants_by_bit=tuple(grant_bits),
+        grants_by_bit=grants_by_bit,
         grant_bits=grant_bits,
     )
 

@@ -22,6 +22,18 @@ class Int(int):
     pass
 
 
+class Dict(dict):
+    pass
+
+
+class List(list):
+    pass
+
+
+class Tuple(tuple):
+    pass
+
+
 Pair = namedtuple("Pair", "left right")
 
 SPECIAL_FLOATS = (0.0, -0.0, 1e-7, 1e21, 0.1, 123456789.0, float("nan"), float("inf"), float("-inf"))
@@ -115,6 +127,14 @@ def outcome(render, value):
 @example({"a": GRANT, "b": [GRANT], "c": [[GRANT]]})
 @example([{"k": GRANT}, [GRANT]])  # one depth, reached from a dict value and from a list item
 @example([Str("x"), "x"])
+# An exact list or tuple as a dict value and an exact dict as a list item
+# skip render(); a subclass of each still goes through it, and renders as
+# its base type, while a named tuple in either place is refused.
+@example({"p": Pair(1, 2)})
+@example([Pair(1, 2)])
+@example([Dict(a=[1, "x"]), {"b": (2.5,)}])
+@example({"l": List([1, GRANT]), "t": Tuple(("x", -0.0)), "e": List(), "u": Tuple()})
+@example({"l": [[], ()], "t": ({}, [GRANT])})
 def test_dumps_matches_reference_renderer(value):
     # A Grant renders as its as_dict(); the reference renderer sees that dict.
     expected = outcome(reference_dumps, plain(value))

@@ -24,6 +24,7 @@ from stratagraph import (
 )
 from stratagraph import chains as chains_module
 from stratagraph.config import EngineConfig
+from stratagraph.defense import _target_rows, neutralized_attacks
 from stratagraph.graphs import AttackGraph
 from stratagraph.model import Grant
 
@@ -142,10 +143,12 @@ def test_bit_indexes_give_each_object_and_attack_its_own_bit(toy5g):
     # attack_bit, so each object and each attack must have one bit of its
     # own, 1 << its place in base.layers or doc.attacks, and every edge into
     # an object or of an attack must carry that bit. Its grant masks are ORs
-    # of grant bits, so each grant the doc names must have one bit of its
-    # own, 1 << its place in first-seen order (entry grants, then each
-    # attack's condition and results), which grants_of decodes back, and
-    # every edge's need, result and pair masks must be ORs of those bits.
+    # of grant bits, so each grant the doc names (entry grants, conditions
+    # and results) must have one bit of its own, 1 << its place in Grant
+    # order, which grants_of decodes back, and every edge's need, result
+    # and pair masks must be ORs of those bits. grants_of reads a mask's
+    # bits from low to high and does not sort, so grants_by_bit must
+    # strictly ascend, also on the bench skeletons (48 to 400 objects).
     # The object and attack bits are edge fields, so the graph builds no
     # side table for them: its only lazily built indexes are needed_by and
     # same_category_attacks.
@@ -157,7 +160,10 @@ def test_bit_indexes_give_each_object_and_attack_its_own_bit(toy5g):
     for seed in range(30):
         doc = random_scenario(seed, max_objects=7, max_edges=14)
         graphs.append(build_attack_graph(doc, build_base_graph(doc)))
+    graphs += [build_attack_graph(doc, build_base_graph(doc)) for doc, _ in _bench_skeletons()]
     for graph in graphs:
+        ordered = graph.grants_by_bit
+        assert all(a < b for a, b in zip(ordered, ordered[1:]))
         object_bits, attack_bits, grant_bits = _object_bit_map(graph), _attack_bit_map(graph), _grant_bit_map(graph)
         for e in graph.edges:
             assert (e.to_bit, e.attack_bit) == (object_bits[e.to_id], attack_bits[e.attack_id])
@@ -631,10 +637,10 @@ def _attack_bit_map(graph):
 
 
 def _grant_bit_map(graph):
-    """Grant -> its bit, by its first place among the entry grants, then each attack's condition and results."""
+    """Grant -> its bit, by its place in Grant order among the entry grants, conditions and results."""
     doc = graph.doc
-    named = [*doc.entry_grants, *(g for a in doc.attacks for g in (*a.condition, *a.a_results))]
-    return {g: 1 << k for k, g in enumerate(dict.fromkeys(named))}
+    named = {*doc.entry_grants, *(g for a in doc.attacks for g in (*a.condition, *a.a_results))}
+    return {g: 1 << k for k, g in enumerate(sorted(named))}
 
 
 def _subset(data, items, max_size, label):
@@ -702,6 +708,58 @@ def test_walk_and_successor_step_apply_the_same_rules(seed, coherent, semantics,
         best = min(walked, key=lambda p: (p[6], len(p[0]), p[0]), default=None)
         want = None if best is None else chain_from_edges(graph, best[0], cfg, entry)
         assert search_chain(graph, ChainObjective("min_cost"), cfg, blocked, entry) == want
+
+
+def _canonical_key(item):
+    return (len(item[0]), item[0])
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.none() | st.integers(0, 10**6),
+    coherent=st.booleans(),
+    semantics=st.sampled_from(("accumulated", "strict")),
+    max_len=st.integers(1, 6),
+    to_goal=st.booleans(),
+    rng=st.randoms(use_true_random=False),
+    data=st.data(),
+)
+def test_canonical_order_sorts_by_length_then_edge_ids(seed, coherent, semantics, max_len, to_goal, rng, data):
+    # _canonical groups items by edge count and sorts each group in natural
+    # tuple order, with no key. That is the (length, edge ids) order only
+    # because edge ids come first and no two items share them: checked on
+    # shuffled chains and planner rows of toy5g (seed None) and genscen
+    # scenarios, and on the defender's merge of the rows it keeps, in
+    # canonical order, with the rows a via walk adds, in walk order.
+    if seed is None:
+        doc = parse_scenario((Path(__file__).parent / "fixtures" / "toy5g.scenario").read_text(encoding="utf-8"))
+    else:
+        doc = coherent_scenario(seed) if coherent else random_scenario(seed, max_objects=6, max_edges=14)
+    graph = build_attack_graph(doc, build_base_graph(doc))
+    cfg = EngineConfig(semantics=semantics, max_len=max_len)
+    goal = frozenset(doc.targets) if to_goal else frozenset(o.id for o in doc.objects)
+    found = list(enumerate_chains(graph, sorted(goal), cfg))
+    assert found == sorted(found, key=_canonical_key)
+    entry = chains_module._foothold(graph, doc.entry_grants)[0]
+    rows = _target_rows(graph, entry, goal, frozenset(), cfg)
+    assert [row[0] for row in rows] == [c.edges for c in found]
+    needed = sorted(set(graph.needed_by) - set(doc.entry_grants))
+    won = chains_module._foothold(graph, _subset(data, needed, 3, "won"))[0]
+    applied = graph.defense_mask(_subset(data, [d.id for d in graph.sorted_defenses], 2, "applied"))
+    blocked = neutralized_attacks(graph, [d.id for d in graph.sorted_defenses if graph.defense_bits[d.id] & applied])
+    kept = [row for row in rows if not row[1] & applied]
+    added = [(p[0], p[8], p[7]) for p in chains_module._walk(graph, entry | won, goal, cfg, blocked, won)] if won else []
+    for items in (found, rows, kept + added):
+        shuffled = list(items)
+        rng.shuffle(shuffled)
+        for case in (items, shuffled):
+            assert chains_module._canonical(case) == sorted(case, key=_canonical_key)
+    if len({len(c.edges) for c in found}) > 1:
+        event("chains of several lengths")
+    if kept and added:
+        event("kept and added rows")
+    if seed is None:
+        event("toy5g")
 
 
 @pytest.mark.parametrize("semantics", ["accumulated", "strict"])

@@ -54,11 +54,12 @@ Inputs, all generated from this checkout:
   and on one `tests/genscen.py` scenario, far beyond their longest chain;
 - two scenarios written here (`grant_bit_commands`), under both
   semantics: one whose entry grants include a grant no condition or result
-  names, and one where several attacks grant different permissions on one
-  object, so the attack graph's grant bits (first-seen order) are not in
-  `Grant` order. Each runs `chains` (to the targets, `--unrestricted`,
-  `min_cost` and `max_threat`), `risk`, `defend` (cut, budget, and
-  coverage of a given chain) and a reactive `simulate`;
+  names, and one whose records name the grants on one object out of
+  `Grant` order. The attack graph gives grant bits in `Grant` order, so
+  record order sets no bit, and the second checks only that record order
+  never reaches the output. Each runs `chains` (to the targets,
+  `--unrestricted`, `min_cost` and `max_threat`), `risk`, `defend` (cut,
+  budget, and coverage of a given chain) and a reactive `simulate`;
 - reactive games on one scenario written here (`compromise_commands`),
   under both semantics, in JSON and in text: its entry grants already hold
   a permission on its target, so the game ends before turn 1, and under
@@ -383,7 +384,8 @@ def _grant_bit_docs() -> dict:
         targets=("n3",),
     )
     # m1's write is met before its read and execute, and m3's read before
-    # its execute and write, so the bits are not in Grant order.
+    # its execute and write: the records name these grants out of Grant
+    # order, which must not reach the output.
     reordered = ScenarioDoc(
         objects=objects("m"),
         relationships=links("m", ((0, 1), (1, 2), (2, 3), (2, 4), (4, 3))),
@@ -413,7 +415,7 @@ def _grant_bit_docs() -> dict:
 
 
 def grant_bit_commands(inputs: Path) -> list[list[str]]:
-    """Scenarios whose grant bits hold an unnamed entry grant or are out of Grant order, under both semantics."""
+    """Scenarios with an entry grant that has no bit, or with records naming grants out of Grant order, under both semantics."""
     from stratagraph.scenario import serialize_scenario
 
     commands = []
