@@ -19,8 +19,8 @@ from-object in `AttackGraph.by_from`), each of which carries what a step
 reads: to object, attack, the masks of its attack's condition and
 results, cost, severity, the attack's defense mask, entry_only, and the
 bits of the pair the edge grants, of its to object and of its attack.
-`_walk`, the one depth-first walk that yields every chain enumeration
-emits as a bare prefix tuple, applies the rules in its own loop. For each
+`_walk`, the one loop that expands chain prefixes, yielding each chain as
+a bare prefix tuple, applies the rules in its own loop. For each
 (end, room) it meets, the object a prefix ends on and the edges left
 after the next step, `_step_table` settles once what depends only on
 that key: adjacency, blocked attacks, entry_only and whether a step's end
@@ -47,20 +47,21 @@ planners and risk in defense.py) convert their Grants, once per call
 condition needs it, so only a chain that is packaged adds it back to the
 grants its mask decodes to.
 
-`_successors` applies the same rules to one prefix at a time, naming the
-first rule each rejected candidate breaks: the validity check feeds it one
-edge at a time for the rejection reasons, and min-cost search pops
-prefixes from a heap and extends them with it. The walk does not call it,
-because a call per expansion costs most of what the fused loop saves: on
-the reactive-sim-M bench workload (2-vCPU host, in process), the same
-step records behind a per-expansion step function took walk time from 0.43 s
-to 0.39 s, the fused loop to 0.32-0.34 s. tests/test_chains.py pins the
-two rule sites to each other.
+The walk expands every prefix the engine expands, min-cost search's too:
+`search_chain` hands it a cheapest-first frontier (`_Cheapest`) in place
+of its list stack. The only other place that states the rules is
+`_replay`, which checks an explicit chain one edge at a time for the
+validity check and names the first rule a step breaks. The two share no
+step function, because a call per expansion costs most of what the fused
+loop saves: on the reactive-sim-M bench workload (2-vCPU host, in
+process), the same step records behind a per-expansion step function took
+walk time from 0.43 s to 0.39 s, the fused loop to 0.32-0.34 s.
+tests/test_chains.py pins the two rule sites to each other.
 
 The walk's readers build an AttackChain only for a chain they print:
 - `enumerate_chains` packages each prefix, decoding each distinct grant
   mask once, and puts the chains into canonical (length, edge ids) order;
-  `search_chain` under `max_threat` packages only its winner;
+  `search_chain` packages only its winner, under either objective;
 - `defense.risk_assess` keeps each end object's chain count, maximum
   threat and minimum cost;
 - `defense._target_rows`, the row source of both planners and the
@@ -118,6 +119,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import math
 from typing import NamedTuple
 
 from .config import DEFAULT_CONFIG, EngineConfig
@@ -240,95 +242,56 @@ def _root(entry: int) -> tuple:
     return ((), entry, 0, 0, None, 0, 0.0, 0.0, 0)
 
 
-def _successors(graph: AttackGraph, prefix, candidates, entry, config: EngineConfig, blocked, why=None) -> list:
-    """The valid one-edge extensions of prefix, one attack edge at a time.
-
-    entry is the entry grants' mask. candidates=None tries every edge
-    adjacent to the prefix's end (every edge for the empty prefix). When
-    why is a list, the reason each rejected candidate fails is appended to
-    it, naming the first rule it breaks. Cost and threat grow by each newly fired attack in firing
-    order, as a sum over fired attacks would (or a max of severities under
-    threat_agg "max"). _walk applies the same rules inline.
-    """
-    edges, grants, fired, affected, end, pair, cost, threat, sig = prefix
-    pool = entry | pair if config.semantics == "strict" else grants
-    if candidates is None:
-        candidates = graph.edges if end is None else graph.by_from.get(end, ())
-    use_max = config.threat_agg == "max"
-    out = []
-    for edge in candidates:
-        to, attack_id, to_bit, attack_bit = edge.to_id, edge.attack_id, edge.to_bit, edge.attack_bit
-        if end is not None and edge.from_id != end:
-            fault = "not adjacent: previous edge ends at {end}, this one starts at {edge.from_id}"
-        elif to_bit & affected:
-            fault = "object {to} already affected (chain must stay simple)"
-        elif edge.entry_only and end is not None:
-            fault = "attack {edge.attack_id} is entry-only and cannot fire mid-chain"
-        elif attack_id in blocked:
-            fault = "attack {edge.attack_id} is blocked"
-        elif edge.need_mask & pool != edge.need_mask:
-            fault = "unsatisfied <{need.object}, {need.permission}>"
-        else:
-            path = edges + (edge.edge_id,)
-            if attack_bit & fired:
-                out.append((path, grants, fired, affected | to_bit, to, edge.grant_bit, cost, threat, sig))
-                continue
-            if use_max:
-                new_threat = edge.severity if edge.severity > threat else threat
-            else:
-                new_threat = threat + edge.severity
-            out.append(
-                (
-                    path,
-                    grants | edge.result_mask,
-                    fired | attack_bit,
-                    affected | to_bit,
-                    to,
-                    edge.grant_bit,
-                    cost + edge.cost,
-                    new_threat,
-                    sig | edge.defense_mask,
-                )
-            )
-            continue
-        if why is not None:
-            # The first unmet grant in the attack record's condition order.
-            bits = graph.grant_bits
-            need = next((n for n in graph.attacks[attack_id].condition if not bits[n] & pool), None)
-            why.append(fault.format(end=end, to=to, edge=edge, need=need))
-    return out
-
-
 def _chain(graph: AttackGraph, prefix, extra: tuple[Grant, ...]) -> AttackChain:
     """The chain of a walk's prefix; extra is the entry grants that have no bit (_foothold)."""
     edges, grants, _, _, _, _, cost, threat, _ = prefix
     return AttackChain(edges=edges, total_cost=cost, total_threat=threat, final_grants=_decode(graph, grants, extra))
 
 
-def _replay(graph, edge_ids, config, entry_grants) -> tuple[ChainCheck, tuple]:
-    """Feed edge_ids through the successor step one at a time: (check, last prefix).
+def _replay(graph, edge_ids, config, entry_grants) -> tuple[ChainCheck, float, float]:
+    """Check edge_ids one edge at a time: (check, cost, threat of the steps that held).
 
-    The states list the fired attacks in firing order, which the prefix's
-    fired mask does not keep: a step adds its attack when its bit is new.
-    Each state's grants are its prefix's mask decoded, with the entry
-    grants that have no bit (_foothold).
+    Each step is tested against the rules in _walk's order, and the first
+    rule it breaks names the reason it fails. Cost and threat grow by each
+    newly fired attack, as in the walk. The states list the fired attacks
+    in firing order, and each state's grants are the grant mask decoded,
+    with the entry grants that have no bit (_foothold).
     """
     entry = _entry_grants(graph, entry_grants)
     edges = [graph.edge(eid) for eid in edge_ids]  # raises on an unknown id before any step
     mask, extra = _foothold(graph, entry)
-    prefix = _root(mask)
+    strict = config.semantics == "strict"
+    grants, affected, end, pair, cost, threat = mask, 0, None, 0, 0.0, 0.0
     fired: tuple[str, ...] = ()
     states = [AttackerState(tuple(sorted(entry)), fired)]
     for i, edge in enumerate(edges):
-        why: list[str] = []
-        step = _successors(graph, prefix, (edge,), mask, config, frozenset(), why)
-        if not step:
-            return ChainCheck(False, tuple(states), failed_index=i, reason=why[0]), prefix
-        if not prefix[2] & edge.attack_bit:
-            fired += (edge.attack_id,)
-        prefix = step[0]
-        states.append(AttackerState(_decode(graph, prefix[1], extra), fired))
-    return ChainCheck(True, tuple(states)), prefix
+        pool = mask | pair if strict else grants
+        if i and edge.from_id != end:
+            reason = f"not adjacent: previous edge ends at {end}, this one starts at {edge.from_id}"
+        elif edge.to_bit & affected:
+            reason = f"object {edge.to_id} already affected (chain must stay simple)"
+        elif edge.entry_only and i:
+            reason = f"attack {edge.attack_id} is entry-only and cannot fire mid-chain"
+        elif edge.need_mask & pool != edge.need_mask:
+            # The first unmet grant in the attack record's condition order.
+            bits = graph.grant_bits
+            need = next(n for n in graph.attacks[edge.attack_id].condition if not bits[n] & pool)
+            reason = f"unsatisfied <{need.object}, {need.permission}>"
+        else:
+            if edge.attack_id not in fired:
+                fired += (edge.attack_id,)
+                grants |= edge.result_mask
+                cost += edge.cost
+                if config.threat_agg == "max":
+                    threat = edge.severity if edge.severity > threat else threat
+                else:
+                    threat += edge.severity
+            affected |= edge.to_bit
+            end, pair = edge.to_id, edge.grant_bit
+            states.append(AttackerState(_decode(graph, grants, extra), fired))
+            continue
+        return ChainCheck(False, tuple(states), failed_index=i, reason=reason), cost, threat
+    return ChainCheck(True, tuple(states)), cost, threat
 
 
 def is_valid_chain(
@@ -354,11 +317,12 @@ def chain_from_edges(
     entry_grants=None,
 ) -> AttackChain:
     """Validate an explicit edge sequence and package it as an AttackChain."""
-    check, prefix = _replay(graph, edge_ids, config, entry_grants)
+    edge_ids = tuple(edge_ids)
+    check, cost, threat = _replay(graph, edge_ids, config, entry_grants)
     if not check.valid:
         raise ValueError(f"not a valid chain at index {check.failed_index}: {check.reason}")
     # The last state's grants are the chain's final grants.
-    return AttackChain(prefix[0], prefix[6], prefix[7], check.states[-1].grants)
+    return AttackChain(edge_ids, cost, threat, check.states[-1].grants)
 
 
 def _resolve_targets(graph: AttackGraph, targets) -> frozenset[str]:
@@ -484,15 +448,17 @@ def _pending_table(full: list[tuple], room: int, opened, ahead) -> list[tuple]:
     return table
 
 
-def _walk(graph: AttackGraph, entry: int, goal, config: EngineConfig, blocked, via: int = 0, context=None):
-    """Yield every chain prefix enumeration emits, depth first, not in canonical order.
+def _walk(
+    graph: AttackGraph, entry: int, goal, config: EngineConfig, blocked, via: int = 0, context=None, frontier=None
+):
+    """Yield every chain prefix enumeration emits, depth first unless frontier orders it, not in canonical order.
 
     The valid prefixes of at most config.max_len edges that end on a goal
     are yielded (goal holds every object for unrestricted enumeration),
     and prefixes that cannot reach a goal within the length left are never
     expanded (see the module docstring). One loop serves both semantics:
     _step_table settles what depends only on (end, room), and the loop
-    applies the simple-path guard and the condition itself, as _successors
+    applies the simple-path guard and the condition itself, as _replay
     does: a condition holds when its need mask ANDed with the pool is the
     need mask, and firing ORs the result mask into the grants. entry and
     via are grant masks over AttackGraph.grant_bits, as a prefix's grants
@@ -515,6 +481,10 @@ def _walk(graph: AttackGraph, entry: int, goal, config: EngineConfig, blocked, v
     to its grants (_pending_table). The pending stack is drained first, as
     it feeds the other; each phase says whether its prefixes are pending.
     Without via (0) there is no pending stack.
+
+    frontier, given only without via, takes the full stack's place: the
+    walk appends to it, pops from it, and stops when it reads as empty.
+    Min-cost search passes a _Cheapest, so prefixes expand cheapest first.
     """
     max_len = config.max_len
     strict = config.semantics == "strict"
@@ -531,7 +501,7 @@ def _walk(graph: AttackGraph, entry: int, goal, config: EngineConfig, blocked, v
             table = tables[end, room] = _step_table(graph.by_from.get(end, ()), end, room, goal, dist, blocked)
         return table
 
-    stack = []  # prefixes every further step may extend (a full walk's)
+    stack = [] if frontier is None else frontier  # prefixes every further step may extend (a full walk's)
     push = stack.append
     if not via:
         stack.append(_root(entry))
@@ -539,7 +509,7 @@ def _walk(graph: AttackGraph, entry: int, goal, config: EngineConfig, blocked, v
     else:
         old, won = entry & ~via, entry & via
         needed_by, by_attack = graph.needed_by, graph.by_attack
-        via_edges = {e for g in graph.grants_of(won) for aid in needed_by.get(g, ()) for e in by_attack.get(aid, ())}
+        via_edges = {e for g in graph.grants_of(won) for aid in needed_by.get(g, ()) for e in by_attack[aid]}
         limit = max_len - 1
         joins: dict[int, list[str]] = {}  # level -> objects a via edge reaches a goal from in that many edges
         for e in via_edges:
@@ -638,6 +608,42 @@ def enumerate_chains(
     return tuple(_canonical(results))
 
 
+class _Cheapest:
+    """Min-cost search's frontier, which _walk pops in place of its list stack.
+
+    Prefixes pop cheapest first, in (cost, length, edge ids) order. A
+    prefix whose (pair bit, fired, affected) state popped before is
+    skipped: the two fired the same attacks, so they cost the same, have
+    the same length and the same continuations, and the first pop comes
+    first in that order. The frontier reads as empty once
+    its top cannot beat best, the key of the cheapest goal prefix the walk
+    has yielded, which search_chain keeps: no cost is negative and each
+    step adds an edge, so no later pop leads to a cheaper chain.
+    """
+
+    def __init__(self):
+        self.heap: list = []
+        self.seen: set = set()
+        self.best: tuple = (math.inf,)  # above every finite (cost, length, edge ids) key
+
+    def append(self, prefix) -> None:
+        heapq.heappush(self.heap, (prefix[6], len(prefix[0]), prefix[0], prefix))
+
+    def __bool__(self) -> bool:
+        heap, seen = self.heap, self.seen
+        while heap and heap[0] < self.best:  # at an equal key, the longer entry tuple is the greater
+            prefix = heap[0][3]
+            if (prefix[5], prefix[2], prefix[3]) not in seen:
+                return True
+            heapq.heappop(heap)
+        return False
+
+    def pop(self):
+        prefix = heapq.heappop(self.heap)[3]
+        self.seen.add((prefix[5], prefix[2], prefix[3]))
+        return prefix
+
+
 def search_chain(
     graph: AttackGraph,
     objective: ChainObjective,
@@ -647,46 +653,32 @@ def search_chain(
 ) -> AttackChain | None:
     """Best chain of at most config.max_len edges to the objective's target.
 
-    Returns None when no chain exists. min_cost runs uniform-cost search
-    over (position, grants) states; grant monotonicity keeps the space
-    finite. Prefixes pop in (cost, length, edge-ids) order, so the first
-    goal hit is also the canonical tie-break winner. max_threat walks every
-    chain to the target and packages only the winner. Ties break by
-    (length, lexicographic edge ids) in both modes.
+    Returns None when no chain exists. Both objectives walk to the target
+    and keep the chain with the smallest key: (cost, length, edge ids)
+    under min_cost, (-threat, length, edge ids) under max_threat, so ties
+    break by (length, lexicographic edge ids) in both. max_threat walks
+    every chain. min_cost walks cheapest first (_Cheapest): a uniform-cost
+    search that expands each (pair, fired, affected) state once and stops
+    once no prefix left can beat the cheapest chain found.
     """
     mask, extra = _foothold(graph, _entry_grants(graph, entry_grants))
     target = objective.target
     goal = _resolve_targets(graph, graph.doc.targets if target is None else (target,))
     if not goal:
         return None
-
     if objective.kind == "max_threat":
         walk = _walk(graph, mask, goal, config, blocked_attacks)
         best = min(walk, key=lambda step: (-step[7], len(step[0]), step[0]), default=None)
-        return None if best is None else _chain(graph, best, extra)
-    if objective.kind != "min_cost":
+    elif objective.kind == "min_cost":
+        frontier = _Cheapest()
+        best = None
+        for step in _walk(graph, mask, goal, config, blocked_attacks, frontier=frontier):
+            key = (step[6], len(step[0]), step[0])
+            if key < frontier.best:
+                frontier.best, best = key, step
+    else:
         raise ValueError(f"unknown objective kind {objective.kind!r}")
-
-    max_len = config.max_len
-    heap: list = [(0, 0, (), _root(mask))]
-    seen: set = set()
-    while heap:
-        _, length, _, prefix = heapq.heappop(heap)
-        end = prefix[4]
-        if end is not None:
-            if end in goal:
-                return _chain(graph, prefix, extra)
-            # Two prefixes landing on the same (pair bit, fired, affected)
-            # state have identical continuations; the first pop dominates
-            # in the full (cost, length, lexicographic) order.
-            key = (prefix[5], prefix[2], prefix[3])
-            if key in seen:
-                continue
-            seen.add(key)
-        if length < max_len:
-            for step in _successors(graph, prefix, None, mask, config, blocked_attacks):
-                heapq.heappush(heap, (step[6], length + 1, step[0], step))
-    return None
+    return None if best is None else _chain(graph, best, extra)
 
 
 # --- potential chains --------------------------------------------------------

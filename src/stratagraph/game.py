@@ -210,8 +210,7 @@ def run_game(
 
         fired.append(pick.id)
         attacker_cost += pick.cost
-        edges = graph.by_attack.get(pick.id)  # an attack without results has no edges
-        frontier.grant(edges[0].result_mask if edges else 0)
+        frontier.grant(graph.by_attack[pick.id][0].result_mask)
         detected = rng.random() < pick.detect_prob
         detected_any = detected_any or detected
 

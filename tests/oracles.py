@@ -220,21 +220,30 @@ def reference_distances(doc, goal, blocked=frozenset(), via=None, limit=None):
     return out
 
 
-def brute_min_cost(doc, max_len, semantics="accumulated", targets=None):
-    """(edge tuple, cost) of the cheapest target-reaching chain, or None."""
-    chains = brute_chains(doc, max_len, semantics, targets=targets)
+def brute_min_cost(doc, max_len, semantics="accumulated", targets=None, entry=None, agg="sum"):
+    """(edge tuple, cost, threat) of the cheapest target-reaching chain, or None.
+
+    Ties break by (length, edge ids). entry overrides the doc's entry
+    grants, and agg aggregates the winner's threat.
+    """
+    chains = brute_chains(doc, max_len, semantics, targets=targets, entry=entry, agg=agg)
     if not chains:
         return None
     best = min(chains, key=lambda f: (f[1], len(f[0]), f[0]))
-    return best[0], best[1]
+    return best[0], best[1], best[2]
 
 
-def brute_max_threat(doc, max_len, semantics="accumulated", targets=None):
-    chains = brute_chains(doc, max_len, semantics, targets=targets)
+def brute_max_threat(doc, max_len, semantics="accumulated", targets=None, entry=None, agg="sum"):
+    """(edge tuple, cost, threat) of the most threatening target-reaching chain, or None.
+
+    Threat aggregates by agg ("sum" or "max"); ties break by (length,
+    edge ids). entry overrides the doc's entry grants.
+    """
+    chains = brute_chains(doc, max_len, semantics, targets=targets, entry=entry, agg=agg)
     if not chains:
         return None
     best = min(chains, key=lambda f: (-f[2], len(f[0]), f[0]))
-    return best[0], best[2]
+    return best[0], best[1], best[2]
 
 
 def reference_risk(doc, max_len, semantics="accumulated", agg="sum"):

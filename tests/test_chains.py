@@ -82,9 +82,19 @@ def test_adjacency_required():
     doc = two_step_doc('{"object": "O2", "permission": "read"}')
     graph = build_attack_graph(doc, build_base_graph(doc))
     check = is_valid_chain(graph, ["e2#0"])
-    assert not check.valid and check.failed_index == 0
-    check2 = is_valid_chain(graph, ["e1#0", "e1#0"])
-    assert not check2.valid  # repeated affected object
+    assert (check.valid, check.failed_index, check.reason) == (False, 0, "unsatisfied <O2, read>")
+    # e1 starts at O1, not at O2 where e1#0 ends.
+    check = is_valid_chain(graph, ["e1#0", "e1#0"])
+    assert (check.failed_index, check.reason) == (1, "not adjacent: previous edge ends at O2, this one starts at O1")
+    both = [Grant("O1", "read"), Grant("O2", "read")]
+    check = is_valid_chain(graph, ["e2#0", "e1#0"], entry_grants=both)
+    assert (check.failed_index, check.reason) == (1, "not adjacent: previous edge ends at O3, this one starts at O1")
+    # e1#1 leads from O1 back to O1, so a second e1#1 affects O1 again.
+    e1, e2 = doc.attacks
+    looped = doc._replace(attacks=(e1._replace(a_results=(*e1.a_results, Grant("O1", "write"))), e2))
+    graph = build_attack_graph(looped, build_base_graph(looped))
+    check = is_valid_chain(graph, ["e1#1", "e1#1"])
+    assert (check.failed_index, check.reason) == (1, "object O1 already affected (chain must stay simple)")
 
 
 def test_unknown_edge_raises(toy5g):
@@ -116,7 +126,7 @@ def test_entry_only_attack_must_open_the_chain():
     doc = doc._replace(attacks=attacks)
     graph = build_attack_graph(doc, build_base_graph(doc))
     check = is_valid_chain(graph, ["e1#0", "e2#0"])
-    assert not check.valid and "entry-only" in check.reason
+    assert (check.failed_index, check.reason) == (1, "attack e2 is entry-only and cannot fire mid-chain")
     assert enumerate_chains(graph, targets=["O3"]) == ()
 
 
@@ -661,13 +671,12 @@ def _subset(data, items, max_size, label):
 )
 # coherent_scenario(704152) has no attacks.
 @example(seed=704152, coherent=True, semantics="accumulated", agg="sum", max_len=3, to_goal=True, data=_EmptyDraws())
-def test_walk_and_successor_step_apply_the_same_rules(seed, coherent, semantics, agg, max_len, to_goal, data):
-    # The walk applies the chain rules in its own loop, and _successors,
-    # which chain_from_edges and min-cost search step with, applies them
-    # again. Every prefix the walk yields must replay through the step
-    # with its cost, threat, final grants, fired attacks and signature,
-    # and the min-cost search must find the walk's cheapest chain. The
-    # walk's grants are a mask and its pair a bit, decoded through the
+def test_walk_and_replay_apply_the_same_rules(seed, coherent, semantics, agg, max_len, to_goal, data):
+    # The walk applies the chain rules in its own loop, and _replay, which
+    # is_valid_chain and chain_from_edges check a chain with, applies them
+    # again one edge at a time. Every prefix the walk yields must replay
+    # with its cost, threat, final grants, fired attacks and signature.
+    # The walk's grants are a mask and its pair a bit, decoded through the
     # graph. The entry may hold grants no attack names, which have no bit
     # unless the scenario's own entry grants hold them: the packaged chain
     # and the referee's replay still hold them.
@@ -704,10 +713,114 @@ def test_walk_and_successor_step_apply_the_same_rules(seed, coherent, semantics,
         assert sig == oracles.chain_signature(doc, edges)
         assert end in goal
     assert len({p[0] for p in walked}) == len(walked)
-    if to_goal and goal:
-        best = min(walked, key=lambda p: (p[6], len(p[0]), p[0]), default=None)
-        want = None if best is None else chain_from_edges(graph, best[0], cfg, entry)
-        assert search_chain(graph, ChainObjective("min_cost"), cfg, blocked, entry) == want
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 10**6),
+    coherent=st.booleans(),
+    semantics=st.sampled_from(("accumulated", "strict")),
+    agg=st.sampled_from(("sum", "max")),
+    max_len=st.integers(1, 4),
+    data=st.data(),
+)
+def test_both_searches_find_the_brute_force_winner(seed, coherent, semantics, agg, max_len, data):
+    # Under each objective, search_chain's winner (edges, cost and threat)
+    # must be the one the brute-force oracle picks out of every valid
+    # chain, tie-break included. The search sees entry-only and blocked
+    # attacks, and an entry that may hold grants no attack names; the
+    # oracle's doc has the blocked attacks removed. Min-cost search must
+    # also pop prefixes in (cost, length, edge ids) order, and only those
+    # that come before its winner: its frontier stops once no prefix left
+    # can beat the cheapest chain found. In scenarios this small a search
+    # that pops in another order still finds the winner nearly always, so
+    # test_min_cost_search_pops_cheapest_first has a scenario where it
+    # does not.
+    doc = coherent_scenario(seed, max_objects=6) if coherent else random_scenario(seed, max_objects=6, max_edges=8)
+    ids = [a.id for a in doc.attacks]
+    entry_only = _subset(data, ids, len(ids) // 3, "entry_only")
+    doc = doc._replace(attacks=tuple(a._replace(entry_only=a.entry_only or a.id in entry_only) for a in doc.attacks))
+    graph = build_attack_graph(doc, build_base_graph(doc))
+    blocked = _subset(data, ids, len(ids) // 2, "blocked")
+    effects = sorted({g for a in doc.attacks for g in a.a_results})
+    named = {g for a in doc.attacks for g in (*a.condition, *a.a_results)}
+    unnamed = [g for o in doc.objects for p in (*PERMS, "audit") if (g := Grant(o.id, p)) not in named]
+    entry = frozenset(doc.entry_grants) | _subset(data, effects, 2, "won") | _subset(data, unnamed, 2, "unnamed")
+    target = data.draw(st.none() | st.sampled_from([o.id for o in doc.objects]), label="target")
+    targets = doc.targets if target is None else (target,)
+    cfg = EngineConfig(semantics=semantics, max_len=max_len, threat_agg=agg)
+    open_doc = doc._replace(attacks=tuple(a for a in doc.attacks if a.id not in blocked))
+    popped = []
+    pop = chains_module._Cheapest.pop
+
+    def spy(frontier):
+        prefix = pop(frontier)
+        popped.append((prefix[6], len(prefix[0]), prefix[0]))
+        return prefix
+
+    for kind, brute in (("min_cost", oracles.brute_min_cost), ("max_threat", oracles.brute_max_threat)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(chains_module._Cheapest, "pop", spy)
+            found = search_chain(graph, ChainObjective(kind, target), cfg, blocked, entry)
+        want = brute(open_doc, max_len, semantics, targets, entry, agg)
+        assert (found and (found.edges, found.total_cost, found.total_threat)) == want, kind
+        if kind == "min_cost" and want:
+            assert popped == sorted(popped) and popped[-1] < (want[1], len(want[0]), want[0])
+            event("a chain to the target")
+
+
+def toll_doc():
+    """o0 reaches target t in one edge at cost 2, or through o1 at 3.5 or o2 at 1.0.
+
+    The costly first steps a#0 and b#0 come before the cheap c#0 in edge
+    id order, so only a search that pops cheapest first and bounds by the
+    cheapest chain found gets to c#0, e#0 and stops before b#0.
+    """
+    hops = (("a", "o0", "t", 2), ("b", "o0", "o1", 3), ("c", "o0", "o2", 0.5))
+    hops += (("d", "o1", "t", 0.5), ("e", "o2", "t", 0.5))
+    return parse_scenario(
+        json.dumps(
+            {
+                "objects": [{"id": o, "layer": "physical", "category": "os"} for o in ("o0", "o1", "o2", "t")],
+                "relationships": [{"from": f, "to": t, "kind": "connectivity"} for _, f, t, _ in hops],
+                "attacks": [
+                    {
+                        "id": aid,
+                        "object": f,
+                        "condition": [{"object": f, "permission": "read"}],
+                        "a_results": [{"object": t, "permission": "read"}],
+                        "cost": cost,
+                    }
+                    for aid, f, t, cost in hops
+                ],
+                "entry_grants": [{"object": "o0", "permission": "read"}],
+                "targets": ["t"],
+            }
+        )
+    )
+
+
+@pytest.mark.parametrize("semantics", ["accumulated", "strict"])
+def test_min_cost_search_pops_cheapest_first(monkeypatch, semantics):
+    # A search that pops in push order stops at a#0, the first goal it
+    # yields, since b#0 then tops its frontier and cannot beat it; one that
+    # ignores the bound pops b#0 as well.
+    doc = toll_doc()
+    graph = build_attack_graph(doc, build_base_graph(doc))
+    popped = []
+    pop = chains_module._Cheapest.pop
+
+    def spy(frontier):
+        prefix = pop(frontier)
+        popped.append(prefix[0])
+        return prefix
+
+    monkeypatch.setattr(chains_module._Cheapest, "pop", spy)
+    cfg = EngineConfig(semantics=semantics)
+    best = search_chain(graph, ChainObjective("min_cost"), cfg)
+    assert (best.edges, best.total_cost, best.total_threat) == oracles.brute_min_cost(doc, 8, semantics, doc.targets)
+    assert best.edges == ("c#0", "e#0")
+    assert popped == [(), ("c#0",)]
 
 
 def _canonical_key(item):

@@ -24,8 +24,11 @@ Inputs, all generated from this checkout:
   semantics, under `threat_agg max`, under `budget_objective count`,
   under the `greedy_cheapest` and `max_threat` attackers, with a zero
   budget per turn and as one game of up to 40 turns, and a strict
-  `defend --mode cut`; at seed 1 also `potential --max-len 6`, where base
-  paths are many;
+  `defend --mode cut`; both chain searches (`min_cost` and `max_threat`)
+  under strict semantics, with `--target` an object the cheapest chain
+  passes on its way to a target, and at a `--max-len` one below the
+  cheapest chain's length; at seed 1 also `potential --max-len 6`, where
+  base paths are many;
 - `tests/genscen.py` scenarios, random and coherent, under both semantics,
   each with a random attacker's reactive `simulate` of 3 runs of up to
   20 turns, and one with its targets removed: there `defend --mode budget`
@@ -69,8 +72,12 @@ Inputs, all generated from this checkout:
   on toy5g and on the reactive-sim-M bench workload at seed 1, with a
   valid chain, the same chain without its second edge (its replay stops
   there), a chain whose first edge's condition the entry grants do not
-  hold, and an unknown edge id. A failing chain prints the reason its
-  replay stops;
+  hold, an unknown edge id, and on toy5g a chain that affects an object
+  twice. A failing chain prints the reason its replay stops;
+- entry-only attacks (`entry_only_commands`): one scenario written here,
+  under both semantics: `chains` (to the target, `--unrestricted`,
+  `min_cost` and `max_threat`) and coverage of a chain that fires an
+  entry-only attack first and of one that fires one mid-chain;
 - output branches the lists above miss (`branch_commands`), in JSON and
   in text: `potential` between two objects no gap separates, coverage of
   toy5g at `--max-len 1`, where no chain reaches a target (exit 1),
@@ -150,6 +157,8 @@ def export_ref(ref: str, dest: Path) -> Path:
 def bench_commands(inputs: Path) -> list[list[str]]:
     import gen
 
+    from stratagraph import ChainObjective, build_attack_graph, build_base_graph, search_chain
+
     commands = []
     for workload in WORKLOADS:
         for seed in BENCH_SEEDS:
@@ -197,6 +206,21 @@ def bench_commands(inputs: Path) -> list[list[str]]:
                 [*simulate, "--budget-per-turn", "0"],
                 [*simulate, "--runs", "1", "--max-turns", "40"],
             ]
+            # Both searches under strict semantics, to an object on the way
+            # to the targets, and at a length limit below the cheapest chain.
+            graph = build_attack_graph(scenario.doc, build_base_graph(scenario.doc))
+            cheapest = search_chain(graph, ChainObjective("min_cost")).edges
+            # No target: a prefix that ends on one would be the cheaper chain.
+            passed = [graph.edge(eid).to_id for eid in cheapest[:-1]]
+            others = (o.id for o in scenario.doc.objects if o.id not in scenario.doc.targets)
+            waypoint = passed[len(passed) // 2] if passed else next(others)
+            for objective in ("min_cost", "max_threat"):
+                search = ["chains", *common, "--objective", objective]
+                commands += [
+                    [*search, "--semantics", "strict"],
+                    [*search, "--target", waypoint],
+                    [*search, "--max-len", str(max(1, len(cheapest) - 1))],
+                ]
             agg = ["--scenario", str(path), "--config", str(agg_max), "--format", "json"]
             commands += [
                 ["chains", *agg],
@@ -499,6 +523,51 @@ def coverage_commands(inputs: Path) -> list[list[str]]:
             [*coverage, ",".join(chain[1:])],
             [*coverage, f"{chain[0]},NOPE#0"],
         ]
+    # A2#0 affects HV1, and A3#0 leads from HV1 back to HV1.
+    commands.append(["defend", "--scenario", str(toy), "--mode", "coverage", "--chain", "A1#0,A2#0,A3#0"])
+    return commands
+
+
+def entry_only_commands(inputs: Path) -> list[list[str]]:
+    """A scenario with entry-only attacks, one of which a chain fires mid-chain, under both semantics.
+
+    x1 and x3 are entry-only. x1 opens the chain x1, x2, x4; x3 can open a
+    chain of its own, since the entry grants hold n2's read, but not follow
+    x2, so the replay of x1, x2, x3 stops at its last edge.
+    """
+    from stratagraph.model import AttackRecord, DefenseRecord, Grant, ObjectRecord, RelationshipEdge, ScenarioDoc
+    from stratagraph.scenario import serialize_scenario
+
+    def attack(aid, obj, need, result, cost, entry_only=False):
+        return AttackRecord(aid, obj, (Grant(*need),), "", (Grant(*result),), float(cost), 2.0, 0.5, entry_only)
+
+    doc = ScenarioDoc(
+        objects=tuple(ObjectRecord(f"n{k}", "service", "os") for k in range(4)),
+        relationships=tuple(RelationshipEdge(f"n{a}", f"n{b}", "peer") for a, b in ((0, 1), (1, 2), (2, 3))),
+        attacks=(
+            attack("x1", "n0", ("n0", "execute"), ("n1", "read"), 1, True),
+            attack("x2", "n1", ("n1", "read"), ("n2", "read"), 1),
+            attack("x3", "n2", ("n2", "read"), ("n3", "write"), 3, True),
+            attack("x4", "n2", ("n2", "read"), ("n3", "read"), 1),
+        ),
+        defenses=(DefenseRecord("d1", 1.0, "", ("x3",)), DefenseRecord("d2", 2.0, "", ("x2", "x4"))),
+        entry_grants=(Grant("n0", "execute"), Grant("n2", "read")),
+        targets=("n3",),
+    )
+    path = inputs / "entry-only.scenario"
+    path.write_text(serialize_scenario(doc), encoding="utf-8")
+    commands = []
+    for semantics in ("accumulated", "strict"):
+        common = ["--scenario", str(path), "--semantics", semantics, "--format", "json"]
+        coverage = ["defend", *common, "--mode", "coverage", "--chain"]
+        commands += [
+            ["chains", *common],
+            ["chains", *common, "--unrestricted"],
+            ["chains", *common, "--objective", "min_cost"],
+            ["chains", *common, "--objective", "max_threat"],
+            [*coverage, "x1#0,x2#0,x4#0"],
+            [*coverage, "x1#0,x2#0,x3#0"],
+        ]
     return commands
 
 
@@ -720,7 +789,7 @@ def main(argv=None) -> int:
         commands = bench_commands(inputs) + genscen_commands(inputs) + large_number_commands(inputs)
         commands += signed_zero_commands(inputs) + fixture_commands(inputs)
         commands += long_limit_commands(inputs) + grant_bit_commands(inputs) + compromise_commands(inputs)
-        commands += coverage_commands(inputs)
+        commands += coverage_commands(inputs) + entry_only_commands(inputs)
         commands += branch_commands(inputs)
         commands += serializer_commands(inputs) + shape_commands(inputs) + semantic_commands(inputs)
         commands += error_commands(inputs) + package_commands(inputs)
